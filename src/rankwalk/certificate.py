@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import ActivePairs, active_pairs, default_tie_tol, eval_loss, residuals
+from .loss import ActivePairs, active_pairs, default_tie_tol, eval_loss, fold_singletons, residuals
 from .lp import find_feasible
 from .model import RegressionData, as_score_vector
 
@@ -49,44 +49,43 @@ class CertificateReport:
 def solve_certificate(data: RegressionData, alpha, ap: ActivePairs,
                       lp_tol: float = 1e-9) -> np.ndarray | None:
     """A bistochastic balance witness supported on ``ap``, or None when the
-    system is infeasible (the point is then not optimal)."""
+    system is infeasible (the point is then not optimal).
+
+    Only the nontrivial tie blocks get variables: a singleton rank can only
+    hold its own observation, so its entry of G is 1 and its balance
+    contribution is the constant lin of ``fold_singletons``.  The LP has a
+    column G_ij per pair inside a block, row and column sums of 1 within each
+    block, the balance sum alpha_i G_ij x_j = -lin, and G >= 0.  The result is
+    the full n x n matrix.
+    """
     a = as_score_vector(alpha)
     n, p = data.n, data.p
     if a.n != n:
         raise ValueError(f"{a.n} weights for {n} observations")
-    pairs = sorted(ap.pairs)
-    col = {pair: t for t, pair in enumerate(pairs)}
-    nv = len(pairs)
+    fold = fold_singletons(data, a, ap)
+    pi, pj, pu, pv = fold.block_pairs()
+    G = np.zeros((n, n))
+    G[fold.ranks, fold.observations] = 1.0
+    if not fold.blocks:
+        # Nothing is free: the fixed pairing balances the design or it does
+        # not, judged as the simplex judges an equality row.
+        spread = np.abs(a.alpha[fold.ranks, None] * data.x[fold.observations]).sum(axis=0)
+        return G if bool(np.all(np.abs(fold.lin) <= 10.0 * lp_tol * (1.0 + spread))) else None
+    nv = pi.size
     rows = []
-    for i in range(n):
-        coeffs = np.zeros(nv)
-        for j in range(n):
-            t = col.get((i, j))
-            if t is not None:
-                coeffs[t] = 1.0
-        rows.append((coeffs, "==", 1.0))
-    for j in range(n):
-        coeffs = np.zeros(nv)
-        for i in range(n):
-            t = col.get((i, j))
-            if t is not None:
-                coeffs[t] = 1.0
-        rows.append((coeffs, "==", 1.0))
+    for u in range(fold.width):
+        rows.append(((pu == u).astype(float), "==", 1.0))
+    for v in range(fold.width):
+        rows.append(((pv == v).astype(float), "==", 1.0))
+    mix = a.alpha[pi, None] * data.x[pj]
     for k in range(p):
-        coeffs = np.zeros(nv)
-        for (i, j), t in col.items():
-            coeffs[t] = a.alpha[i] * data.x[j, k]
-        rows.append((coeffs, "==", 0.0))
-    for t in range(nv):
-        coeffs = np.zeros(nv)
-        coeffs[t] = 1.0
-        rows.append((coeffs, ">=", 0.0))
+        rows.append((mix[:, k], "==", -fold.lin[k]))
+    for row in np.eye(nv):
+        rows.append((row, ">=", 0.0))
     point = find_feasible(rows, nvars=nv, lp_tol=lp_tol)
     if point is None:
         return None
-    G = np.zeros((n, n))
-    for (i, j), t in col.items():
-        G[i, j] = point[t]
+    G[pi, pj] = point
     return G
 
 

@@ -61,21 +61,17 @@ class ActivePairs:
 
 
 def residuals(data: RegressionData, beta) -> Residuals:
-    """e_i = y_i - x_i . beta, with the dot product summed left to right so the
-    result is bit-reproducible."""
+    """e_i = y_i - x_i . beta, with the dot product summed left to right (one
+    column at a time, over all rows at once) so the result is bit-reproducible."""
     b = np.array(beta, dtype=float).ravel()
     if b.shape[0] != data.p:
         raise ValueError(f"beta has {b.shape[0]} entries, expected {data.p}")
     if not np.isfinite(b).all():
         raise ValueError("beta must be finite")
-    x = data.x
-    e = np.empty(data.n)
-    for i in range(data.n):
-        acc = 0.0
-        for k in range(data.p):
-            acc += x[i, k] * b[k]
-        e[i] = data.y[i] - acc
-    return Residuals(e, b)
+    acc = np.zeros(data.n)
+    for k in range(data.p):
+        acc += data.x[:, k] * b[k]
+    return Residuals(data.y - acc, b)
 
 
 def default_tie_tol(res: Residuals) -> float:
@@ -128,6 +124,54 @@ def active_pairs(res: Residuals, tie_tol: float) -> ActivePairs:
             block_of[j] = b
         lo = hi + 1
     return ActivePairs(frozenset(pairs), tuple(blocks), tuple(block_of))
+
+
+@dataclass(frozen=True)
+class TieFold:
+    """The realizable pairs at a point, split into what is fixed and what is
+    free.  A rank alone in its tie block can only hold that block's one
+    observation, so the singleton pairs ``(ranks[t], observations[t])`` are
+    fixed and contribute the constant ``lin = sum_t alpha[ranks[t]] *
+    x[observations[t]]``; only the pairs inside the nontrivial ``blocks``
+    are free."""
+
+    ranks: np.ndarray
+    observations: np.ndarray
+    lin: np.ndarray
+    blocks: tuple[TieBlock, ...]
+
+    @property
+    def width(self) -> int:
+        """Number of ranks (equally, observations) in the nontrivial blocks."""
+        return sum(len(blk.observations) for blk in self.blocks)
+
+    def block_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays ``(i, j, u, v)`` over the pairs inside the nontrivial blocks,
+        in sorted ``(i, j)`` order: rank i, observation j, and their positions
+        u and v among the ranks and among the observations of the nontrivial
+        blocks, each listed block by block."""
+        i_, j_, u_, v_ = [], [], [], []
+        off = 0
+        for blk in self.blocks:
+            k = len(blk.observations)
+            for di in range(k):
+                for dj, j in enumerate(blk.observations):
+                    i_.append(blk.lo + di)
+                    j_.append(j)
+                    u_.append(off + di)
+                    v_.append(off + dj)
+            off += k
+        return tuple(np.array(c, dtype=np.intp) for c in (i_, j_, u_, v_))
+
+
+def fold_singletons(data: RegressionData, alpha: ScoreVector, ap: ActivePairs) -> TieFold:
+    """Fold the singleton tie blocks of ``ap`` into a constant; see TieFold."""
+    single = [blk for blk in ap.blocks if len(blk.observations) == 1]
+    ranks = np.array([blk.lo for blk in single], dtype=np.intp)
+    obs = np.array([blk.observations[0] for blk in single], dtype=np.intp)
+    lin = alpha.alpha[ranks] @ data.x[obs]
+    blocks = tuple(blk for blk in ap.blocks if len(blk.observations) > 1)
+    return TieFold(ranks, obs, lin, blocks)
 
 
 def eval_loss(data: RegressionData, alpha, beta) -> float:

@@ -8,6 +8,12 @@ the ordering changes.  Absence of an improving direction is equivalent to the
 existence of a bistochastic certificate, which is then produced, decomposed,
 and verified before the minimizer is returned.
 
+Both the direction system and the certificate system range over the
+nontrivial tie blocks at the region minimum only.  A rank alone in its block
+can hold nothing but its own observation, so its pairing is fixed and folds
+into a constant (``fold_singletons``); the size of each LP follows the ties
+at the current point, not n.
+
 The walk strictly decreases the region minima and never revisits an ordering;
 both facts are asserted at runtime and a violation (only possible through
 inconsistent tolerances) raises WalkInvariantError rather than looping.
@@ -23,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .certificate import OptimalityCertificate, birkhoff_decompose, solve_certificate, verify_certificate
-from .loss import ActivePairs, active_pairs, consistent_permutation, default_tie_tol, eval_loss, residuals
+from .loss import (ActivePairs, active_pairs, consistent_permutation, default_tie_tol, eval_loss,
+                   fold_singletons, residuals)
 from .lp import LinearProgram, LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, find_feasible, solve_lp
 from .model import RegressionData, ScoreVector, normalize_scores
 
@@ -156,41 +163,59 @@ def improving_direction(data: RegressionData, alpha, ap: ActivePairs,
                         lp_tol: float = 1e-9,
                         strategy: str = "first_feasible") -> ImprovingDirection | None:
     """A direction of strict descent built from the realizable pairs, or None
-    when none exists (which certifies optimality)."""
+    when none exists (which certifies optimality).
+
+    The system has a variable r_i per rank, s_j per observation and a row
+    ``alpha_i x_j . ell + r_i + s_j >= 0`` per realizable pair (i, j); a
+    direction exists iff some solution has sum(r) + sum(s) < 0.  Only the
+    nontrivial tie blocks get variables: a singleton's row is met tightest by
+    r_i + s_j = -alpha_i x_j . ell, which folds into the constant lin of
+    ``fold_singletons``, so the LP has p + 2 * (block ranks) columns whatever
+    n is.  The returned r (by rank) and s (by observation) have length n and
+    satisfy the full system, with s_j = 0 on singletons.  Under
+    ``first_feasible`` they are scaled so that sum(r) + sum(s) = -1.
+    """
+    if strategy not in DIRECTION_STRATEGIES:
+        raise ValueError(f"unknown direction strategy {strategy!r}")
     a = _sorted_scores(alpha, data.n)
     n, p = data.n, data.p
-    nv = p + 2 * n
-    rows = []
-    for i, j in sorted(ap.pairs):
-        coeffs = np.zeros(nv)
-        coeffs[:p] = a.alpha[i] * data.x[j]
-        coeffs[p + i] = 1.0
-        coeffs[p + n + j] = 1.0
-        rows.append((coeffs, ">=", 0.0))
+    fold = fold_singletons(data, a, ap)
+    pi, pj, pu, pv = fold.block_pairs()
+    m = fold.width
+    nv = p + 2 * m
+    A = np.zeros((pi.size, nv))
+    A[:, :p] = a.alpha[pi, None] * data.x[pj]
+    A[np.arange(pi.size), p + pu] = 1.0
+    A[np.arange(pi.size), p + m + pv] = 1.0
+    rows = [(row, ">=", 0.0) for row in A]
+    descent = np.concatenate([-fold.lin, np.ones(2 * m)])  # sum(r) + sum(s) over all n
     if strategy == "first_feasible":
-        anchor = np.zeros(nv)
-        anchor[p:] = 1.0
-        rows.append((anchor, "==", -1.0))
+        rows.append((descent, "<=", -1.0))
         point = find_feasible(rows, nvars=nv, lp_tol=lp_tol)
         if point is None:
             return None
-    elif strategy == "steepest_inf_norm":
+    else:
         for k in range(p):
             box = np.zeros(nv)
             box[k] = 1.0
             rows.append((box, "<=", 1.0))
             rows.append((box, ">=", -1.0))
-        objective = np.zeros(nv)
-        objective[p:] = 1.0
-        out = solve_lp(LinearProgram(objective, tuple(rows)), lp_tol=lp_tol)
+        out = solve_lp(LinearProgram(descent, tuple(rows)), lp_tol=lp_tol)
         if not isinstance(out, LpOptimal):
             raise LpNumericError(f"direction probe returned {type(out).__name__}, expected an optimum")
         if out.value >= -1e-7:
             return None
         point = out.point
-    else:
-        raise ValueError(f"unknown direction strategy {strategy!r}")
-    return ImprovingDirection(point[:p].copy(), point[p + n:].copy(), point[p:p + n].copy())
+    ell = point[:p].copy()
+    r = np.zeros(n)
+    s = np.zeros(n)
+    r[fold.ranks] = -a.alpha[fold.ranks] * (data.x[fold.observations] @ ell)
+    r[pi] = point[p + pu]
+    s[pj] = point[p + m + pv]
+    if strategy == "first_feasible":
+        scale = -(r.sum() + s.sum())
+        ell, r, s = ell / scale, r / scale, s / scale
+    return ImprovingDirection(ell, r, s)
 
 
 def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float,

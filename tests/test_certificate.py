@@ -51,6 +51,20 @@ def test_solve_certificate_intercept_only():
     assert report.ok, report.conditions
 
 
+def test_solve_certificate_without_ties():
+    # Every tie block is a singleton, so the LP has no columns: the fixed
+    # pairing balances the design here and is the certificate.
+    data = RegressionData(np.ones((2, 1)), np.array([0.0, 1.0]))
+    alpha = normalize_scores([-1.0, 1.0])
+    ap = pairs_at(data, [0.4])
+    assert all(len(b.observations) == 1 for b in ap.blocks)
+    G = solve_certificate(data, alpha, ap)
+    np.testing.assert_array_equal(G, np.eye(2))
+    assert improving_direction(data, alpha, ap) is None
+    cert = OptimalityCertificate(G, tuple(birkhoff_decompose(G)))
+    assert verify_certificate(data, alpha, [0.4], cert).ok
+
+
 def test_birkhoff_identity():
     assert birkhoff_decompose(np.eye(3)) == [(1.0, (0, 1, 2))]
 

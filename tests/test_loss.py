@@ -31,6 +31,36 @@ def test_residuals_rejects_bad_beta(worked):
         residuals(data, [np.inf])
 
 
+def _scalar_residuals(data, beta):
+    # The row-by-row definition: each dot product summed left to right.
+    e = np.empty(data.n)
+    for i in range(data.n):
+        acc = 0.0
+        for k in range(data.p):
+            acc += data.x[i, k] * beta[k]
+        e[i] = data.y[i] - acc
+    return e
+
+
+def test_residuals_bit_identical_to_scalar_loop():
+    rng = np.random.default_rng(29)
+    for t in range(400):
+        n, p = int(rng.integers(1, 25)), (1 if t % 4 == 0 else int(rng.integers(1, 7)))
+        if t % 3 == 0:
+            x = rng.integers(-5, 6, (n, p)).astype(float)
+            y = rng.integers(-5, 6, n).astype(float)
+            beta = rng.integers(-3, 4, p).astype(float)
+        else:
+            x = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-8, 8, p)
+            y = rng.standard_t(2, n) * 10.0 ** rng.uniform(-8, 8)
+            beta = rng.standard_normal(p) * 10.0 ** rng.uniform(-8, 8, p)
+        if t % 5 == 0:
+            beta[rng.integers(0, p)] = -0.0
+        data = RegressionData(x, y)
+        got = residuals(data, beta).e
+        assert got.tobytes() == _scalar_residuals(data, beta).tobytes(), (n, p, t)
+
+
 def test_default_tie_tol(worked):
     data, _ = worked
     assert default_tie_tol(residuals(data, [-1.0])) == 1e-9 * 3.0
