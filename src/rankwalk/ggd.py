@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import _tie_blocks, consistent_permutation, default_tie_tol, eval_loss, residuals
+from .loss import _as_residuals, _tie_order, default_tie_tol, eval_loss, residuals
 from .model import RegressionData, ScoreVector, normalize_scores
 from .woa import breakpoints, line_search
 
@@ -58,17 +58,17 @@ class GgdResult:
 
 
 def cell_gradient(data: RegressionData, alpha, beta, tie_tol: float | None = None) -> np.ndarray | None:
-    """Gradient of the loss where it is smooth, None on a tie point."""
+    """Gradient of the loss where it is smooth, None on a tie point.
+    ``beta`` may also be given as its Residuals."""
     a = alpha if isinstance(alpha, ScoreVector) else normalize_scores(alpha)
     if a.n != data.n:
         raise ValueError(f"{a.n} weights for {data.n} observations")
-    res = residuals(data, beta)
+    res = _as_residuals(data, beta)
     tt = default_tie_tol(res) if tie_tol is None else tie_tol
-    blocks = _tie_blocks(res.e, tt)
-    if any(len(b) > 1 for b in blocks):
+    order, label = _tie_order(res.e, tt)
+    if label[-1] != data.n - 1:  # some block holds two observations
         return None
-    pi = consistent_permutation(res, tt)
-    return -(a.alpha @ data.x[list(pi)])
+    return -(a.alpha @ data.x[order])
 
 
 def _nudge(beta, last_dir, scale, rng, cfg) -> np.ndarray:
@@ -112,13 +112,15 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
     for _ in range(cfg.max_iter):
         n_iter += 1
         start = beta
-        grad = cell_gradient(data, a, start, cfg.tie_tol)
+        res = residuals(data, start)
+        grad = cell_gradient(data, a, res, cfg.tie_tol)
         if grad is None:
             scale = 1.0
             for _attempt in range(16):
                 n_perturb += 1
                 start = _nudge(beta, last_dir, scale, rng, cfg)
-                grad = cell_gradient(data, a, start, cfg.tie_tol)
+                res = residuals(data, start)
+                grad = cell_gradient(data, a, res, cfg.tie_tol)
                 if grad is not None:
                     break
                 scale *= 1.7
@@ -129,10 +131,9 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
             stop_reason = "zero_gradient"
             break
         direction = -grad
-        res = residuals(data, start)
         tt = default_tie_tol(res) if cfg.tie_tol is None else cfg.tie_tol
-        bps = breakpoints(data, start, direction, tt, lp_tol=cfg.lp_tol)
-        if not bps.entries:
+        bps = breakpoints(data, res, direction, tt, lp_tol=cfg.lp_tol)
+        if bps.steps.size == 0:
             stop_reason = "unbounded_direction"
             break
         d = line_search(data, a, start, direction, bps)

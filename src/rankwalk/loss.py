@@ -68,26 +68,41 @@ def residuals(data: RegressionData, beta) -> Residuals:
         raise ValueError(f"beta has {b.shape[0]} entries, expected {data.p}")
     if not np.isfinite(b).all():
         raise ValueError("beta must be finite")
-    acc = np.zeros(data.n)
+    return Residuals(_residual_rows(data, b[None, :])[0], b)
+
+
+def _residual_rows(data: RegressionData, betas: np.ndarray) -> np.ndarray:
+    """Row r holds the residuals at ``betas[r]``, each dot product summed
+    left to right as in ``residuals``, so every row is bit-identical to it."""
+    acc = np.zeros((betas.shape[0], data.n))
     for k in range(data.p):
-        acc += data.x[:, k] * b[k]
-    return Residuals(data.y - acc, b)
+        acc += data.x[:, k] * betas[:, k, None]
+    return data.y - acc
+
+
+def _as_residuals(data: RegressionData, point) -> Residuals:
+    """``point`` itself when it already is the Residuals of ``data`` at some
+    beta, else ``residuals(data, point)``: lets a caller that holds the
+    residuals of a point pass them on instead of computing them again."""
+    if isinstance(point, Residuals):
+        if point.n != data.n or point.beta.shape[0] != data.p:
+            raise ValueError(f"residuals of shape {point.n}x{point.beta.shape[0]}, "
+                             f"expected {data.n}x{data.p}")
+        return point
+    return residuals(data, point)
 
 
 def default_tie_tol(res: Residuals) -> float:
     return 1e-9 * (1.0 + float(np.max(np.abs(res.e))))
 
 
-def _tie_blocks(e: np.ndarray, tie_tol: float) -> list[list[int]]:
-    # Transitive closure of |e_a - e_b| <= tie_tol over the value-sorted order.
-    order = sorted(range(e.shape[0]), key=lambda i: (e[i], i))
-    blocks: list[list[int]] = [[order[0]]]
-    for prev, cur in zip(order, order[1:]):
-        if e[cur] - e[prev] > tie_tol:
-            blocks.append([cur])
-        else:
-            blocks[-1].append(cur)
-    return blocks
+def _tie_order(e: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Observations in (value, index) order, and the tie block of each
+    position: the transitive closure of |e_a - e_b| <= tie_tol over that
+    order, blocks numbered from 0 upward."""
+    order = np.argsort(e, kind="stable")
+    label = np.concatenate(([0], np.cumsum(np.diff(e[order]) > tie_tol)))
+    return order, label
 
 
 def consistent_permutation(res: Residuals, tie_tol: float, tie_break: str = "asc") -> tuple[int, ...]:
@@ -98,10 +113,9 @@ def consistent_permutation(res: Residuals, tie_tol: float, tie_break: str = "asc
         raise ValueError("tie tolerance must be nonnegative")
     if tie_break not in ("asc", "desc"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    pi: list[int] = []
-    for block in _tie_blocks(res.e, tie_tol):
-        pi.extend(sorted(block, reverse=(tie_break == "desc")))
-    return tuple(pi)
+    order, label = _tie_order(res.e, tie_tol)
+    within = order if tie_break == "asc" else -order
+    return tuple(order[np.lexsort((within, label))].tolist())
 
 
 def active_pairs(res: Residuals, tie_tol: float) -> ActivePairs:
@@ -113,8 +127,9 @@ def active_pairs(res: Residuals, tie_tol: float) -> ActivePairs:
     pairs: set[tuple[int, int]] = set()
     block_of = [0] * res.n
     lo = 0
-    for b, members in enumerate(_tie_blocks(res.e, tie_tol)):
-        obs = tuple(sorted(members))
+    order, label = _tie_order(res.e, tie_tol)
+    for b, members in enumerate(np.split(order, np.flatnonzero(np.diff(label)) + 1)):
+        obs = tuple(sorted(members.tolist()))
         hi = lo + len(obs) - 1
         blocks.append(TieBlock(lo, hi, obs))
         for i in range(lo, hi + 1):
@@ -181,6 +196,15 @@ def eval_loss(data: RegressionData, alpha, beta) -> float:
         raise ValueError(f"{a.n} weights for {data.n} observations")
     e = residuals(data, beta).e
     return float(np.sort(e) @ a.alpha)
+
+
+def _eval_losses(data: RegressionData, alpha: ScoreVector, betas: np.ndarray) -> list[float]:
+    """``eval_loss`` at each row of ``betas``, bit for bit: the residual rows
+    are summed as in ``residuals`` and each sorted row takes its own dot
+    product with the weights (one matrix-vector product over all rows would
+    round differently)."""
+    rows = np.sort(_residual_rows(data, betas), axis=1)
+    return [float(row @ alpha.alpha) for row in rows]
 
 
 @lru_cache(maxsize=8)

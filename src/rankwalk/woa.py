@@ -24,13 +24,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .certificate import OptimalityCertificate, birkhoff_decompose, solve_certificate, verify_certificate
-from .loss import (ActivePairs, active_pairs, consistent_permutation, default_tie_tol, eval_loss,
-                   fold_singletons, residuals)
+from .loss import (ActivePairs, _as_residuals, _eval_losses, active_pairs, consistent_permutation,
+                   default_tie_tol, eval_loss, fold_singletons, residuals)
 from .lp import LinearProgram, LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, find_feasible, solve_lp
 from .model import RegressionData, ScoreVector, normalize_scores
 
@@ -90,9 +91,28 @@ class ImprovingDirection(NamedTuple):
 
 @dataclass(frozen=True)
 class Breakpoints:
-    """Positive step lengths at which some residual pair ties along a ray."""
+    """Positive step lengths at which some residual pair ties along a ray:
+    observations ``pairs[k] = (i, j)``, i < j, tie at step ``steps[k]``.
+    ``pairs`` is a read-only K x 2 integer array and ``steps`` a read-only
+    float array of length K, both in (i, j) order."""
 
-    entries: tuple[tuple[tuple[int, int], float], ...]
+    pairs: np.ndarray
+    steps: np.ndarray
+
+    def __post_init__(self):
+        pairs = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
+        steps = np.array(self.steps, dtype=float).ravel()
+        if pairs.shape[0] != steps.shape[0]:
+            raise ValueError(f"{pairs.shape[0]} pairs for {steps.shape[0]} steps")
+        pairs.setflags(write=False)
+        steps.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "steps", steps)
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, int], float], ...]:
+        """The breakpoints as ``((i, j), d)`` tuples of Python numbers."""
+        return tuple(zip(map(tuple, self.pairs.tolist()), self.steps.tolist()))
 
 
 @dataclass(frozen=True)
@@ -218,50 +238,77 @@ def improving_direction(data: RegressionData, alpha, ap: ActivePairs,
     return ImprovingDirection(ell, r, s)
 
 
+@lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair i < j of 0..n-1, row by row: the order of the double loop
+    ``for i in range(n): for j in range(i + 1, n)``."""
+    i, j = np.triu_indices(n, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
 def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float,
                 lp_tol: float = 1e-9) -> Breakpoints:
     """Step lengths d > tie_tol at which residual pairs tie along the ray
     beta_star + d * direction.  Pairs whose residuals move in parallel within
-    lp_tol never tie and are skipped."""
+    lp_tol never tie and are skipped.
+
+    ``beta_star`` may also be given as its Residuals.  All pairs are handled
+    at once, each with the floating-point operations of a scalar loop over
+    i < j, so the steps equal that loop's bit for bit and come in its order."""
     ell = np.array(direction, dtype=float).ravel()
     if ell.shape[0] != data.p or not np.isfinite(ell).all():
         raise ValueError("direction must be a finite vector of width p")
     if float(np.abs(ell).max()) == 0.0:
         raise ValueError("direction must be nonzero")
-    e = residuals(data, beta_star).e
+    e = _as_residuals(data, beta_star).e
     sigma = data.x @ ell
-    entries = []
-    n = data.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            den = sigma[j] - sigma[i]
-            if abs(den) <= lp_tol:
-                continue
-            d = (e[j] - e[i]) / den
-            if d > tie_tol:
-                entries.append(((i, j), float(d)))
-    return Breakpoints(tuple(entries))
+    i, j = _upper_pairs(data.n)
+    den = sigma[j] - sigma[i]
+    moving = np.abs(den) > lp_tol
+    i, j, den = i[moving], j[moving], den[moving]
+    d = (e[j] - e[i]) / den
+    ahead = d > tie_tol
+    return Breakpoints(np.stack((i[ahead], j[ahead]), axis=1), d[ahead])
 
 
 def line_search(data: RegressionData, alpha, beta_star, direction, bps: Breakpoints) -> float:
     """Smallest minimizer of the loss along the ray, over the breakpoint grid.
-    The restriction is convex, so the scan stops at the first rise."""
-    if not bps.entries:
+
+    The steps are scanned in ascending order; the first strict minimum is
+    kept, so on ties the smallest step wins, and since the restriction is
+    convex the scan stops at the first strict rise.  Losses are evaluated in
+    batches of 8, 16, 32 and then 64 steps, each bit-identical to
+    ``eval_loss`` at that point, so the answer is the one a scan calling
+    ``eval_loss`` once per step would give."""
+    if bps.steps.size == 0:
         raise ValueError("no breakpoints to search")
     a = _sorted_scores(alpha, data.n)
     beta0 = np.array(beta_star, dtype=float).ravel()
     ell = np.array(direction, dtype=float).ravel()
+    steps = np.sort(bps.steps)
     best_d = None
     best_f = math.inf
     prev_f = None
-    for (_, _), d in sorted(bps.entries, key=lambda entry: (entry[1], entry[0])):
-        f = eval_loss(data, a, beta0 + d * ell)
-        if f < best_f:
-            best_f = f
-            best_d = d
-        if prev_f is not None and f > prev_f:
-            break
-        prev_f = f
+    start, size = 0, 8
+    while start < steps.size:
+        batch = steps[start:start + size]
+        with np.errstate(over="ignore"):  # only reaching an overflowed point is an error
+            points = beta0 + batch[:, None] * ell
+        finite = np.isfinite(points).all(axis=1)
+        stop = batch.size if finite.all() else int(np.argmin(finite))  # eval_loss raises there
+        for d, f in zip(batch[:stop].tolist(), _eval_losses(data, a, points[:stop])):
+            if f < best_f:
+                best_f = f
+                best_d = d
+            if prev_f is not None and f > prev_f:
+                return float(best_d)
+            prev_f = f
+        if stop < batch.size:
+            raise ValueError("beta must be finite")
+        start += size
+        size = min(2 * size, 64)
     return float(best_d)
 
 
@@ -330,8 +377,8 @@ def minimize(data: RegressionData, alpha, beta0=None,
             log.info("minimizer found after %d iterations, loss %.12g", len(iterations), f_star)
             return Minimizer(beta_star, f_star, cert, WalkTrace(tuple(iterations)))
         ell = found.ell
-        bps = breakpoints(data, beta_star, ell, tts, lp_tol=cfg.lp_tol)
-        if not bps.entries:
+        bps = breakpoints(data, res_star, ell, tts, lp_tol=cfg.lp_tol)
+        if bps.steps.size == 0:
             iterations.append(WalkIteration(pi, beta_star, f_star, ell, None))
             ray = ell / float(np.abs(ell).max())
             trace_now = WalkTrace(tuple(iterations))

@@ -1,0 +1,222 @@
+"""The array-backed ray layer against the scalar code it replaced.
+
+``breakpoints``, ``line_search``, ``consistent_permutation`` and
+``cell_gradient`` compute on NumPy arrays; the reference functions below are
+the plain Python loops they replaced, kept here as the specification.  Every
+comparison is exact: the arrays do the same floating-point operations on the
+same operands, so not even the last bit may differ.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from rankwalk import (
+    Breakpoints,
+    RegressionData,
+    ScoreVector,
+    breakpoints,
+    cell_gradient,
+    consistent_permutation,
+    default_tie_tol,
+    eval_loss,
+    line_search,
+    make_scores,
+    normalize_scores,
+    residuals,
+)
+
+KINDS = ("sign", "wilcoxon", "van_der_waerden")
+
+
+def ref_breakpoints(data, beta, ell, tie_tol, lp_tol=1e-9):
+    e = residuals(data, beta).e
+    sigma = data.x @ np.asarray(ell, dtype=float)
+    entries = []
+    for i in range(data.n):
+        for j in range(i + 1, data.n):
+            den = sigma[j] - sigma[i]
+            if abs(den) <= lp_tol:
+                continue
+            d = (e[j] - e[i]) / den
+            if d > tie_tol:
+                entries.append(((i, j), float(d)))
+    return tuple(entries)
+
+
+def ref_line_search(data, alpha, beta0, ell, entries):
+    beta0 = np.asarray(beta0, dtype=float)
+    ell = np.asarray(ell, dtype=float)
+    best_d, best_f, prev_f = None, math.inf, None
+    for _, d in sorted(entries, key=lambda entry: (entry[1], entry[0])):
+        f = eval_loss(data, alpha, beta0 + d * ell)
+        if f < best_f:
+            best_f, best_d = f, d
+        if prev_f is not None and f > prev_f:
+            break
+        prev_f = f
+    return float(best_d)
+
+
+def ref_tie_blocks(e, tie_tol):
+    order = sorted(range(e.shape[0]), key=lambda i: (e[i], i))
+    blocks = [[order[0]]]
+    for prev, cur in zip(order, order[1:]):
+        if e[cur] - e[prev] > tie_tol:
+            blocks.append([cur])
+        else:
+            blocks[-1].append(cur)
+    return blocks
+
+
+def ref_consistent_permutation(res, tie_tol, tie_break="asc"):
+    pi = []
+    for block in ref_tie_blocks(res.e, tie_tol):
+        pi.extend(sorted(block, reverse=(tie_break == "desc")))
+    return tuple(pi)
+
+
+def ref_cell_gradient(data, alpha, beta, tie_tol=None):
+    res = residuals(data, beta)
+    tt = default_tie_tol(res) if tie_tol is None else tie_tol
+    if any(len(b) > 1 for b in ref_tie_blocks(res.e, tt)):
+        return None
+    pi = ref_consistent_permutation(res, tt)
+    return -(alpha.alpha @ data.x[list(pi)])
+
+
+def instances(seed, count):
+    """Seeded (data, beta, ell, alpha) with n in 2..60 and p in 1..4.  Odd
+    draws are an integer grid with signed zeros in y and beta, which gives
+    exact ties, -0.0 residuals and repeated breakpoint steps; even draws are
+    continuous.  Every fifth draw has flat (all-zero) scores."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = int(rng.integers(2, 61))
+        p = int(rng.integers(1, 5))
+        if t % 2:
+            x = rng.integers(-2, 3, size=(n, p)).astype(float)
+            y = rng.integers(-2, 3, size=n).astype(float)
+            y[y == 0] = -0.0
+            beta = rng.integers(-1, 2, size=p).astype(float)
+            beta[beta == 0] = -0.0
+            ell = rng.integers(-2, 3, size=p).astype(float)
+            if not ell.any():
+                ell[0] = 1.0
+        else:
+            x = rng.standard_normal((n, p))
+            y = x @ rng.standard_normal(p) + rng.standard_t(2, n)
+            beta = rng.standard_normal(p)
+            ell = rng.standard_normal(p)
+        alpha = normalize_scores(np.zeros(n)) if t % 5 == 4 else make_scores(KINDS[t % 3], n)
+        yield RegressionData(x, y), beta, ell, alpha
+
+
+def test_breakpoints_match_the_double_loop():
+    total = 0
+    for data, beta, ell, _ in instances(0, 240):
+        res = residuals(data, beta)
+        for tt in (default_tie_tol(res), 0.0, 0.5):
+            got = breakpoints(data, beta, ell, tt)
+            want = ref_breakpoints(data, beta, ell, tt)
+            assert got.entries == want
+            assert all(type(i) is int and type(j) is int and type(d) is float for (i, j), d in got.entries)
+            assert breakpoints(data, res, ell, tt).entries == want  # given as residuals
+            total += len(want)
+    assert total > 10_000
+
+
+def test_line_search_matches_the_scan():
+    searched = negative_zeros = 0
+    for data, beta, ell, alpha in instances(1, 240):
+        res = residuals(data, beta)
+        negative_zeros += int(np.any((res.e == 0.0) & np.signbit(res.e)))
+        bps = breakpoints(data, beta, ell, default_tie_tol(res))
+        if bps.steps.size == 0:
+            continue
+        assert line_search(data, alpha, beta, ell, bps) == ref_line_search(data, alpha, beta, ell, bps.entries)
+        searched += 1
+    assert searched > 200
+    assert negative_zeros > 50
+
+
+def _v_shape():
+    """Loss |b| on one coefficient: max(e) - min(e) with e = (-b, 0)."""
+    return RegressionData(np.array([[1.0], [0.0]]), np.array([0.0, 0.0])), ScoreVector(np.array([-1.0, 1.0]))
+
+
+@pytest.mark.parametrize("rise", [1, 7, 8, 9, 23, 24, 25, 55, 56, 57, 70, 119, 120, 121, 199, 250])
+def test_line_search_stops_at_the_first_rise(rise):
+    # Steps 1..200 from beta0 = -(rise + 0.25): the loss falls up to step
+    # `rise` and first rises at 0-based position `rise` of the sorted steps.
+    # Batches end after positions 7, 23, 55, 119 and 183, so the rises sit
+    # just before, at and just after their boundaries; 250 never rises.
+    data, alpha = _v_shape()
+    steps = np.arange(1.0, 201.0)
+    bps = Breakpoints(np.zeros((steps.size, 2)), np.random.default_rng(rise).permutation(steps))
+    beta0 = [-(rise + 0.25)]
+    want = ref_line_search(data, alpha, beta0, [1.0], bps.entries)
+    assert want == float(min(rise, 200))
+    assert line_search(data, alpha, beta0, [1.0], bps) == want
+    doubled = Breakpoints(np.zeros((2 * steps.size, 2)), np.repeat(steps, 2))
+    assert line_search(data, alpha, beta0, [1.0], doubled) == want
+
+
+def test_line_search_flat_scores_take_the_smallest_step():
+    data, _ = _v_shape()
+    flat = normalize_scores([0.0, 0.0])
+    steps = np.array([3.0, 0.5, 2.0, 0.5, 9.0] * 20)
+    bps = Breakpoints(np.zeros((steps.size, 2)), steps)
+    assert line_search(data, flat, [-4.0], [1.0], bps) == 0.5
+
+
+def test_line_search_raises_where_the_scan_would():
+    data, alpha = _v_shape()
+    bps = Breakpoints(np.zeros((3, 2)), [-math.inf, 1.0, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        line_search(data, alpha, [0.0], [1.0], bps)
+    # Past the first rise the scan stops before an overflowing point.
+    bps = Breakpoints(np.zeros((3, 2)), [1.0, 2.0, 1e308])
+    assert line_search(data, alpha, [-1.0], [1e10], bps) == ref_line_search(data, alpha, [-1.0], [1e10], bps.entries)
+
+
+def test_consistent_permutation_matches_the_block_sort():
+    for data, beta, _, _ in instances(2, 240):
+        res = residuals(data, beta)
+        for tt in (default_tie_tol(res), 0.0, 0.3, 1.5):
+            for tie_break in ("asc", "desc"):
+                want = ref_consistent_permutation(res, tt, tie_break)
+                assert consistent_permutation(res, tt, tie_break=tie_break) == want
+
+
+def test_cell_gradient_matches_the_reference():
+    grads = nones = 0
+    for data, beta, _, alpha in instances(3, 240):
+        for tt in (None, 0.0, 0.1):
+            want = ref_cell_gradient(data, alpha, beta, tt)
+            got = cell_gradient(data, alpha, beta, tt)
+            if want is None:
+                assert got is None
+                nones += 1
+            else:
+                assert got.tobytes() == want.tobytes()
+                assert cell_gradient(data, alpha, residuals(data, beta), tt).tobytes() == want.tobytes()
+                grads += 1
+    assert grads > 100 and nones > 100
+
+
+def test_breakpoints_reject_residuals_of_another_shape():
+    data, _ = _v_shape()
+    other = RegressionData(np.ones((3, 1)), np.zeros(3))
+    with pytest.raises(ValueError):
+        breakpoints(data, residuals(other, [0.0]), [1.0], 0.0)
+
+
+def test_breakpoints_arrays_are_read_only():
+    bps = Breakpoints([(0, 1), (0, 2)], [1.0, 2.0])
+    assert bps.pairs.shape == (2, 2) and bps.steps.shape == (2,)
+    with pytest.raises(ValueError):
+        bps.steps[0] = 5.0
+    with pytest.raises(ValueError):
+        Breakpoints([(0, 1)], [1.0, 2.0])

@@ -140,7 +140,7 @@ def test_line_search_worked(worked):
     data, alpha = worked
     bps = breakpoints(data, [-1.0], [1.0], TIE)
     assert line_search(data, alpha, [-1.0], [1.0], bps) == 1.0
-    single = Breakpoints((((0, 1), 2.5),))
+    single = Breakpoints([(0, 1)], [2.5])
     assert line_search(data, alpha, [-1.0], [1.0], single) == 2.5
 
 
@@ -155,7 +155,7 @@ def test_line_search_ties_take_smallest_step(worked):
 def test_line_search_requires_breakpoints(worked):
     data, alpha = worked
     with pytest.raises(ValueError):
-        line_search(data, alpha, [0.0], [1.0], Breakpoints(()))
+        line_search(data, alpha, [0.0], [1.0], Breakpoints((), ()))
 
 
 def test_minimize_worked(worked):
