@@ -136,18 +136,20 @@ def birkhoff_decompose(G, support_tol: float = 1e-9) -> list[tuple[float, tuple[
         top = float(R.max())
         if top <= support_tol:
             break
-        edges = [list(np.flatnonzero(R[i] > support_tol)) for i in range(n)]
+        rows, cols = np.nonzero(R > support_tol)
+        edges = [[] for _ in range(n)]
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            edges[i].append(j)
         pi = _perfect_matching(edges, n)
         if pi is None:
             if top <= coarse:
                 break
             raise ValueError("support admits no perfect matching; input is not bistochastic")
-        lam = float(min(R[i, pi[i]] for i in range(n)))
+        at = (np.arange(n), np.array(pi))
+        lam = float(R[at].min())
         terms.append((lam, tuple(pi)))
-        for i in range(n):
-            R[i, pi[i]] -= lam
-            if R[i, pi[i]] < 1e-12:
-                R[i, pi[i]] = 0.0
+        rest = R[at] - lam
+        R[at] = np.where(rest < 1e-12, 0.0, rest)
     else:
         raise ValueError("decomposition failed to terminate")
     return terms
@@ -175,11 +177,9 @@ def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertif
     conditions.append(("bistochastic", ok,
                        f"row dev {row_dev:.3g}, col dev {col_dev:.3g}, most negative {neg:.3g}"))
 
-    off = 0.0
-    for i in range(n):
-        for j in range(n):
-            if (i, j) not in ap.pairs:
-                off = max(off, abs(G[i, j]))
+    rank_block = np.repeat(np.arange(len(ap.blocks)), [len(blk.observations) for blk in ap.blocks])
+    support = rank_block[:, None] == np.array(ap.block_of)[None, :]
+    off = float(np.fmax.reduce(np.abs(G[~support]), initial=0.0))  # NaN entries are skipped
     conditions.append(("support", off <= 1e-9, f"largest entry off the realizable pairs {off:.3g}"))
 
     mixed = a.alpha @ G  # column aggregate weighted by rank
@@ -190,16 +190,15 @@ def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertif
     recomposed = np.zeros((n, n))
     positive = True
     consistent = True
+    ranks = np.arange(n)
     for w, pi in cert.decomposition:
         if w <= 0.0:
             positive = False
         if len(pi) != n or sorted(pi) != list(range(n)):
             consistent = False
             continue
-        for i, j in enumerate(pi):
-            recomposed[i, j] += w
-            if (i, j) not in ap.pairs:
-                consistent = False
+        recomposed[ranks, pi] += w
+        consistent = consistent and bool(support[ranks, pi].all())
     recomp_dev = float(np.abs(recomposed - G).max()) if cert.decomposition else float("inf")
     ok = bool(cert.decomposition) and positive and abs(lam_sum - 1.0) <= 1e-9 and recomp_dev <= 1e-9
     conditions.append(("decomposition", ok,

@@ -123,22 +123,15 @@ def active_pairs(res: Residuals, tie_tol: float) -> ActivePairs:
     consistent with the residuals at this point."""
     if tie_tol < 0.0:
         raise ValueError("tie tolerance must be nonnegative")
-    blocks: list[TieBlock] = []
-    pairs: set[tuple[int, int]] = set()
-    block_of = [0] * res.n
-    lo = 0
     order, label = _tie_order(res.e, tie_tol)
-    for b, members in enumerate(np.split(order, np.flatnonzero(np.diff(label)) + 1)):
-        obs = tuple(sorted(members.tolist()))
-        hi = lo + len(obs) - 1
-        blocks.append(TieBlock(lo, hi, obs))
-        for i in range(lo, hi + 1):
-            for j in obs:
-                pairs.add((i, j))
-        for j in obs:
-            block_of[j] = b
-        lo = hi + 1
-    return ActivePairs(frozenset(pairs), tuple(blocks), tuple(block_of))
+    cuts = (np.flatnonzero(np.diff(label)) + 1).tolist()
+    obs = order.tolist()
+    blocks = tuple(TieBlock(lo, hi - 1, tuple(sorted(obs[lo:hi])))
+                   for lo, hi in zip([0] + cuts, cuts + [res.n]))
+    pairs = frozenset({(i, j) for blk in blocks for i in range(blk.lo, blk.hi + 1) for j in blk.observations})
+    block_of = np.empty(res.n, dtype=np.intp)
+    block_of[order] = label
+    return ActivePairs(pairs, blocks, tuple(block_of.tolist()))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,13 @@ feasible point and a ray that is re-checked to stay feasible and strictly
 decrease the objective, and optimal results carry dual multipliers
 reconstructed from the final basis.
 
+Phase 1 starts from the slack basis wherever it can.  A row whose slack is
+feasible at the origin starts with that slack basic: "<=" rows with a
+nonnegative right-hand side, and ">=" rows with a zero right-hand side, which
+are stored negated as "<=".  Only rows the origin violates and "==" rows get
+an artificial, so a program posed at one of its own feasible points needs
+little or no phase 1.
+
 Pivoting is deterministic: largest reduced-cost violation with lowest-index
 tie breaks, switching to Bland's rule (lowest index only) once degenerate
 steps stall.  Anything the tableau cannot answer cleanly raises
@@ -64,10 +71,6 @@ class LpInfeasible:
 LpOutcome = LpOptimal | LpUnbounded | LpInfeasible
 
 
-def _flip(rel: str) -> str:
-    return {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-
-
 def _validate(prob: LinearProgram):
     c = np.array(prob.objective, dtype=float).ravel()
     nv = c.shape[0]
@@ -75,8 +78,24 @@ def _validate(prob: LinearProgram):
         raise LpError("need at least one variable")
     if not np.isfinite(c).all():
         raise LpError("objective must be finite")
+    cons = tuple(prob.constraints)
+    try:
+        coeffs, rels, rhs = zip(*cons)
+        A = np.array(coeffs, dtype=float).reshape(len(cons), -1)
+        b = np.array(rhs, dtype=float)
+        stacked = (all(len(con) == 3 for con in cons) and A.shape[1] == nv and b.shape == (len(cons),)
+                   and set(rels) <= set(RELATIONS) and bool(np.isfinite(A).all()) and bool(np.isfinite(b).all()))
+    except (TypeError, ValueError):  # ragged or malformed: let the row-by-row pass name the row
+        stacked = False
+    if not stacked:
+        return (c, *_validate_rows(cons, nv))
+    return c, A, np.array(rels, dtype="<U2"), b
+
+
+def _validate_rows(cons, nv: int):
+    """Row by row, to name the first malformed constraint."""
     rows = []
-    for k, con in enumerate(prob.constraints):
+    for k, con in enumerate(cons):
         try:
             coeffs, rel, rhs = con
         except (TypeError, ValueError):
@@ -92,17 +111,15 @@ def _validate(prob: LinearProgram):
         rows.append((a, rel, rhs))
     m = len(rows)
     A = np.array([r[0] for r in rows]) if m else np.zeros((0, nv))
-    rels = [r[1] for r in rows]
+    rels = np.array([r[1] for r in rows], dtype="<U2")
     b = np.array([r[2] for r in rows]) if m else np.zeros(0)
-    return c, A, rels, b
+    return A, rels, b
 
 
 def _reduced_row(T: np.ndarray, basis: np.ndarray, cvec: np.ndarray) -> np.ndarray:
-    row = np.append(cvec, 0.0)
-    for r, bcol in enumerate(basis):
-        if cvec[bcol] != 0.0:
-            row = row - cvec[bcol] * T[r]
-    return row
+    cb = cvec[basis]
+    live = cb != 0.0
+    return np.append(cvec, 0.0) - cb[live] @ T[live]
 
 
 def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
@@ -156,51 +173,45 @@ def _point_from(T: np.ndarray, basis: np.ndarray, ncols: int, nv: int) -> np.nda
 
 
 def _check_rows(A, rels, b, v, lp_tol, homogeneous: bool) -> bool:
-    for k in range(A.shape[0]):
-        lhs = float(A[k] @ v)
-        rhs = 0.0 if homogeneous else b[k]
-        tol = 10.0 * lp_tol * (1.0 + abs(rhs) + float(np.abs(A[k]) @ np.abs(v)))
-        if rels[k] == "<=" and lhs > rhs + tol:
-            return False
-        if rels[k] == ">=" and lhs < rhs - tol:
-            return False
-        if rels[k] == "==" and abs(lhs - rhs) > tol:
-            return False
-    return True
+    lhs = A @ v
+    rhs = np.zeros_like(b) if homogeneous else b
+    tol = 10.0 * lp_tol * (1.0 + np.abs(rhs) + np.abs(A) @ np.abs(v))
+    bad = np.where(rels == "<=", lhs > rhs + tol,
+                   np.where(rels == ">=", lhs < rhs - tol, np.abs(lhs - rhs) > tol))
+    return not bad.any()
 
 
 def _simplex_once(c, A_raw, rels_raw, b_raw, lp_tol, bland) -> LpOutcome:
     m, nv = A_raw.shape
 
-    scale = np.maximum(1.0, np.abs(A_raw).max(axis=1)) if m else np.zeros(0)
-    A = A_raw / scale[:, None] if m else A_raw.copy()
-    b = b_raw / scale if m else b_raw.copy()
-    rels = list(rels_raw)
-    sign = np.ones(m)
-    for k in range(m):
-        if b[k] < 0.0:
-            A[k] = -A[k]
-            b[k] = -b[k]
-            sign[k] = -1.0
-            rels[k] = _flip(rels[k])
+    scale = np.maximum(1.0, np.abs(A_raw).max(axis=1))
+    A = A_raw / scale[:, None]
+    b = b_raw / scale
+    # Rows the origin violates are negated, and so are ">=" rows with a zero
+    # right-hand side: stored as "<=", their slack starts basic.
+    flip = (b < 0.0) | ((b == 0.0) & (rels_raw == ">="))
+    A[flip] = -A[flip]
+    b[flip] = -b[flip]
+    sign = np.where(flip, -1.0, 1.0)
+    rels = rels_raw.copy()
+    rels[flip & (rels_raw == "<=")] = ">="
+    rels[flip & (rels_raw == ">=")] = "<="
 
-    slack_rows = [k for k in range(m) if rels[k] != "=="]
-    ns = len(slack_rows)
+    slack_rows = np.flatnonzero(rels != "==")
+    ns = slack_rows.size
     n_real = 2 * nv + ns
-    art_rows = [k for k in range(m) if rels[k] != "<="]
-    nart = len(art_rows)
+    art_rows = np.flatnonzero(rels != "<=")
+    nart = art_rows.size
 
     cols = np.zeros((m, n_real + nart))
     cols[:, :nv] = A
     cols[:, nv : 2 * nv] = -A
     basis = np.full(m, -1, dtype=np.intp)
-    for idx, k in enumerate(slack_rows):
-        cols[k, 2 * nv + idx] = 1.0 if rels[k] == "<=" else -1.0
-        if rels[k] == "<=":
-            basis[k] = 2 * nv + idx
-    for idx, k in enumerate(art_rows):
-        cols[k, n_real + idx] = 1.0
-        basis[k] = n_real + idx
+    upper = rels[slack_rows] == "<="
+    cols[slack_rows, 2 * nv + np.arange(ns)] = np.where(upper, 1.0, -1.0)
+    basis[slack_rows[upper]] = 2 * nv + np.flatnonzero(upper)
+    cols[art_rows, n_real + np.arange(nart)] = 1.0
+    basis[art_rows] = n_real + np.arange(nart)
 
     A_std = cols[:, :n_real].copy()  # pristine, for dual reconstruction
     T = np.hstack([cols, b[:, None]])
@@ -218,13 +229,12 @@ def _simplex_once(c, A_raw, rels_raw, b_raw, lp_tol, bland) -> LpOutcome:
         # Drive leftover artificials out of the basis; rows that cannot be
         # pivoted on are dependent and get dropped.
         drop = []
-        for r in range(m):
-            if basis[r] >= n_real:
-                j = int(np.argmax(np.abs(T[r, :n_real])))
-                if abs(T[r, j]) > 1e-9:
-                    _pivot(T, obj1, basis, r, j)
-                else:
-                    drop.append(r)
+        for r in np.flatnonzero(basis >= n_real).tolist():
+            j = int(np.argmax(np.abs(T[r, :n_real])))
+            if abs(T[r, j]) > 1e-9:
+                _pivot(T, obj1, basis, r, j)
+            else:
+                drop.append(r)
         if drop:
             keep_mask = np.ones(m, dtype=bool)
             keep_mask[drop] = False

@@ -158,24 +158,37 @@ def _sorted_scores(alpha, n: int) -> ScoreVector:
     return a
 
 
-def cell_lp(data: RegressionData, alpha, pi, lp_tol: float = 1e-9) -> LpOutcome:
+def cell_lp(data: RegressionData, alpha, pi, lp_tol: float = 1e-9, at=None) -> LpOutcome:
     """Minimize the loss restricted to the region of ordering ``pi``.
 
-    Optimal outcomes carry the full loss value (response constant included);
-    an unbounded outcome means the loss itself is unbounded below.
+    The program is posed in the offset from the point ``at`` (a beta or its
+    Residuals; the origin when None): row k reads
+    ``(x[pi[k+1]] - x[pi[k]]) . delta <= e[pi[k+1]] - e[pi[k]]`` with e the
+    residuals at ``at``.  When ``at`` lies in the region every right-hand
+    side is a nonnegative gap, every row starts with its slack basic, and
+    only rows the point violates (a tie it crossed within the tie
+    tolerance) need phase 1.  The program is exact, never clamped: the
+    answer is the same whatever ``at`` is.
+
+    Optimal outcomes carry the point ``at + delta`` and the full loss value
+    (response constant included); an unbounded outcome carries a translated
+    feasible point and a ray along which the loss itself is unbounded below.
     """
     a = _sorted_scores(alpha, data.n)
     pi = tuple(pi)
     if sorted(pi) != list(range(data.n)):
         raise ValueError(f"{pi} is not a permutation of 0..{data.n - 1}")
+    res = _as_residuals(data, np.zeros(data.p) if at is None else at)
     xp = data.x[list(pi)]
-    yp = data.y[list(pi)]
+    ep = res.e[list(pi)]
     grad = a.alpha @ xp
-    const = float(a.alpha @ yp)
-    rows = tuple((xp[k + 1] - xp[k], "<=", yp[k + 1] - yp[k]) for k in range(data.n - 1))
+    const = float(a.alpha @ data.y[list(pi)]) - float(grad @ res.beta)
+    rows = tuple(zip(np.diff(xp, axis=0), ("<=",) * (data.n - 1), np.diff(ep).tolist()))
     out = solve_lp(LinearProgram(-grad, rows), lp_tol=lp_tol)
     if isinstance(out, LpOptimal):
-        return LpOptimal(out.point, const + out.value, out.dual)
+        return LpOptimal(res.beta + out.point, const + out.value, out.dual)
+    if isinstance(out, LpUnbounded):
+        return LpUnbounded(res.beta + out.point, out.ray)
     return out
 
 
@@ -350,7 +363,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
         if pi in visited:
             raise WalkInvariantError(f"ordering {pi} revisited at iteration {it}", trace_now)
         visited.add(pi)
-        out = cell_lp(data, a, pi, lp_tol=cfg.lp_tol)
+        out = cell_lp(data, a, pi, lp_tol=cfg.lp_tol, at=res)
         if isinstance(out, LpInfeasible):
             raise WalkInvariantError(f"region of the current ordering {pi} came back empty", trace_now)
         if isinstance(out, LpUnbounded):

@@ -1,0 +1,278 @@
+"""The array forms of ``active_pairs``, ``birkhoff_decompose`` and
+``verify_certificate`` against the Python loops they replaced, kept here as
+references: on seeded inputs, including forged certificates that break each
+condition the gate checks, both must give exactly the same result."""
+
+import numpy as np
+import pytest
+
+from rankwalk import (
+    CertificateReport,
+    Minimizer,
+    OptimalityCertificate,
+    RegressionData,
+    active_pairs,
+    birkhoff_decompose,
+    default_tie_tol,
+    eval_loss,
+    make_scores,
+    minimize,
+    residuals,
+    verify_certificate,
+)
+from rankwalk.loss import ActivePairs, TieBlock, _tie_order
+from rankwalk.model import as_score_vector
+
+KINDS = ("sign", "wilcoxon", "van_der_waerden")
+
+
+def reference_active_pairs(res, tie_tol):
+    blocks = []
+    pairs = set()
+    block_of = [0] * res.n
+    lo = 0
+    order, label = _tie_order(res.e, tie_tol)
+    for b, members in enumerate(np.split(order, np.flatnonzero(np.diff(label)) + 1)):
+        obs = tuple(sorted(members.tolist()))
+        hi = lo + len(obs) - 1
+        blocks.append(TieBlock(lo, hi, obs))
+        for i in range(lo, hi + 1):
+            for j in obs:
+                pairs.add((i, j))
+        for j in obs:
+            block_of[j] = b
+        lo = hi + 1
+    return ActivePairs(frozenset(pairs), tuple(blocks), tuple(block_of))
+
+
+def reference_perfect_matching(edges, n):
+    owner = [-1] * n
+
+    def augment(r, seen):
+        for j in edges[r]:
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = r
+                    return True
+        return False
+
+    for r in range(n):
+        if not augment(r, [False] * n):
+            return None
+    pi = [-1] * n
+    for j, r in enumerate(owner):
+        pi[r] = j
+    return pi
+
+
+def reference_birkhoff(G, support_tol=1e-9):
+    R = np.array(G, dtype=float)
+    if R.ndim != 2 or R.shape[0] != R.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {R.shape}")
+    n = R.shape[0]
+    dev = max(
+        float(np.abs(R.sum(axis=0) - 1.0).max()),
+        float(np.abs(R.sum(axis=1) - 1.0).max()),
+        float(max(0.0, -R.min())),
+    )
+    if dev > 1e-7:
+        raise ValueError(f"input is not bistochastic within 1e-7 (deviation {dev:.3g})")
+    np.clip(R, 0.0, None, out=R)
+    coarse = max(support_tol, 2e-7 * n)
+    terms = []
+    for _ in range(n * n + 2):
+        top = float(R.max())
+        if top <= support_tol:
+            break
+        edges = [list(np.flatnonzero(R[i] > support_tol)) for i in range(n)]
+        pi = reference_perfect_matching(edges, n)
+        if pi is None:
+            if top <= coarse:
+                break
+            raise ValueError("support admits no perfect matching; input is not bistochastic")
+        lam = float(min(R[i, pi[i]] for i in range(n)))
+        terms.append((lam, tuple(pi)))
+        for i in range(n):
+            R[i, pi[i]] -= lam
+            if R[i, pi[i]] < 1e-12:
+                R[i, pi[i]] = 0.0
+    else:
+        raise ValueError("decomposition failed to terminate")
+    return terms
+
+
+def reference_verify(data, alpha, beta, cert, tie_tol=None):
+    a = as_score_vector(alpha)
+    n = data.n
+    res = residuals(data, beta)
+    tt = default_tie_tol(res) if tie_tol is None else tie_tol
+    ap = reference_active_pairs(res, tt)
+    G = np.asarray(cert.G, dtype=float)
+    conditions = []
+
+    if G.shape != (n, n):
+        return CertificateReport(False, (("shape", False, f"G has shape {G.shape}, expected {(n, n)}"),), None)
+
+    row_dev = float(np.abs(G.sum(axis=1) - 1.0).max())
+    col_dev = float(np.abs(G.sum(axis=0) - 1.0).max())
+    neg = float(max(0.0, -G.min()))
+    ok = row_dev <= 1e-9 and col_dev <= 1e-9 and neg <= 1e-9
+    conditions.append(("bistochastic", ok,
+                       f"row dev {row_dev:.3g}, col dev {col_dev:.3g}, most negative {neg:.3g}"))
+
+    off = 0.0
+    for i in range(n):
+        for j in range(n):
+            if (i, j) not in ap.pairs:
+                off = max(off, abs(G[i, j]))
+    conditions.append(("support", off <= 1e-9, f"largest entry off the realizable pairs {off:.3g}"))
+
+    mixed = a.alpha @ G
+    balance = float(np.abs(mixed @ data.x).max()) if data.p else 0.0
+    conditions.append(("balance", balance <= 1e-7, f"largest design-row imbalance {balance:.3g}"))
+
+    lam_sum = sum(w for w, _ in cert.decomposition)
+    recomposed = np.zeros((n, n))
+    positive = True
+    consistent = True
+    for w, pi in cert.decomposition:
+        if w <= 0.0:
+            positive = False
+        if len(pi) != n or sorted(pi) != list(range(n)):
+            consistent = False
+            continue
+        for i, j in enumerate(pi):
+            recomposed[i, j] += w
+            if (i, j) not in ap.pairs:
+                consistent = False
+    recomp_dev = float(np.abs(recomposed - G).max()) if cert.decomposition else float("inf")
+    ok = bool(cert.decomposition) and positive and abs(lam_sum - 1.0) <= 1e-9 and recomp_dev <= 1e-9
+    conditions.append(("decomposition", ok,
+                       f"weight sum {lam_sum:.12g}, recomposition dev {recomp_dev:.3g}"))
+    conditions.append(("decomposition_support", consistent,
+                       "every ordering realizable at beta" if consistent else "an ordering uses a non-realizable pair"))
+
+    certified = None
+    if cert.decomposition and consistent:
+        certified = float(sum(w * float(a.alpha @ data.y[list(pi)]) for w, pi in cert.decomposition))
+        f_here = eval_loss(data, a, beta)
+        ok = abs(certified - f_here) <= 1e-7 * (1.0 + abs(f_here))
+        conditions.append(("value", ok, f"certified {certified:.12g} vs loss {f_here:.12g}"))
+    else:
+        conditions.append(("value", False, "no usable decomposition to price"))
+
+    return CertificateReport(all(good for _, good, _ in conditions), tuple(conditions), certified)
+
+
+def continuous(rng, n, p):
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    return RegressionData(x, x @ rng.standard_normal(p) + rng.standard_t(2, n))
+
+
+def integer_grid(rng, n, p):
+    x = np.column_stack([np.ones(n), rng.integers(-2, 3, (n, p - 1))]).astype(float)
+    return RegressionData(x, rng.integers(-2, 3, n).astype(float))
+
+
+@pytest.fixture(scope="module")
+def minimizers():
+    """Seeded (data, scores, minimizer): continuous n = 12..40 and integer
+    grids n = 8..14, at p = 1..3, over the three score kinds."""
+    rng = np.random.default_rng(31)
+    out = []
+    for t in range(18):
+        gen = continuous if t % 2 == 0 else integer_grid
+        n = int(rng.integers(12, 41)) if gen is continuous else int(rng.integers(8, 15))
+        data = gen(rng, n, int(rng.integers(1, 4)))
+        alpha = make_scores(KINDS[t % 3], n)
+        fit = minimize(data, alpha)
+        if isinstance(fit, Minimizer):
+            out.append((data, alpha, fit))
+    assert len(out) >= 12
+    return out
+
+
+def forgeries(data, fit, rng):
+    """Certificates that break the gate's conditions one or several at a time."""
+    n = data.n
+    cert = fit.certificate
+    G = np.array(cert.G)
+    dec = cert.decomposition
+    perm = tuple(rng.permutation(n).tolist())
+    swap = np.eye(n)[list(perm)]
+    out = [
+        cert,
+        OptimalityCertificate(G, ()),  # empty decomposition
+        OptimalityCertificate(G, ((0.0, dec[0][1]),) + dec),  # zero weight
+        OptimalityCertificate(G, ((-0.25, dec[0][1]), (0.25, dec[0][1])) + dec),  # negative weight
+        OptimalityCertificate(G, ((dec[0][0], dec[0][1][:-1]),) + dec[1:]),  # short ordering
+        OptimalityCertificate(G, ((dec[0][0], dec[0][1] + (n,)),) + dec[1:]),  # long ordering
+        OptimalityCertificate(G, ((dec[0][0], (0,) * n),) + dec[1:]),  # not a permutation
+        OptimalityCertificate(1.1 * G, dec),  # not bistochastic
+        OptimalityCertificate(G - 0.01 * (G > 0.5), dec),  # rows short of 1
+        OptimalityCertificate(0.5 * G + 0.5 * swap, dec),  # mass off the support
+        OptimalityCertificate(swap, ((1.0, perm),)),  # an unrealizable ordering
+        OptimalityCertificate(np.full((n, n), 1.0 / n), dec),  # uniform
+        OptimalityCertificate(G[:-1], dec),  # wrong shape
+    ]
+    if len(dec) > 1:
+        out.append(OptimalityCertificate(G, dec[:-1]))  # weights short of 1
+    nan_G = G.copy()
+    nan_G[0, n - 1] = np.nan
+    out.append(OptimalityCertificate(nan_G, dec))
+    return out
+
+
+def test_active_pairs_matches_the_loop():
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 60))
+        e = rng.integers(-4, 5, n).astype(float) * float(rng.choice([1e-3, 1.0, 1e6]))
+        e += rng.choice([0.0, 1e-12, 1e-6]) * rng.standard_normal(n)
+        res = residuals(RegressionData(np.ones((n, 1)), e), [0.0])
+        for tie_tol in (0.0, 1e-9, 1e-5, default_tie_tol(res), 0.5):
+            assert active_pairs(res, tie_tol) == reference_active_pairs(res, tie_tol)
+            checked += 1
+    assert checked == 750
+
+
+def test_birkhoff_matches_the_loop(minimizers):
+    rng = np.random.default_rng(8)
+    matrices = [np.array(fit.certificate.G) for _, _, fit in minimizers]
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        k = int(rng.integers(1, 6))
+        w = rng.dirichlet(np.ones(k))
+        matrices.append(sum(wt * np.eye(n)[rng.permutation(n)] for wt in w))
+    matrices.append(np.full((5, 5), 0.2) + 1e-10 * rng.standard_normal((5, 5)))
+    for G in matrices:
+        assert birkhoff_decompose(G) == reference_birkhoff(G)
+    for bad in (1.1 * np.eye(3), np.ones((2, 3)), np.array([[0.5, 0.5], [0.6, 0.4]])):
+        with pytest.raises(ValueError) as got:
+            birkhoff_decompose(bad)
+        with pytest.raises(ValueError) as want:
+            reference_birkhoff(bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_verify_certificate_matches_the_loop_on_genuine_and_forged_certificates(minimizers):
+    rng = np.random.default_rng(12)
+    failed = set()
+    compared = 0
+    for data, alpha, fit in minimizers:
+        points = [fit.beta_opt, fit.beta_opt + 1e-3 * rng.standard_normal(data.p)]
+        for cert in forgeries(data, fit, rng):
+            for beta in points:
+                for tie_tol in (None, 1e-6):
+                    got = verify_certificate(data, alpha, beta, cert, tie_tol=tie_tol)
+                    want = reference_verify(data, alpha, beta, cert, tie_tol=tie_tol)
+                    assert got == want
+                    failed.update(got.failures)
+                    compared += 1
+        assert verify_certificate(data, alpha, fit.beta_opt, fit.certificate).ok
+    assert compared >= 12 * 14 * 4
+    # the forgeries reach every condition the gate reports
+    assert failed == {"shape", "bistochastic", "support", "balance", "decomposition",
+                      "decomposition_support", "value"}

@@ -36,6 +36,24 @@ def test_infeasible():
     assert isinstance(out, LpInfeasible)
 
 
+def test_dual_of_active_zero_lower_bounds():
+    """">= 0" rows are stored negated so that their slacks start basic; the
+    multipliers must still come back with the sign of the rows as posed."""
+    out = solve_lp(LinearProgram([1.0], [([1.0], ">=", 0.0)]))
+    assert isinstance(out, LpOptimal)
+    assert out.point[0] == 0.0 and out.value == 0.0
+    np.testing.assert_allclose(out.dual, [1.0], atol=TOL)
+    # min x + 2y  s.t.  x >= 0, y >= 0, x + y >= 1: optimum (1, 0), y's bound active
+    out = solve_lp(LinearProgram([1.0, 2.0], [
+        ([1.0, 0.0], ">=", 0.0),
+        ([0.0, 1.0], ">=", 0.0),
+        ([1.0, 1.0], ">=", 1.0),
+    ]))
+    assert isinstance(out, LpOptimal)
+    np.testing.assert_allclose(out.point, [1.0, 0.0], atol=TOL)
+    np.testing.assert_allclose(out.dual, [0.0, 1.0, 1.0], atol=TOL)
+
+
 def test_equality_with_sign_constraints():
     # min x + y  s.t.  x + 2y = 4, x >= 0, y >= 0: optimum (0, 2)
     out = solve_lp(LinearProgram([1.0, 1.0], [
@@ -92,6 +110,24 @@ def test_validation_errors():
         solve_lp(LinearProgram([1.0], [([np.inf], "<=", 0.0)]))
     with pytest.raises(LpError):
         solve_lp(LinearProgram([1.0], [([1.0], "<=", 0.0)]), lp_tol=0.0)
+
+
+def test_validation_names_the_offending_row():
+    ok = ([1.0], "<=", 1.0)
+    cases = [
+        ([ok, ([1.0, 2.0], "<=", 0.0)], "constraint 1 has 2 coefficients, expected 1"),
+        ([([1.0], "<", 0.0)], "constraint 0 has unknown relation '<'"),
+        ([ok, ok, ([1.0], "<==", 0.0)], "constraint 2 has unknown relation '<=='"),
+        ([ok, ([np.nan], ">=", 0.0)], "constraint 1 must be finite"),
+        ([ok, ([1.0], ">=", np.inf)], "constraint 1 must be finite"),
+        ([([1.0], "<=")], "constraint 0 is not a (coeffs, relation, rhs) triple"),
+        ([ok, ([1.0], "<=", 0.0, 0.0)], "constraint 1 is not a (coeffs, relation, rhs) triple"),
+        ([ok, 3.0], "constraint 1 is not a (coeffs, relation, rhs) triple"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(LpError) as err:
+            solve_lp(LinearProgram([1.0], rows))
+        assert str(err.value) == message
 
 
 def test_determinism():

@@ -172,3 +172,15 @@ def test_wilcoxon_n30_p6_reaches_a_verified_minimizer():
     assert isinstance(out, Minimizer)
     assert out.f_opt == pytest.approx(31.868943023356728, rel=1e-9)
     assert verify_certificate(data, alpha, out.beta_opt, out.certificate).ok
+
+
+def test_van_der_waerden_integer_grid_n18_p3_reaches_a_verified_minimizer():
+    """Every observation of this instance sits in a nontrivial tie block at
+    one region minimum (sizes 3, 3, 5, 2, 5).  Its direction LP used to
+    exhaust the pivot budget while phase 1 carried an artificial for every
+    ">= 0" pair row."""
+    data = integer_grid(np.random.default_rng(14), 18, 3)
+    alpha = make_scores("van_der_waerden", 18)
+    out = minimize(data, alpha)
+    assert isinstance(out, Minimizer)
+    assert verify_certificate(data, alpha, out.beta_opt, out.certificate).ok

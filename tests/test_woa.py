@@ -14,10 +14,12 @@ from rankwalk import (
     active_pairs,
     breakpoints,
     cell_lp,
+    consistent_permutation,
     default_tie_tol,
     eval_loss,
     improving_direction,
     line_search,
+    make_scores,
     minimize,
     normalize_scores,
     region_bound,
@@ -52,6 +54,69 @@ def test_cell_lp_unbounded_single_row():
     data = RegressionData(np.array([[1.0]]), np.array([0.0]))
     out = cell_lp(data, normalize_scores([1.0]), (0,))
     assert isinstance(out, LpUnbounded)
+
+
+def test_cell_lp_at_a_point_worked(worked):
+    data, alpha = worked
+    for at in ([0.0], [0.3], [-4.0], [7.5]):
+        out = cell_lp(data, alpha, (2, 0, 1), at=at)
+        assert isinstance(out, LpOptimal)
+        assert abs(out.point[0]) < 1e-9 and abs(out.value - 1.0) < 1e-9
+    origin = cell_lp(data, alpha, (0, 1, 2))
+    centred = cell_lp(data, alpha, (0, 1, 2), at=[0.0])
+    assert origin.point.tobytes() == centred.point.tobytes() and origin.value == centred.value
+
+
+def in_region(data, pi, beta):
+    e = residuals(data, beta).e[list(pi)]
+    return bool(np.all(np.diff(e) >= -1e-7 * (1.0 + np.abs(e).max())))
+
+
+def test_cell_lp_at_a_point_agrees_with_the_origin():
+    """The cell LP posed in the offset from a point inside the region, from
+    the walk's point just past a tie (a few rows slightly violated), or from
+    a point outside the region (phase 1 on many rows) has the outcome and
+    the value of the program posed at the origin."""
+    rng = np.random.default_rng(17)
+    kinds = ("sign", "wilcoxon", "van_der_waerden")
+    seen = {"inside": 0, "post-step": 0, "outside": 0, "unbounded": 0, "crossed": 0}
+    for t in range(32):
+        n, p = int(rng.integers(6, 30)), int(rng.integers(1, 4))
+        x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+        if t % 2:
+            x = np.round(2.0 * x)
+            x[:, 0] = 1.0
+        data = RegressionData(x, np.round(x @ rng.standard_normal(p) + rng.standard_t(2, n), t % 2))
+        alpha = make_scores(kinds[t % 3], n) if t % 4 else normalize_scores(rng.standard_normal(n))
+        probes = []
+        beta = 3.0 * rng.standard_normal(p)
+        res = residuals(data, beta)
+        pi = consistent_permutation(res, default_tie_tol(res))
+        probes.append(("inside", pi, beta))
+        probes.append(("outside", pi, beta + 5.0 * rng.standard_normal(p)))
+        fit = minimize(data, alpha, beta0=beta)
+        for it in fit.trace.iterations:
+            if it.d_star is not None:
+                after = it.beta_star + it.d_star * it.direction
+                res = residuals(data, after)
+                probes.append(("post-step", consistent_permutation(res, default_tie_tol(res)), after))
+        for name, pi, at in probes:
+            if name == "post-step" and np.diff(residuals(data, at).e[list(pi)]).min() < 0.0:
+                seen["crossed"] += 1  # a tie crossed within tie_tol: some rows start infeasible
+            want = cell_lp(data, alpha, pi)
+            got = cell_lp(data, alpha, pi, at=at)
+            assert type(got) is type(want), (t, name)
+            if isinstance(want, LpOptimal):
+                assert abs(got.value - want.value) <= 1e-9 * (1.0 + abs(want.value)), (t, name)
+                assert in_region(data, pi, got.point)
+            else:
+                assert isinstance(want, LpUnbounded)
+                assert in_region(data, pi, got.point)
+                assert in_region(data, pi, got.point + 10.0 * got.ray)
+                seen["unbounded"] += 1
+            seen[name] += 1
+    assert seen["inside"] == seen["outside"] == 32
+    assert seen["post-step"] >= 24 and seen["crossed"] >= 8 and seen["unbounded"] >= 4
 
 
 def test_cell_lp_rejects_non_permutation(worked):
