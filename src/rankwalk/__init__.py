@@ -44,7 +44,6 @@ from .model import (
 from .oracle import OracleResult, enumerate_nonempty_cells, oracle_minimize, random_instance
 from .woa import (
     Breakpoints,
-    ImprovingDirection,
     IterationBudgetError,
     Minimizer,
     Unbounded,
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivePairs", "Breakpoints", "CertificateReport", "GgdConfig", "GgdResult",
-    "GgdTrace", "ImprovingDirection", "IterationBudgetError", "LinearProgram",
+    "GgdTrace", "IterationBudgetError", "LinearProgram",
     "LpError", "LpInfeasible", "LpNumericError", "LpOptimal", "LpOutcome",
     "LpUnbounded", "Minimizer", "OptimalityCertificate", "OracleResult",
     "RegressionData", "Residuals", "ScoreVector", "TieBlock", "Unbounded",

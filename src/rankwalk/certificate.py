@@ -6,6 +6,11 @@ weight-mixed column aggregate balances the design rows to zero.  Such a G
 splits into a convex combination of permutation matrices, each of which must
 itself be realizable at the point, and the combination reproduces the loss
 value from the responses alone.
+
+One cutting-plane search over the tie blocks decides optimality: it returns
+either a direction of strict descent or G, built from the multipliers of its
+cuts as that convex combination.  ``birkhoff_decompose`` splits any
+bistochastic matrix given from outside; the walk does not need it.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import ActivePairs, active_pairs, default_tie_tol, eval_loss, fold_singletons, residuals
-from .lp import find_feasible
-from .model import RegressionData, as_score_vector
+from .lp import LinearProgram, LpNumericError, LpOptimal, solve_lp
+from .model import RegressionData, ScoreVector, as_score_vector, sorted_scores
 
 
 @dataclass(frozen=True)
@@ -46,47 +51,109 @@ class CertificateReport:
         return tuple(name for name, good, _ in self.conditions if not good)
 
 
-def solve_certificate(data: RegressionData, alpha, ap: ActivePairs,
-                      lp_tol: float = 1e-9) -> np.ndarray | None:
-    """A bistochastic balance witness supported on ``ap``, or None when the
-    system is infeasible (the point is then not optimal).
+def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs,
+                    lp_tol: float) -> np.ndarray | OptimalityCertificate:
+    """Decide whether the loss descends from the point of ``ap``: a direction
+    ell with D(ell) < 0, or the certificate that none exists.
 
-    Only the nontrivial tie blocks get variables: a singleton rank can only
-    hold its own observation, so its entry of G is 1 and its balance
-    contribution is the constant lin of ``fold_singletons``.  The LP has a
-    column G_ij per pair inside a block, row and column sums of 1 within each
-    block, the balance sum alpha_i G_ij x_j = -lin, and G >= 0.  The result is
-    the full n x n matrix.
+    D(ell) = -lin . ell + sum_B max_s -g_s . ell is the directional
+    derivative, with lin and the nontrivial blocks B from
+    ``fold_singletons``, s an ordering of B's observations on B's ranks and
+    g_s = sum_k alpha[B.lo + k] x[s(k)].  With g_B the g of B's observations
+    in index order, D(ell) = -(lin + sum_B g_B) . ell + sum_B t_B where
+    t_B = max_s (g_B - g_s) . ell >= 0 is B's excess over that ordering.
+
+    Kelley's cutting planes minimize D: the master LP minimizes
+    -(lin + sum_B g_B) . ell + sum_B t_B over |R ell|_inf <= 1 (R from the QR
+    factorization of x, since D depends on ell only through x ell) with one
+    cut t_B + (g_s - g_B) . ell >= -eps_c per distinct cut met so far,
+    starting from each block's index order (t_B >= -eps) and its reverse.
+    It has p + (number of blocks) columns and every row holds at the origin,
+    so phase 1 never runs.  Measuring t_B from g_B, and relaxing cut c by a
+    distinct eps_c = threshold / (c + 2), keep the vertices non-degenerate:
+    with every cut through the origin, Dantzig's rule stalled there and the
+    drifted tableau returned multipliers of the wrong sign.
+    The most violated ordering of a block lists its observations by x_j . ell
+    descending (rearrangement inequality) and is added while it exceeds t_B
+    by more than the threshold.  Then either D(ell) < -threshold and ell, the
+    steepest descent in that norm, is returned, or the cut multipliers, which
+    sum to 1 per block and balance lin (the relaxation leaves both
+    conditions as they are), are merged into weighted whole orderings: the
+    certificate, already decomposed.
     """
-    a = as_score_vector(alpha)
-    n, p = data.n, data.p
-    if a.n != n:
-        raise ValueError(f"{a.n} weights for {n} observations")
     fold = fold_singletons(data, a, ap)
-    pi, pj, pu, pv = fold.block_pairs()
-    G = np.zeros((n, n))
-    G[fold.ranks, fold.observations] = 1.0
-    if not fold.blocks:
-        # Nothing is free: the fixed pairing balances the design or it does
-        # not, judged as the simplex judges an equality row.
-        spread = np.abs(a.alpha[fold.ranks, None] * data.x[fold.observations]).sum(axis=0)
-        return G if bool(np.all(np.abs(fold.lin) <= 10.0 * lp_tol * (1.0 + spread))) else None
-    nv = pi.size
-    rows = []
-    for u in range(fold.width):
-        rows.append(((pu == u).astype(float), "==", 1.0))
-    for v in range(fold.width):
-        rows.append(((pv == v).astype(float), "==", 1.0))
-    mix = a.alpha[pi, None] * data.x[pj]
-    for k in range(p):
-        rows.append((mix[:, k], "==", -fold.lin[k]))
-    for row in np.eye(nv):
-        rows.append((row, ">=", 0.0))
-    point = find_feasible(rows, nvars=nv, lp_tol=lp_tol)
-    if point is None:
-        return None
-    G[pi, pj] = point
-    return G
+    x, p = data.x, data.p
+    blocks = [(np.array(blk.observations), a.alpha[blk.lo:blk.hi + 1]) for blk in fold.blocks]
+    base = [al @ x[obs] for obs, al in blocks]
+    thr = lp_tol * (1.0 + float(np.abs(fold.lin).sum())
+                    + sum(float(np.abs(al).sum() * np.abs(x[obs]).sum(axis=1).max()) for obs, al in blocks))
+    R = np.hstack([np.linalg.qr(x, mode="r"), np.zeros((min(data.n, p), len(blocks)))])
+    box = [(row, "<=", 1.0) for row in R] + [(row, ">=", -1.0) for row in R]
+    slope0 = -(fold.lin + sum(base, np.zeros(p)))
+    objective = np.concatenate([slope0, np.ones(len(blocks))])
+    cuts, rows, seen = [], [], set()
+
+    def add_cut(b, s) -> bool:
+        row = np.zeros(p + len(blocks))
+        row[:p] = blocks[b][1] @ x[s] - base[b]
+        row[p + b] = 1.0
+        if (b, row.tobytes()) in seen:  # orderings of equal rows of x give equal cuts
+            return False
+        seen.add((b, row.tobytes()))
+        cuts.append((b, s))
+        rows.append((row, ">=", -thr / (len(rows) + 2)))
+        return True
+
+    for b, (obs, _) in enumerate(blocks):
+        add_cut(b, obs)
+        add_cut(b, obs[::-1])
+    while True:
+        out = solve_lp(LinearProgram(objective, tuple(rows + box)), lp_tol=lp_tol)
+        if not isinstance(out, LpOptimal):
+            raise LpNumericError(f"descent master returned {type(out).__name__}, expected an optimum")
+        ell = out.point[:p]
+        worst = [obs[np.argsort(-(x[obs] @ ell), kind="stable")] for obs, _ in blocks]
+        excess = [float((g - al @ x[s]) @ ell) for s, (_, al), g in zip(worst, blocks, base)]
+        added = False
+        for b, s in enumerate(worst):
+            if excess[b] > out.point[p + b] + thr:
+                added = add_cut(b, s) or added
+        if not added:
+            break
+
+    if float(slope0 @ ell) + sum(excess) < -thr:
+        return ell
+    weight = np.maximum(out.dual[:len(cuts)], 0.0)
+    per_block = []
+    for b in range(len(blocks)):
+        mine = [k for k, (owner, _) in enumerate(cuts) if owner == b]
+        cum = np.cumsum(weight[mine])
+        if not cum[-1] > 0.0:
+            raise LpNumericError("no ordering of a tie block carries weight")
+        cum /= cum[-1]
+        cum[-1] = 1.0
+        per_block.append((np.array([cuts[k][1] for k in mine]), cum))
+    ends = np.unique(np.concatenate([[1.0]] + [cum for _, cum in per_block]))
+    ends = ends[ends > 0.0]
+    starts = np.concatenate([[0.0], ends[:-1]])
+    pis = np.empty((ends.size, data.n), dtype=np.intp)
+    pis[:, fold.ranks] = fold.observations
+    for blk, (orders, cum) in zip(fold.blocks, per_block):
+        pis[:, blk.lo:blk.hi + 1] = orders[np.searchsorted(cum, (starts + ends) / 2.0)]
+    weights = ends - starts
+    G = np.zeros((data.n, data.n))
+    for w, pi in zip(weights, pis):
+        G[np.arange(data.n), pi] += w
+    return OptimalityCertificate(G, tuple(zip(weights.tolist(), pis.tolist())))
+
+
+def solve_certificate(data: RegressionData, alpha, ap: ActivePairs,
+                      lp_tol: float = 1e-9) -> OptimalityCertificate | None:
+    """The optimality certificate at the point of ``ap``, already decomposed
+    into weighted orderings realizable there, or None when the loss still
+    descends from it.  Weights are sorted on entry."""
+    found = _descent_search(data, sorted_scores(alpha, data.n), ap, lp_tol)
+    return found if isinstance(found, OptimalityCertificate) else None
 
 
 def _perfect_matching(edges: list[list[int]], n: int) -> list[int] | None:

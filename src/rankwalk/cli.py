@@ -27,8 +27,6 @@ from .woa import Minimizer, WalkError, WoaConfig, minimize
 
 log = logging.getLogger(__name__)
 
-_DIRECTION = {"first": "first_feasible", "steepest": "steepest_inf_norm"}
-
 
 class CliError(Exception):
     pass
@@ -142,8 +140,7 @@ def trace_payload(outcome) -> dict:
 
 
 def _walk_config(args) -> WoaConfig:
-    return WoaConfig(tie_tol=args.tie_tol, lp_tol=args.lp_tol, max_iter=args.max_iter,
-                     direction_strategy=_DIRECTION[args.direction])
+    return WoaConfig(tie_tol=args.tie_tol, lp_tol=args.lp_tol, max_iter=args.max_iter)
 
 
 def cmd_fit(args) -> int:
@@ -245,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     start = _Parser(add_help=False)
     start.add_argument("--init", default="zero", help="zero | ls | comma-separated vector")
-    start.add_argument("--direction", choices=sorted(_DIRECTION), default="first",
-                       help="which improving direction to take")
 
     parser = _Parser(prog="rankwalk", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

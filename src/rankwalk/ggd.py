@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import _as_residuals, _tie_order, default_tie_tol, eval_loss, residuals
-from .model import RegressionData, ScoreVector, normalize_scores
+from .model import RegressionData, sorted_scores
 from .woa import breakpoints, line_search
 
 PERTURBATIONS = ("random", "prolong")
@@ -60,9 +60,7 @@ class GgdResult:
 def cell_gradient(data: RegressionData, alpha, beta, tie_tol: float | None = None) -> np.ndarray | None:
     """Gradient of the loss where it is smooth, None on a tie point.
     ``beta`` may also be given as its Residuals."""
-    a = alpha if isinstance(alpha, ScoreVector) else normalize_scores(alpha)
-    if a.n != data.n:
-        raise ValueError(f"{a.n} weights for {data.n} observations")
+    a = sorted_scores(alpha, data.n)
     res = _as_residuals(data, beta)
     tt = default_tie_tol(res) if tie_tol is None else tie_tol
     order, label = _tie_order(res.e, tt)
@@ -92,9 +90,7 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
     decreasing losses of the accepted steps and why the loop stopped.
     """
     cfg = config or GgdConfig()
-    a = normalize_scores(alpha.alpha if isinstance(alpha, ScoreVector) else alpha)
-    if a.n != data.n:
-        raise ValueError(f"{a.n} weights for {data.n} observations")
+    a = sorted_scores(alpha, data.n)
     beta = np.zeros(data.p) if beta0 is None else np.array(beta0, dtype=float).ravel()
     if beta.shape[0] != data.p or not np.isfinite(beta).all():
         raise ValueError("beta0 must be a finite vector of width p")

@@ -148,29 +148,6 @@ class TieFold:
     lin: np.ndarray
     blocks: tuple[TieBlock, ...]
 
-    @property
-    def width(self) -> int:
-        """Number of ranks (equally, observations) in the nontrivial blocks."""
-        return sum(len(blk.observations) for blk in self.blocks)
-
-    def block_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays ``(i, j, u, v)`` over the pairs inside the nontrivial blocks,
-        in sorted ``(i, j)`` order: rank i, observation j, and their positions
-        u and v among the ranks and among the observations of the nontrivial
-        blocks, each listed block by block."""
-        i_, j_, u_, v_ = [], [], [], []
-        off = 0
-        for blk in self.blocks:
-            k = len(blk.observations)
-            for di in range(k):
-                for dj, j in enumerate(blk.observations):
-                    i_.append(blk.lo + di)
-                    j_.append(j)
-                    u_.append(off + di)
-                    v_.append(off + dj)
-            off += k
-        return tuple(np.array(c, dtype=np.intp) for c in (i_, j_, u_, v_))
-
 
 def fold_singletons(data: RegressionData, alpha: ScoreVector, ap: ActivePairs) -> TieFold:
     """Fold the singleton tie blocks of ``ap`` into a constant; see TieFold."""

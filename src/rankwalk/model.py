@@ -160,6 +160,15 @@ def make_scores(kind: str | Sequence[float], n: int) -> ScoreVector:
     return ScoreVector(table)
 
 
+def sorted_scores(alpha, n: int) -> ScoreVector:
+    """Weights for n observations, sorted on entry: a ScoreVector passes
+    through, anything else is taken as raw weights and sorted."""
+    a = alpha if isinstance(alpha, ScoreVector) else normalize_scores(np.ravel(np.asarray(alpha, dtype=float)))
+    if a.n != n:
+        raise ValueError(f"{a.n} weights for {n} observations")
+    return a
+
+
 def as_score_vector(alpha) -> ScoreVector:
     """Coerce an already-sorted sequence (or pass through a ScoreVector)."""
     if isinstance(alpha, ScoreVector):

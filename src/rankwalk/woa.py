@@ -5,14 +5,14 @@ minimizing proceeds region by region: solve the linear program of the current
 ordering, test the realizable pairs at its minimum for an improving direction,
 and if one exists step along it to the smallest loss among the points where
 the ordering changes.  Absence of an improving direction is equivalent to the
-existence of a bistochastic certificate, which is then produced, decomposed,
-and verified before the minimizer is returned.
+existence of a bistochastic certificate, which is then produced, already
+decomposed, and verified before the minimizer is returned.
 
-Both the direction system and the certificate system range over the
-nontrivial tie blocks at the region minimum only.  A rank alone in its block
-can hold nothing but its own observation, so its pairing is fixed and folds
-into a constant (``fold_singletons``); the size of each LP follows the ties
-at the current point, not n.
+The direction and the certificate come from one cutting-plane search over
+the nontrivial tie blocks at the region minimum (see ``certificate``).  A
+rank alone in its block can hold nothing but its own observation, so its
+pairing is fixed and folds into a constant (``fold_singletons``); the search
+grows with the ties at the current point, not with n.
 
 The walk strictly decreases the region minima and never revisits an ordering;
 both facts are asserted at runtime and a violation (only possible through
@@ -25,19 +25,16 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .certificate import OptimalityCertificate, birkhoff_decompose, solve_certificate, verify_certificate
+from .certificate import OptimalityCertificate, _descent_search, solve_certificate, verify_certificate
 from .loss import (ActivePairs, _as_residuals, _eval_losses, active_pairs, consistent_permutation,
-                   default_tie_tol, eval_loss, fold_singletons, residuals)
-from .lp import LinearProgram, LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, find_feasible, solve_lp
-from .model import RegressionData, ScoreVector, normalize_scores
+                   default_tie_tol, eval_loss, residuals)
+from .lp import LinearProgram, LpInfeasible, LpOptimal, LpOutcome, LpUnbounded, solve_lp
+from .model import RegressionData, sorted_scores
 
 log = logging.getLogger(__name__)
-
-DIRECTION_STRATEGIES = ("first_feasible", "steepest_inf_norm")
 
 
 class WalkError(Exception):
@@ -61,13 +58,11 @@ class IterationBudgetError(WalkError):
 
 @dataclass(frozen=True)
 class WoaConfig:
-    """Tolerances and the freedoms the method leaves open: which solution of
-    the direction system to take, and how orderings break ties."""
+    """Tolerances, the iteration cap, and how orderings break ties."""
 
     tie_tol: float | None = None  # None: 1e-9 * (1 + max |residual|), per point
     lp_tol: float = 1e-9
     max_iter: int | None = None  # None: min(1e6, region-count bound)
-    direction_strategy: str = "first_feasible"
     tie_break: str = "asc"
 
     def __post_init__(self):
@@ -77,16 +72,8 @@ class WoaConfig:
             raise ValueError("lp_tol must be positive")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.direction_strategy not in DIRECTION_STRATEGIES:
-            raise ValueError(f"unknown direction strategy {self.direction_strategy!r}")
         if self.tie_break not in ("asc", "desc"):
             raise ValueError(f"unknown tie_break {self.tie_break!r}")
-
-
-class ImprovingDirection(NamedTuple):
-    ell: np.ndarray
-    r: np.ndarray
-    s: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -151,13 +138,6 @@ def region_bound(n: int, p: int) -> int:
     return sum(math.comb(big_n, i) for i in range(0, p + 1))
 
 
-def _sorted_scores(alpha, n: int) -> ScoreVector:
-    a = alpha if isinstance(alpha, ScoreVector) else normalize_scores(np.array(alpha, dtype=float).ravel())
-    if a.n != n:
-        raise ValueError(f"{a.n} weights for {n} observations")
-    return a
-
-
 def cell_lp(data: RegressionData, alpha, pi, lp_tol: float = 1e-9, at=None) -> LpOutcome:
     """Minimize the loss restricted to the region of ordering ``pi``.
 
@@ -174,7 +154,7 @@ def cell_lp(data: RegressionData, alpha, pi, lp_tol: float = 1e-9, at=None) -> L
     (response constant included); an unbounded outcome carries a translated
     feasible point and a ray along which the loss itself is unbounded below.
     """
-    a = _sorted_scores(alpha, data.n)
+    a = sorted_scores(alpha, data.n)
     pi = tuple(pi)
     if sorted(pi) != list(range(data.n)):
         raise ValueError(f"{pi} is not a permutation of 0..{data.n - 1}")
@@ -193,62 +173,14 @@ def cell_lp(data: RegressionData, alpha, pi, lp_tol: float = 1e-9, at=None) -> L
 
 
 def improving_direction(data: RegressionData, alpha, ap: ActivePairs,
-                        lp_tol: float = 1e-9,
-                        strategy: str = "first_feasible") -> ImprovingDirection | None:
-    """A direction of strict descent built from the realizable pairs, or None
-    when none exists (which certifies optimality).
-
-    The system has a variable r_i per rank, s_j per observation and a row
-    ``alpha_i x_j . ell + r_i + s_j >= 0`` per realizable pair (i, j); a
-    direction exists iff some solution has sum(r) + sum(s) < 0.  Only the
-    nontrivial tie blocks get variables: a singleton's row is met tightest by
-    r_i + s_j = -alpha_i x_j . ell, which folds into the constant lin of
-    ``fold_singletons``, so the LP has p + 2 * (block ranks) columns whatever
-    n is.  The returned r (by rank) and s (by observation) have length n and
-    satisfy the full system, with s_j = 0 on singletons.  Under
-    ``first_feasible`` they are scaled so that sum(r) + sum(s) = -1.
-    """
-    if strategy not in DIRECTION_STRATEGIES:
-        raise ValueError(f"unknown direction strategy {strategy!r}")
-    a = _sorted_scores(alpha, data.n)
-    n, p = data.n, data.p
-    fold = fold_singletons(data, a, ap)
-    pi, pj, pu, pv = fold.block_pairs()
-    m = fold.width
-    nv = p + 2 * m
-    A = np.zeros((pi.size, nv))
-    A[:, :p] = a.alpha[pi, None] * data.x[pj]
-    A[np.arange(pi.size), p + pu] = 1.0
-    A[np.arange(pi.size), p + m + pv] = 1.0
-    rows = [(row, ">=", 0.0) for row in A]
-    descent = np.concatenate([-fold.lin, np.ones(2 * m)])  # sum(r) + sum(s) over all n
-    if strategy == "first_feasible":
-        rows.append((descent, "<=", -1.0))
-        point = find_feasible(rows, nvars=nv, lp_tol=lp_tol)
-        if point is None:
-            return None
-    else:
-        for k in range(p):
-            box = np.zeros(nv)
-            box[k] = 1.0
-            rows.append((box, "<=", 1.0))
-            rows.append((box, ">=", -1.0))
-        out = solve_lp(LinearProgram(descent, tuple(rows)), lp_tol=lp_tol)
-        if not isinstance(out, LpOptimal):
-            raise LpNumericError(f"direction probe returned {type(out).__name__}, expected an optimum")
-        if out.value >= -1e-7:
-            return None
-        point = out.point
-    ell = point[:p].copy()
-    r = np.zeros(n)
-    s = np.zeros(n)
-    r[fold.ranks] = -a.alpha[fold.ranks] * (data.x[fold.observations] @ ell)
-    r[pi] = point[p + pu]
-    s[pj] = point[p + m + pv]
-    if strategy == "first_feasible":
-        scale = -(r.sum() + s.sum())
-        ell, r, s = ell / scale, r / scale, s / scale
-    return ImprovingDirection(ell, r, s)
+                        lp_tol: float = 1e-9) -> np.ndarray | None:
+    """A direction ell of strict descent from the point of ``ap``, or None
+    when there is none (the point is then optimal).  The direction is the
+    steepest in the norm |R ell|_inf, R the triangular factor of x; it comes
+    from the cutting-plane search over the tie blocks that also yields the
+    certificate (see ``solve_certificate``).  Weights are sorted on entry."""
+    found = _descent_search(data, sorted_scores(alpha, data.n), ap, lp_tol)
+    return found if isinstance(found, np.ndarray) else None
 
 
 @lru_cache(maxsize=8)
@@ -297,7 +229,7 @@ def line_search(data: RegressionData, alpha, beta_star, direction, bps: Breakpoi
     ``eval_loss`` once per step would give."""
     if bps.steps.size == 0:
         raise ValueError("no breakpoints to search")
-    a = _sorted_scores(alpha, data.n)
+    a = sorted_scores(alpha, data.n)
     beta0 = np.array(beta_star, dtype=float).ravel()
     ell = np.array(direction, dtype=float).ravel()
     steps = np.sort(bps.steps)
@@ -344,7 +276,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
     a runtime descent assertion fails.
     """
     cfg = config or WoaConfig()
-    a = _sorted_scores(normalize_scores(alpha.alpha if isinstance(alpha, ScoreVector) else alpha), data.n)
+    a = sorted_scores(alpha, data.n)
     if beta0 is None:
         beta = np.zeros(data.p)
     else:
@@ -377,19 +309,17 @@ def minimize(data: RegressionData, alpha, beta0=None,
         res_star = residuals(data, beta_star)
         tts = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(res_star)
         ap = active_pairs(res_star, tts)
-        found = improving_direction(data, a, ap, lp_tol=cfg.lp_tol, strategy=cfg.direction_strategy)
-        if found is None:
-            G = solve_certificate(data, a, ap, lp_tol=cfg.lp_tol)
-            if G is None:
+        ell = improving_direction(data, a, ap, lp_tol=cfg.lp_tol)
+        if ell is None:
+            cert = solve_certificate(data, a, ap, lp_tol=cfg.lp_tol)
+            if cert is None:
                 raise WalkInvariantError("no improving direction, yet no certificate either", trace_now)
-            cert = OptimalityCertificate(G, tuple(birkhoff_decompose(G)))
             report = verify_certificate(data, a, beta_star, cert, tie_tol=tts)
             if not report.ok:
                 raise WalkInvariantError(f"certificate failed verification: {report.failures}", trace_now)
             iterations.append(WalkIteration(pi, beta_star, f_star, None, None))
             log.info("minimizer found after %d iterations, loss %.12g", len(iterations), f_star)
             return Minimizer(beta_star, f_star, cert, WalkTrace(tuple(iterations)))
-        ell = found.ell
         bps = breakpoints(data, res_star, ell, tts, lp_tol=cfg.lp_tol)
         if bps.steps.size == 0:
             iterations.append(WalkIteration(pi, beta_star, f_star, ell, None))

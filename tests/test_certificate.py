@@ -29,9 +29,9 @@ def pairs_at(data, beta):
 
 def test_solve_certificate_worked(worked):
     data, alpha = worked
-    G = solve_certificate(data, alpha, pairs_at(data, [0.0]))
-    assert G is not None
-    np.testing.assert_allclose(G, HAND_G, atol=1e-9)  # the system pins G down uniquely here
+    cert = solve_certificate(data, alpha, pairs_at(data, [0.0]))
+    assert cert is not None
+    np.testing.assert_allclose(cert.G, HAND_G, atol=1e-9)  # the system pins G down uniquely here
 
 
 def test_solve_certificate_interior_point_infeasible(worked):
@@ -44,24 +44,23 @@ def test_solve_certificate_interior_point_infeasible(worked):
 def test_solve_certificate_intercept_only():
     data = RegressionData(np.ones((3, 1)), np.array([0.0, 1.0, 0.0]))
     alpha = normalize_scores([-1.0, 0.0, 1.0])
-    G = solve_certificate(data, alpha, pairs_at(data, [0.7]))
-    assert G is not None
-    cert = OptimalityCertificate(G, tuple(birkhoff_decompose(G)))
+    cert = solve_certificate(data, alpha, pairs_at(data, [0.7]))
+    assert cert is not None
     report = verify_certificate(data, alpha, [0.7], cert)
     assert report.ok, report.conditions
 
 
 def test_solve_certificate_without_ties():
-    # Every tie block is a singleton, so the LP has no columns: the fixed
-    # pairing balances the design here and is the certificate.
+    # Every tie block is a singleton, so nothing is free: the fixed pairing
+    # balances the design here and is the certificate.
     data = RegressionData(np.ones((2, 1)), np.array([0.0, 1.0]))
     alpha = normalize_scores([-1.0, 1.0])
     ap = pairs_at(data, [0.4])
     assert all(len(b.observations) == 1 for b in ap.blocks)
-    G = solve_certificate(data, alpha, ap)
-    np.testing.assert_array_equal(G, np.eye(2))
+    cert = solve_certificate(data, alpha, ap)
+    np.testing.assert_array_equal(cert.G, np.eye(2))
+    assert cert.decomposition == ((1.0, (0, 1)),)
     assert improving_direction(data, alpha, ap) is None
-    cert = OptimalityCertificate(G, tuple(birkhoff_decompose(G)))
     assert verify_certificate(data, alpha, [0.4], cert).ok
 
 
@@ -188,8 +187,7 @@ def test_exactly_one_of_direction_and_certificate():
 
 def test_certified_value_prices_the_loss(worked):
     data, alpha = worked
-    G = solve_certificate(data, alpha, pairs_at(data, [0.0]))
-    cert = OptimalityCertificate(G, tuple(birkhoff_decompose(G)))
+    cert = solve_certificate(data, alpha, pairs_at(data, [0.0]))
     report = verify_certificate(data, alpha, [0.0], cert)
     f = eval_loss(data, alpha, [0.0])
     assert abs(report.certified_value - f) <= 1e-7 * (1.0 + abs(f))

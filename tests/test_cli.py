@@ -105,10 +105,10 @@ def test_fit_intercept_only_constant(tmp_path, capsys):
     assert json.loads(out)["F_opt"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_fit_builtin_scores_and_steepest(worked_csv, capsys):
+def test_fit_builtin_scores(worked_csv, capsys):
     data, _ = worked_csv
     for scores in ("sign", "wilcoxon", "vdw"):
-        code, out, _ = run(capsys, "fit", data, "--scores", scores, "--direction", "steepest")
+        code, out, _ = run(capsys, "fit", data, "--scores", scores)
         assert code == 0
         assert json.loads(out)["outcome"] == "minimizer"
 
@@ -240,7 +240,8 @@ def test_compare_unbounded(tmp_path, capsys):
 def test_usage_errors_exit_one_not_two(capsys):
     assert run(capsys, "fit")[0] == 1           # missing data argument
     assert run(capsys, "melt", "x.csv")[0] == 1  # unknown command
-    assert run(capsys, "fit", "x.csv", "--direction", "sideways")[0] == 1
+    assert run(capsys, "compare", "x.csv", "--perturbation", "sideways")[0] == 1
+    assert run(capsys, "fit", "x.csv", "--direction", "first")[0] == 1  # the option is gone
 
 
 def test_log_env_handling(worked_csv, capsys, monkeypatch):

@@ -1,21 +1,24 @@
-"""The direction and certificate systems restricted to the nontrivial tie
-blocks, checked well past the sizes the exhaustive oracle reaches."""
+"""The cutting-plane search over the nontrivial tie blocks, which yields the
+improving direction or the certificate, checked well past the sizes the
+exhaustive oracle reaches."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rankwalk.certificate
-import rankwalk.woa
 from rankwalk import (
     LpOptimal,
     Minimizer,
-    OptimalityCertificate,
     RegressionData,
     active_pairs,
-    birkhoff_decompose,
     cell_lp,
     consistent_permutation,
     default_tie_tol,
+    eval_loss,
     improving_direction,
     make_scores,
     minimize,
@@ -65,38 +68,45 @@ def pairs_at(data, beta):
     return active_pairs(res, default_tie_tol(res))
 
 
-def assert_full_system(data, alpha, ap, found, strategy):
-    """The length-n r (by rank) and s (by observation) satisfy every row of
-    the unreduced system, one per realizable pair, and its anchor."""
-    ell, r, s = found
-    assert r.shape == (data.n,) and s.shape == (data.n,)
-    for i, j in ap.pairs:
-        lhs = alpha.alpha[i] * float(data.x[j] @ ell) + r[i] + s[j]
-        assert lhs >= -1e-7 * (1.0 + abs(r[i]) + abs(s[j])), (i, j, lhs)
-    total = r.sum() + s.sum()
-    if strategy == "first_feasible":
-        assert total == pytest.approx(-1.0, abs=1e-12)
-    else:
-        assert total < -1e-7 and np.abs(ell).max() <= 1.0 + 1e-9
+def slope(data, alpha, ap, ell):
+    """The directional derivative of the loss along ell at the point of
+    ``ap``, by the rearrangement inequality: within each tie block the
+    observations fall in order of x_j . ell, the largest first."""
+    total = 0.0
+    for blk in ap.blocks:
+        drop = sorted((-float(data.x[j] @ ell) for j in blk.observations))
+        total += sum(float(alpha.alpha[blk.lo + k]) * d for k, d in enumerate(drop))
+    return total
 
 
-@pytest.mark.parametrize("strategy", rankwalk.woa.DIRECTION_STRATEGIES)
-def test_exactly_one_system_solves_at_region_minima(strategy):
+def assert_descends_within_the_box(data, alpha, beta, ap, ell):
+    """ell lies in the box |R ell|_inf <= 1 and the loss strictly descends
+    along it."""
+    assert np.abs(np.linalg.qr(data.x, mode="r") @ ell).max() <= 1.0 + 1e-9
+    assert slope(data, alpha, ap, ell) < 0.0
+    step = 1e-7 / max(1.0, float(np.abs(data.x @ ell).max()))
+    assert eval_loss(data, alpha, beta + step * ell) < eval_loss(data, alpha, beta)
+
+
+def test_exactly_one_system_solves_at_region_minima():
     rng = np.random.default_rng(11)
-    directions = 0
+    directions = certificates = 0
     for data, alpha in cases():
         for _ in range(2):
             beta = region_minimum(data, alpha, rng.standard_normal(data.p))
             if beta is None:
                 continue
             ap = pairs_at(data, beta)
-            found = improving_direction(data, alpha, ap, strategy=strategy)
-            G = solve_certificate(data, alpha, ap)
-            assert (found is None) != (G is None)
+            found = improving_direction(data, alpha, ap)
+            cert = solve_certificate(data, alpha, ap)
+            assert (found is None) != (cert is None)
             if found is not None:
-                assert_full_system(data, alpha, ap, found, strategy)
+                assert_descends_within_the_box(data, alpha, beta, ap, found)
                 directions += 1
-    assert directions > 10
+            else:
+                assert verify_certificate(data, alpha, beta, cert).ok
+                certificates += 1
+    assert directions > 10 and certificates > 0
 
 
 def test_minimizers_have_no_direction_and_a_certificate_on_the_realizable_pairs():
@@ -104,39 +114,27 @@ def test_minimizers_have_no_direction_and_a_certificate_on_the_realizable_pairs(
         out = minimize(data, alpha)
         assert isinstance(out, Minimizer)
         ap = pairs_at(data, out.beta_opt)
-        for strategy in rankwalk.woa.DIRECTION_STRATEGIES:
-            assert improving_direction(data, alpha, ap, strategy=strategy) is None
-        G = solve_certificate(data, alpha, ap)
-        assert G is not None and G.shape == (data.n, data.n)
-        rows, cols = np.nonzero(np.abs(G) > 1e-9)
+        assert improving_direction(data, alpha, ap) is None
+        cert = solve_certificate(data, alpha, ap)
+        assert cert is not None and cert.G.shape == (data.n, data.n)
+        rows, cols = np.nonzero(np.abs(cert.G) > 1e-9)
         assert set(zip(rows.tolist(), cols.tolist())) <= ap.pairs
-        cert = OptimalityCertificate(G, tuple(birkhoff_decompose(G)))
         assert verify_certificate(data, alpha, out.beta_opt, cert).ok
         assert verify_certificate(data, alpha, out.beta_opt, out.certificate).ok
 
 
 def test_lp_columns_follow_the_tie_blocks(monkeypatch):
-    """Every LP the two systems pose has at most p + 2 * (block ranks)
-    columns for a direction and (sum of squared block sizes) for a
-    certificate, where the unreduced systems had p + 2n and |pairs|."""
+    """Every master LP of the search has p + K columns, K the number of
+    nontrivial tie blocks, where the unreduced systems had p + 2n and
+    |pairs|."""
     shapes = []
+    original = rankwalk.certificate.solve_lp
 
-    def recording(module, name):
-        original = getattr(module, name)
+    def recording(prob, **kwargs):
+        shapes.append(len(prob.objective))
+        return original(prob, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            if name == "solve_lp":
-                shapes.append(len(args[0].objective))
-            else:
-                shapes.append(kwargs["nvars"])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    for module in (rankwalk.woa, rankwalk.certificate):
-        recording(module, "find_feasible")
-    recording(rankwalk.woa, "solve_lp")
-
+    monkeypatch.setattr(rankwalk.certificate, "solve_lp", recording)
     rng = np.random.default_rng(5)
     probed = 0
     for data, alpha in cases():
@@ -144,18 +142,14 @@ def test_lp_columns_follow_the_tie_blocks(monkeypatch):
         if beta is None:
             continue
         ap = pairs_at(data, beta)
-        fold = fold_singletons(data, alpha, ap)
-        sizes = [len(blk.observations) for blk in ap.blocks if len(blk.observations) > 1]
-        assert fold.width == sum(sizes)
-        for strategy in rankwalk.woa.DIRECTION_STRATEGIES:
+        k = len(fold_singletons(data, alpha, ap).blocks)
+        assert k == sum(len(blk.observations) > 1 for blk in ap.blocks)
+        for search in (improving_direction, solve_certificate):
             shapes.clear()
-            improving_direction(data, alpha, ap, strategy=strategy)
-            assert shapes and max(shapes) <= data.p + 2 * sum(sizes)
-        shapes.clear()
-        solve_certificate(data, alpha, ap)
-        assert all(nv <= sum(k * k for k in sizes) for nv in shapes)
+            search(data, alpha, ap)
+            assert shapes and set(shapes) == {data.p + k}
         if data.n >= 40:
-            assert data.p + 2 * sum(sizes) < data.n < len(ap.pairs)
+            assert data.p + k < data.n < len(ap.pairs)
         probed += 1
     assert probed >= 12
 
@@ -183,4 +177,41 @@ def test_van_der_waerden_integer_grid_n18_p3_reaches_a_verified_minimizer():
     alpha = make_scores("van_der_waerden", 18)
     out = minimize(data, alpha)
     assert isinstance(out, Minimizer)
+    assert verify_certificate(data, alpha, out.beta_opt, out.certificate).ok
+
+
+def test_integer_grid_is_the_benchmark_generator(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
+    spec = importlib.util.spec_from_file_location("perfbench_cases", path)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look their module up
+    spec.loader.exec_module(bench)
+    for seed, n, p in ((0, 40, 2), (0, 24, 3), (5, 120, 3)):
+        ours, theirs = integer_grid(np.random.default_rng(seed), n, p), bench.integer_grid(seed, n, p)
+        np.testing.assert_array_equal(ours.x, theirs.x)
+        np.testing.assert_array_equal(ours.y, theirs.y)
+
+
+# Exact-tie instances the direction LP could not solve: with the LP, the two
+# van der Waerden fits raised "pivot budget exhausted", the Wilcoxon fit took
+# about 13 s in one degenerate LP and the sign fit ran for over 200 s.
+@pytest.mark.parametrize("seed,n,p", [(0, 40, 2), (0, 24, 3)])
+def test_van_der_waerden_integer_grid_reaches_a_verified_minimizer(seed, n, p):
+    data = integer_grid(np.random.default_rng(seed), n, p)
+    alpha = make_scores("van_der_waerden", n)
+    out = minimize(data, alpha)
+    assert isinstance(out, Minimizer)
+    assert verify_certificate(data, alpha, out.beta_opt, out.certificate).ok
+
+
+@pytest.mark.parametrize("kind,seed,n,p,f_opt", [
+    ("wilcoxon", 0, 40, 2, 52.088259652010386),  # the Jaeckel pairwise-L1 minimum
+    ("sign", 5, 120, 3, 133.0),  # the least-absolute-deviations minimum
+])
+def test_integer_grid_reaches_the_reference_minimum(kind, seed, n, p, f_opt):
+    data = integer_grid(np.random.default_rng(seed), n, p)
+    alpha = make_scores(kind, n)
+    out = minimize(data, alpha)
+    assert isinstance(out, Minimizer)
+    assert out.f_opt == pytest.approx(f_opt, rel=1e-9)
     assert verify_certificate(data, alpha, out.beta_opt, out.certificate).ok

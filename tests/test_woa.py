@@ -130,7 +130,7 @@ def test_improving_direction_worked(worked):
     res = residuals(data, [-1.0])
     found = improving_direction(data, alpha, active_pairs(res, TIE))
     assert found is not None
-    step = 1e-4 * found.ell / np.abs(found.ell).max()
+    step = 1e-4 * found / np.abs(found).max()
     assert eval_loss(data, alpha, np.array([-1.0]) + step) < eval_loss(data, alpha, [-1.0])
 
     res = residuals(data, [0.0])
@@ -142,20 +142,18 @@ def test_improving_direction_single_observation():
     alpha = normalize_scores([1.0])
     res = residuals(data, [0.0])
     found = improving_direction(data, alpha, active_pairs(res, TIE))
-    assert found is not None and found.ell.shape == (1,)
+    assert found is not None and found.shape == (1,)
 
 
-def test_improving_direction_steepest(worked):
+def test_improving_direction_is_steepest_in_the_qr_norm(worked):
+    # At beta = -1 observations 1 and 2 tie, so D(ell) = -ell for ell > 0 and
+    # 2|ell| otherwise; over |R ell| <= 1, R = sqrt(5), the steepest is 1/sqrt(5).
     data, alpha = worked
     res = residuals(data, [-1.0])
-    found = improving_direction(data, alpha, active_pairs(res, TIE), strategy="steepest_inf_norm")
-    assert found is not None
-    assert np.abs(found.ell).max() <= 1.0 + 1e-9
-    res = residuals(data, [0.0])
-    assert improving_direction(data, alpha, active_pairs(res, TIE),
-                               strategy="steepest_inf_norm") is None
-    with pytest.raises(ValueError):
-        improving_direction(data, alpha, active_pairs(res, TIE), strategy="newton")
+    found = improving_direction(data, alpha, active_pairs(res, TIE))
+    R = np.linalg.qr(data.x, mode="r")
+    assert np.abs(R @ found).max() <= 1.0 + 1e-9
+    np.testing.assert_allclose(found, [1.0 / np.sqrt(5.0)], rtol=1e-9)
 
 
 def test_breakpoints_worked(worked):
@@ -307,8 +305,6 @@ def test_config_validation():
         WoaConfig(lp_tol=0.0)
     with pytest.raises(ValueError):
         WoaConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        WoaConfig(direction_strategy="down")
     with pytest.raises(ValueError):
         WoaConfig(tie_break="sideways")
 
