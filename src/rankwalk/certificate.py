@@ -157,20 +157,32 @@ def solve_certificate(data: RegressionData, alpha, ap: ActivePairs,
 
 
 def _perfect_matching(edges: list[list[int]], n: int) -> list[int] | None:
-    """Row -> column assignment covering every row, by augmenting paths."""
+    """Row -> column assignment covering every row, by augmenting paths from a
+    depth-first search that keeps its own stack, since a path may be n long."""
     owner = [-1] * n  # column -> matched row
 
-    def augment(r: int, seen: list[bool]) -> bool:
-        for j in edges[r]:
-            if not seen[j]:
-                seen[j] = True
-                if owner[j] < 0 or augment(owner[j], seen):
-                    owner[j] = r
-                    return True
+    def augment(root: int) -> bool:
+        seen = [False] * n
+        stack, path = [(root, iter(edges[root]))], []  # path[k]: the column row stack[k] tries
+        while stack:
+            for j in stack[-1][1]:
+                if not seen[j]:
+                    seen[j] = True
+                    break
+            else:
+                stack.pop()
+                del path[-1:]
+                continue
+            path.append(j)
+            if owner[j] < 0:
+                for (r, _), col in zip(stack, path):
+                    owner[col] = r
+                return True
+            stack.append((owner[j], iter(edges[owner[j]])))
         return False
 
     for r in range(n):
-        if not augment(r, [False] * n):
+        if not augment(r):
             return None
     pi = [-1] * n
     for j, r in enumerate(owner):

@@ -10,11 +10,12 @@ unbounded ray, and reports which.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import _as_residuals, _tie_order, default_tie_tol, eval_loss, residuals
+from .loss import _as_residuals, _check_tie_tol, _tie_order, default_tie_tol, eval_loss, residuals
 from .model import RegressionData, sorted_scores
 from .woa import breakpoints, line_search
 
@@ -35,8 +36,10 @@ class GgdConfig:
     def __post_init__(self):
         if self.perturbation not in PERTURBATIONS:
             raise ValueError(f"unknown perturbation {self.perturbation!r}")
-        if self.magnitude <= 0.0 or self.stop_tol <= 0.0 or self.lp_tol <= 0.0:
-            raise ValueError("magnitude, stop_tol and lp_tol must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.magnitude, self.stop_tol, self.lp_tol)):
+            raise ValueError("magnitude, stop_tol and lp_tol must be finite and positive")
+        if self.tie_tol is not None:
+            _check_tie_tol(self.tie_tol)
         if self.max_iter < 1 or self.stall_window < 1:
             raise ValueError("max_iter and stall_window must be positive")
 
@@ -132,7 +135,7 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
         if bps.steps.size == 0:
             stop_reason = "unbounded_direction"
             break
-        d = line_search(data, a, start, direction, bps)
+        d = line_search(data, a, res, direction, bps)
         candidate = start + d * direction
         f_cand = eval_loss(data, a, candidate)
         if f_cand < f_best:

@@ -10,8 +10,9 @@ throughout; the CLI converts to 1-based on output).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,12 +53,17 @@ class TieBlock:
 
 @dataclass(frozen=True)
 class ActivePairs:
-    """All (rank, observation) pairs realizable by some tolerance-consistent
-    ordering, grouped into tie blocks."""
+    """The tie blocks at a point, in rank order, and the block of each
+    observation."""
 
-    pairs: frozenset[tuple[int, int]]
     blocks: tuple[TieBlock, ...]
     block_of: tuple[int, ...]
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The (rank, observation) pairs some consistent ordering realizes."""
+        return frozenset((i, j) for blk in self.blocks for i in range(blk.lo, blk.hi + 1)
+                         for j in blk.observations)
 
 
 def residuals(data: RegressionData, beta) -> Residuals:
@@ -68,16 +74,10 @@ def residuals(data: RegressionData, beta) -> Residuals:
         raise ValueError(f"beta has {b.shape[0]} entries, expected {data.p}")
     if not np.isfinite(b).all():
         raise ValueError("beta must be finite")
-    return Residuals(_residual_rows(data, b[None, :])[0], b)
-
-
-def _residual_rows(data: RegressionData, betas: np.ndarray) -> np.ndarray:
-    """Row r holds the residuals at ``betas[r]``, each dot product summed
-    left to right as in ``residuals``, so every row is bit-identical to it."""
-    acc = np.zeros((betas.shape[0], data.n))
+    acc = np.zeros(data.n)
     for k in range(data.p):
-        acc += data.x[:, k] * betas[:, k, None]
-    return data.y - acc
+        acc += data.x[:, k] * b[k]
+    return Residuals(data.y - acc, b)
 
 
 def _as_residuals(data: RegressionData, point) -> Residuals:
@@ -105,33 +105,32 @@ def _tie_order(e: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
     return order, label
 
 
-def consistent_permutation(res: Residuals, tie_tol: float, tie_break: str = "asc") -> tuple[int, ...]:
+def _check_tie_tol(tie_tol: float):
+    if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
+        raise ValueError(f"tie tolerance must be finite and nonnegative, got {tie_tol}")
+
+
+def consistent_permutation(res: Residuals, tie_tol: float) -> tuple[int, ...]:
     """An ordering putting residuals in nondecreasing order, deterministic
-    under ties: within a tie block observations are listed by index (ascending
-    by default; ``tie_break="desc"`` flips it, any block order is valid)."""
-    if tie_tol < 0.0:
-        raise ValueError("tie tolerance must be nonnegative")
-    if tie_break not in ("asc", "desc"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
+    under ties: within a tie block observations are listed by index
+    (any block order is valid)."""
+    _check_tie_tol(tie_tol)
     order, label = _tie_order(res.e, tie_tol)
-    within = order if tie_break == "asc" else -order
-    return tuple(order[np.lexsort((within, label))].tolist())
+    return tuple(order[np.lexsort((order, label))].tolist())
 
 
 def active_pairs(res: Residuals, tie_tol: float) -> ActivePairs:
-    """Pairs (i, j) such that observation j can hold rank i in some ordering
-    consistent with the residuals at this point."""
-    if tie_tol < 0.0:
-        raise ValueError("tie tolerance must be nonnegative")
+    """The tie blocks of the residuals at this point: observation j can hold
+    rank i in some consistent ordering exactly when both share a block."""
+    _check_tie_tol(tie_tol)
     order, label = _tie_order(res.e, tie_tol)
     cuts = (np.flatnonzero(np.diff(label)) + 1).tolist()
     obs = order.tolist()
     blocks = tuple(TieBlock(lo, hi - 1, tuple(sorted(obs[lo:hi])))
                    for lo, hi in zip([0] + cuts, cuts + [res.n]))
-    pairs = frozenset({(i, j) for blk in blocks for i in range(blk.lo, blk.hi + 1) for j in blk.observations})
     block_of = np.empty(res.n, dtype=np.intp)
     block_of[order] = label
-    return ActivePairs(pairs, blocks, tuple(block_of.tolist()))
+    return ActivePairs(blocks, tuple(block_of.tolist()))
 
 
 @dataclass(frozen=True)
@@ -166,15 +165,6 @@ def eval_loss(data: RegressionData, alpha, beta) -> float:
         raise ValueError(f"{a.n} weights for {data.n} observations")
     e = residuals(data, beta).e
     return float(np.sort(e) @ a.alpha)
-
-
-def _eval_losses(data: RegressionData, alpha: ScoreVector, betas: np.ndarray) -> list[float]:
-    """``eval_loss`` at each row of ``betas``, bit for bit: the residual rows
-    are summed as in ``residuals`` and each sorted row takes its own dot
-    product with the weights (one matrix-vector product over all rows would
-    round differently)."""
-    rows = np.sort(_residual_rows(data, betas), axis=1)
-    return [float(row @ alpha.alpha) for row in rows]
 
 
 @lru_cache(maxsize=8)

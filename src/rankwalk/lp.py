@@ -287,8 +287,8 @@ def _simplex_once(c, A_raw, rels_raw, b_raw, lp_tol, bland) -> LpOutcome:
 
 def solve_lp(prob: LinearProgram, lp_tol: float = 1e-9) -> LpOutcome:
     """Solve the program, retrying once under Bland's rule before giving up."""
-    if lp_tol <= 0.0:
-        raise LpError("lp_tol must be positive")
+    if not (np.isfinite(lp_tol) and lp_tol > 0.0):
+        raise LpError("lp_tol must be finite and positive")
     c, A, rels, b = _validate(prob)
     try:
         return _simplex_once(c, A, rels, b, lp_tol, bland=False)

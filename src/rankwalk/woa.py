@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .certificate import OptimalityCertificate, _descent_search, solve_certificate, verify_certificate
-from .loss import (ActivePairs, _as_residuals, _eval_losses, active_pairs, consistent_permutation,
+from .loss import (ActivePairs, _as_residuals, _check_tie_tol, active_pairs, consistent_permutation,
                    default_tie_tol, eval_loss, residuals)
 from .lp import LinearProgram, LpInfeasible, LpOptimal, LpOutcome, LpUnbounded, solve_lp
 from .model import RegressionData, sorted_scores
@@ -58,22 +58,19 @@ class IterationBudgetError(WalkError):
 
 @dataclass(frozen=True)
 class WoaConfig:
-    """Tolerances, the iteration cap, and how orderings break ties."""
+    """Tolerances and the iteration cap."""
 
     tie_tol: float | None = None  # None: 1e-9 * (1 + max |residual|), per point
     lp_tol: float = 1e-9
     max_iter: int | None = None  # None: min(1e6, region-count bound)
-    tie_break: str = "asc"
 
     def __post_init__(self):
-        if self.tie_tol is not None and self.tie_tol < 0.0:
-            raise ValueError("tie_tol must be nonnegative")
-        if self.lp_tol <= 0.0:
-            raise ValueError("lp_tol must be positive")
+        if self.tie_tol is not None:
+            _check_tie_tol(self.tie_tol)
+        if not (math.isfinite(self.lp_tol) and self.lp_tol > 0.0):
+            raise ValueError("lp_tol must be finite and positive")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.tie_break not in ("asc", "desc"):
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -221,40 +218,35 @@ def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float,
 def line_search(data: RegressionData, alpha, beta_star, direction, bps: Breakpoints) -> float:
     """Smallest minimizer of the loss along the ray, over the breakpoint grid.
 
-    The steps are scanned in ascending order; the first strict minimum is
-    kept, so on ties the smallest step wins, and since the restriction is
-    convex the scan stops at the first strict rise.  Losses are evaluated in
-    batches of 8, 16, 32 and then 64 steps, each bit-identical to
-    ``eval_loss`` at that point, so the answer is the one a scan calling
-    ``eval_loss`` once per step would give."""
+    Along the ray the loss is convex and piecewise linear, and between two
+    consecutive steps its slope is ``alpha @ -sigma`` in the residual order
+    there (sigma = x @ direction).  A bisection over the sorted distinct
+    steps, reading each slope in the order at the midpoint of its interval,
+    returns the smallest step whose right-hand slope is nonnegative, or the
+    largest step if none is.  ``beta_star`` may also be given as its Residuals."""
     if bps.steps.size == 0:
         raise ValueError("no breakpoints to search")
     a = sorted_scores(alpha, data.n)
-    beta0 = np.array(beta_star, dtype=float).ravel()
-    ell = np.array(direction, dtype=float).ravel()
+    e = _as_residuals(data, beta_star).e
+    neg = -(data.x @ np.array(direction, dtype=float).ravel())  # -sigma
     steps = np.sort(bps.steps)
-    best_d = None
-    best_f = math.inf
-    prev_f = None
-    start, size = 0, 8
-    while start < steps.size:
-        batch = steps[start:start + size]
-        with np.errstate(over="ignore"):  # only reaching an overflowed point is an error
-            points = beta0 + batch[:, None] * ell
-        finite = np.isfinite(points).all(axis=1)
-        stop = batch.size if finite.all() else int(np.argmin(finite))  # eval_loss raises there
-        for d, f in zip(batch[:stop].tolist(), _eval_losses(data, a, points[:stop])):
-            if f < best_f:
-                best_f = f
-                best_d = d
-            if prev_f is not None and f > prev_f:
-                return float(best_d)
-            prev_f = f
-        if stop < batch.size:
-            raise ValueError("beta must be finite")
-        start += size
-        size = min(2 * size, 64)
-    return float(best_d)
+    if not np.isfinite(steps).all():
+        raise ValueError("beta must be finite")
+    steps = steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
+    lo, hi = 0, steps.size - 1
+    with np.errstate(over="ignore"):
+        # Residuals that overflow to one infinity keep their limit order, by
+        # -sigma; none do when none overflows at the largest step.
+        exact = np.isfinite(e + steps[-1] * neg).all()
+        while lo < hi:
+            mid = (lo + hi) // 2
+            key = e + (0.5 * steps[mid] + 0.5 * steps[mid + 1]) * neg
+            order = np.argsort(key) if exact else np.lexsort((neg, key))
+            if a.alpha @ neg[order] >= 0.0:
+                hi = mid
+            else:
+                lo = mid + 1
+    return float(steps[lo])
 
 
 def _require_descending_ray(data, alpha, point, ray, trace):
@@ -290,7 +282,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
     for it in range(cap):
         res = residuals(data, beta)
         tt = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(res)
-        pi = consistent_permutation(res, tt, tie_break=cfg.tie_break)
+        pi = consistent_permutation(res, tt)
         trace_now = WalkTrace(tuple(iterations))
         if pi in visited:
             raise WalkInvariantError(f"ordering {pi} revisited at iteration {it}", trace_now)
@@ -328,7 +320,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
             _require_descending_ray(data, a, beta_star, ray, trace_now)
             log.info("descent ray never changes the ordering; unbounded at iteration %d", it)
             return Unbounded(beta_star, ray, trace_now)
-        d_star = line_search(data, a, beta_star, ell, bps)
+        d_star = line_search(data, a, res_star, ell, bps)
         iterations.append(WalkIteration(pi, beta_star, f_star, ell, d_star))
         log.debug("iteration %d: ordering %s, region minimum %.12g, step %.6g", it, pi, f_star, d_star)
         beta = beta_star + d_star * ell

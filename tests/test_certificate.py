@@ -106,6 +106,23 @@ def test_birkhoff_random_round_trip():
         assert np.abs(recomposed - G).max() < 1e-9
 
 
+def test_birkhoff_long_augmenting_path():
+    """0.5 (I + cyclic shift): the last row's augmenting path runs through
+    every other row, deeper than Python's recursion limit."""
+    n = 3000
+    shift = (np.arange(n) + 1) % n
+    G = np.zeros((n, n))
+    G[np.arange(n), np.arange(n)] = 0.5
+    G[np.arange(n), shift] = 0.5
+    terms = birkhoff_decompose(G)
+    assert [w for w, _ in terms] == [0.5, 0.5]
+    assert sorted(pi for _, pi in terms) == sorted([tuple(range(n)), tuple(shift.tolist())])
+    recomposed = np.zeros((n, n))
+    for w, pi in terms:
+        recomposed[np.arange(n), list(pi)] += w
+    np.testing.assert_array_equal(recomposed, G)
+
+
 def test_birkhoff_rejects_non_bistochastic():
     with pytest.raises(ValueError):
         birkhoff_decompose(np.zeros((2, 3)))

@@ -20,6 +20,7 @@ from rankwalk import (
     residuals,
     verify_certificate,
 )
+from rankwalk.certificate import _perfect_matching
 from rankwalk.loss import ActivePairs, TieBlock, _tie_order
 from rankwalk.model import as_score_vector
 
@@ -27,6 +28,7 @@ KINDS = ("sign", "wilcoxon", "van_der_waerden")
 
 
 def reference_active_pairs(res, tie_tol):
+    """The tie blocks as ActivePairs, and the realizable pairs by a loop."""
     blocks = []
     pairs = set()
     block_of = [0] * res.n
@@ -42,7 +44,7 @@ def reference_active_pairs(res, tie_tol):
         for j in obs:
             block_of[j] = b
         lo = hi + 1
-    return ActivePairs(frozenset(pairs), tuple(blocks), tuple(block_of))
+    return ActivePairs(tuple(blocks), tuple(block_of)), frozenset(pairs)
 
 
 def reference_perfect_matching(edges, n):
@@ -107,7 +109,7 @@ def reference_verify(data, alpha, beta, cert, tie_tol=None):
     n = data.n
     res = residuals(data, beta)
     tt = default_tie_tol(res) if tie_tol is None else tie_tol
-    ap = reference_active_pairs(res, tt)
+    _, pairs = reference_active_pairs(res, tt)
     G = np.asarray(cert.G, dtype=float)
     conditions = []
 
@@ -124,7 +126,7 @@ def reference_verify(data, alpha, beta, cert, tie_tol=None):
     off = 0.0
     for i in range(n):
         for j in range(n):
-            if (i, j) not in ap.pairs:
+            if (i, j) not in pairs:
                 off = max(off, abs(G[i, j]))
     conditions.append(("support", off <= 1e-9, f"largest entry off the realizable pairs {off:.3g}"))
 
@@ -144,7 +146,7 @@ def reference_verify(data, alpha, beta, cert, tie_tol=None):
             continue
         for i, j in enumerate(pi):
             recomposed[i, j] += w
-            if (i, j) not in ap.pairs:
+            if (i, j) not in pairs:
                 consistent = False
     recomp_dev = float(np.abs(recomposed - G).max()) if cert.decomposition else float("inf")
     ok = bool(cert.decomposition) and positive and abs(lam_sum - 1.0) <= 1e-9 and recomp_dev <= 1e-9
@@ -233,7 +235,10 @@ def test_active_pairs_matches_the_loop():
         e += rng.choice([0.0, 1e-12, 1e-6]) * rng.standard_normal(n)
         res = residuals(RegressionData(np.ones((n, 1)), e), [0.0])
         for tie_tol in (0.0, 1e-9, 1e-5, default_tie_tol(res), 0.5):
-            assert active_pairs(res, tie_tol) == reference_active_pairs(res, tie_tol)
+            got = active_pairs(res, tie_tol)
+            want, want_pairs = reference_active_pairs(res, tie_tol)
+            assert got == want
+            assert got.pairs == want_pairs
             checked += 1
     assert checked == 750
 
@@ -255,6 +260,21 @@ def test_birkhoff_matches_the_loop(minimizers):
         with pytest.raises(ValueError) as want:
             reference_birkhoff(bad)
         assert str(got.value) == str(want.value)
+
+
+def test_perfect_matching_matches_the_recursion():
+    """Random bipartite graphs, sparse enough that augmenting paths backtrack
+    and some have no perfect matching: the same assignment, or None."""
+    rng = np.random.default_rng(21)
+    found = missing = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        edges = [sorted(rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False).tolist()) for _ in range(n)]
+        got = _perfect_matching(edges, n)
+        assert got == reference_perfect_matching(edges, n)
+        found += got is not None
+        missing += got is None
+    assert found > 50 and missing > 50
 
 
 def test_verify_certificate_matches_the_loop_on_genuine_and_forged_certificates(minimizers):

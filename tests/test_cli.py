@@ -244,6 +244,15 @@ def test_usage_errors_exit_one_not_two(capsys):
     assert run(capsys, "fit", "x.csv", "--direction", "first")[0] == 1  # the option is gone
 
 
+@pytest.mark.parametrize("flag", ["--tie-tol", "--lp-tol"])
+def test_nonfinite_tolerances_are_errors(worked_csv, capsys, flag):
+    data, scores = worked_csv
+    for value in ("nan", "inf"):
+        code, out, err = run(capsys, "fit", data, "--scores", f"file={scores}", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
+
 def test_log_env_handling(worked_csv, capsys, monkeypatch):
     data, scores = worked_csv
     monkeypatch.setenv("RANKWALK_LOG", "chatty")

@@ -122,6 +122,13 @@ def test_ggd_config_validation():
         GgdConfig(stall_window=0)
 
 
+@pytest.mark.parametrize("field", ["magnitude", "stop_tol", "lp_tol", "tie_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_ggd_config_rejects_bad_tolerances(field, value):
+    with pytest.raises(ValueError):
+        GgdConfig(**{field: value})
+
+
 def test_ggd_rejects_bad_start(worked):
     data, alpha = worked
     with pytest.raises(ValueError):

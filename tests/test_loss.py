@@ -69,20 +69,25 @@ def test_default_tie_tol(worked):
 def test_consistent_permutation_worked():
     res = Residuals(np.array([0.0, 1.0, 0.0]), np.zeros(1))
     assert consistent_permutation(res, TIE) == (0, 2, 1)
-    assert consistent_permutation(res, TIE, tie_break="desc") == (2, 0, 1)
     res = Residuals(np.array([5.0, 4.0, 3.0]), np.zeros(1))
     assert consistent_permutation(res, TIE) == (2, 1, 0)
     res = Residuals(np.array([7.0, 7.0, 7.0]), np.zeros(1))
     assert consistent_permutation(res, TIE) == (0, 1, 2)
-    assert consistent_permutation(res, TIE, tie_break="desc") == (2, 1, 0)
 
 
 def test_consistent_permutation_rejects():
     res = Residuals(np.array([1.0, 2.0]), np.zeros(1))
     with pytest.raises(ValueError):
         consistent_permutation(res, -1.0)
-    with pytest.raises(ValueError):
-        consistent_permutation(res, TIE, tie_break="up")
+
+
+@pytest.mark.parametrize("tie_tol", [float("nan"), float("inf"), -1e-12])
+def test_tie_blocks_reject_bad_tolerances(tie_tol):
+    res = Residuals(np.array([1.0, 2.0, 1.0]), np.zeros(1))
+    with pytest.raises(ValueError, match="tie tolerance"):
+        consistent_permutation(res, tie_tol)
+    with pytest.raises(ValueError, match="tie tolerance"):
+        active_pairs(res, tie_tol)
 
 
 def test_consistent_permutation_chain_property():
@@ -92,10 +97,9 @@ def test_consistent_permutation_chain_property():
         n = int(rng.integers(1, 9))
         e = rng.integers(-2, 3, size=n).astype(float)  # duplicates on purpose
         tie_tol = float(rng.choice([0.0, 1e-9, 0.5]))
-        for tie_break in ("asc", "desc"):
-            pi = consistent_permutation(Residuals(e, np.zeros(1)), tie_tol, tie_break)
-            assert sorted(pi) == list(range(n))
-            assert all(e[pi[k + 1]] - e[pi[k]] >= -tie_tol for k in range(n - 1))
+        pi = consistent_permutation(Residuals(e, np.zeros(1)), tie_tol)
+        assert sorted(pi) == list(range(n))
+        assert all(e[pi[k + 1]] - e[pi[k]] >= -tie_tol for k in range(n - 1))
 
 
 def test_eval_loss_worked(worked):
@@ -183,6 +187,5 @@ def test_active_pairs_block_structure():
         ranks = [i for b in ap.blocks for i in range(b.lo, b.hi + 1)]
         assert ranks == list(range(n))
         assert sum(len(b.observations) ** 2 for b in ap.blocks) == len(ap.pairs)
-        for tie_break in ("asc", "desc"):
-            pi = consistent_permutation(res, tie_tol, tie_break)
-            assert all((i, j) in ap.pairs for i, j in enumerate(pi))
+        pi = consistent_permutation(res, tie_tol)
+        assert all((i, j) in ap.pairs for i, j in enumerate(pi))

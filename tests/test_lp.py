@@ -112,6 +112,12 @@ def test_validation_errors():
         solve_lp(LinearProgram([1.0], [([1.0], "<=", 0.0)]), lp_tol=0.0)
 
 
+@pytest.mark.parametrize("lp_tol", [float("nan"), float("inf"), -1e-9])
+def test_lp_tol_must_be_finite_and_positive(lp_tol):
+    with pytest.raises(LpError, match="lp_tol"):
+        solve_lp(LinearProgram([1.0], [([1.0], ">=", 3.0)]), lp_tol=lp_tol)
+
+
 def test_validation_names_the_offending_row():
     ok = ([1.0], "<=", 1.0)
     cases = [

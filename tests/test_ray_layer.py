@@ -70,10 +70,10 @@ def ref_tie_blocks(e, tie_tol):
     return blocks
 
 
-def ref_consistent_permutation(res, tie_tol, tie_break="asc"):
+def ref_consistent_permutation(res, tie_tol):
     pi = []
     for block in ref_tie_blocks(res.e, tie_tol):
-        pi.extend(sorted(block, reverse=(tie_break == "desc")))
+        pi.extend(sorted(block))
     return tuple(pi)
 
 
@@ -127,17 +127,42 @@ def test_breakpoints_match_the_double_loop():
     assert total > 10_000
 
 
-def test_line_search_matches_the_scan():
-    searched = negative_zeros = 0
+def ref_slope(data, alpha, e, sigma, lo, hi):
+    """Slope of the loss along the ray on the open interval (lo, hi) of
+    steps, read in the residual order at its midpoint by a Python sort."""
+    d = (lo + hi) / 2.0
+    order = sorted(range(data.n), key=lambda i: (e[i] - d * sigma[i], i))
+    return float(sum(alpha.alpha[k] * -sigma[i] for k, i in enumerate(order)))
+
+
+def test_line_search_takes_the_first_nonnegative_slope():
+    searched = negative_zeros = plateaus = 0
     for data, beta, ell, alpha in instances(1, 240):
         res = residuals(data, beta)
         negative_zeros += int(np.any((res.e == 0.0) & np.signbit(res.e)))
         bps = breakpoints(data, beta, ell, default_tie_tol(res))
         if bps.steps.size == 0:
             continue
-        assert line_search(data, alpha, beta, ell, bps) == ref_line_search(data, alpha, beta, ell, bps.entries)
+        got = line_search(data, alpha, beta, ell, bps)
+        assert line_search(data, alpha, res, ell, bps) == got  # given as residuals
+        steps = sorted(set(bps.steps.tolist()))
+        assert got in steps
+        k = steps.index(got)
+        sigma = data.x @ np.asarray(ell, dtype=float)
+        if k > 0:
+            assert ref_slope(data, alpha, res.e, sigma, steps[k - 1], got) < 0.0
+        if k + 1 < len(steps):
+            assert ref_slope(data, alpha, res.e, sigma, got, steps[k + 1]) >= 0.0
+        scan = ref_line_search(data, alpha, beta, ell, bps.entries)
+        if got != scan:  # an exact plateau, on which the scan's rounding moved on
+            f_got = eval_loss(data, alpha, np.asarray(beta) + got * np.asarray(ell))
+            f_scan = eval_loss(data, alpha, np.asarray(beta) + scan * np.asarray(ell))
+            assert abs(f_got - f_scan) <= 1e-14 * max(abs(f_got), abs(f_scan))
+            assert got < scan
+            plateaus += 1
         searched += 1
     assert searched > 200
+    assert plateaus <= 2
     assert negative_zeros > 50
 
 
@@ -150,8 +175,8 @@ def _v_shape():
 def test_line_search_stops_at_the_first_rise(rise):
     # Steps 1..200 from beta0 = -(rise + 0.25): the loss falls up to step
     # `rise` and first rises at 0-based position `rise` of the sorted steps.
-    # Batches end after positions 7, 23, 55, 119 and 183, so the rises sit
-    # just before, at and just after their boundaries; 250 never rises.
+    # The rises sit at both ends and in runs of neighbours in between, so the
+    # bisection must settle on either side of a probe; 250 never rises.
     data, alpha = _v_shape()
     steps = np.arange(1.0, 201.0)
     bps = Breakpoints(np.zeros((steps.size, 2)), np.random.default_rng(rise).permutation(steps))
@@ -181,13 +206,22 @@ def test_line_search_raises_where_the_scan_would():
     assert line_search(data, alpha, [-1.0], [1e10], bps) == ref_line_search(data, alpha, [-1.0], [1e10], bps.entries)
 
 
+def test_line_search_orders_overflowed_residuals_by_their_limit():
+    # Along this ray the residuals are -d * (1e300, 2e300, 0): the order never
+    # changes and the slope 2e300 - 0.6e300 is positive, so the smallest step
+    # wins.  At the midpoint 5e307 the first two overflow to -inf; listed by
+    # index instead of by -sigma they would give the slope 1e300 - 1.2e300.
+    data = RegressionData(np.array([[1.0], [2.0], [0.0]]), np.zeros(3))
+    alpha = ScoreVector(np.array([-1.0, 0.6, 0.6]))
+    bps = Breakpoints(np.zeros((2, 2)), [1e308, 1.0])
+    assert line_search(data, alpha, [0.0], [1e300], bps) == 1.0
+
+
 def test_consistent_permutation_matches_the_block_sort():
     for data, beta, _, _ in instances(2, 240):
         res = residuals(data, beta)
         for tt in (default_tie_tol(res), 0.0, 0.3, 1.5):
-            for tie_break in ("asc", "desc"):
-                want = ref_consistent_permutation(res, tt, tie_break)
-                assert consistent_permutation(res, tt, tie_break=tie_break) == want
+            assert consistent_permutation(res, tt) == ref_consistent_permutation(res, tt)
 
 
 def test_cell_gradient_matches_the_reference():

@@ -276,8 +276,10 @@ def test_minimize_tie_break_independence(worked):
             data = RegressionData(rng.integers(-3, 4, size=(n, p)).astype(float),
                                   rng.integers(-3, 4, size=n).astype(float))
             alpha = normalize_scores(np.sort(rng.integers(-3, 4, size=n)).astype(float))
+        # Reversing the rows lists every tie block by descending original
+        # index, so the walk breaks each tie the other way.
         asc = minimize(data, alpha)
-        desc = minimize(data, alpha, config=WoaConfig(tie_break="desc"))
+        desc = minimize(RegressionData(data.x[::-1], data.y[::-1]), alpha)
         assert isinstance(asc, Minimizer) == isinstance(desc, Minimizer)
         if isinstance(asc, Minimizer):
             assert abs(asc.f_opt - desc.f_opt) < 1e-9
@@ -305,8 +307,15 @@ def test_config_validation():
         WoaConfig(lp_tol=0.0)
     with pytest.raises(ValueError):
         WoaConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        WoaConfig(tie_break="sideways")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tie_tol", float("nan")), ("tie_tol", float("inf")), ("tie_tol", -1e-12),
+    ("lp_tol", float("nan")), ("lp_tol", float("inf")), ("lp_tol", -1e-9),
+])
+def test_config_rejects_bad_tolerances(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        WoaConfig(**{field: value})
 
 
 def test_descending_ray_guard(worked):
