@@ -1,19 +1,28 @@
-"""Dense two-phase simplex for small linear programs over free variables.
+"""Dense two-phase simplex for small linear programs.
 
-Minimizes c.x subject to rows (a, relation, b) with relation one of
-"<=", ">=", "==".  Every variable is free; internally each is split into a
-difference of two nonnegative parts.  Outcomes are certified: an optimal point
-is re-checked against the original rows, an unbounded verdict carries a
-feasible point and a ray that is re-checked to stay feasible and strictly
-decrease the objective, and optimal results carry dual multipliers
-reconstructed from the final basis.
+The core solves standard form, min c.y subject to My = rhs and y >= 0 with
+rhs >= 0, from a given partial basis: a row that already holds a unit
+column (a slack) starts with it basic, and only the other rows get an
+artificial, so phase 1 runs only for them.  Two drivers pose programs for
+it, and both certify what they return: an optimal point is re-checked
+against the original rows, and an unbounded verdict carries a feasible
+point and a ray re-checked to stay feasible and strictly decrease the
+objective.
 
-Phase 1 starts from the slack basis wherever it can.  A row whose slack is
-feasible at the origin starts with that slack basic: "<=" rows with a
-nonnegative right-hand side, and ">=" rows with a zero right-hand side, which
-are stored negated as "<=".  Only rows the origin violates and "==" rows get
-an artificial, so a program posed at one of its own feasible points needs
-little or no phase 1.
+``solve_lp`` minimizes c.x over free variables subject to rows (a,
+relation, b), relation one of "<=", ">=", "==".  It splits each variable
+into a difference of two nonnegative parts and gives each inequality a
+slack.  A row whose slack is feasible at the origin starts with that slack
+basic: "<=" rows with a nonnegative right-hand side, and ">=" rows with a
+zero right-hand side, which are stored negated as "<=".  Optimal results
+carry dual multipliers reconstructed from the final basis.
+
+``_solve_by_dual`` minimizes c.v over free v subject to Av <= b, with A
+tall (m rows, p columns, m >> p), through its dual: min b.y subject to
+A^T y = -c and y >= 0, p rows and m columns, so the tableau is p x m and
+at most p artificials enter.  The primal point is the p x p solve of the
+basic rows; an infeasible dual is an unbounded primal, whose ray is the
+Farkas vector of phase 1.
 
 Pivoting is deterministic: largest reduced-cost violation with lowest-index
 tie breaks, switching to Bland's rule (lowest index only) once degenerate
@@ -24,7 +33,7 @@ LpNumericError rather than returning a wrong verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -166,10 +175,69 @@ def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, lp_tol: float, bland
     raise LpNumericError("pivot budget exhausted")
 
 
-def _point_from(T: np.ndarray, basis: np.ndarray, ncols: int, nv: int) -> np.ndarray:
-    xstd = np.zeros(ncols)
-    xstd[basis] = T[:, -1]
-    return xstd[:nv] - xstd[nv : 2 * nv]
+class _Std(NamedTuple):
+    """Where the standard-form core stops.  A feasible program gives its
+    final tableau ``T`` over the real columns (right-hand side last), the
+    basic column of each of its rows, the original rows those are (phase 1
+    drops dependent ones), and the entering column of an unbounded ray, if
+    any.  An infeasible one gives only ``farkas``: phase 1's multipliers u,
+    one per row, with u.M_j <= lp_tol for every column j and u.rhs > 0."""
+
+    T: np.ndarray | None = None
+    basis: np.ndarray | None = None
+    kept: np.ndarray | None = None
+    entering: int | None = None
+    farkas: np.ndarray | None = None
+
+
+def _standard(c, M, rhs, slack, lp_tol: float, bland: bool) -> _Std:
+    """Minimize c.y subject to My = rhs and y >= 0, where rhs >= 0.
+
+    ``slack[r]`` is a column of M equal to the r-th unit vector, basic in
+    row r at the start, or -1 where row r has none and gets an artificial."""
+    m, N = M.shape
+    art_rows = np.flatnonzero(slack < 0)
+    nart = art_rows.size
+    T = np.zeros((m, N + nart + 1))
+    T[:, :N] = M
+    T[art_rows, N + np.arange(nart)] = 1.0
+    T[:, -1] = rhs
+    basis = np.array(slack, dtype=np.intp)
+    basis[art_rows] = N + np.arange(nart)
+    kept = np.arange(m)
+
+    if nart:
+        start = basis.copy()
+        c1 = np.zeros(N + nart)
+        c1[N:] = 1.0
+        obj1 = _reduced_row(T, basis, c1)
+        if _run(T, obj1, basis, lp_tol, bland) is not None:
+            raise LpNumericError("phase 1 reported unbounded")
+        feas_tol = 10.0 * lp_tol * (1.0 + (abs(rhs).max() if m else 0.0))
+        if -obj1[-1] > feas_tol:
+            return _Std(farkas=c1[start] - obj1[start])
+        # Drive leftover artificials out of the basis; rows that cannot be
+        # pivoted on are dependent and get dropped.
+        drop = []
+        for r in np.flatnonzero(basis >= N).tolist():
+            row = np.abs(T[r, :N])
+            if row.size and row.max() > 1e-9:
+                _pivot(T, obj1, basis, r, int(row.argmax()))
+            else:
+                drop.append(r)
+        if drop:
+            keep_mask = np.ones(m, dtype=bool)
+            keep_mask[drop] = False
+            T = T[keep_mask]
+            basis = basis[keep_mask]
+            kept = kept[keep_mask]
+        if np.any(T[:, -1] < -feas_tol):
+            raise LpNumericError("negative basic value after phase 1 cleanup")
+        T[:, -1] = np.maximum(T[:, -1], 0.0)
+        T = np.hstack([T[:, :N], T[:, -1:]])
+
+    obj2 = _reduced_row(T, basis, c)
+    return _Std(T, basis, kept, _run(T, obj2, basis, lp_tol, bland))
 
 
 def _check_rows(A, rels, b, v, lp_tol, homogeneous: bool) -> bool:
@@ -200,61 +268,27 @@ def _simplex_once(c, A_raw, rels_raw, b_raw, lp_tol, bland) -> LpOutcome:
     slack_rows = np.flatnonzero(rels != "==")
     ns = slack_rows.size
     n_real = 2 * nv + ns
-    art_rows = np.flatnonzero(rels != "<=")
-    nart = art_rows.size
-
-    cols = np.zeros((m, n_real + nart))
-    cols[:, :nv] = A
-    cols[:, nv : 2 * nv] = -A
-    basis = np.full(m, -1, dtype=np.intp)
+    M = np.zeros((m, n_real))
+    M[:, :nv] = A
+    M[:, nv : 2 * nv] = -A
     upper = rels[slack_rows] == "<="
-    cols[slack_rows, 2 * nv + np.arange(ns)] = np.where(upper, 1.0, -1.0)
-    basis[slack_rows[upper]] = 2 * nv + np.flatnonzero(upper)
-    cols[art_rows, n_real + np.arange(nart)] = 1.0
-    basis[art_rows] = n_real + np.arange(nart)
-
-    A_std = cols[:, :n_real].copy()  # pristine, for dual reconstruction
-    T = np.hstack([cols, b[:, None]])
-    kept = np.arange(m)
-
-    if nart:
-        c1 = np.zeros(n_real + nart)
-        c1[n_real:] = 1.0
-        obj1 = _reduced_row(T, basis, c1)
-        if _run(T, obj1, basis, lp_tol, bland) is not None:
-            raise LpNumericError("phase 1 reported unbounded")
-        feas_tol = 10.0 * lp_tol * (1.0 + (abs(b).max() if m else 0.0))
-        if -obj1[-1] > feas_tol:
-            return LpInfeasible()
-        # Drive leftover artificials out of the basis; rows that cannot be
-        # pivoted on are dependent and get dropped.
-        drop = []
-        for r in np.flatnonzero(basis >= n_real).tolist():
-            j = int(np.argmax(np.abs(T[r, :n_real])))
-            if abs(T[r, j]) > 1e-9:
-                _pivot(T, obj1, basis, r, j)
-            else:
-                drop.append(r)
-        if drop:
-            keep_mask = np.ones(m, dtype=bool)
-            keep_mask[drop] = False
-            T = T[keep_mask]
-            basis = basis[keep_mask]
-            kept = kept[keep_mask]
-        if np.any(T[:, -1] < -feas_tol):
-            raise LpNumericError("negative basic value after phase 1 cleanup")
-        T[:, -1] = np.maximum(T[:, -1], 0.0)
-        T = np.hstack([T[:, :n_real], T[:, -1:]])
-
+    M[slack_rows, 2 * nv + np.arange(ns)] = np.where(upper, 1.0, -1.0)
+    slack = np.full(m, -1, dtype=np.intp)
+    slack[slack_rows[upper]] = 2 * nv + np.flatnonzero(upper)
     c2 = np.concatenate([c, -c, np.zeros(ns)])
-    obj2 = _reduced_row(T, basis, c2)
-    j_free = _run(T, obj2, basis, lp_tol, bland)
-    point = _point_from(T, basis, n_real, nv)
 
-    if j_free is not None:
+    std = _standard(c2, M, b, slack, lp_tol, bland)
+    if std.farkas is not None:
+        return LpInfeasible()
+    T, basis, kept = std.T, std.basis, std.kept
+    xstd = np.zeros(n_real)
+    xstd[basis] = T[:, -1]
+    point = xstd[:nv] - xstd[nv : 2 * nv]
+
+    if std.entering is not None:
         ray_std = np.zeros(n_real)
-        ray_std[j_free] = 1.0
-        ray_std[basis] = -T[:, j_free]
+        ray_std[std.entering] = 1.0
+        ray_std[basis] = -T[:, std.entering]
         ray = ray_std[:nv] - ray_std[nv : 2 * nv]
         top = np.abs(ray).max()
         if top <= 0.0:
@@ -273,7 +307,7 @@ def _simplex_once(c, A_raw, rels_raw, b_raw, lp_tol, bland) -> LpOutcome:
 
     dual = np.zeros(m)
     if kept.size:
-        B = A_std[kept][:, basis]
+        B = M[kept][:, basis]
         cb = c2[basis]
         try:
             y = np.linalg.solve(B.T, cb)
@@ -285,15 +319,94 @@ def _simplex_once(c, A_raw, rels_raw, b_raw, lp_tol, bland) -> LpOutcome:
     return LpOptimal(point, value, dual)
 
 
-def solve_lp(prob: LinearProgram, lp_tol: float = 1e-9) -> LpOutcome:
-    """Solve the program, retrying once under Bland's rule before giving up."""
+def _check_lp_tol(lp_tol: float):
     if not (np.isfinite(lp_tol) and lp_tol > 0.0):
         raise LpError("lp_tol must be finite and positive")
+
+
+def solve_lp(prob: LinearProgram, lp_tol: float = 1e-9) -> LpOutcome:
+    """Solve the program, retrying once under Bland's rule before giving up."""
+    _check_lp_tol(lp_tol)
     c, A, rels, b = _validate(prob)
     try:
         return _simplex_once(c, A, rels, b, lp_tol, bland=False)
     except LpNumericError:
         return _simplex_once(c, A, rels, b, lp_tol, bland=True)
+
+
+def _solve_by_dual(c, A, b, lp_tol: float = 1e-9) -> LpOutcome:
+    """Minimize c.v over free v subject to Av <= b, through the dual
+    min b.y subject to A^T y = -c and y >= 0 (see the module docstring).
+    An optimum carries the dual's y as its ``dual``, with A^T y = -c."""
+    _check_lp_tol(lp_tol)
+    try:
+        return _dual_once(c, A, b, lp_tol, bland=False)
+    except LpNumericError:
+        return _dual_once(c, A, b, lp_tol, bland=True)
+
+
+def _dual_once(c, A, b, lp_tol, bland) -> LpOutcome:
+    m, nv = A.shape
+    # Column j of the dual is row j of A scaled to unit max-norm, as
+    # solve_lp scales its rows; y_j comes back divided by the same factor.
+    scale = np.maximum(1.0, np.abs(A).max(axis=1))
+    sign = np.where(c > 0.0, -1.0, 1.0)  # dual rows negated to a right-hand side |c|
+    M = (A / scale[:, None]).T * sign[:, None]
+    cost = b / scale
+    no_slack = np.full(nv, -1, dtype=np.intp)
+    std = _standard(cost, M, np.abs(c), no_slack, lp_tol, bland)
+
+    if std.farkas is not None:  # no y: the primal is unbounded along the Farkas vector
+        ray = sign * std.farkas
+        top = np.abs(ray).max()
+        if top <= 0.0:
+            raise LpNumericError("unbounded ray vanished on the original variables")
+        ray = ray / top
+        if float(c @ ray) >= 0.0:
+            raise LpNumericError("unbounded ray does not decrease the objective")
+        if not _check_rows(A, "<=", b, ray, lp_tol, True):
+            raise LpNumericError("unbounded certificate failed verification")
+        point = np.zeros(nv)
+        if not _check_rows(A, "<=", b, point, lp_tol, False):
+            # The multipliers of min b.y subject to A^T y = 0, y >= 0 are a
+            # feasible point when it is bounded; when it is not, nothing is.
+            std = _standard(cost, M, np.zeros(nv), no_slack, lp_tol, bland)
+            if std.entering is not None:
+                return _infeasible(A, b, scale, std, lp_tol)
+            point = _basic_rows_point(A, b, std.basis)
+            if not _check_rows(A, "<=", b, point, lp_tol, False):
+                raise LpNumericError("unbounded certificate failed verification")
+        return LpUnbounded(point, ray)
+
+    if std.entering is not None:  # b.y unbounded below: no v satisfies the rows
+        return _infeasible(A, b, scale, std, lp_tol)
+    y = np.zeros(m)
+    y[std.basis] = std.T[:, -1] / scale[std.basis]
+    point = _basic_rows_point(A, b, std.basis)
+    value = float(c @ point)
+    gap_tol = 10.0 * lp_tol * (1.0 + np.abs(c) @ np.abs(point) + np.abs(b) @ y)
+    if not (_check_rows(A, "<=", b, point, lp_tol, False) and _check_rows(A.T, "==", -c, y, lp_tol, False)
+            and abs(value + float(b @ y)) <= gap_tol):
+        raise LpNumericError("optimal point failed verification")
+    return LpOptimal(point, value, y)
+
+
+def _basic_rows_point(A, b, basis) -> np.ndarray:
+    """The v on which the rows of the dual's basic columns hold with
+    equality: a p x p solve, least squares when phase 1 dropped rows."""
+    return np.linalg.lstsq(A[basis], b[basis], rcond=None)[0]
+
+
+def _infeasible(A, b, scale, std: _Std, lp_tol) -> LpInfeasible:
+    """Check the dual's unbounded ray r (r >= 0, A^T r = 0, b.r < 0), which
+    proves that no v satisfies Av <= b."""
+    r = np.zeros(A.shape[0])
+    r[std.entering] = 1.0
+    r[std.basis] = -std.T[:, std.entering]
+    r = np.maximum(r, 0.0) / scale
+    if not (float(b @ r) < 0.0 and _check_rows(A.T, "==", np.zeros(A.shape[1]), r, lp_tol, True)):
+        raise LpNumericError("infeasibility certificate failed verification")
+    return LpInfeasible()
 
 
 def find_feasible(constraints: Sequence[tuple], nvars: int | None = None,

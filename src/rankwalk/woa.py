@@ -28,10 +28,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .certificate import OptimalityCertificate, _descent_search, solve_certificate, verify_certificate
-from .loss import (ActivePairs, _as_residuals, _check_tie_tol, active_pairs, consistent_permutation,
-                   default_tie_tol, eval_loss, residuals)
-from .lp import LinearProgram, LpInfeasible, LpOptimal, LpOutcome, LpUnbounded, solve_lp
+from .certificate import OptimalityCertificate, _descent_search, verify_certificate
+from .loss import ActivePairs, _as_residuals, _check_tie_tol, active_pairs, default_tie_tol, eval_loss, residuals
+from .lp import LpInfeasible, LpOptimal, LpOutcome, LpUnbounded, _solve_by_dual
 from .model import RegressionData, sorted_scores
 
 log = logging.getLogger(__name__)
@@ -138,30 +137,34 @@ def region_bound(n: int, p: int) -> int:
 def cell_lp(data: RegressionData, alpha, pi, lp_tol: float = 1e-9, at=None) -> LpOutcome:
     """Minimize the loss restricted to the region of ordering ``pi``.
 
-    The program is posed in the offset from the point ``at`` (a beta or its
-    Residuals; the origin when None): row k reads
-    ``(x[pi[k+1]] - x[pi[k]]) . delta <= e[pi[k+1]] - e[pi[k]]`` with e the
-    residuals at ``at``.  When ``at`` lies in the region every right-hand
-    side is a nonnegative gap, every row starts with its slack basic, and
-    only rows the point violates (a tie it crossed within the tie
-    tolerance) need phase 1.  The program is exact, never clamped: the
-    answer is the same whatever ``at`` is.
+    The program is posed in the offset delta from the point ``at`` (a beta
+    or its Residuals; the origin when None): with A = diff(x[pi]),
+    b = diff(e[pi]) for the residuals e at ``at`` and grad = alpha . x[pi],
+    minimize -grad . delta subject to A delta <= b.  It is solved as its
+    dual, min b . y subject to A^T y = grad and y >= 0: p rows and n - 1
+    columns, so nothing of size n x n is built.  ``minimize`` poses each
+    region at its point in value order, ``np.argsort(e, kind="stable")``,
+    so b >= 0 exactly.  The program is exact, never clamped: the answer is
+    the same whatever ``at`` is.
 
-    Optimal outcomes carry the point ``at + delta`` and the full loss value
-    (response constant included); an unbounded outcome carries a translated
-    feasible point and a ray along which the loss itself is unbounded below.
+    An optimal outcome carries the point ``at + delta``, delta the solve of
+    the p rows that the dual's basis makes tight, the full loss value
+    (response constant included) and the dual's y.  An unbounded outcome
+    carries a ray along which the loss itself is unbounded below, the Farkas
+    vector of the infeasible dual, and a feasible point: ``at`` itself when
+    it lies in the region, else one read from the dual with b . y
+    minimized over A^T y = 0.  Every outcome is checked against the n - 1
+    rows of the region.
     """
     a = sorted_scores(alpha, data.n)
-    pi = tuple(pi)
+    pi = list(pi)
     if sorted(pi) != list(range(data.n)):
-        raise ValueError(f"{pi} is not a permutation of 0..{data.n - 1}")
+        raise ValueError(f"{tuple(pi)} is not a permutation of 0..{data.n - 1}")
     res = _as_residuals(data, np.zeros(data.p) if at is None else at)
-    xp = data.x[list(pi)]
-    ep = res.e[list(pi)]
+    xp = data.x[pi]
     grad = a.alpha @ xp
-    const = float(a.alpha @ data.y[list(pi)]) - float(grad @ res.beta)
-    rows = tuple(zip(np.diff(xp, axis=0), ("<=",) * (data.n - 1), np.diff(ep).tolist()))
-    out = solve_lp(LinearProgram(-grad, rows), lp_tol=lp_tol)
+    const = float(a.alpha @ data.y[pi]) - float(grad @ res.beta)
+    out = _solve_by_dual(-grad, np.diff(xp, axis=0), np.diff(res.e[pi]), lp_tol=lp_tol)
     if isinstance(out, LpOptimal):
         return LpOptimal(res.beta + out.point, const + out.value, out.dual)
     if isinstance(out, LpUnbounded):
@@ -220,10 +223,13 @@ def line_search(data: RegressionData, alpha, beta_star, direction, bps: Breakpoi
 
     Along the ray the loss is convex and piecewise linear, and between two
     consecutive steps its slope is ``alpha @ -sigma`` in the residual order
-    there (sigma = x @ direction).  A bisection over the sorted distinct
-    steps, reading each slope in the order at the midpoint of its interval,
-    returns the smallest step whose right-hand slope is nonnegative, or the
-    largest step if none is.  ``beta_star`` may also be given as its Residuals."""
+    there (sigma = x @ direction).  Reading each slope in the order at the
+    midpoint of its interval, the search returns the smallest step whose
+    right-hand slope is nonnegative, or the largest step if none is.  It
+    gallops first, probing intervals 0, 1, 3, 7, ... until a slope is
+    nonnegative, then bisects inside that bracket, so an answer at sorted
+    position k costs about 2 log2(k) probes.  ``beta_star`` may also be
+    given as its Residuals."""
     if bps.steps.size == 0:
         raise ValueError("no breakpoints to search")
     a = sorted_scores(alpha, data.n)
@@ -233,16 +239,25 @@ def line_search(data: RegressionData, alpha, beta_star, direction, bps: Breakpoi
     if not np.isfinite(steps).all():
         raise ValueError("beta must be finite")
     steps = steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
-    lo, hi = 0, steps.size - 1
     with np.errstate(over="ignore"):
         # Residuals that overflow to one infinity keep their limit order, by
         # -sigma; none do when none overflows at the largest step.
         exact = np.isfinite(e + steps[-1] * neg).all()
+
+        def rises(k: int) -> bool:  # slope >= 0 between steps k and k + 1
+            key = e + (0.5 * steps[k] + 0.5 * steps[k + 1]) * neg
+            order = np.argsort(key) if exact else np.lexsort((neg, key))
+            return a.alpha @ neg[order] >= 0.0
+
+        lo, hi, k = 0, steps.size - 1, 0
+        while k < hi:
+            if rises(k):
+                hi = k
+                break
+            lo, k = k + 1, 2 * k + 1
         while lo < hi:
             mid = (lo + hi) // 2
-            key = e + (0.5 * steps[mid] + 0.5 * steps[mid + 1]) * neg
-            order = np.argsort(key) if exact else np.lexsort((neg, key))
-            if a.alpha @ neg[order] >= 0.0:
+            if rises(mid):
                 hi = mid
             else:
                 lo = mid + 1
@@ -281,8 +296,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
 
     for it in range(cap):
         res = residuals(data, beta)
-        tt = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(res)
-        pi = consistent_permutation(res, tt)
+        pi = tuple(np.argsort(res.e, kind="stable").tolist())
         trace_now = WalkTrace(tuple(iterations))
         if pi in visited:
             raise WalkInvariantError(f"ordering {pi} revisited at iteration {it}", trace_now)
@@ -300,18 +314,15 @@ def minimize(data: RegressionData, alpha, beta0=None,
                 f"region minimum {f_star} did not improve on {iterations[-1].f_star}", trace_now)
         res_star = residuals(data, beta_star)
         tts = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(res_star)
-        ap = active_pairs(res_star, tts)
-        ell = improving_direction(data, a, ap, lp_tol=cfg.lp_tol)
-        if ell is None:
-            cert = solve_certificate(data, a, ap, lp_tol=cfg.lp_tol)
-            if cert is None:
-                raise WalkInvariantError("no improving direction, yet no certificate either", trace_now)
-            report = verify_certificate(data, a, beta_star, cert, tie_tol=tts)
+        found = _descent_search(data, a, active_pairs(res_star, tts), cfg.lp_tol)
+        if isinstance(found, OptimalityCertificate):
+            report = verify_certificate(data, a, beta_star, found, tie_tol=tts)
             if not report.ok:
                 raise WalkInvariantError(f"certificate failed verification: {report.failures}", trace_now)
             iterations.append(WalkIteration(pi, beta_star, f_star, None, None))
             log.info("minimizer found after %d iterations, loss %.12g", len(iterations), f_star)
-            return Minimizer(beta_star, f_star, cert, WalkTrace(tuple(iterations)))
+            return Minimizer(beta_star, f_star, found, WalkTrace(tuple(iterations)))
+        ell = found
         bps = breakpoints(data, res_star, ell, tts, lp_tol=cfg.lp_tol)
         if bps.steps.size == 0:
             iterations.append(WalkIteration(pi, beta_star, f_star, ell, None))

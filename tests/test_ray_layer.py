@@ -4,7 +4,9 @@
 ``cell_gradient`` compute on NumPy arrays; the reference functions below are
 the plain Python loops they replaced, kept here as the specification.  Every
 comparison is exact: the arrays do the same floating-point operations on the
-same operands, so not even the last bit may differ.
+same operands, so not even the last bit may differ.  The line search is the
+exception: it reads slopes where the scan read losses, and on an exact
+plateau the two may settle on different steps of equal loss.
 """
 
 import math
@@ -57,6 +59,34 @@ def ref_line_search(data, alpha, beta0, ell, entries):
             break
         prev_f = f
     return float(best_d)
+
+
+def ref_bisection(data, alpha, beta0, ell, bps):
+    """The line search without its galloping start: a plain bisection over
+    the sorted distinct steps, reading the slope at each interval's midpoint."""
+    e = residuals(data, beta0).e
+    neg = -(data.x @ np.asarray(ell, dtype=float))
+    steps = np.sort(bps.steps)
+    steps = steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
+    lo, hi = 0, steps.size - 1
+    with np.errstate(over="ignore"):
+        exact = np.isfinite(e + steps[-1] * neg).all()
+        while lo < hi:
+            mid = (lo + hi) // 2
+            key = e + (0.5 * steps[mid] + 0.5 * steps[mid + 1]) * neg
+            order = np.argsort(key) if exact else np.lexsort((neg, key))
+            if alpha.alpha @ neg[order] >= 0.0:
+                hi = mid
+            else:
+                lo = mid + 1
+    return float(steps[lo])
+
+
+def same_loss(data, alpha, beta0, ell, d1, d2):
+    """Equal losses at two steps, up to the rounding of an exact plateau."""
+    f1 = eval_loss(data, alpha, np.asarray(beta0) + d1 * np.asarray(ell))
+    f2 = eval_loss(data, alpha, np.asarray(beta0) + d2 * np.asarray(ell))
+    return abs(f1 - f2) <= 1e-14 * max(abs(f1), abs(f2))
 
 
 def ref_tie_blocks(e, tie_tol):
@@ -155,15 +185,40 @@ def test_line_search_takes_the_first_nonnegative_slope():
             assert ref_slope(data, alpha, res.e, sigma, got, steps[k + 1]) >= 0.0
         scan = ref_line_search(data, alpha, beta, ell, bps.entries)
         if got != scan:  # an exact plateau, on which the scan's rounding moved on
-            f_got = eval_loss(data, alpha, np.asarray(beta) + got * np.asarray(ell))
-            f_scan = eval_loss(data, alpha, np.asarray(beta) + scan * np.asarray(ell))
-            assert abs(f_got - f_scan) <= 1e-14 * max(abs(f_got), abs(f_scan))
+            assert same_loss(data, alpha, beta, ell, got, scan)
             assert got < scan
             plateaus += 1
+        bisection = ref_bisection(data, alpha, beta, ell, bps)
+        assert got == bisection or same_loss(data, alpha, beta, ell, got, bisection)
         searched += 1
     assert searched > 200
     assert plateaus <= 2
     assert negative_zeros > 50
+
+
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_line_search_finds_answers_at_either_end(end):
+    """Rays with sigma = x @ ell > 0 for every observation: under positive
+    weights the slope -alpha @ sigma[order] is negative on every interval,
+    so the answer is the largest step; under negative weights it is
+    positive everywhere, and the answer is the smallest."""
+    searched = 0
+    for data, beta, ell, _ in instances(4, 120):
+        rng = np.random.default_rng(data.n)
+        weights = np.sort(rng.uniform(0.5, 1.5, data.n))
+        alpha = ScoreVector(weights if end == "last" else -weights[::-1])
+        x = np.column_stack([np.ones(data.n), data.x])
+        ell = np.concatenate([[1.0 + np.abs(data.x @ ell).max()], ell])
+        shifted = RegressionData(x, data.y)
+        beta = np.concatenate([[0.0], beta])
+        bps = breakpoints(shifted, beta, ell, default_tie_tol(residuals(shifted, beta)))
+        if bps.steps.size == 0:
+            continue
+        want = float(bps.steps.max() if end == "last" else bps.steps.min())
+        assert line_search(shifted, alpha, beta, ell, bps) == want
+        assert ref_bisection(shifted, alpha, beta, ell, bps) == want
+        searched += 1
+    assert searched > 80
 
 
 def _v_shape():
