@@ -50,6 +50,7 @@ from .woa import (
     WalkError,
     WalkInvariantError,
     WalkIteration,
+    WalkNumericError,
     WalkTrace,
     WoaConfig,
     breakpoints,
@@ -68,7 +69,7 @@ __all__ = [
     "LpError", "LpInfeasible", "LpNumericError", "LpOptimal", "LpOutcome",
     "LpUnbounded", "Minimizer", "OptimalityCertificate", "OracleResult",
     "RegressionData", "Residuals", "ScoreVector", "TieBlock", "Unbounded",
-    "WalkError", "WalkInvariantError", "WalkIteration", "WalkTrace", "WoaConfig",
+    "WalkError", "WalkInvariantError", "WalkIteration", "WalkNumericError", "WalkTrace", "WoaConfig",
     "active_pairs", "birkhoff_decompose", "breakpoints", "cell_gradient",
     "cell_lp", "consistent_permutation", "default_tie_tol",
     "enumerate_nonempty_cells", "eval_loss", "eval_loss_bruteforce",

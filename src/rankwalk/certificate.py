@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import ActivePairs, active_pairs, default_tie_tol, eval_loss, fold_singletons, residuals
-from .lp import LinearProgram, LpNumericError, LpOptimal, solve_lp
+from .loss import ActivePairs, active_pairs, default_tie_tol, fold_singletons, residuals
+from .lp import LpNumericError, LpOptimal, _check_lp_tol, _solve_rows
 from .model import RegressionData, ScoreVector, as_score_vector, sorted_scores
 
 
@@ -51,8 +51,8 @@ class CertificateReport:
         return tuple(name for name, good, _ in self.conditions if not good)
 
 
-def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs,
-                    lp_tol: float) -> np.ndarray | OptimalityCertificate:
+def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_tol: float,
+                    R: np.ndarray | None = None) -> np.ndarray | OptimalityCertificate:
     """Decide whether the loss descends from the point of ``ap``: a direction
     ell with D(ell) < 0, or the certificate that none exists.
 
@@ -80,70 +80,91 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs,
     sum to 1 per block and balance lin (the relaxation leaves both
     conditions as they are), are merged into weighted whole orderings: the
     certificate, already decomposed.
-    """
-    fold = fold_singletons(data, a, ap)
-    x, p = data.x, data.p
-    blocks = [(np.array(blk.observations), a.alpha[blk.lo:blk.hi + 1]) for blk in fold.blocks]
-    base = [al @ x[obs] for obs, al in blocks]
-    thr = lp_tol * (1.0 + float(np.abs(fold.lin).sum())
-                    + sum(float(np.abs(al).sum() * np.abs(x[obs]).sum(axis=1).max()) for obs, al in blocks))
-    R = np.hstack([np.linalg.qr(x, mode="r"), np.zeros((min(data.n, p), len(blocks)))])
-    box = [(row, "<=", 1.0) for row in R] + [(row, ">=", -1.0) for row in R]
-    slope0 = -(fold.lin + sum(base, np.zeros(p)))
-    objective = np.concatenate([slope0, np.ones(len(blocks))])
-    cuts, rows, seen = [], [], set()
 
-    def add_cut(b, s) -> bool:
-        row = np.zeros(p + len(blocks))
-        row[:p] = blocks[b][1] @ x[s] - base[b]
+    The master's cut rows and box rows are stacked in one array and solved
+    past ``solve_lp``'s validation.  ``R`` may be given by a caller that
+    searches the same data more than once (``minimize`` factors x once per
+    fit); it is computed here otherwise.
+    """
+    _check_lp_tol(lp_tol)
+    fold = fold_singletons(data, a, ap)
+    x, p, n, K = data.x, data.p, data.n, len(fold.blocks)
+    obs_of = [np.array(blk.observations) for blk in fold.blocks]
+    x_of = [x[obs] for obs in obs_of]
+    al_of = [a.alpha[blk.lo:blk.hi + 1] for blk in fold.blocks]
+    base = [al @ xb for xb, al in zip(x_of, al_of)]
+    thr = lp_tol * (1.0 + float(np.abs(fold.lin).sum())
+                    + sum(float(np.abs(al).sum() * np.abs(xb).sum(axis=1).max()) for xb, al in zip(x_of, al_of)))
+    if R is None:
+        R = np.linalg.qr(x, mode="r")
+    width, r = p + K, R.shape[0]
+    box = np.zeros((2 * r, width))
+    box[:r, :p] = box[r:, :p] = R
+    box_rels, box_rhs = ["<="] * r + [">="] * r, [1.0] * r + [-1.0] * r
+    slope0 = -(fold.lin + sum(base, np.zeros(p)))
+    objective = np.concatenate([slope0, np.ones(K)])
+    rows, rhs, seen = [], [], set()
+    cuts = [[] for _ in range(K)]  # per block: (row, ordering) of each of its cuts
+
+    def add_cut(b, k) -> bool:
+        """Add the cut of block b's observations in the order k (positions in obs_of[b])."""
+        row = np.zeros(width)
+        row[:p] = al_of[b] @ x_of[b][k] - base[b]
         row[p + b] = 1.0
-        if (b, row.tobytes()) in seen:  # orderings of equal rows of x give equal cuts
+        key = (b, row.tobytes())
+        if key in seen:  # orderings of equal rows of x give equal cuts
             return False
-        seen.add((b, row.tobytes()))
-        cuts.append((b, s))
-        rows.append((row, ">=", -thr / (len(rows) + 2)))
+        seen.add(key)
+        cuts[b].append((len(rows), obs_of[b][k]))
+        rows.append(row)
+        rhs.append(-thr / (len(rhs) + 2))
         return True
 
-    for b, (obs, _) in enumerate(blocks):
-        add_cut(b, obs)
-        add_cut(b, obs[::-1])
+    for b, obs in enumerate(obs_of):
+        add_cut(b, np.arange(obs.size))
+        add_cut(b, np.arange(obs.size)[::-1])
     while True:
-        out = solve_lp(LinearProgram(objective, tuple(rows + box)), lp_tol=lp_tol)
+        out = _solve_rows(objective, np.vstack(rows + [box]), np.array([">="] * len(rows) + box_rels),
+                          np.array(rhs + box_rhs), lp_tol)
         if not isinstance(out, LpOptimal):
             raise LpNumericError(f"descent master returned {type(out).__name__}, expected an optimum")
-        ell = out.point[:p]
-        worst = [obs[np.argsort(-(x[obs] @ ell), kind="stable")] for obs, _ in blocks]
-        excess = [float((g - al @ x[s]) @ ell) for s, (_, al), g in zip(worst, blocks, base)]
+        ell, t = out.point[:p], out.point[p:].tolist()
         added = False
-        for b, s in enumerate(worst):
-            if excess[b] > out.point[p + b] + thr:
-                added = add_cut(b, s) or added
+        excess = []
+        for b, (xb, al, g) in enumerate(zip(x_of, al_of, base)):
+            k = np.argsort(-(xb @ ell), kind="stable")
+            excess.append(float((g - al @ xb[k]) @ ell))
+            if excess[b] > t[b] + thr:
+                added = add_cut(b, k) or added
         if not added:
             break
 
     if float(slope0 @ ell) + sum(excess) < -thr:
         return ell
-    weight = np.maximum(out.dual[:len(cuts)], 0.0)
+    weight = np.maximum(out.dual, 0.0)
     per_block = []
-    for b in range(len(blocks)):
-        mine = [k for k, (owner, _) in enumerate(cuts) if owner == b]
-        cum = np.cumsum(weight[mine])
+    for mine in cuts:
+        at, orders = zip(*mine)
+        cum = np.cumsum(weight[list(at)])
         if not cum[-1] > 0.0:
             raise LpNumericError("no ordering of a tie block carries weight")
         cum /= cum[-1]
         cum[-1] = 1.0
-        per_block.append((np.array([cuts[k][1] for k in mine]), cum))
-    ends = np.unique(np.concatenate([[1.0]] + [cum for _, cum in per_block]))
+        per_block.append((np.array(orders), cum))
+    ends = np.sort(np.concatenate([[1.0]] + [cum for _, cum in per_block]))
     ends = ends[ends > 0.0]
+    ends = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]
     starts = np.concatenate([[0.0], ends[:-1]])
-    pis = np.empty((ends.size, data.n), dtype=np.intp)
+    pis = np.empty((ends.size, n), dtype=np.intp)
     pis[:, fold.ranks] = fold.observations
+    mids = (starts + ends) / 2.0
     for blk, (orders, cum) in zip(fold.blocks, per_block):
-        pis[:, blk.lo:blk.hi + 1] = orders[np.searchsorted(cum, (starts + ends) / 2.0)]
+        pis[:, blk.lo:blk.hi + 1] = orders[np.searchsorted(cum, mids)]
     weights = ends - starts
-    G = np.zeros((data.n, data.n))
+    G = np.zeros((n, n))
+    ranks = np.arange(n)
     for w, pi in zip(weights, pis):
-        G[np.arange(data.n), pi] += w
+        G[ranks, pi] += w
     return OptimalityCertificate(G, tuple(zip(weights.tolist(), pis.tolist())))
 
 
@@ -256,8 +277,7 @@ def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertif
     conditions.append(("bistochastic", ok,
                        f"row dev {row_dev:.3g}, col dev {col_dev:.3g}, most negative {neg:.3g}"))
 
-    rank_block = np.repeat(np.arange(len(ap.blocks)), [len(blk.observations) for blk in ap.blocks])
-    support = rank_block[:, None] == np.array(ap.block_of)[None, :]
+    support = ap.label[:, None] == ap._block_of()[None, :]
     off = float(np.fmax.reduce(np.abs(G[~support]), initial=0.0))  # NaN entries are skipped
     conditions.append(("support", off <= 1e-9, f"largest entry off the realizable pairs {off:.3g}"))
 
@@ -270,12 +290,15 @@ def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertif
     positive = True
     consistent = True
     ranks = np.arange(n)
+    orders = []  # the orderings as index arrays, while every one is a permutation
     for w, pi in cert.decomposition:
         if w <= 0.0:
             positive = False
         if len(pi) != n or sorted(pi) != list(range(n)):
             consistent = False
             continue
+        pi = np.array(pi)
+        orders.append(pi)
         recomposed[ranks, pi] += w
         consistent = consistent and bool(support[ranks, pi].all())
     recomp_dev = float(np.abs(recomposed - G).max()) if cert.decomposition else float("inf")
@@ -287,8 +310,8 @@ def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertif
 
     certified = None
     if cert.decomposition and consistent:
-        certified = float(sum(w * float(a.alpha @ data.y[list(pi)]) for w, pi in cert.decomposition))
-        f_here = eval_loss(data, a, beta)
+        certified = float(sum(w * float(a.alpha @ data.y[pi]) for (w, _), pi in zip(cert.decomposition, orders)))
+        f_here = float(np.sort(res.e) @ a.alpha)  # eval_loss at beta, from the residuals already at hand
         ok = abs(certified - f_here) <= 1e-7 * (1.0 + abs(f_here))
         conditions.append(("value", ok, f"certified {certified:.12g} vs loss {f_here:.12g}"))
     else:

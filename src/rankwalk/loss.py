@@ -51,19 +51,59 @@ class TieBlock:
     observations: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActivePairs:
-    """The tie blocks at a point, in rank order, and the block of each
-    observation."""
+    """The tie blocks at a point: ``order`` lists the observations in rank
+    order (by value, then index) and ``label`` the block of each rank,
+    numbered from 0 upward, so block b holds the ranks where ``label == b``.
+    The blocks as ``TieBlock``s, the block of each observation and the
+    realizable pairs are derived from them when first read."""
 
-    blocks: tuple[TieBlock, ...]
-    block_of: tuple[int, ...]
+    order: np.ndarray
+    label: np.ndarray
+
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        """The first rank of every block, then n."""
+        label = self.label
+        return np.concatenate(([0], (label[1:] != label[:-1]).nonzero()[0] + 1, [label.size]))
+
+    @cached_property
+    def _split(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """The ranks alone in their block, and the rank range (lo, hi) of
+        every other block."""
+        lo, hi = self._bounds[:-1], self._bounds[1:] - 1
+        alone = lo == hi
+        return lo[alone], list(zip(lo[~alone].tolist(), hi[~alone].tolist()))
+
+    def _block(self, lo: int, hi: int) -> TieBlock:
+        return TieBlock(lo, hi, tuple(sorted(self.order[lo:hi + 1].tolist())))
+
+    @cached_property
+    def blocks(self) -> tuple[TieBlock, ...]:
+        """The tie blocks in rank order, observations listed by index."""
+        bounds = self._bounds.tolist()
+        return tuple(self._block(lo, hi - 1) for lo, hi in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def block_of(self) -> tuple[int, ...]:
+        """The block of each observation."""
+        return tuple(self._block_of().tolist())
+
+    def _block_of(self) -> np.ndarray:
+        out = np.empty(self.order.size, dtype=np.intp)
+        out[self.order] = self.label
+        return out
 
     @cached_property
     def pairs(self) -> frozenset[tuple[int, int]]:
         """The (rank, observation) pairs some consistent ordering realizes."""
-        return frozenset((i, j) for blk in self.blocks for i in range(blk.lo, blk.hi + 1)
-                         for j in blk.observations)
+        alone, runs = self._split
+        pairs = set(zip(alone.tolist(), self.order[alone].tolist()))
+        for lo, hi in runs:
+            obs = self.order[lo:hi + 1].tolist()
+            pairs.update((i, j) for i in range(lo, hi + 1) for j in obs)
+        return frozenset(pairs)
 
 
 def residuals(data: RegressionData, beta) -> Residuals:
@@ -93,7 +133,7 @@ def _as_residuals(data: RegressionData, point) -> Residuals:
 
 
 def default_tie_tol(res: Residuals) -> float:
-    return 1e-9 * (1.0 + float(np.max(np.abs(res.e))))
+    return 1e-9 * (1.0 + float(np.abs(res.e).max()))
 
 
 def _tie_order(e: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +141,8 @@ def _tie_order(e: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
     position: the transitive closure of |e_a - e_b| <= tie_tol over that
     order, blocks numbered from 0 upward."""
     order = np.argsort(e, kind="stable")
-    label = np.concatenate(([0], np.cumsum(np.diff(e[order]) > tie_tol)))
+    es = e[order]
+    label = np.concatenate(([0], np.cumsum(es[1:] - es[:-1] > tie_tol)))
     return order, label
 
 
@@ -123,14 +164,7 @@ def active_pairs(res: Residuals, tie_tol: float) -> ActivePairs:
     """The tie blocks of the residuals at this point: observation j can hold
     rank i in some consistent ordering exactly when both share a block."""
     _check_tie_tol(tie_tol)
-    order, label = _tie_order(res.e, tie_tol)
-    cuts = (np.flatnonzero(np.diff(label)) + 1).tolist()
-    obs = order.tolist()
-    blocks = tuple(TieBlock(lo, hi - 1, tuple(sorted(obs[lo:hi])))
-                   for lo, hi in zip([0] + cuts, cuts + [res.n]))
-    block_of = np.empty(res.n, dtype=np.intp)
-    block_of[order] = label
-    return ActivePairs(blocks, tuple(block_of.tolist()))
+    return ActivePairs(*_tie_order(res.e, tie_tol))
 
 
 @dataclass(frozen=True)
@@ -150,11 +184,10 @@ class TieFold:
 
 def fold_singletons(data: RegressionData, alpha: ScoreVector, ap: ActivePairs) -> TieFold:
     """Fold the singleton tie blocks of ``ap`` into a constant; see TieFold."""
-    single = [blk for blk in ap.blocks if len(blk.observations) == 1]
-    ranks = np.array([blk.lo for blk in single], dtype=np.intp)
-    obs = np.array([blk.observations[0] for blk in single], dtype=np.intp)
+    ranks, runs = ap._split
+    obs = ap.order[ranks]
     lin = alpha.alpha[ranks] @ data.x[obs]
-    blocks = tuple(blk for blk in ap.blocks if len(blk.observations) > 1)
+    blocks = tuple(ap._block(lo, hi) for lo, hi in runs)
     return TieFold(ranks, obs, lin, blocks)
 
 

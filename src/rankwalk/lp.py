@@ -10,12 +10,16 @@ point and a ray re-checked to stay feasible and strictly decrease the
 objective.
 
 ``solve_lp`` minimizes c.x over free variables subject to rows (a,
-relation, b), relation one of "<=", ">=", "==".  It splits each variable
-into a difference of two nonnegative parts and gives each inequality a
-slack.  A row whose slack is feasible at the origin starts with that slack
-basic: "<=" rows with a nonnegative right-hand side, and ">=" rows with a
-zero right-hand side, which are stored negated as "<=".  Optimal results
-carry dual multipliers reconstructed from the final basis.
+relation, b), relation one of "<=", ">=", "==".  It is the public wrapper:
+it validates the ``LinearProgram`` into arrays, c, A, the relations and b,
+and hands them to ``_solve_rows``.  Callers that already hold such arrays,
+like the descent search's master (its cut rows and box rows stacked in one
+matrix), enter at ``_solve_rows`` and skip the validation.  It splits each
+variable into a difference of two nonnegative parts and gives each
+inequality a slack.  A row whose slack is feasible at the origin starts with
+that slack basic: "<=" rows with a nonnegative right-hand side, and ">="
+rows with a zero right-hand side, which are stored negated as "<=".
+Optimal results carry dual multipliers reconstructed from the final basis.
 
 ``_solve_by_dual`` minimizes c.v over free v subject to Av <= b, with A
 tall (m rows, p columns, m >> p), through its dual: min b.y subject to
@@ -26,12 +30,17 @@ Farkas vector of phase 1.
 
 Pivoting is deterministic: largest reduced-cost violation with lowest-index
 tie breaks, switching to Bland's rule (lowest index only) once degenerate
-steps stall.  Anything the tableau cannot answer cleanly raises
-LpNumericError rather than returning a wrong verdict.
+steps stall; among rows tied in the ratio test, the one whose basic column
+has the lowest index leaves.  The tableaus are small (p rows for the cell
+LP, the cuts and the box for the master), so each pivot costs a handful of
+array operations and the ratio test runs over Python floats.  Anything the
+tableau cannot answer cleanly raises LpNumericError rather than returning a
+wrong verdict.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -128,14 +137,17 @@ def _validate_rows(cons, nv: int):
 def _reduced_row(T: np.ndarray, basis: np.ndarray, cvec: np.ndarray) -> np.ndarray:
     cb = cvec[basis]
     live = cb != 0.0
-    return np.append(cvec, 0.0) - cb[live] @ T[live]
+    obj = np.zeros(T.shape[1])
+    obj[:-1] = cvec
+    obj -= cb[live] @ T[live]
+    return obj
 
 
 def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     T[r] /= T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r])
+    T -= col[:, None] * T[r]
     obj -= obj[j] * T[r]
     T[:, j] = 0.0
     T[r, j] = 1.0
@@ -147,31 +159,41 @@ def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, lp_tol: float, bland
     """Pivot until optimal or unbounded.  Returns None or the entering column
     index whose ray is unbounded."""
     m, ncols1 = T.shape
+    rc = obj[:-1]  # a view: pivots update obj in place
     stall = 0
     stall_limit = 50 * max(1, m)
+    if rc.size == 0:
+        return None
     for _ in range(5000 + 60 * m + 10 * ncols1):
-        rc = obj[:-1]
-        cand = np.flatnonzero(rc < -lp_tol)
-        if cand.size == 0:
-            return None
-        j = cand[0] if bland else cand[np.argmin(rc[cand])]
-        col = T[:, j]
-        elig = np.flatnonzero(col > _PIVOT_TOL)
-        if elig.size == 0:
+        if bland:
+            neg = rc < -lp_tol
+            j = int(neg.argmax())
+            if not neg[j]:
+                return None
+        else:
+            j = int(rc.argmin())
+            if not rc[j] < -lp_tol:
+                return None
+        # The ratio test over Python floats: the tableaus here have few rows.
+        col = T[:, j].tolist()
+        elig = [i for i, a in enumerate(col) if a > _PIVOT_TOL]
+        if not elig:
             # Entries below the pivot tolerance are treated as nonpositive;
             # the unbounded verdict is re-verified against the original rows.
-            return int(j)
-        ratios = T[elig, -1] / col[elig]
-        best = ratios.min()
-        ties = elig[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        r = int(ties[np.argmin(basis[ties])])
+            return j
+        rhs = T[:, -1].tolist()
+        ratios = [rhs[i] / col[i] for i in elig]
+        best = min(ratios)
+        cut = best + 1e-12 * (1.0 + abs(best))
+        ties = [i for i, q in zip(elig, ratios) if q <= cut]
+        r = ties[0] if len(ties) == 1 else min(ties, key=basis.__getitem__)
         if best < _DEGEN_TOL:
             stall += 1
             if stall > stall_limit:
                 bland = True
         else:
             stall = 0
-        _pivot(T, obj, basis, r, int(j))
+        _pivot(T, obj, basis, r, j)
     raise LpNumericError("pivot budget exhausted")
 
 
@@ -198,12 +220,13 @@ def _standard(c, M, rhs, slack, lp_tol: float, bland: bool) -> _Std:
     m, N = M.shape
     art_rows = np.flatnonzero(slack < 0)
     nart = art_rows.size
+    art = N + np.arange(nart)
     T = np.zeros((m, N + nart + 1))
     T[:, :N] = M
-    T[art_rows, N + np.arange(nart)] = 1.0
+    T[art_rows, art] = 1.0
     T[:, -1] = rhs
     basis = np.array(slack, dtype=np.intp)
-    basis[art_rows] = N + np.arange(nart)
+    basis[art_rows] = art
     kept = np.arange(m)
 
     if nart:
@@ -231,47 +254,50 @@ def _standard(c, M, rhs, slack, lp_tol: float, bland: bool) -> _Std:
             T = T[keep_mask]
             basis = basis[keep_mask]
             kept = kept[keep_mask]
-        if np.any(T[:, -1] < -feas_tol):
+        if (T[:, -1] < -feas_tol).any():
             raise LpNumericError("negative basic value after phase 1 cleanup")
-        T[:, -1] = np.maximum(T[:, -1], 0.0)
-        T = np.hstack([T[:, :N], T[:, -1:]])
+        T = np.concatenate([T[:, :N], np.maximum(T[:, -1:], 0.0)], axis=1)  # drop the artificials
 
     obj2 = _reduced_row(T, basis, c)
     return _Std(T, basis, kept, _run(T, obj2, basis, lp_tol, bland))
 
 
-def _check_rows(A, rels, b, v, lp_tol, homogeneous: bool) -> bool:
+def _check_rows(A, rel, b, v, lp_tol, homogeneous: bool) -> bool:
+    """Whether A v (rel) b holds row by row within the LP tolerance, or
+    A v (rel) 0 when ``homogeneous``.  ``rel`` is "<=" or "==" for every
+    row, or the masks (le, ge) of the "<=" and ">=" rows, the rest "=="."""
     lhs = A @ v
-    rhs = np.zeros_like(b) if homogeneous else b
+    rhs = 0.0 if homogeneous else b
     tol = 10.0 * lp_tol * (1.0 + np.abs(rhs) + np.abs(A) @ np.abs(v))
-    bad = np.where(rels == "<=", lhs > rhs + tol,
-                   np.where(rels == ">=", lhs < rhs - tol, np.abs(lhs - rhs) > tol))
+    if rel == "<=":
+        bad = lhs > rhs + tol
+    elif rel == "==":
+        bad = np.abs(lhs - rhs) > tol
+    else:
+        le, ge = rel
+        bad = np.where(le, lhs > rhs + tol, np.where(ge, lhs < rhs - tol, np.abs(lhs - rhs) > tol))
     return not bad.any()
 
 
 def _simplex_once(c, A_raw, rels_raw, b_raw, lp_tol, bland) -> LpOutcome:
     m, nv = A_raw.shape
+    le, ge = rels = (rels_raw == "<=", rels_raw == ">=")
 
     scale = np.maximum(1.0, np.abs(A_raw).max(axis=1))
-    A = A_raw / scale[:, None]
     b = b_raw / scale
     # Rows the origin violates are negated, and so are ">=" rows with a zero
     # right-hand side: stored as "<=", their slack starts basic.
-    flip = (b < 0.0) | ((b == 0.0) & (rels_raw == ">="))
-    A[flip] = -A[flip]
-    b[flip] = -b[flip]
+    flip = (b < 0.0) | ((b == 0.0) & ge)
     sign = np.where(flip, -1.0, 1.0)
-    rels = rels_raw.copy()
-    rels[flip & (rels_raw == "<=")] = ">="
-    rels[flip & (rels_raw == ">=")] = "<="
-
-    slack_rows = np.flatnonzero(rels != "==")
+    b *= sign
+    slack_rows = np.flatnonzero(le | ge)
+    upper = np.where(flip, ge, le)[slack_rows]  # stored as "<="
     ns = slack_rows.size
     n_real = 2 * nv + ns
     M = np.zeros((m, n_real))
-    M[:, :nv] = A
-    M[:, nv : 2 * nv] = -A
-    upper = rels[slack_rows] == "<="
+    A = np.divide(A_raw, scale[:, None], out=M[:, :nv])
+    A *= sign[:, None]
+    np.negative(A, out=M[:, nv : 2 * nv])
     M[slack_rows, 2 * nv + np.arange(ns)] = np.where(upper, 1.0, -1.0)
     slack = np.full(m, -1, dtype=np.intp)
     slack[slack_rows[upper]] = 2 * nv + np.flatnonzero(upper)
@@ -296,18 +322,18 @@ def _simplex_once(c, A_raw, rels_raw, b_raw, lp_tol, bland) -> LpOutcome:
         ray = ray / top
         if float(c @ ray) >= 0.0:
             raise LpNumericError("unbounded ray does not decrease the objective")
-        if not (_check_rows(A_raw, rels_raw, b_raw, point, lp_tol, False)
-                and _check_rows(A_raw, rels_raw, b_raw, ray, lp_tol, True)):
+        if not (_check_rows(A_raw, rels, b_raw, point, lp_tol, False)
+                and _check_rows(A_raw, rels, b_raw, ray, lp_tol, True)):
             raise LpNumericError("unbounded certificate failed verification")
         return LpUnbounded(point, ray)
 
-    if not _check_rows(A_raw, rels_raw, b_raw, point, lp_tol, False):
+    if not _check_rows(A_raw, rels, b_raw, point, lp_tol, False):
         raise LpNumericError("optimal point failed feasibility verification")
     value = float(c @ point)
 
     dual = np.zeros(m)
     if kept.size:
-        B = M[kept][:, basis]
+        B = M[kept[:, None], basis]
         cb = c2[basis]
         try:
             y = np.linalg.solve(B.T, cb)
@@ -320,14 +346,19 @@ def _simplex_once(c, A_raw, rels_raw, b_raw, lp_tol, bland) -> LpOutcome:
 
 
 def _check_lp_tol(lp_tol: float):
-    if not (np.isfinite(lp_tol) and lp_tol > 0.0):
+    if not (math.isfinite(lp_tol) and lp_tol > 0.0):
         raise LpError("lp_tol must be finite and positive")
 
 
 def solve_lp(prob: LinearProgram, lp_tol: float = 1e-9) -> LpOutcome:
     """Solve the program, retrying once under Bland's rule before giving up."""
     _check_lp_tol(lp_tol)
-    c, A, rels, b = _validate(prob)
+    return _solve_rows(*_validate(prob), lp_tol)
+
+
+def _solve_rows(c, A, rels, b, lp_tol: float) -> LpOutcome:
+    """``solve_lp`` on rows already validated: c and b float vectors, A a
+    float matrix and rels an array of relations, one per row."""
     try:
         return _simplex_once(c, A, rels, b, lp_tol, bland=False)
     except LpNumericError:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .certificate import OptimalityCertificate, _descent_search, verify_certificate
 from .loss import ActivePairs, _as_residuals, _check_tie_tol, active_pairs, default_tie_tol, eval_loss, residuals
-from .lp import LpInfeasible, LpOptimal, LpOutcome, LpUnbounded, _solve_by_dual
+from .lp import LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, _solve_by_dual
 from .model import RegressionData, sorted_scores
 
 log = logging.getLogger(__name__)
@@ -52,6 +52,18 @@ class WalkInvariantError(WalkError):
 class IterationBudgetError(WalkError):
     def __init__(self, message: str, trace: "WalkTrace"):
         super().__init__(message)
+        self.trace = trace
+
+
+class WalkNumericError(WalkError):
+    """A layer's simplex refused to report a verdict on the program the walk
+    posed (an LpNumericError, chained as the cause).  ``layer`` names it,
+    "cell_lp" or "descent_search", and ``trace`` holds the iterations
+    completed before it."""
+
+    def __init__(self, message: str, layer: str, trace: "WalkTrace"):
+        super().__init__(message)
+        self.layer = layer
         self.trace = trace
 
 
@@ -157,14 +169,16 @@ def cell_lp(data: RegressionData, alpha, pi, lp_tol: float = 1e-9, at=None) -> L
     rows of the region.
     """
     a = sorted_scores(alpha, data.n)
-    pi = list(pi)
-    if sorted(pi) != list(range(data.n)):
-        raise ValueError(f"{tuple(pi)} is not a permutation of 0..{data.n - 1}")
+    given = pi if isinstance(pi, np.ndarray) else list(pi)
+    pi = np.asarray(given)
+    if pi.shape != (data.n,) or not (np.sort(pi) == np.arange(data.n)).all():
+        raise ValueError(f"{tuple(given)} is not a permutation of 0..{data.n - 1}")
     res = _as_residuals(data, np.zeros(data.p) if at is None else at)
     xp = data.x[pi]
+    ep = res.e[pi]
     grad = a.alpha @ xp
     const = float(a.alpha @ data.y[pi]) - float(grad @ res.beta)
-    out = _solve_by_dual(-grad, np.diff(xp, axis=0), np.diff(res.e[pi]), lp_tol=lp_tol)
+    out = _solve_by_dual(-grad, xp[1:] - xp[:-1], ep[1:] - ep[:-1], lp_tol=lp_tol)
     if isinstance(out, LpOptimal):
         return LpOptimal(res.beta + out.point, const + out.value, out.dual)
     if isinstance(out, LpUnbounded):
@@ -279,8 +293,9 @@ def minimize(data: RegressionData, alpha, beta0=None,
     minimizer, or detect that the loss is unbounded below.
 
     Weights are sorted on entry; their input order never matters.  Raises
-    IterationBudgetError if the iteration cap is hit and WalkInvariantError if
-    a runtime descent assertion fails.
+    IterationBudgetError if the iteration cap is hit, WalkInvariantError if
+    a runtime descent assertion fails, and WalkNumericError if the simplex
+    of the cell LP or of the descent search degrades numerically.
     """
     cfg = config or WoaConfig()
     a = sorted_scores(alpha, data.n)
@@ -293,15 +308,20 @@ def minimize(data: RegressionData, alpha, beta0=None,
     cap = cfg.max_iter if cfg.max_iter is not None else min(10 ** 6, region_bound(data.n, data.p))
     iterations: list[WalkIteration] = []
     visited: set[tuple[int, ...]] = set()
+    R = np.linalg.qr(data.x, mode="r")  # the descent search's box, once per fit
 
     for it in range(cap):
         res = residuals(data, beta)
-        pi = tuple(np.argsort(res.e, kind="stable").tolist())
+        order = np.argsort(res.e, kind="stable")
+        pi = tuple(order.tolist())
         trace_now = WalkTrace(tuple(iterations))
         if pi in visited:
             raise WalkInvariantError(f"ordering {pi} revisited at iteration {it}", trace_now)
         visited.add(pi)
-        out = cell_lp(data, a, pi, lp_tol=cfg.lp_tol, at=res)
+        try:
+            out = cell_lp(data, a, order, lp_tol=cfg.lp_tol, at=res)
+        except LpNumericError as exc:
+            raise WalkNumericError(f"cell_lp failed at iteration {it}: {exc}", "cell_lp", trace_now) from exc
         if isinstance(out, LpInfeasible):
             raise WalkInvariantError(f"region of the current ordering {pi} came back empty", trace_now)
         if isinstance(out, LpUnbounded):
@@ -314,7 +334,11 @@ def minimize(data: RegressionData, alpha, beta0=None,
                 f"region minimum {f_star} did not improve on {iterations[-1].f_star}", trace_now)
         res_star = residuals(data, beta_star)
         tts = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(res_star)
-        found = _descent_search(data, a, active_pairs(res_star, tts), cfg.lp_tol)
+        try:
+            found = _descent_search(data, a, active_pairs(res_star, tts), cfg.lp_tol, R)
+        except LpNumericError as exc:
+            raise WalkNumericError(f"descent_search failed at iteration {it}: {exc}", "descent_search",
+                                   trace_now) from exc
         if isinstance(found, OptimalityCertificate):
             report = verify_certificate(data, a, beta_star, found, tie_tol=tts)
             if not report.ok:

@@ -21,14 +21,15 @@ from rankwalk import (
     verify_certificate,
 )
 from rankwalk.certificate import _perfect_matching
-from rankwalk.loss import ActivePairs, TieBlock, _tie_order
+from rankwalk.loss import TieBlock, _tie_order
 from rankwalk.model import as_score_vector
 
 KINDS = ("sign", "wilcoxon", "van_der_waerden")
 
 
 def reference_active_pairs(res, tie_tol):
-    """The tie blocks as ActivePairs, and the realizable pairs by a loop."""
+    """The tie blocks, the block of each observation and the realizable
+    pairs, by a loop."""
     blocks = []
     pairs = set()
     block_of = [0] * res.n
@@ -44,7 +45,7 @@ def reference_active_pairs(res, tie_tol):
         for j in obs:
             block_of[j] = b
         lo = hi + 1
-    return ActivePairs(tuple(blocks), tuple(block_of)), frozenset(pairs)
+    return tuple(blocks), tuple(block_of), frozenset(pairs)
 
 
 def reference_perfect_matching(edges, n):
@@ -109,7 +110,7 @@ def reference_verify(data, alpha, beta, cert, tie_tol=None):
     n = data.n
     res = residuals(data, beta)
     tt = default_tie_tol(res) if tie_tol is None else tie_tol
-    _, pairs = reference_active_pairs(res, tt)
+    *_, pairs = reference_active_pairs(res, tt)
     G = np.asarray(cert.G, dtype=float)
     conditions = []
 
@@ -236,8 +237,9 @@ def test_active_pairs_matches_the_loop():
         res = residuals(RegressionData(np.ones((n, 1)), e), [0.0])
         for tie_tol in (0.0, 1e-9, 1e-5, default_tie_tol(res), 0.5):
             got = active_pairs(res, tie_tol)
-            want, want_pairs = reference_active_pairs(res, tie_tol)
-            assert got == want
+            want_blocks, want_block_of, want_pairs = reference_active_pairs(res, tie_tol)
+            assert got.blocks == want_blocks
+            assert got.block_of == want_block_of
             assert got.pairs == want_pairs
             checked += 1
     assert checked == 750

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import rankwalk
+from rankwalk import LpNumericError
 from rankwalk.cli import main
 
 WORKED_CSV = "y,x1\n0,0\n1,1\n0,2\n"
@@ -263,3 +265,15 @@ def test_log_env_handling(worked_csv, capsys, monkeypatch):
     code, _, err = run(capsys, "eval", data, "--scores", f"file={scores}", "--beta", "0")
     assert code == 0
     assert "unknown" not in err
+
+
+@pytest.mark.parametrize("layer,name", [("cell_lp", "cell_lp"), ("_descent_search", "descent_search")])
+def test_fit_reports_the_layer_of_a_numeric_failure(worked_csv, capsys, monkeypatch, layer, name):
+    def failing(*args, **kwargs):
+        raise LpNumericError("pivot budget exhausted")
+
+    monkeypatch.setattr(rankwalk.woa, layer, failing)
+    data, scores = worked_csv
+    code, out, err = run(capsys, "fit", data, "--scores", f"file={scores}")
+    assert code == 1 and out == ""
+    assert name in err and "pivot budget exhausted" in err

@@ -128,13 +128,14 @@ def test_lp_columns_follow_the_tie_blocks(monkeypatch):
     nontrivial tie blocks, where the unreduced systems had p + 2n and
     |pairs|."""
     shapes = []
-    original = rankwalk.certificate.solve_lp
+    original = rankwalk.certificate._solve_rows
 
-    def recording(prob, **kwargs):
-        shapes.append(len(prob.objective))
-        return original(prob, **kwargs)
+    def recording(c, A, rels, b, lp_tol):
+        shapes.append(len(c))
+        assert A.shape[1] == len(c)
+        return original(c, A, rels, b, lp_tol)
 
-    monkeypatch.setattr(rankwalk.certificate, "solve_lp", recording)
+    monkeypatch.setattr(rankwalk.certificate, "_solve_rows", recording)
     rng = np.random.default_rng(5)
     probed = 0
     for data, alpha in cases():

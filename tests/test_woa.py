@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
+import rankwalk
 from rankwalk import (
     Breakpoints,
     IterationBudgetError,
+    LpNumericError,
     LpOptimal,
     LpUnbounded,
     Minimizer,
     RegressionData,
     Unbounded,
+    WalkError,
     WalkInvariantError,
+    WalkNumericError,
+    WalkTrace,
     WoaConfig,
     active_pairs,
     breakpoints,
@@ -290,6 +295,42 @@ def test_minimize_iteration_budget(worked):
     with pytest.raises(IterationBudgetError) as info:
         minimize(data, alpha, beta0=[-2.0], config=WoaConfig(max_iter=1))
     assert len(info.value.trace.iterations) == 1
+
+
+def failing_on_call(monkeypatch, layer, call):
+    """Make ``rankwalk.woa.<layer>`` raise LpNumericError on its ``call``-th
+    call, running the real layer before that."""
+    original = getattr(rankwalk.woa, layer)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == call:
+            raise LpNumericError("pivot budget exhausted")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rankwalk.woa, layer, wrapped)
+
+
+@pytest.mark.parametrize("layer,name", [("cell_lp", "cell_lp"), ("_descent_search", "descent_search")])
+def test_numeric_failure_names_its_layer_and_keeps_the_trace(monkeypatch, layer, name):
+    rng = np.random.default_rng(4)
+    x = np.column_stack([np.ones(40), rng.standard_normal(40)])
+    data = RegressionData(x, x @ rng.standard_normal(2) + rng.standard_t(2, 40))
+    alpha = make_scores("wilcoxon", 40)
+    full = minimize(data, alpha)
+    assert isinstance(full, Minimizer) and len(full.trace.iterations) >= 2
+    failing_on_call(monkeypatch, layer, 2)
+    with pytest.raises(WalkNumericError) as info:
+        minimize(data, alpha)
+    err = info.value
+    assert isinstance(err, WalkError) and err.layer == name and name in str(err)
+    assert isinstance(err.__cause__, LpNumericError)
+    assert isinstance(err.trace, WalkTrace)
+    def summary(iterations):
+        return [(it.pi, it.f_star, it.d_star) for it in iterations]
+
+    assert summary(err.trace.iterations) == summary(full.trace.iterations[:1])  # those before the failure
 
 
 def test_minimize_rejects_bad_start(worked):
