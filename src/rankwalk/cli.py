@@ -219,7 +219,7 @@ def cmd_compare(args) -> int:
         "outcome": "minimizer",
         "walk": {"iterations": len(outcome.trace.iterations), "F_opt": float(outcome.f_opt)},
         "ggd": {"iterations": baseline.trace.n_iterations, "F": float(baseline.f),
-                "stop_reason": baseline.trace.stop_reason},
+                "stop_reason": baseline.trace.stop_reason, "perturbations": baseline.trace.n_perturbations},
         "gap": float(baseline.f - outcome.f_opt),
     }))
     return 0

@@ -2,10 +2,16 @@
 
 Follows the exact negative gradient inside a smooth region with an exact line
 search over the ordering-change points, and nudges off tie points where the
-loss is not differentiable.  Candidate steps that fail to improve the best
-loss are rejected, so the recorded loss values only ever decrease.  The method
-carries no optimality test: it stops on stall, budget, flatness, or an
-unbounded ray, and reports which.
+loss is not differentiable.  Each exact line search ends on a breakpoint,
+which is a tie, so almost every iteration starts with a nudge.  Candidate
+steps that fail to improve the best loss are rejected, so the recorded loss
+values only ever decrease.  The method carries no optimality test: it stops
+on stall, budget, flatness, or an unbounded ray, and reports which.
+
+Each point's residuals are computed once: those of an accepted candidate
+become the next iteration's start, and the loss and tie tolerance are read
+from them.  The ray is searched with the array core behind ``breakpoints``
+and ``line_search`` (``woa._steps`` and ``woa._line_search``).
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import _as_residuals, _check_tie_tol, _tie_order, default_tie_tol, eval_loss, residuals
+from .loss import _as_residuals, _check_tie_tol, default_tie_tol, residuals
 from .model import RegressionData, sorted_scores
-from .woa import breakpoints, line_search
+from .woa import _direction, _line_search, _steps
 
 PERTURBATIONS = ("random", "prolong")
 
@@ -61,13 +67,15 @@ class GgdResult:
 
 
 def cell_gradient(data: RegressionData, alpha, beta, tie_tol: float | None = None) -> np.ndarray | None:
-    """Gradient of the loss where it is smooth, None on a tie point.
-    ``beta`` may also be given as its Residuals."""
+    """Gradient of the loss where it is smooth, None on a tie point: where
+    two sorted residuals lie within the tie tolerance.  ``beta`` may also be
+    given as its Residuals."""
     a = sorted_scores(alpha, data.n)
     res = _as_residuals(data, beta)
     tt = default_tie_tol(res) if tie_tol is None else tie_tol
-    order, label = _tie_order(res.e, tt)
-    if label[-1] != data.n - 1:  # some block holds two observations
+    order = np.argsort(res.e, kind="stable")
+    es = res.e[order]
+    if not (es[1:] - es[:-1] > tt).all():
         return None
     return -(a.alpha @ data.x[order])
 
@@ -99,7 +107,8 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
         raise ValueError("beta0 must be a finite vector of width p")
     rng = np.random.default_rng(cfg.seed)
 
-    f_best = eval_loss(data, a, beta)
+    res = residuals(data, beta)
+    f_best = float(np.sort(res.e) @ a.alpha)
     points = [beta.copy()]
     f_values = [f_best]
     last_dir: np.ndarray | None = None
@@ -110,37 +119,35 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
 
     for _ in range(cfg.max_iter):
         n_iter += 1
-        start = beta
-        res = residuals(data, start)
-        grad = cell_gradient(data, a, res, cfg.tie_tol)
-        if grad is None:
-            scale = 1.0
-            for _attempt in range(16):
+        start, scale = res, 1.0  # the residuals of beta, kept from the step that reached it
+        for nudge in range(17):  # beta itself, then up to 16 nudges off its ties
+            if nudge:
                 n_perturb += 1
-                start = _nudge(beta, last_dir, scale, rng, cfg)
-                res = residuals(data, start)
-                grad = cell_gradient(data, a, res, cfg.tie_tol)
-                if grad is not None:
-                    break
+                start = residuals(data, _nudge(beta, last_dir, scale, rng, cfg))
                 scale *= 1.7
-            if grad is None:
-                stop_reason = "stuck_on_ties"
+            tt = default_tie_tol(start) if cfg.tie_tol is None else cfg.tie_tol
+            grad = cell_gradient(data, a, start, tt)
+            if grad is not None:
                 break
+        if grad is None:
+            stop_reason = "stuck_on_ties"
+            break
         if float(np.abs(grad).max()) == 0.0:
             stop_reason = "zero_gradient"
             break
-        direction = -grad
-        tt = default_tie_tol(res) if cfg.tie_tol is None else cfg.tie_tol
-        bps = breakpoints(data, res, direction, tt, lp_tol=cfg.lp_tol)
-        if bps.steps.size == 0:
+        direction = _direction(data, -grad)
+        sigma = data.x @ direction
+        _, steps = _steps(start.e, sigma, tt, cfg.lp_tol)
+        if steps.size == 0:
             stop_reason = "unbounded_direction"
             break
-        d = line_search(data, a, res, direction, bps)
-        candidate = start + d * direction
-        f_cand = eval_loss(data, a, candidate)
+        d = _line_search(a.alpha, start.e, -sigma, steps)
+        candidate = start.beta + d * direction
+        cand = residuals(data, candidate)
+        f_cand = float(np.sort(cand.e) @ a.alpha)  # eval_loss at the candidate, from its residuals
         if f_cand < f_best:
             improvement = f_best - f_cand
-            beta = candidate
+            beta, res = candidate, cand
             f_best = f_cand
             last_dir = direction
             points.append(candidate.copy())

@@ -207,6 +207,66 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _direction(data: RegressionData, direction) -> np.ndarray:
+    """``direction`` as a float vector, checked to be finite, nonzero and of
+    width p."""
+    ell = np.array(direction, dtype=float).ravel()
+    if ell.shape[0] != data.p or not np.isfinite(ell).all():
+        raise ValueError("direction must be a finite vector of width p")
+    if float(np.abs(ell).max()) == 0.0:
+        raise ValueError("direction must be nonzero")
+    return ell
+
+
+def _steps(e: np.ndarray, sigma: np.ndarray, tie_tol: float, lp_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The breakpoints of the ray along which the residuals move as
+    e - d * sigma: a mask over the pairs of ``_upper_pairs``, true where the
+    pair ties at some step d > tie_tol, and those steps in (i, j) order.
+    Pairs with |sigma_j - sigma_i| <= lp_tol never tie.  Each step is the
+    scalar loop's (e_j - e_i) / (sigma_j - sigma_i), bit for bit."""
+    i, j = _upper_pairs(e.size)
+    den = sigma[j] - sigma[i]
+    keep = np.abs(den) > lp_tol
+    with np.errstate(divide="ignore", invalid="ignore"):  # on the pairs left out
+        d = e[j] - e[i]
+        d /= den
+        keep &= d > tie_tol
+    return keep, d[keep]
+
+
+def _line_search(alpha: np.ndarray, e: np.ndarray, neg: np.ndarray, steps: np.ndarray) -> float:
+    """The line search of ``line_search`` on arrays: sorted weights
+    ``alpha``, residuals ``e`` at the start of the ray, ``neg`` = -sigma and
+    the ray's steps in any order, at least one."""
+    steps = np.sort(steps)
+    if not np.isfinite(steps).all():
+        raise ValueError("beta must be finite")
+    steps = steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
+    with np.errstate(over="ignore"):
+        # Residuals that overflow to one infinity keep their limit order, by
+        # -sigma; none do when none overflows at the largest step.
+        exact = np.isfinite(e + steps[-1] * neg).all()
+
+        def rises(k: int) -> bool:  # slope >= 0 between steps k and k + 1
+            key = e + (0.5 * steps[k] + 0.5 * steps[k + 1]) * neg
+            order = np.argsort(key) if exact else np.lexsort((neg, key))
+            return alpha @ neg[order] >= 0.0
+
+        lo, hi, k = 0, steps.size - 1, 0
+        while k < hi:
+            if rises(k):
+                hi = k
+                break
+            lo, k = k + 1, 2 * k + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if rises(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+    return float(steps[lo])
+
+
 def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float,
                 lp_tol: float = 1e-9) -> Breakpoints:
     """Step lengths d > tie_tol at which residual pairs tie along the ray
@@ -216,20 +276,10 @@ def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float,
     ``beta_star`` may also be given as its Residuals.  All pairs are handled
     at once, each with the floating-point operations of a scalar loop over
     i < j, so the steps equal that loop's bit for bit and come in its order."""
-    ell = np.array(direction, dtype=float).ravel()
-    if ell.shape[0] != data.p or not np.isfinite(ell).all():
-        raise ValueError("direction must be a finite vector of width p")
-    if float(np.abs(ell).max()) == 0.0:
-        raise ValueError("direction must be nonzero")
-    e = _as_residuals(data, beta_star).e
-    sigma = data.x @ ell
+    ell = _direction(data, direction)
+    keep, steps = _steps(_as_residuals(data, beta_star).e, data.x @ ell, tie_tol, lp_tol)
     i, j = _upper_pairs(data.n)
-    den = sigma[j] - sigma[i]
-    moving = np.abs(den) > lp_tol
-    i, j, den = i[moving], j[moving], den[moving]
-    d = (e[j] - e[i]) / den
-    ahead = d > tie_tol
-    return Breakpoints(np.stack((i[ahead], j[ahead]), axis=1), d[ahead])
+    return Breakpoints(np.stack((i[keep], j[keep]), axis=1), steps)
 
 
 def line_search(data: RegressionData, alpha, beta_star, direction, bps: Breakpoints) -> float:
@@ -249,33 +299,7 @@ def line_search(data: RegressionData, alpha, beta_star, direction, bps: Breakpoi
     a = sorted_scores(alpha, data.n)
     e = _as_residuals(data, beta_star).e
     neg = -(data.x @ np.array(direction, dtype=float).ravel())  # -sigma
-    steps = np.sort(bps.steps)
-    if not np.isfinite(steps).all():
-        raise ValueError("beta must be finite")
-    steps = steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
-    with np.errstate(over="ignore"):
-        # Residuals that overflow to one infinity keep their limit order, by
-        # -sigma; none do when none overflows at the largest step.
-        exact = np.isfinite(e + steps[-1] * neg).all()
-
-        def rises(k: int) -> bool:  # slope >= 0 between steps k and k + 1
-            key = e + (0.5 * steps[k] + 0.5 * steps[k + 1]) * neg
-            order = np.argsort(key) if exact else np.lexsort((neg, key))
-            return a.alpha @ neg[order] >= 0.0
-
-        lo, hi, k = 0, steps.size - 1, 0
-        while k < hi:
-            if rises(k):
-                hi = k
-                break
-            lo, k = k + 1, 2 * k + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if rises(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-    return float(steps[lo])
+    return _line_search(a.alpha, e, neg, bps.steps)
 
 
 def _require_descending_ray(data, alpha, point, ray, trace):

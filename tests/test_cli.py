@@ -226,7 +226,13 @@ def test_compare_worked(worked_csv, capsys):
     report = json.loads(out)
     assert set(report) == {"outcome", "walk", "ggd", "gap"}
     assert report["gap"] >= -1e-9
-    assert report["ggd"]["stop_reason"]
+    assert set(report["ggd"]) == {"iterations", "F", "stop_reason", "perturbations"}
+    baseline = rankwalk.ggd_minimize(rankwalk.RegressionData([[0.0], [1.0], [2.0]], [0.0, 1.0, 0.0]),
+                                     [-1.0, 0.0, 1.0], [-2.0],
+                                     rankwalk.GgdConfig(perturbation="prolong", seed=7))
+    assert report["ggd"]["stop_reason"] == baseline.trace.stop_reason
+    assert report["ggd"]["iterations"] == baseline.trace.n_iterations
+    assert report["ggd"]["perturbations"] == baseline.trace.n_perturbations > 0
 
 
 def test_compare_unbounded(tmp_path, capsys):

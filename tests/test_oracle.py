@@ -75,21 +75,22 @@ def test_random_instance_shape_and_ranges():
         assert np.all(np.diff(alpha.alpha) >= 0)
 
 
+def walk_agrees_with_oracle(data, alpha) -> bool:
+    """Same verdict and, when bounded, the same value; True when bounded."""
+    walk = minimize(data, alpha)
+    reference = oracle_minimize(data, alpha)
+    if reference.unbounded:
+        assert not isinstance(walk, Minimizer)
+        return False
+    assert isinstance(walk, Minimizer)
+    assert abs(walk.f_opt - reference.value) <= 1e-7 * (1.0 + abs(reference.value))
+    return True
+
+
 def test_walk_agrees_with_oracle_small_sweep():
     rng = np.random.default_rng(271828)
-    bounded = unbounded = 0
-    for _ in range(60):
-        data, alpha = random_instance(rng)
-        walk = minimize(data, alpha)
-        reference = oracle_minimize(data, alpha)
-        if reference.unbounded:
-            assert not isinstance(walk, Minimizer)
-            unbounded += 1
-        else:
-            assert isinstance(walk, Minimizer)
-            assert abs(walk.f_opt - reference.value) <= 1e-7 * (1.0 + abs(reference.value))
-            bounded += 1
-    assert bounded and unbounded
+    verdicts = [walk_agrees_with_oracle(*random_instance(rng)) for _ in range(60)]
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_walk_visits_only_nonempty_cells():
@@ -100,3 +101,19 @@ def test_walk_visits_only_nonempty_cells():
         walk = minimize(data, alpha)
         for it in walk.trace.iterations:
             assert it.pi in cells
+
+
+def test_oracle_agrees_with_the_walk_when_p_is_at_least_n():
+    # With p >= n the design can usually move the residuals anywhere, so most
+    # draws are unbounded.  n stops at 5 to keep the sweep to about a second:
+    # the oracle's simplex can take seconds on a single n = 6 draw.
+    rng = np.random.default_rng(2718)
+    bounded = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        p = int(rng.integers(n, n + 4))
+        x = rng.integers(-2, 3, size=(n, p)).astype(float)
+        y = rng.integers(-2, 3, size=n).astype(float)
+        alpha = normalize_scores(rng.integers(-2, 3, size=n).astype(float))
+        bounded += walk_agrees_with_oracle(RegressionData(x, y), alpha)
+    assert 30 < bounded < 270
