@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     check = sub.add_parser("check", parents=[common, start],
-                           help="cross-check the walk against the exhaustive oracle (n <= 7)")
+                           help=f"cross-check the walk against the exhaustive oracle (n <= {ORACLE_LIMIT})")
     check.set_defaults(func=cmd_check)
 
     compare = sub.add_parser("compare", parents=[common, start],

@@ -72,10 +72,13 @@ def cell_gradient(data: RegressionData, alpha, beta, tie_tol: float | None = Non
     given as its Residuals."""
     a = sorted_scores(alpha, data.n)
     res = _as_residuals(data, beta)
-    tt = default_tie_tol(res) if tie_tol is None else tie_tol
+    if tie_tol is None:
+        tie_tol = default_tie_tol(res)
+    else:
+        _check_tie_tol(tie_tol)
     order = np.argsort(res.e, kind="stable")
     es = res.e[order]
-    if not (es[1:] - es[:-1] > tt).all():
+    if not (es[1:] - es[:-1] > tie_tol).all():
         return None
     return -(a.alpha @ data.x[order])
 

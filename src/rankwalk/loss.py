@@ -36,6 +36,17 @@ class Residuals:
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "beta", beta)
 
+    @classmethod
+    def _of_fresh(cls, e: np.ndarray, beta: np.ndarray) -> "Residuals":
+        """Residuals of float vectors no caller holds: frozen in place
+        rather than copied as the constructor does."""
+        e.setflags(write=False)
+        beta.setflags(write=False)
+        res = cls.__new__(cls)
+        object.__setattr__(res, "e", e)
+        object.__setattr__(res, "beta", beta)
+        return res
+
     @property
     def n(self) -> int:
         return self.e.shape[0]
@@ -117,7 +128,7 @@ def residuals(data: RegressionData, beta) -> Residuals:
     acc = np.zeros(data.n)
     for k in range(data.p):
         acc += data.x[:, k] * b[k]
-    return Residuals(data.y - acc, b)
+    return Residuals._of_fresh(data.y - acc, b)
 
 
 def _as_residuals(data: RegressionData, point) -> Residuals:

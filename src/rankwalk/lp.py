@@ -26,16 +26,20 @@ tall (m rows, p columns, m >> p), through its dual: min b.y subject to
 A^T y = -c and y >= 0, p rows and m columns, so the tableau is p x m and
 at most p artificials enter.  The primal point is the p x p solve of the
 basic rows; an infeasible dual is an unbounded primal, whose ray is the
-Farkas vector of phase 1.
+Farkas vector of phase 1.  Its callers pose programs of that shape:
+``woa.cell_lp`` (a region's n - 1 rows in p variables),
+``oracle.oracle_minimize`` (the envelope program's n! rows in p + 1) and
+``oracle.enumerate_nonempty_cells`` (each region's rows, with a zero
+objective, so an empty region is its ``LpInfeasible``).
 
 Pivoting is deterministic: largest reduced-cost violation with lowest-index
 tie breaks, switching to Bland's rule (lowest index only) once degenerate
 steps stall; among rows tied in the ratio test, the one whose basic column
-has the lowest index leaves.  The tableaus are small (p rows for the cell
-LP, the cuts and the box for the master), so each pivot costs a handful of
-array operations and the ratio test runs over Python floats.  Anything the
-tableau cannot answer cleanly raises LpNumericError rather than returning a
-wrong verdict.
+has the lowest index leaves.  The tableaus have few rows (p for the cell
+LP, p + 1 for the envelope program, the cuts and the box for the master), so
+each pivot costs a handful of array operations and the ratio test runs over
+Python floats.  Anything the tableau cannot answer cleanly raises
+LpNumericError rather than returning a wrong verdict.
 """
 
 from __future__ import annotations

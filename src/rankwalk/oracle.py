@@ -1,10 +1,14 @@
 """Independent ground truths for small instances.
 
 The loss is the upper envelope of one linear function per pairing of weights
-with observations, so for tiny n it can be minimized directly as a linear
-program with one row per pairing.  Region enumeration walks all orderings and
-keeps those whose region is nonempty.  Both are deliberately exhaustive; they
-exist to check the walk, not to compete with it.
+with observations, F(beta) = max_pi c_pi - g_pi . beta, so for tiny n it can
+be minimized directly as a linear program in (t, beta) with one row per
+pairing: min t subject to -t - g_pi . beta <= -c_pi.  Region enumeration
+walks all orderings and keeps those whose region, the rows
+diff(x[pi]) v <= diff(y[pi]), is nonempty.  Both programs have far more rows
+than variables, the shape ``lp._solve_by_dual`` solves through its dual, as
+it does the cell LP.  Both are deliberately exhaustive; they exist to check
+the walk, not to compete with it.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import _perm_table
-from .lp import LinearProgram, LpInfeasible, LpNumericError, LpOptimal, LpUnbounded, find_feasible, solve_lp
+from .lp import LpInfeasible, LpNumericError, LpOptimal, LpUnbounded, _solve_by_dual
 from .model import RegressionData, ScoreVector, as_score_vector
 
-ORACLE_LIMIT = 7
+ORACLE_LIMIT = 8
 ENUMERATION_LIMIT = 6
 
 
@@ -30,33 +34,19 @@ class OracleResult:
 
 
 def oracle_minimize(data: RegressionData, alpha, lp_tol: float = 1e-9) -> OracleResult:
-    """Exact minimum by the one-row-per-pairing envelope program (n <= 7).
-
-    Rows sharing the same coefficient vector are collapsed to the one with the
-    largest threshold, which leaves the feasible set untouched.
-    """
+    """Exact minimum by the one-row-per-pairing envelope program (n <= 8)."""
     if data.n > ORACLE_LIMIT:
         raise ValueError(f"envelope oracle limited to n <= {ORACLE_LIMIT}, got {data.n}")
     a = as_score_vector(alpha)
     if a.n != data.n:
         raise ValueError(f"{a.n} weights for {data.n} observations")
     perms = _perm_table(data.n)
-    grads = np.einsum("i,kip->kp", a.alpha, data.x[perms])
-    consts = data.y[perms] @ a.alpha
-    dominant: dict[tuple, float] = {}
-    keep: dict[tuple, int] = {}
-    for k in range(perms.shape[0]):
-        key = tuple(np.round(grads[k], 9))
-        if key not in dominant or consts[k] > dominant[key]:
-            dominant[key] = consts[k]
-            keep[key] = k
-    rows = []
-    for key, k in keep.items():
-        coeffs = np.concatenate([[1.0], -grads[k]])
-        rows.append((coeffs, ">=", dominant[key]))
+    A = np.empty((perms.shape[0], 1 + data.p))
+    A[:, 0] = -1.0
+    np.negative(np.einsum("i,kip->kp", a.alpha, data.x[perms]), out=A[:, 1:])
     objective = np.zeros(1 + data.p)
     objective[0] = 1.0
-    out = solve_lp(LinearProgram(objective, tuple(rows)), lp_tol=lp_tol)
+    out = _solve_by_dual(objective, A, -(data.y[perms] @ a.alpha), lp_tol=lp_tol)
     if isinstance(out, LpOptimal):
         return OracleResult(False, out.value, out.point[1:].copy())
     if isinstance(out, LpUnbounded):
@@ -72,9 +62,9 @@ def enumerate_nonempty_cells(data: RegressionData, lp_tol: float = 1e-9) -> tupl
     for pi in itertools.permutations(range(data.n)):
         xp = data.x[list(pi)]
         yp = data.y[list(pi)]
-        rows = tuple((xp[k + 1] - xp[k], "<=", yp[k + 1] - yp[k]) for k in range(data.n - 1))
-        if find_feasible(rows, nvars=data.p, lp_tol=lp_tol) is not None:
-            found.append(tuple(pi))
+        out = _solve_by_dual(np.zeros(data.p), xp[1:] - xp[:-1], yp[1:] - yp[:-1], lp_tol=lp_tol)
+        if not isinstance(out, LpInfeasible):
+            found.append(pi)
     return tuple(found)
 
 

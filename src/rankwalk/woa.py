@@ -67,6 +67,11 @@ class WalkNumericError(WalkError):
         self.trace = trace
 
 
+def _check_lp_tol(lp_tol: float):
+    if not (math.isfinite(lp_tol) and lp_tol > 0.0):
+        raise ValueError(f"lp_tol must be finite and positive, got {lp_tol}")
+
+
 @dataclass(frozen=True)
 class WoaConfig:
     """Tolerances and the iteration cap."""
@@ -78,8 +83,7 @@ class WoaConfig:
     def __post_init__(self):
         if self.tie_tol is not None:
             _check_tie_tol(self.tie_tol)
-        if not (math.isfinite(self.lp_tol) and self.lp_tol > 0.0):
-            raise ValueError("lp_tol must be finite and positive")
+        _check_lp_tol(self.lp_tol)
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
@@ -276,6 +280,8 @@ def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float,
     ``beta_star`` may also be given as its Residuals.  All pairs are handled
     at once, each with the floating-point operations of a scalar loop over
     i < j, so the steps equal that loop's bit for bit and come in its order."""
+    _check_tie_tol(tie_tol)
+    _check_lp_tol(lp_tol)
     ell = _direction(data, direction)
     keep, steps = _steps(_as_residuals(data, beta_star).e, data.x @ ell, tie_tol, lp_tol)
     i, j = _upper_pairs(data.n)

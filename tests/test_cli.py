@@ -6,6 +6,7 @@ import pytest
 import rankwalk
 from rankwalk import LpNumericError
 from rankwalk.cli import main
+from rankwalk.oracle import ORACLE_LIMIT
 
 WORKED_CSV = "y,x1\n0,0\n1,1\n0,2\n"
 
@@ -210,12 +211,28 @@ def test_check_worked(worked_csv, capsys):
     assert report["certificate"]["ok"] is True
 
 
+def test_check_reaches_the_oracle_limit(tmp_path, capsys):
+    rows = "\n".join(f"{i % 3},1,{i}" for i in range(ORACLE_LIMIT))
+    data = tmp_path / "limit.csv"
+    data.write_text("y,x1,x2\n" + rows + "\n")
+    code, out, _ = run(capsys, "check", str(data))
+    assert code == 0
+    report = json.loads(out)
+    assert report["agree"] is True and report["oracle"]["outcome"] == "minimizer"
+
+
 def test_check_refuses_large_instances(tmp_path, capsys):
-    rows = "\n".join(f"{i % 3},{i}" for i in range(8))
+    rows = "\n".join(f"{i % 3},{i}" for i in range(ORACLE_LIMIT + 1))
     data = tmp_path / "big.csv"
     data.write_text("y,x1\n" + rows + "\n")
     code, _, err = run(capsys, "check", str(data))
     assert code == 1 and "refuses" in err
+
+
+def test_check_help_names_the_oracle_limit(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert f"(n <= {ORACLE_LIMIT})" in " ".join(capsys.readouterr().out.split())
 
 
 def test_compare_worked(worked_csv, capsys):

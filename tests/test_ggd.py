@@ -124,9 +124,13 @@ def test_ggd_config_validation():
 
 @pytest.mark.parametrize("field", ["magnitude", "stop_tol", "lp_tol", "tie_tol"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
-def test_ggd_config_rejects_bad_tolerances(field, value):
+def test_ggd_config_rejects_bad_tolerances(field, value, worked):
     with pytest.raises(ValueError):
         GgdConfig(**{field: value})
+    if field == "tie_tol":  # unchecked, a NaN tie tolerance makes every point a tie
+        data, alpha = worked
+        with pytest.raises(ValueError, match="tie tolerance"):
+            cell_gradient(data, alpha, [-2.0], tie_tol=value)
 
 
 def test_ggd_rejects_bad_start(worked):

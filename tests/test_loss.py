@@ -23,6 +23,21 @@ def test_residuals_worked(worked):
     np.testing.assert_array_equal(residuals(data, [-1.0]).e, [0.0, 2.0, 2.0])
 
 
+def test_residuals_are_frozen_and_leave_the_callers_arrays_alone(worked):
+    data, _ = worked
+    beta = np.array([1.0])
+    res = residuals(data, beta)
+    assert not res.e.flags.writeable and not res.beta.flags.writeable
+    assert beta.flags.writeable and not np.shares_memory(res.beta, beta)
+    e = np.array([3.0, 1.0, 2.0])
+    made = Residuals(e, beta)
+    assert not made.e.flags.writeable and not made.beta.flags.writeable
+    assert e.flags.writeable and beta.flags.writeable  # the constructor copies
+    e[0] = beta[0] = 7.0
+    np.testing.assert_array_equal(made.e, [3.0, 1.0, 2.0])
+    np.testing.assert_array_equal(made.beta, [1.0])
+
+
 def test_residuals_rejects_bad_beta(worked):
     data, _ = worked
     with pytest.raises(ValueError):

@@ -2,18 +2,58 @@ import numpy as np
 import pytest
 
 from rankwalk import (
+    LinearProgram,
+    LpOptimal,
+    LpUnbounded,
     Minimizer,
     RegressionData,
     consistent_permutation,
     enumerate_nonempty_cells,
+    eval_loss_bruteforce,
+    make_scores,
     minimize,
     normalize_scores,
     oracle_minimize,
     random_instance,
     residuals,
+    solve_lp,
 )
+from rankwalk.loss import _perm_table
+from rankwalk.oracle import ENUMERATION_LIMIT, ORACLE_LIMIT
 
 TIE = 1e-9
+KINDS = ("sign", "wilcoxon", "van_der_waerden")
+
+
+def ref_oracle_minimize(data, alpha):
+    """The envelope program as the free-variable simplex takes it, one
+    (1, -g_pi) . (t, beta) >= c_pi row per pairing, rows with the same
+    coefficients collapsed to the one with the largest threshold.  Returns
+    None when unbounded, else the minimum value."""
+    perms = _perm_table(data.n)
+    grads = np.einsum("i,kip->kp", alpha.alpha, data.x[perms])
+    consts = data.y[perms] @ alpha.alpha
+    dominant: dict[tuple, float] = {}
+    for k in range(perms.shape[0]):
+        key = tuple(np.round(grads[k], 9))
+        dominant[key] = max(consts[k], dominant.get(key, -np.inf))
+    rows = tuple((np.concatenate([[1.0], -np.array(key)]), ">=", c) for key, c in dominant.items())
+    objective = np.zeros(1 + data.p)
+    objective[0] = 1.0
+    out = solve_lp(LinearProgram(objective, rows))
+    if isinstance(out, LpUnbounded):
+        return None
+    assert isinstance(out, LpOptimal)
+    return out.value
+
+
+def continuous(seed, n, p):
+    """x = [1, N(0,1)^(p-1)], y = x @ N(0,1)^p + t_2 noise: the benchmark's
+    continuous recipe."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    y = x @ rng.standard_normal(p) + rng.standard_t(2, n)
+    return RegressionData(x, y)
 
 
 def test_oracle_worked(worked):
@@ -39,9 +79,10 @@ def test_oracle_single_row_unbounded():
 
 
 def test_oracle_size_guard():
-    data = RegressionData(np.zeros((8, 1)), np.zeros(8))
+    n = ORACLE_LIMIT + 1
+    data = RegressionData(np.zeros((n, 1)), np.zeros(n))
     with pytest.raises(ValueError):
-        oracle_minimize(data, normalize_scores(np.zeros(8)))
+        oracle_minimize(data, normalize_scores(np.zeros(n)))
 
 
 def test_enumerate_cells_worked(worked):
@@ -58,7 +99,7 @@ def test_enumerate_cells_edges():
     assert sorted(enumerate_nonempty_cells(two)) == [(0, 1), (1, 0)]
     flat = RegressionData(np.ones((3, 1)), np.array([3.0, 1.0, 2.0]))
     assert enumerate_nonempty_cells(flat) == ((1, 2, 0),)  # ordering never changes
-    big = RegressionData(np.zeros((7, 1)), np.zeros(7))
+    big = RegressionData(np.zeros((ENUMERATION_LIMIT + 1, 1)), np.zeros(ENUMERATION_LIMIT + 1))
     with pytest.raises(ValueError):
         enumerate_nonempty_cells(big)
 
@@ -103,17 +144,51 @@ def test_walk_visits_only_nonempty_cells():
             assert it.pi in cells
 
 
-def test_oracle_agrees_with_the_walk_when_p_is_at_least_n():
-    # With p >= n the design can usually move the residuals anywhere, so most
-    # draws are unbounded.  n stops at 5 to keep the sweep to about a second:
-    # the oracle's simplex can take seconds on a single n = 6 draw.
-    rng = np.random.default_rng(2718)
-    bounded = 0
-    for _ in range(300):
-        n = int(rng.integers(1, 6))
+def p_at_least_n_draws(rng, draws, n_max):
+    """Integer instances with p >= n: the design can usually move the
+    residuals anywhere, so most are unbounded."""
+    for _ in range(draws):
+        n = int(rng.integers(1, n_max + 1))
         p = int(rng.integers(n, n + 4))
         x = rng.integers(-2, 3, size=(n, p)).astype(float)
         y = rng.integers(-2, 3, size=n).astype(float)
         alpha = normalize_scores(rng.integers(-2, 3, size=n).astype(float))
-        bounded += walk_agrees_with_oracle(RegressionData(x, y), alpha)
+        yield RegressionData(x, y), alpha
+
+
+def test_oracle_agrees_with_the_walk_when_p_is_at_least_n():
+    # n reaches 6; through the dual core no draw takes more than milliseconds.
+    rng = np.random.default_rng(2718)
+    bounded = sum(walk_agrees_with_oracle(data, alpha) for data, alpha in p_at_least_n_draws(rng, 300, 6))
     assert 30 < bounded < 270
+
+
+def test_oracle_matches_the_free_variable_envelope_program():
+    rng = np.random.default_rng(2718)
+    draws = [random_instance(rng, n_range=(1, 5), p_range=(1, 4)) for _ in range(100)]
+    draws += list(p_at_least_n_draws(rng, 200, 5))
+    bounded = 0
+    for data, alpha in draws:
+        reference = ref_oracle_minimize(data, alpha)
+        out = oracle_minimize(data, alpha)
+        assert out.unbounded == (reference is None)
+        if reference is not None:
+            bounded += 1
+            assert abs(out.value - reference) <= 1e-9 * (1.0 + abs(reference))
+    assert 50 < bounded < len(draws) - 50
+
+
+def test_walk_agrees_with_oracle_on_continuous_data_at_n_7_and_8():
+    # 96 fits: n 7-8, p 1-4, four seeds each, every score kind.
+    for n in (7, 8):
+        for p in range(1, 5):
+            for seed in range(4):
+                data = continuous(1000 * n + 10 * p + seed, n, p)
+                for kind in KINDS:
+                    alpha = make_scores(kind, n)
+                    reference = oracle_minimize(data, alpha)
+                    walk = minimize(data, alpha)
+                    assert not reference.unbounded and isinstance(walk, Minimizer)
+                    tol = 1e-9 * (1.0 + abs(reference.value))
+                    assert abs(walk.f_opt - reference.value) <= tol
+                    assert abs(eval_loss_bruteforce(data, alpha, reference.point) - reference.value) <= tol

@@ -1,4 +1,4 @@
-"""Ground truth past the exhaustive oracle's n <= 7.
+"""Ground truth past the exhaustive oracle's n <= 8.
 
 Two score kinds have closed forms, each a plain linear program that the
 package's own simplex solves independently of the walk:

@@ -357,6 +357,12 @@ def test_config_validation():
 def test_config_rejects_bad_tolerances(field, value):
     with pytest.raises(ValueError, match="finite"):
         WoaConfig(**{field: value})
+    # breakpoints takes the same two tolerances.  Here its steps are 5 and 2;
+    # unchecked, a NaN tie_tol drops both and a negative one adds the step -1.
+    data = RegressionData(np.array([[2.0], [1.0], [3.0]]), np.array([0.0, 1.0, 5.0]))
+    tolerances = {"tie_tol": TIE, "lp_tol": 1e-9, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        breakpoints(data, [0.0], [1.0], **tolerances)
 
 
 def test_descending_ray_guard(worked):
