@@ -21,7 +21,7 @@ import numpy as np
 
 from .loss import ActivePairs, active_pairs, default_tie_tol, fold_singletons, residuals
 from .lp import LpNumericError, LpOptimal, _check_lp_tol, _solve_rows
-from .model import RegressionData, ScoreVector, as_score_vector, sorted_scores
+from .model import RegressionData, ScoreVector, sorted_scores
 
 
 @dataclass(frozen=True)
@@ -258,8 +258,9 @@ def birkhoff_decompose(G, support_tol: float = 1e-9) -> list[tuple[float, tuple[
 def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertificate,
                        tie_tol: float | None = None) -> CertificateReport:
     """Check every certificate condition at ``beta``; never raises on a bad
-    certificate, reporting each condition separately instead."""
-    a = as_score_vector(alpha)
+    certificate, reporting each condition separately instead.  Weights are
+    sorted on entry, as ``minimize`` sorts them."""
+    a = sorted_scores(alpha, data.n)
     n = data.n
     res = residuals(data, beta)
     tt = default_tie_tol(res) if tie_tol is None else tie_tol

@@ -8,10 +8,13 @@ steps that fail to improve the best loss are rejected, so the recorded loss
 values only ever decrease.  The method carries no optimality test: it stops
 on stall, budget, flatness, or an unbounded ray, and reports which.
 
-Each point's residuals are computed once: those of an accepted candidate
-become the next iteration's start, and the loss and tie tolerance are read
-from them.  The ray is searched with the array core behind ``breakpoints``
-and ``line_search`` (``woa._steps`` and ``woa._line_search``).
+The loop runs on arrays built once per fit (the columns of x and the sorted
+weights) and computes each point once: an accepted candidate's residuals,
+sorted for its loss, become the next iteration's start, and the gaps of that
+sort give its tie test, which stands while the point does.  The results are
+those of ``residuals``, ``cell_gradient``, ``breakpoints`` and
+``line_search`` bit for bit; the ray is searched with the array core behind
+the last two (``woa._steps`` and ``woa._line_search``).
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import _as_residuals, _check_tie_tol, default_tie_tol, residuals
+from .loss import _as_residuals, _check_tie_tol, _residual_vector
 from .model import RegressionData, sorted_scores
-from .woa import _direction, _line_search, _steps
+from .woa import _line_search, _steps
 
 PERTURBATIONS = ("random", "prolong")
 
@@ -66,33 +69,46 @@ class GgdResult:
     trace: GgdTrace
 
 
+def _tie_test(es: np.ndarray, tie_tol: float | None) -> tuple[float, bool]:
+    """The tie tolerance at residuals sorted as ``es`` (``default_tie_tol``
+    when None: the largest |e| is at one end) and whether every gap exceeds
+    it.  A NaN residual fails the test.  Any sort of e has the gaps of
+    ``e[argsort(e)]``, so the loss's ``np.sort`` serves as well."""
+    if tie_tol is None:
+        tie_tol = 1e-9 * (1.0 + float(max(-es[0], es[-1])))
+    gaps = es[1:] - es[:-1]
+    return tie_tol, bool(gaps.size == 0 or gaps.min() > tie_tol)  # the min of gaps with a NaN is NaN
+
+
 def cell_gradient(data: RegressionData, alpha, beta, tie_tol: float | None = None) -> np.ndarray | None:
     """Gradient of the loss where it is smooth, None on a tie point: where
     two sorted residuals lie within the tie tolerance.  ``beta`` may also be
     given as its Residuals."""
     a = sorted_scores(alpha, data.n)
     res = _as_residuals(data, beta)
-    if tie_tol is None:
-        tie_tol = default_tie_tol(res)
-    else:
+    if tie_tol is not None:
         _check_tie_tol(tie_tol)
     order = np.argsort(res.e, kind="stable")
-    es = res.e[order]
-    if not (es[1:] - es[:-1] > tie_tol).all():
+    if not _tie_test(res.e[order], tie_tol)[1]:
         return None
     return -(a.alpha @ data.x[order])
 
 
+def _norm(u: np.ndarray) -> float:
+    """``np.linalg.norm`` of a float vector without its dispatch: sqrt(u . u)."""
+    return math.sqrt(u.dot(u))
+
+
 def _nudge(beta, last_dir, scale, rng, cfg) -> np.ndarray:
-    size = cfg.magnitude * (1.0 + float(np.linalg.norm(beta))) * scale
+    size = cfg.magnitude * (1.0 + _norm(beta)) * scale
     if cfg.perturbation == "prolong":
         d = last_dir if last_dir is not None else np.ones_like(beta)
-        return beta + size * d / float(np.linalg.norm(d))
+        return beta + size * d / _norm(d)
     u = rng.standard_normal(beta.shape[0])
-    norm = float(np.linalg.norm(u))
+    norm = _norm(u)
     if norm == 0.0:
         u = np.ones_like(beta)
-        norm = float(np.linalg.norm(u))
+        norm = _norm(u)
     return beta + size * u / norm
 
 
@@ -109,9 +125,14 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
     if beta.shape[0] != data.p or not np.isfinite(beta).all():
         raise ValueError("beta0 must be a finite vector of width p")
     rng = np.random.default_rng(cfg.seed)
+    x, y, w = data.x, data.y, a.alpha
+    columns = np.ascontiguousarray(x.T)
 
-    res = residuals(data, beta)
-    f_best = float(np.sort(res.e) @ a.alpha)
+    e = _residual_vector(y, columns, beta)
+    es = np.sort(e)
+    f_best = float(es @ w)
+    tt, smooth = _tie_test(es, cfg.tie_tol)
+    order = np.argsort(e, kind="stable") if smooth else None  # None at a tie point
     points = [beta.copy()]
     f_values = [f_best]
     last_dir: np.ndarray | None = None
@@ -122,37 +143,45 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
 
     for _ in range(cfg.max_iter):
         n_iter += 1
-        start, scale = res, 1.0  # the residuals of beta, kept from the step that reached it
-        for nudge in range(17):  # beta itself, then up to 16 nudges off its ties
-            if nudge:
-                n_perturb += 1
-                start = residuals(data, _nudge(beta, last_dir, scale, rng, cfg))
-                scale *= 1.7
-            tt = default_tie_tol(start) if cfg.tie_tol is None else cfg.tie_tol
-            grad = cell_gradient(data, a, start, tt)
-            if grad is not None:
+        # beta's residuals and tie test, kept from the step that reached it
+        start, start_e, start_tt, start_order, scale = beta, e, tt, order, 1.0
+        for _nudge_no in range(16):  # up to 16 nudges off the ties at beta
+            if start_order is not None:
                 break
-        if grad is None:
+            n_perturb += 1
+            start = _nudge(beta, last_dir, scale, rng, cfg)
+            start_e = _residual_vector(y, columns, start)
+            scale *= 1.7
+            start_order = np.argsort(start_e, kind="stable")
+            start_tt, smooth = _tie_test(start_e[start_order], cfg.tie_tol)
+            if not smooth:
+                start_order = None
+        if start_order is None:
             stop_reason = "stuck_on_ties"
             break
-        if float(np.abs(grad).max()) == 0.0:
+        direction = w @ x[start_order]  # minus cell_gradient at start
+        entries = direction.tolist()
+        if not any(entries):
             stop_reason = "zero_gradient"
             break
-        direction = _direction(data, -grad)
-        sigma = data.x @ direction
-        _, steps = _steps(start.e, sigma, tt, cfg.lp_tol)
+        if not all(map(math.isfinite, entries)):
+            raise ValueError("direction must be a finite vector of width p")
+        sigma = x @ direction
+        _, steps = _steps(start_e, sigma, start_tt, cfg.lp_tol)
         if steps.size == 0:
             stop_reason = "unbounded_direction"
             break
-        d = _line_search(a.alpha, start.e, -sigma, steps)
-        candidate = start.beta + d * direction
-        cand = residuals(data, candidate)
-        f_cand = float(np.sort(cand.e) @ a.alpha)  # eval_loss at the candidate, from its residuals
+        steps.sort()
+        d = _line_search(w, start_e, -sigma, steps)
+        candidate = start + d * direction
+        cand_e = _residual_vector(y, columns, candidate)
+        cand_es = np.sort(cand_e)
+        f_cand = float(cand_es @ w)  # eval_loss at the candidate
         if f_cand < f_best:
             improvement = f_best - f_cand
-            beta, res = candidate, cand
-            f_best = f_cand
-            last_dir = direction
+            beta, e, f_best, last_dir = candidate, cand_e, f_cand, direction
+            tt, smooth = _tie_test(cand_es, cfg.tie_tol)
+            order = np.argsort(e, kind="stable") if smooth else None
             points.append(candidate.copy())
             f_values.append(f_cand)
         else:

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import RegressionData, ScoreVector, as_score_vector
+from .model import RegressionData, ScoreVector, sorted_scores
 
 BRUTE_FORCE_LIMIT = 8
 
@@ -119,16 +119,24 @@ class ActivePairs:
 
 def residuals(data: RegressionData, beta) -> Residuals:
     """e_i = y_i - x_i . beta, with the dot product summed left to right (one
-    column at a time, over all rows at once) so the result is bit-reproducible."""
+    column at a time, over all rows at once) from zeros, so the result is
+    bit-reproducible."""
     b = np.array(beta, dtype=float).ravel()
     if b.shape[0] != data.p:
         raise ValueError(f"beta has {b.shape[0]} entries, expected {data.p}")
-    if not np.isfinite(b).all():
+    return Residuals._of_fresh(_residual_vector(data.y, data.x.T, b), b)
+
+
+def _residual_vector(y: np.ndarray, columns: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The residual vector of ``residuals`` on arrays, ``columns`` the rows
+    of x^T and b of width p.  The sign of a zero residual depends on the
+    start from zeros."""
+    if not all(map(math.isfinite, b.tolist())):  # p is small: cheaper than a NumPy reduction
         raise ValueError("beta must be finite")
-    acc = np.zeros(data.n)
-    for k in range(data.p):
-        acc += data.x[:, k] * b[k]
-    return Residuals._of_fresh(data.y - acc, b)
+    acc = np.zeros(y.shape[0])
+    for column, bk in zip(columns, b):
+        acc += column * bk
+    return y - acc
 
 
 def _as_residuals(data: RegressionData, point) -> Residuals:
@@ -203,10 +211,9 @@ def fold_singletons(data: RegressionData, alpha: ScoreVector, ap: ActivePairs) -
 
 
 def eval_loss(data: RegressionData, alpha, beta) -> float:
-    """Loss at beta: sorted residuals paired with the sorted weights."""
-    a = as_score_vector(alpha)
-    if a.n != data.n:
-        raise ValueError(f"{a.n} weights for {data.n} observations")
+    """Loss at beta: sorted residuals paired with the weights, sorted on
+    entry."""
+    a = sorted_scores(alpha, data.n)
     e = residuals(data, beta).e
     return float(np.sort(e) @ a.alpha)
 
@@ -217,11 +224,10 @@ def _perm_table(n: int) -> np.ndarray:
 
 
 def eval_loss_bruteforce(data: RegressionData, alpha, beta) -> float:
-    """Maximum over all n! pairings, by exhaustion.  Testing oracle only."""
+    """Maximum over all n! pairings, by exhaustion, of the weights sorted
+    on entry.  Testing oracle only."""
     if data.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got {data.n}")
-    a = as_score_vector(alpha)
-    if a.n != data.n:
-        raise ValueError(f"{a.n} weights for {data.n} observations")
+    a = sorted_scores(alpha, data.n)
     e = residuals(data, beta).e
     return float(np.max(e[_perm_table(data.n)] @ a.alpha))

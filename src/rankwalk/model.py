@@ -168,9 +168,3 @@ def sorted_scores(alpha, n: int) -> ScoreVector:
         raise ValueError(f"{a.n} weights for {n} observations")
     return a
 
-
-def as_score_vector(alpha) -> ScoreVector:
-    """Coerce an already-sorted sequence (or pass through a ScoreVector)."""
-    if isinstance(alpha, ScoreVector):
-        return alpha
-    return ScoreVector(np.array(alpha, dtype=float))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .loss import _perm_table
 from .lp import LpInfeasible, LpNumericError, LpOptimal, LpUnbounded, _solve_by_dual
-from .model import RegressionData, ScoreVector, as_score_vector
+from .model import RegressionData, ScoreVector, sorted_scores
 
 ORACLE_LIMIT = 8
 ENUMERATION_LIMIT = 6
@@ -34,12 +34,11 @@ class OracleResult:
 
 
 def oracle_minimize(data: RegressionData, alpha, lp_tol: float = 1e-9) -> OracleResult:
-    """Exact minimum by the one-row-per-pairing envelope program (n <= 8)."""
+    """Exact minimum by the one-row-per-pairing envelope program (n <= 8),
+    weights sorted on entry."""
     if data.n > ORACLE_LIMIT:
         raise ValueError(f"envelope oracle limited to n <= {ORACLE_LIMIT}, got {data.n}")
-    a = as_score_vector(alpha)
-    if a.n != data.n:
-        raise ValueError(f"{a.n} weights for {data.n} observations")
+    a = sorted_scores(alpha, data.n)
     perms = _perm_table(data.n)
     A = np.empty((perms.shape[0], 1 + data.p))
     A[:, 0] = -1.0

@@ -108,6 +108,18 @@ class Breakpoints:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "steps", steps)
 
+    @classmethod
+    def _of_fresh(cls, pairs: np.ndarray, steps: np.ndarray) -> "Breakpoints":
+        """Breakpoints of a K x 2 intp array and a float array of length K
+        that no caller holds: frozen in place rather than copied as the
+        constructor does."""
+        pairs.setflags(write=False)
+        steps.setflags(write=False)
+        bps = cls.__new__(cls)
+        object.__setattr__(bps, "pairs", pairs)
+        object.__setattr__(bps, "steps", steps)
+        return bps
+
     @property
     def entries(self) -> tuple[tuple[tuple[int, int], float], ...]:
         """The breakpoints as ``((i, j), d)`` tuples of Python numbers."""
@@ -241,11 +253,12 @@ def _steps(e: np.ndarray, sigma: np.ndarray, tie_tol: float, lp_tol: float) -> t
 def _line_search(alpha: np.ndarray, e: np.ndarray, neg: np.ndarray, steps: np.ndarray) -> float:
     """The line search of ``line_search`` on arrays: sorted weights
     ``alpha``, residuals ``e`` at the start of the ray, ``neg`` = -sigma and
-    the ray's steps in any order, at least one."""
-    steps = np.sort(steps)
-    if not np.isfinite(steps).all():
+    the ray's steps sorted ascending, at least one."""
+    if not (math.isfinite(steps[0]) and math.isfinite(steps[-1])):  # -inf sorts first, inf and NaN last
         raise ValueError("beta must be finite")
-    steps = steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
+    repeated = steps[1:] == steps[:-1]
+    if repeated.any():
+        steps = steps[np.concatenate(([True], ~repeated))]
     with np.errstate(over="ignore"):
         # Residuals that overflow to one infinity keep their limit order, by
         # -sigma; none do when none overflows at the largest step.
@@ -253,7 +266,7 @@ def _line_search(alpha: np.ndarray, e: np.ndarray, neg: np.ndarray, steps: np.nd
 
         def rises(k: int) -> bool:  # slope >= 0 between steps k and k + 1
             key = e + (0.5 * steps[k] + 0.5 * steps[k + 1]) * neg
-            order = np.argsort(key) if exact else np.lexsort((neg, key))
+            order = key.argsort() if exact else np.lexsort((neg, key))
             return alpha @ neg[order] >= 0.0
 
         lo, hi, k = 0, steps.size - 1, 0
@@ -285,7 +298,7 @@ def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float,
     ell = _direction(data, direction)
     keep, steps = _steps(_as_residuals(data, beta_star).e, data.x @ ell, tie_tol, lp_tol)
     i, j = _upper_pairs(data.n)
-    return Breakpoints(np.stack((i[keep], j[keep]), axis=1), steps)
+    return Breakpoints._of_fresh(np.stack((i[keep], j[keep]), axis=1), steps)
 
 
 def line_search(data: RegressionData, alpha, beta_star, direction, bps: Breakpoints) -> float:
@@ -299,13 +312,14 @@ def line_search(data: RegressionData, alpha, beta_star, direction, bps: Breakpoi
     gallops first, probing intervals 0, 1, 3, 7, ... until a slope is
     nonnegative, then bisects inside that bracket, so an answer at sorted
     position k costs about 2 log2(k) probes.  ``beta_star`` may also be
-    given as its Residuals."""
+    given as its Residuals; ``direction`` is checked as ``breakpoints``
+    checks it."""
     if bps.steps.size == 0:
         raise ValueError("no breakpoints to search")
     a = sorted_scores(alpha, data.n)
     e = _as_residuals(data, beta_star).e
-    neg = -(data.x @ np.array(direction, dtype=float).ravel())  # -sigma
-    return _line_search(a.alpha, e, neg, bps.steps)
+    neg = -(data.x @ _direction(data, direction))  # -sigma
+    return _line_search(a.alpha, e, neg, np.sort(bps.steps))
 
 
 def _require_descending_ray(data, alpha, point, ray, trace):

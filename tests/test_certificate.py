@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from rankwalk import (
+    Minimizer,
     OptimalityCertificate,
     RegressionData,
     active_pairs,
     birkhoff_decompose,
     eval_loss,
+    eval_loss_bruteforce,
     improving_direction,
+    make_scores,
+    minimize,
     normalize_scores,
+    oracle_minimize,
     residuals,
     solve_certificate,
     verify_certificate,
@@ -208,3 +213,22 @@ def test_certified_value_prices_the_loss(worked):
     report = verify_certificate(data, alpha, [0.0], cert)
     f = eval_loss(data, alpha, [0.0])
     assert abs(report.certified_value - f) <= 1e-7 * (1.0 + abs(f))
+
+
+def test_raw_weights_check_as_the_sorted_ones_do():
+    """Weights in any order are sorted on entry by every function that takes
+    them, so a certificate checks with the weights it was fitted with."""
+    rng = np.random.default_rng(8)
+    data = RegressionData(np.column_stack([np.ones(8), rng.standard_normal(8)]), rng.standard_normal(8))
+    alpha = make_scores("wilcoxon", 8)
+    raw = rng.permutation(alpha.alpha)
+    assert (np.diff(raw) < 0).any()
+    fit = minimize(data, raw)
+    assert isinstance(fit, Minimizer)
+    beta = fit.beta_opt
+    report = verify_certificate(data, raw, beta, fit.certificate)
+    assert report.ok, report.failures
+    assert report.certified_value == verify_certificate(data, alpha, beta, fit.certificate).certified_value
+    assert eval_loss(data, raw, beta) == eval_loss(data, alpha, beta) == pytest.approx(fit.f_opt, rel=1e-9)
+    assert eval_loss_bruteforce(data, raw, beta) == eval_loss_bruteforce(data, alpha, beta)
+    assert oracle_minimize(data, raw).value == oracle_minimize(data, alpha).value

@@ -22,7 +22,7 @@ from rankwalk import (
 )
 from rankwalk.certificate import _perfect_matching
 from rankwalk.loss import TieBlock, _tie_order
-from rankwalk.model import as_score_vector
+from rankwalk.model import sorted_scores
 
 KINDS = ("sign", "wilcoxon", "van_der_waerden")
 
@@ -106,7 +106,7 @@ def reference_birkhoff(G, support_tol=1e-9):
 
 
 def reference_verify(data, alpha, beta, cert, tie_tol=None):
-    a = as_score_vector(alpha)
+    a = sorted_scores(alpha, data.n)
     n = data.n
     res = residuals(data, beta)
     tt = default_tie_tol(res) if tie_tol is None else tie_tol

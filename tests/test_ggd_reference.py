@@ -6,7 +6,8 @@ residuals of its accepted point: it calls the public ``cell_gradient``,
 residuals of every point it starts from.  ``ggd_minimize`` must return the
 same ``GgdResult`` byte for byte (beta, f, every point and loss of the
 trace, the stop reason and both counts), or raise the same error, on the
-benchmark's ``ggd-line`` fits, on both perturbations and an explicit tie
+benchmark's ``ggd-line`` fits and on shapes that workload leaves out (exact
+ties, and continuous data at p = 4 and 6), on both perturbations and an explicit tie
 tolerance, at each stop reason, on a ray whose residuals overflow, and on a
 gradient that overflows.
 """
@@ -28,6 +29,7 @@ from rankwalk import (
     eval_loss,
     ggd_minimize,
     line_search,
+    make_scores,
     random_instance,
     residuals,
 )
@@ -136,6 +138,12 @@ def assert_same_fit(data, alpha, beta0=None, config=None):
     return got
 
 
+# Shapes the ggd-line workload does not fit, as (generator, n, p), each with
+# every score kind: exact ties, and continuous data at p = 4 and 6.
+MORE_SHAPES = (("integer_grid", 12, 2), ("integer_grid", 12, 3), ("integer_grid", 18, 2), ("integer_grid", 18, 3),
+               ("continuous", 40, 4), ("continuous", 30, 6))
+
+
 def test_ggd_line_fits_match_the_reference():
     cases = bench_cases()
     wl = cases.WORKLOADS["ggd-line"]
@@ -144,6 +152,12 @@ def test_ggd_line_fits_match_the_reference():
         for rnd in range(4):
             for case in cases.build_round(wl, seed, rnd):
                 reasons.add(assert_same_fit(case.data, case.alpha).trace.stop_reason)
+        for generator, n, p in MORE_SHAPES:
+            data = getattr(cases, generator)(seed, n, p)
+            for kind in cases.KINDS:
+                got = assert_same_fit(data, make_scores(kind, n))
+                assert isinstance(got, GgdResult), got
+                reasons.add(got.trace.stop_reason)
     assert reasons >= {"stalled", "max_iter"}
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,32 @@ def test_breakpoints_rejects_bad_direction(worked):
         breakpoints(data, [0.0], [0.0], TIE)
     with pytest.raises(ValueError):
         breakpoints(data, [0.0], [1.0, 2.0], TIE)
+
+
+@pytest.mark.parametrize("direction, message", [
+    ([math.nan, 1.0], "finite vector of width p"), ([math.inf, 1.0], "finite vector of width p"),
+    ([0.0, 0.0], "nonzero"), ([1.0], "finite vector of width p"), ([1.0, 2.0, 3.0], "finite vector of width p"),
+], ids=["nan", "inf", "zero", "short", "long"])
+def test_line_search_rejects_bad_direction(direction, message):
+    rng = np.random.default_rng(3)
+    data = RegressionData(np.column_stack([np.ones(10), rng.standard_normal(10)]), rng.standard_normal(10))
+    alpha = make_scores("wilcoxon", 10)
+    bps = breakpoints(data, [0.0, 0.0], [1.0, 1.0], TIE)
+    assert bps.steps.size
+    with pytest.raises(ValueError, match=f"direction must be (a )?{message}"):
+        line_search(data, alpha, [0.0, 0.0], direction, bps)
+
+
+def test_breakpoints_returns_the_arrays_it_built_frozen(worked):
+    data, alpha = worked
+    bps = breakpoints(data, [-1.0], [1.0], TIE)
+    assert bps.pairs.dtype == np.intp and bps.steps.dtype == float
+    for arr in (bps.pairs, bps.steps):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert line_search(data, alpha, [-1.0], [1.0], bps) == 1.0  # sorts a copy of the steps
+    assert bps.pairs.tolist() == [[0, 1], [0, 2]] and bps.steps.tolist() == [2.0, 1.0]  # unchanged, in (i, j) order
 
 
 def test_breakpoints_land_on_tie_hyperplanes():
