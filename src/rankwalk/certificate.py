@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import ActivePairs, active_pairs, default_tie_tol, fold_singletons, residuals
-from .lp import LpNumericError, LpOptimal, _check_lp_tol, _solve_rows
+from .lp import LpNumericError, LpOptimal, _check_lp_tol, _solve_by_dual
 from .model import RegressionData, ScoreVector, sorted_scores
 
 
@@ -68,23 +68,26 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
     factorization of x, since D depends on ell only through x ell) with one
     cut t_B + (g_s - g_B) . ell >= -eps_c per distinct cut met so far,
     starting from each block's index order (t_B >= -eps) and its reverse.
-    It has p + (number of blocks) columns and every row holds at the origin,
-    so phase 1 never runs.  Measuring t_B from g_B, and relaxing cut c by a
-    distinct eps_c = threshold / (c + 2), keep the vertices non-degenerate:
-    with every cut through the origin, Dantzig's rule stalled there and the
-    drifted tableau returned multipliers of the wrong sign.
+    It has p + (number of blocks) columns and is posed as A z <= b, the cuts
+    negated and the box as [R; -R] ell <= 1, to ``lp._solve_by_dual``: its
+    dual has one row per column, p + K, and one column per cut or box row.
+    Measuring t_B from g_B, and relaxing cut c by a distinct
+    eps_c = threshold / (c + 2), keep the vertices non-degenerate (the
+    dual prices every cut column differently): with every cut through the
+    origin, the free-variable simplex that solved the master before stalled
+    there under Dantzig's rule and returned multipliers of the wrong sign.
     The most violated ordering of a block lists its observations by x_j . ell
     descending (rearrangement inequality) and is added while it exceeds t_B
     by more than the threshold.  Then either D(ell) < -threshold and ell, the
     steepest descent in that norm, is returned, or the cut multipliers, which
     sum to 1 per block and balance lin (the relaxation leaves both
     conditions as they are), are merged into weighted whole orderings: the
-    certificate, already decomposed.
+    certificate, already decomposed.  The multipliers are the dual's y on
+    the cut rows: A^T y = -c reads, on block B's column, that B's add to 1.
 
-    The master's cut rows and box rows are stacked in one array and solved
-    past ``solve_lp``'s validation.  ``R`` may be given by a caller that
-    searches the same data more than once (``minimize`` factors x once per
-    fit); it is computed here otherwise.
+    ``R`` may be given by a caller that searches the same data more than
+    once (``minimize`` factors x once per fit); it is computed here
+    otherwise.
     """
     _check_lp_tol(lp_tol)
     fold = fold_singletons(data, a, ap)
@@ -99,8 +102,8 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
         R = np.linalg.qr(x, mode="r")
     width, r = p + K, R.shape[0]
     box = np.zeros((2 * r, width))
-    box[:r, :p] = box[r:, :p] = R
-    box_rels, box_rhs = ["<="] * r + [">="] * r, [1.0] * r + [-1.0] * r
+    box[:r, :p] = R
+    box[r:, :p] = -R
     slope0 = -(fold.lin + sum(base, np.zeros(p)))
     objective = np.concatenate([slope0, np.ones(K)])
     rows, rhs, seen = [], [], set()
@@ -109,23 +112,22 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
     def add_cut(b, k) -> bool:
         """Add the cut of block b's observations in the order k (positions in obs_of[b])."""
         row = np.zeros(width)
-        row[:p] = al_of[b] @ x_of[b][k] - base[b]
-        row[p + b] = 1.0
+        row[:p] = base[b] - al_of[b] @ x_of[b][k]
+        row[p + b] = -1.0
         key = (b, row.tobytes())
         if key in seen:  # orderings of equal rows of x give equal cuts
             return False
         seen.add(key)
         cuts[b].append((len(rows), obs_of[b][k]))
         rows.append(row)
-        rhs.append(-thr / (len(rhs) + 2))
+        rhs.append(thr / (len(rhs) + 2))
         return True
 
     for b, obs in enumerate(obs_of):
         add_cut(b, np.arange(obs.size))
         add_cut(b, np.arange(obs.size)[::-1])
     while True:
-        out = _solve_rows(objective, np.vstack(rows + [box]), np.array([">="] * len(rows) + box_rels),
-                          np.array(rhs + box_rhs), lp_tol)
+        out = _solve_by_dual(objective, np.vstack(rows + [box]), np.array(rhs + [1.0] * (2 * r)), lp_tol)
         if not isinstance(out, LpOptimal):
             raise LpNumericError(f"descent master returned {type(out).__name__}, expected an optimum")
         ell, t = out.point[:p], out.point[p:].tolist()

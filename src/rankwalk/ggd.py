@@ -14,7 +14,8 @@ sorted for its loss, become the next iteration's start, and the gaps of that
 sort give its tie test, which stands while the point does.  The results are
 those of ``residuals``, ``cell_gradient``, ``breakpoints`` and
 ``line_search`` bit for bit; the ray is searched with the array core behind
-the last two (``woa._steps`` and ``woa._line_search``).
+the last two (``woa._steps`` and ``woa._line_search``), which the walk's
+``minimize`` shares.
 """
 
 from __future__ import annotations

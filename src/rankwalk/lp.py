@@ -10,24 +10,26 @@ point and a ray re-checked to stay feasible and strictly decrease the
 objective.
 
 ``solve_lp`` minimizes c.x over free variables subject to rows (a,
-relation, b), relation one of "<=", ">=", "==".  It is the public wrapper:
-it validates the ``LinearProgram`` into arrays, c, A, the relations and b,
-and hands them to ``_solve_rows``.  Callers that already hold such arrays,
-like the descent search's master (its cut rows and box rows stacked in one
-matrix), enter at ``_solve_rows`` and skip the validation.  It splits each
-variable into a difference of two nonnegative parts and gives each
-inequality a slack.  A row whose slack is feasible at the origin starts with
-that slack basic: "<=" rows with a nonnegative right-hand side, and ">="
-rows with a zero right-hand side, which are stored negated as "<=".
-Optimal results carry dual multipliers reconstructed from the final basis.
+relation, b), relation one of "<=", ">=", "==".  It is the public wrapper,
+behind ``find_feasible`` too; no layer of the walk poses a program to it.
+It validates the ``LinearProgram`` into arrays, splits each variable into
+a difference of two nonnegative parts and gives each inequality a slack.
+A row whose slack is feasible at the origin starts with that slack basic:
+"<=" rows with a nonnegative right-hand side, and ">=" rows with a zero
+right-hand side, which are stored negated as "<=".  Optimal results carry
+dual multipliers reconstructed from the final basis.
 
 ``_solve_by_dual`` minimizes c.v over free v subject to Av <= b, with A
 tall (m rows, p columns, m >> p), through its dual: min b.y subject to
 A^T y = -c and y >= 0, p rows and m columns, so the tableau is p x m and
 at most p artificials enter.  The primal point is the p x p solve of the
 basic rows; an infeasible dual is an unbounded primal, whose ray is the
-Farkas vector of phase 1.  Its callers pose programs of that shape:
+Farkas vector of phase 1.  Each column is row j of A scaled to unit
+max-norm and priced to a tolerance that keeps every row within what the
+final check allows.  Every program of the package has this shape:
 ``woa.cell_lp`` (a region's n - 1 rows in p variables),
+``certificate._descent_search`` (the master's cuts and box rows in
+p + K variables, K the tie blocks, its multipliers read from y),
 ``oracle.oracle_minimize`` (the envelope program's n! rows in p + 1) and
 ``oracle.enumerate_nonempty_cells`` (each region's rows, with a zero
 objective, so an empty region is its ``LpInfeasible``).
@@ -36,7 +38,7 @@ Pivoting is deterministic: largest reduced-cost violation with lowest-index
 tie breaks, switching to Bland's rule (lowest index only) once degenerate
 steps stall; among rows tied in the ratio test, the one whose basic column
 has the lowest index leaves.  The tableaus have few rows (p for the cell
-LP, p + 1 for the envelope program, the cuts and the box for the master), so
+LP, p + 1 for the envelope program, p + K for the master), so
 each pivot costs a handful of array operations and the ratio test runs over
 Python floats.  Anything the tableau cannot answer cleanly raises
 LpNumericError rather than returning a wrong verdict.
@@ -357,16 +359,11 @@ def _check_lp_tol(lp_tol: float):
 def solve_lp(prob: LinearProgram, lp_tol: float = 1e-9) -> LpOutcome:
     """Solve the program, retrying once under Bland's rule before giving up."""
     _check_lp_tol(lp_tol)
-    return _solve_rows(*_validate(prob), lp_tol)
-
-
-def _solve_rows(c, A, rels, b, lp_tol: float) -> LpOutcome:
-    """``solve_lp`` on rows already validated: c and b float vectors, A a
-    float matrix and rels an array of relations, one per row."""
+    rows = _validate(prob)
     try:
-        return _simplex_once(c, A, rels, b, lp_tol, bland=False)
+        return _simplex_once(*rows, lp_tol, bland=False)
     except LpNumericError:
-        return _simplex_once(c, A, rels, b, lp_tol, bland=True)
+        return _simplex_once(*rows, lp_tol, bland=True)
 
 
 def _solve_by_dual(c, A, b, lp_tol: float = 1e-9) -> LpOutcome:
@@ -389,7 +386,11 @@ def _dual_once(c, A, b, lp_tol, bland) -> LpOutcome:
     M = (A / scale[:, None]).T * sign[:, None]
     cost = b / scale
     no_slack = np.full(nv, -1, dtype=np.intp)
-    std = _standard(cost, M, np.abs(c), no_slack, lp_tol, bland)
+    # Column j's reduced cost is row j's slack divided by scale[j], so pricing
+    # to ``price_tol`` leaves row j broken by at most price_tol * scale[j]:
+    # within the 10 * lp_tol that ``_check_rows`` allows every row.
+    price_tol = min(lp_tol, 10.0 * lp_tol / scale.max(initial=1.0))
+    std = _standard(cost, M, np.abs(c), no_slack, price_tol, bland)
 
     if std.farkas is not None:  # no y: the primal is unbounded along the Farkas vector
         ray = sign * std.farkas
@@ -405,7 +406,7 @@ def _dual_once(c, A, b, lp_tol, bland) -> LpOutcome:
         if not _check_rows(A, "<=", b, point, lp_tol, False):
             # The multipliers of min b.y subject to A^T y = 0, y >= 0 are a
             # feasible point when it is bounded; when it is not, nothing is.
-            std = _standard(cost, M, np.zeros(nv), no_slack, lp_tol, bland)
+            std = _standard(cost, M, np.zeros(nv), no_slack, price_tol, bland)
             if std.entering is not None:
                 return _infeasible(A, b, scale, std, lp_tol)
             point = _basic_rows_point(A, b, std.basis)

@@ -391,15 +391,17 @@ def minimize(data: RegressionData, alpha, beta0=None,
             log.info("minimizer found after %d iterations, loss %.12g", len(iterations), f_star)
             return Minimizer(beta_star, f_star, found, WalkTrace(tuple(iterations)))
         ell = found
-        bps = breakpoints(data, res_star, ell, tts, lp_tol=cfg.lp_tol)
-        if bps.steps.size == 0:
+        sigma = data.x @ ell
+        steps = _steps(res_star.e, sigma, tts, cfg.lp_tol)[1]
+        if steps.size == 0:
             iterations.append(WalkIteration(pi, beta_star, f_star, ell, None))
             ray = ell / float(np.abs(ell).max())
             trace_now = WalkTrace(tuple(iterations))
             _require_descending_ray(data, a, beta_star, ray, trace_now)
             log.info("descent ray never changes the ordering; unbounded at iteration %d", it)
             return Unbounded(beta_star, ray, trace_now)
-        d_star = line_search(data, a, res_star, ell, bps)
+        steps.sort()
+        d_star = _line_search(a.alpha, res_star.e, -sigma, steps)
         iterations.append(WalkIteration(pi, beta_star, f_star, ell, d_star))
         log.debug("iteration %d: ordering %s, region minimum %.12g, step %.6g", it, pi, f_star, d_star)
         beta = beta_star + d_star * ell

@@ -12,6 +12,7 @@ from rankwalk import (
     find_feasible,
     solve_lp,
 )
+from rankwalk.lp import _check_rows, _solve_by_dual
 
 TOL = 1e-6
 
@@ -253,3 +254,26 @@ def test_unbounded_rays_verified():
         assert np.all(A @ out.ray <= TOL)  # ray keeps every row satisfied
         assert float(c @ out.ray) < 0.0
         seen += 1
+
+
+def test_dual_core_prices_to_what_its_row_check_accepts():
+    """The descent master of acceptance gate 1's draw #136 (sweep seed
+    20260816, n = 4, p = 3): four cuts on one tie block and the box rows,
+    in p + 1 = 4 variables.  Cut row 1 has max entry 28 and right-hand side
+    1.9e-8.  Priced with lp_tol on columns scaled by 28, the dual stopped
+    at a point that broke that row by 1.15e-8, past the 1e-8 its row check
+    allows, and raised "optimal point failed verification"."""
+    r = (3.605551275463989, 1.386750490563073, 5.3923022056375025, 2.781743201320934, 4.273394992497741)
+    box = np.array([[-r[0], r[1], 0.0, 0.0], [0.0, -r[2], -r[3], 0.0], [0.0, 0.0, r[4], 0.0]])
+    A = np.vstack([[[0.0, 0.0, 0.0, -1.0],
+                    [11.0, -28.0, 0.0, -1.0],
+                    [11.0, -28.0, -20.0, -1.0],
+                    [14.0, -25.0, 5.0, -1.0],
+                    [8.0, -13.0, -5.0, -1.0]], box, -box])
+    b = np.array([2.85e-08, 1.9e-08, 1.425e-08, 1.14e-08, 9.5e-09] + [1.0] * 6)
+    c = np.array([-7.0, 14.0, 2.0, 1.0])
+    out = _solve_by_dual(c, A, b, lp_tol=1e-9)
+    assert isinstance(out, LpOptimal)
+    assert _check_rows(A, "<=", b, out.point, 1e-9, False)
+    np.testing.assert_allclose(A.T @ out.dual, -c, atol=1e-9)
+    assert out.dual[:5].sum() == pytest.approx(1.0)  # the cuts of the one block

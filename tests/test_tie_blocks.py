@@ -128,14 +128,14 @@ def test_lp_columns_follow_the_tie_blocks(monkeypatch):
     nontrivial tie blocks, where the unreduced systems had p + 2n and
     |pairs|."""
     shapes = []
-    original = rankwalk.certificate._solve_rows
+    original = rankwalk.certificate._solve_by_dual
 
-    def recording(c, A, rels, b, lp_tol):
+    def recording(c, A, b, lp_tol):
         shapes.append(len(c))
         assert A.shape[1] == len(c)
-        return original(c, A, rels, b, lp_tol)
+        return original(c, A, b, lp_tol)
 
-    monkeypatch.setattr(rankwalk.certificate, "_solve_rows", recording)
+    monkeypatch.setattr(rankwalk.certificate, "_solve_by_dual", recording)
     rng = np.random.default_rng(5)
     probed = 0
     for data, alpha in cases():

@@ -397,3 +397,35 @@ def test_descending_ray_guard(worked):
     data, alpha = worked
     with pytest.raises(WalkInvariantError):
         _require_descending_ray(data, alpha, np.array([0.0]), np.array([1.0]), None)
+
+
+def test_walk_steps_match_the_public_ray_search():
+    """The walk searches each ray on the array core behind ``breakpoints``
+    and ``line_search``; every recorded step is what the two give."""
+    rng = np.random.default_rng(8)
+    searched = 0
+    for t in range(6):
+        n, p = 40, 2 + t % 3
+        x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+        if t % 2:
+            x = np.round(2.0 * x)
+        data = RegressionData(x, np.round(x @ rng.standard_normal(p) + rng.standard_t(2, n), 1))
+        alpha = make_scores(("sign", "wilcoxon", "van_der_waerden")[t % 3], n)
+        out = minimize(data, alpha)
+        assert isinstance(out, Minimizer)
+        for it in out.trace.iterations[:-1]:
+            res = residuals(data, it.beta_star)
+            bps = breakpoints(data, res, it.direction, default_tie_tol(res))
+            assert line_search(data, alpha, res, it.direction, bps) == it.d_star
+            searched += 1
+    assert searched >= 10
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_walk_rejects_a_bad_default_tie_tolerance(monkeypatch, worked, bad):
+    """A non-finite tie tolerance at a region minimum raises the ValueError
+    of ``active_pairs`` and ``breakpoints``."""
+    monkeypatch.setattr(rankwalk.woa, "default_tie_tol", lambda res: bad)
+    data, alpha = worked
+    with pytest.raises(ValueError, match="tie tolerance must be finite"):
+        minimize(data, alpha)
