@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import ActivePairs, active_pairs, default_tie_tol, fold_singletons, residuals
+from .loss import ActivePairs, active_pairs, default_tie_tol, residuals
 from .lp import LpNumericError, LpOptimal, _check_lp_tol, _solve_by_dual
 from .model import RegressionData, ScoreVector, sorted_scores
+
+SUPPORT_TOL = 1e-9  # entries of G at or below this are outside its support
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,10 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
     ell with D(ell) < 0, or the certificate that none exists.
 
     D(ell) = -lin . ell + sum_B max_s -g_s . ell is the directional
-    derivative, with lin and the nontrivial blocks B from
-    ``fold_singletons``, s an ordering of B's observations on B's ranks and
+    derivative.  A rank alone in its tie block can hold only that block's
+    observation, so those ranks fold into the constant lin, the sum of
+    alpha[rank] x[observation] over them; B runs over the other blocks, s
+    is an ordering of B's observations on B's ranks and
     g_s = sum_k alpha[B.lo + k] x[s(k)].  With g_B the g of B's observations
     in index order, D(ell) = -(lin + sum_B g_B) . ell + sum_B t_B where
     t_B = max_s (g_B - g_s) . ell >= 0 is B's excess over that ordering.
@@ -90,13 +94,15 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
     otherwise.
     """
     _check_lp_tol(lp_tol)
-    fold = fold_singletons(data, a, ap)
-    x, p, n, K = data.x, data.p, data.n, len(fold.blocks)
-    obs_of = [np.array(blk.observations) for blk in fold.blocks]
+    x, p, n, order = data.x, data.p, data.n, ap.order
+    alone, runs = ap._split
+    lin = a.alpha[alone] @ x[order[alone]]
+    K = len(runs)
+    obs_of = [np.sort(order[lo:hi + 1]) for lo, hi in runs]
     x_of = [x[obs] for obs in obs_of]
-    al_of = [a.alpha[blk.lo:blk.hi + 1] for blk in fold.blocks]
+    al_of = [a.alpha[lo:hi + 1] for lo, hi in runs]
     base = [al @ xb for xb, al in zip(x_of, al_of)]
-    thr = lp_tol * (1.0 + float(np.abs(fold.lin).sum())
+    thr = lp_tol * (1.0 + float(np.abs(lin).sum())
                     + sum(float(np.abs(al).sum() * np.abs(xb).sum(axis=1).max()) for xb, al in zip(x_of, al_of)))
     if R is None:
         R = np.linalg.qr(x, mode="r")
@@ -104,7 +110,7 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
     box = np.zeros((2 * r, width))
     box[:r, :p] = R
     box[r:, :p] = -R
-    slope0 = -(fold.lin + sum(base, np.zeros(p)))
+    slope0 = -(lin + sum(base, np.zeros(p)))
     objective = np.concatenate([slope0, np.ones(K)])
     rows, rhs, seen = [], [], set()
     cuts = [[] for _ in range(K)]  # per block: (row, ordering) of each of its cuts
@@ -158,10 +164,10 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
     ends = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]
     starts = np.concatenate([[0.0], ends[:-1]])
     pis = np.empty((ends.size, n), dtype=np.intp)
-    pis[:, fold.ranks] = fold.observations
+    pis[:, alone] = order[alone]
     mids = (starts + ends) / 2.0
-    for blk, (orders, cum) in zip(fold.blocks, per_block):
-        pis[:, blk.lo:blk.hi + 1] = orders[np.searchsorted(cum, mids)]
+    for (lo, hi), (orders, cum) in zip(runs, per_block):
+        pis[:, lo:hi + 1] = orders[np.searchsorted(cum, mids)]
     weights = ends - starts
     G = np.zeros((n, n))
     ranks = np.arange(n)
@@ -213,7 +219,7 @@ def _perfect_matching(edges: list[list[int]], n: int) -> list[int] | None:
     return pi
 
 
-def birkhoff_decompose(G, support_tol: float = 1e-9) -> list[tuple[float, tuple[int, ...]]]:
+def birkhoff_decompose(G) -> list[tuple[float, tuple[int, ...]]]:
     """Split a bistochastic matrix into weighted permutations.
 
     Repeatedly matches the positive support perfectly, peels off the smallest
@@ -232,13 +238,13 @@ def birkhoff_decompose(G, support_tol: float = 1e-9) -> list[tuple[float, tuple[
     if dev > 1e-7:
         raise ValueError(f"input is not bistochastic within 1e-7 (deviation {dev:.3g})")
     np.clip(R, 0.0, None, out=R)
-    coarse = max(support_tol, 2e-7 * n)
+    coarse = max(SUPPORT_TOL, 2e-7 * n)
     terms: list[tuple[float, tuple[int, ...]]] = []
     for _ in range(n * n + 2):
         top = float(R.max())
-        if top <= support_tol:
+        if top <= SUPPORT_TOL:
             break
-        rows, cols = np.nonzero(R > support_tol)
+        rows, cols = np.nonzero(R > SUPPORT_TOL)
         edges = [[] for _ in range(n)]
         for i, j in zip(rows.tolist(), cols.tolist()):
             edges[i].append(j)

@@ -76,7 +76,8 @@ def build_scores(spec: str, n: int) -> ScoreVector:
     if spec.startswith("file="):
         path = spec[len("file="):]
         try:
-            text = open(path).read()
+            with open(path) as fh:
+                text = fh.read()
         except OSError as exc:
             raise CliError(f"{path}: {exc.strerror}") from None
         try:

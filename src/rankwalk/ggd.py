@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import _as_residuals, _check_tie_tol, _residual_vector
+from .loss import _as_residuals, _check_tie_tol, _residual_vector, _tie_tol_at
 from .model import RegressionData, sorted_scores
 from .woa import _line_search, _steps
 
@@ -76,7 +76,7 @@ def _tie_test(es: np.ndarray, tie_tol: float | None) -> tuple[float, bool]:
     it.  A NaN residual fails the test.  Any sort of e has the gaps of
     ``e[argsort(e)]``, so the loss's ``np.sort`` serves as well."""
     if tie_tol is None:
-        tie_tol = 1e-9 * (1.0 + float(max(-es[0], es[-1])))
+        tie_tol = _tie_tol_at(float(max(-es[0], es[-1])))
     gaps = es[1:] - es[:-1]
     return tie_tol, bool(gaps.size == 0 or gaps.min() > tie_tol)  # the min of gaps with a NaN is NaN
 

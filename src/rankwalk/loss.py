@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import RegressionData, ScoreVector, sorted_scores
+from .model import RegressionData, sorted_scores
 
 BRUTE_FORCE_LIMIT = 8
 
@@ -87,14 +87,12 @@ class ActivePairs:
         alone = lo == hi
         return lo[alone], list(zip(lo[~alone].tolist(), hi[~alone].tolist()))
 
-    def _block(self, lo: int, hi: int) -> TieBlock:
-        return TieBlock(lo, hi, tuple(sorted(self.order[lo:hi + 1].tolist())))
-
     @cached_property
     def blocks(self) -> tuple[TieBlock, ...]:
         """The tie blocks in rank order, observations listed by index."""
         bounds = self._bounds.tolist()
-        return tuple(self._block(lo, hi - 1) for lo, hi in zip(bounds, bounds[1:]))
+        return tuple(TieBlock(lo, hi - 1, tuple(sorted(self.order[lo:hi].tolist())))
+                     for lo, hi in zip(bounds, bounds[1:]))
 
     @cached_property
     def block_of(self) -> tuple[int, ...]:
@@ -151,8 +149,13 @@ def _as_residuals(data: RegressionData, point) -> Residuals:
     return residuals(data, point)
 
 
+def _tie_tol_at(top: float) -> float:
+    """The default tie tolerance of residuals whose largest |e| is ``top``."""
+    return 1e-9 * (1.0 + top)
+
+
 def default_tie_tol(res: Residuals) -> float:
-    return 1e-9 * (1.0 + float(np.abs(res.e).max()))
+    return _tie_tol_at(float(np.abs(res.e).max()))
 
 
 def _tie_order(e: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -184,30 +187,6 @@ def active_pairs(res: Residuals, tie_tol: float) -> ActivePairs:
     rank i in some consistent ordering exactly when both share a block."""
     _check_tie_tol(tie_tol)
     return ActivePairs(*_tie_order(res.e, tie_tol))
-
-
-@dataclass(frozen=True)
-class TieFold:
-    """The realizable pairs at a point, split into what is fixed and what is
-    free.  A rank alone in its tie block can only hold that block's one
-    observation, so the singleton pairs ``(ranks[t], observations[t])`` are
-    fixed and contribute the constant ``lin = sum_t alpha[ranks[t]] *
-    x[observations[t]]``; only the pairs inside the nontrivial ``blocks``
-    are free."""
-
-    ranks: np.ndarray
-    observations: np.ndarray
-    lin: np.ndarray
-    blocks: tuple[TieBlock, ...]
-
-
-def fold_singletons(data: RegressionData, alpha: ScoreVector, ap: ActivePairs) -> TieFold:
-    """Fold the singleton tie blocks of ``ap`` into a constant; see TieFold."""
-    ranks, runs = ap._split
-    obs = ap.order[ranks]
-    lin = alpha.alpha[ranks] @ data.x[obs]
-    blocks = tuple(ap._block(lo, hi) for lo, hi in runs)
-    return TieFold(ranks, obs, lin, blocks)
 
 
 def eval_loss(data: RegressionData, alpha, beta) -> float:

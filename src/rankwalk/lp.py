@@ -11,9 +11,10 @@ objective.
 
 ``solve_lp`` minimizes c.x over free variables subject to rows (a,
 relation, b), relation one of "<=", ">=", "==".  It is the public wrapper,
-behind ``find_feasible`` too; no layer of the walk poses a program to it.
-It validates the ``LinearProgram`` into arrays, splits each variable into
-a difference of two nonnegative parts and gives each inequality a slack.
+behind ``find_feasible`` too; no layer of the package poses a program to it.
+It validates the ``LinearProgram`` row by row into arrays, so that an error
+names the first malformed constraint, splits each variable into a
+difference of two nonnegative parts and gives each inequality a slack.
 A row whose slack is feasible at the origin starts with that slack basic:
 "<=" rows with a nonnegative right-hand side, and ">=" rows with a zero
 right-hand side, which are stored negated as "<=".  Optimal results carry
@@ -96,30 +97,16 @@ LpOutcome = LpOptimal | LpUnbounded | LpInfeasible
 
 
 def _validate(prob: LinearProgram):
+    """The program as arrays (c, A, relations, b), row by row so that an
+    error names the first malformed constraint."""
     c = np.array(prob.objective, dtype=float).ravel()
     nv = c.shape[0]
     if nv < 1:
         raise LpError("need at least one variable")
     if not np.isfinite(c).all():
         raise LpError("objective must be finite")
-    cons = tuple(prob.constraints)
-    try:
-        coeffs, rels, rhs = zip(*cons)
-        A = np.array(coeffs, dtype=float).reshape(len(cons), -1)
-        b = np.array(rhs, dtype=float)
-        stacked = (all(len(con) == 3 for con in cons) and A.shape[1] == nv and b.shape == (len(cons),)
-                   and set(rels) <= set(RELATIONS) and bool(np.isfinite(A).all()) and bool(np.isfinite(b).all()))
-    except (TypeError, ValueError):  # ragged or malformed: let the row-by-row pass name the row
-        stacked = False
-    if not stacked:
-        return (c, *_validate_rows(cons, nv))
-    return c, A, np.array(rels, dtype="<U2"), b
-
-
-def _validate_rows(cons, nv: int):
-    """Row by row, to name the first malformed constraint."""
     rows = []
-    for k, con in enumerate(cons):
+    for k, con in enumerate(prob.constraints):
         try:
             coeffs, rel, rhs = con
         except (TypeError, ValueError):
@@ -137,7 +124,7 @@ def _validate_rows(cons, nv: int):
     A = np.array([r[0] for r in rows]) if m else np.zeros((0, nv))
     rels = np.array([r[1] for r in rows], dtype="<U2")
     b = np.array([r[2] for r in rows]) if m else np.zeros(0)
-    return A, rels, b
+    return c, A, rels, b
 
 
 def _reduced_row(T: np.ndarray, basis: np.ndarray, cvec: np.ndarray) -> np.ndarray:
@@ -285,6 +272,18 @@ def _check_rows(A, rel, b, v, lp_tol, homogeneous: bool) -> bool:
     return not bad.any()
 
 
+def _unit_ray(c, ray) -> np.ndarray:
+    """An unbounded ray scaled to unit max-norm, checked to be nonzero and
+    to decrease c.x."""
+    top = np.abs(ray).max()
+    if top <= 0.0:
+        raise LpNumericError("unbounded ray vanished on the original variables")
+    ray = ray / top
+    if float(c @ ray) >= 0.0:
+        raise LpNumericError("unbounded ray does not decrease the objective")
+    return ray
+
+
 def _simplex_once(c, A_raw, rels_raw, b_raw, lp_tol, bland) -> LpOutcome:
     m, nv = A_raw.shape
     le, ge = rels = (rels_raw == "<=", rels_raw == ">=")
@@ -321,13 +320,7 @@ def _simplex_once(c, A_raw, rels_raw, b_raw, lp_tol, bland) -> LpOutcome:
         ray_std = np.zeros(n_real)
         ray_std[std.entering] = 1.0
         ray_std[basis] = -T[:, std.entering]
-        ray = ray_std[:nv] - ray_std[nv : 2 * nv]
-        top = np.abs(ray).max()
-        if top <= 0.0:
-            raise LpNumericError("unbounded ray vanished on the original variables")
-        ray = ray / top
-        if float(c @ ray) >= 0.0:
-            raise LpNumericError("unbounded ray does not decrease the objective")
+        ray = _unit_ray(c, ray_std[:nv] - ray_std[nv : 2 * nv])
         if not (_check_rows(A_raw, rels, b_raw, point, lp_tol, False)
                 and _check_rows(A_raw, rels, b_raw, ray, lp_tol, True)):
             raise LpNumericError("unbounded certificate failed verification")
@@ -393,13 +386,7 @@ def _dual_once(c, A, b, lp_tol, bland) -> LpOutcome:
     std = _standard(cost, M, np.abs(c), no_slack, price_tol, bland)
 
     if std.farkas is not None:  # no y: the primal is unbounded along the Farkas vector
-        ray = sign * std.farkas
-        top = np.abs(ray).max()
-        if top <= 0.0:
-            raise LpNumericError("unbounded ray vanished on the original variables")
-        ray = ray / top
-        if float(c @ ray) >= 0.0:
-            raise LpNumericError("unbounded ray does not decrease the objective")
+        ray = _unit_ray(c, sign * std.farkas)
         if not _check_rows(A, "<=", b, ray, lp_tol, True):
             raise LpNumericError("unbounded certificate failed verification")
         point = np.zeros(nv)

@@ -67,10 +67,10 @@ def enumerate_nonempty_cells(data: RegressionData, lp_tol: float = 1e-9) -> tupl
     return tuple(found)
 
 
-def random_instance(rng: np.random.Generator, n_range=(2, 6), p_range=(1, 3),
-                    value_range=(-3, 3)) -> tuple[RegressionData, ScoreVector]:
-    """Small-integer instance with sorted integer weights, for sweep tests."""
-    lo, hi = value_range
+def random_instance(rng: np.random.Generator, n_range=(2, 6), p_range=(1, 3)) -> tuple[RegressionData, ScoreVector]:
+    """Small-integer instance (entries in -3..3) with sorted integer weights,
+    for sweep tests."""
+    lo, hi = -3, 3
     n = int(rng.integers(n_range[0], n_range[1] + 1))
     p = int(rng.integers(p_range[0], p_range[1] + 1))
     x = rng.integers(lo, hi + 1, size=(n, p)).astype(float)

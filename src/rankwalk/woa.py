@@ -11,8 +11,8 @@ decomposed, and verified before the minimizer is returned.
 The direction and the certificate come from one cutting-plane search over
 the nontrivial tie blocks at the region minimum (see ``certificate``).  A
 rank alone in its block can hold nothing but its own observation, so its
-pairing is fixed and folds into a constant (``fold_singletons``); the search
-grows with the ties at the current point, not with n.
+pairing is fixed and folds into a constant; the search grows with the ties
+at the current point, not with n.
 
 The walk strictly decreases the region minima and never revisits an ordering;
 both facts are asserted at runtime and a violation (only possible through
@@ -187,7 +187,7 @@ def cell_lp(data: RegressionData, alpha, pi, lp_tol: float = 1e-9, at=None) -> L
     a = sorted_scores(alpha, data.n)
     given = pi if isinstance(pi, np.ndarray) else list(pi)
     pi = np.asarray(given)
-    if pi.shape != (data.n,) or not (np.sort(pi) == np.arange(data.n)).all():
+    if pi.dtype.kind not in "iu" or pi.shape != (data.n,) or not (np.sort(pi) == np.arange(data.n)).all():
         raise ValueError(f"{tuple(given)} is not a permutation of 0..{data.n - 1}")
     res = _as_residuals(data, np.zeros(data.p) if at is None else at)
     xp = data.x[pi]

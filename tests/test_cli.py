@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +36,16 @@ def test_fit_worked(worked_csv, capsys):
     assert payload["outcome"] == "minimizer"
     assert payload["F_opt"] == pytest.approx(1.0, abs=1e-9)
     assert payload["beta_opt"] == pytest.approx([0.0], abs=1e-9)
+
+
+def test_fit_closes_the_weights_file(worked_csv, capsys):
+    data, scores = worked_csv
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run(capsys, "fit", data, "--scores", f"file={scores}")
+        gc.collect()
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_fit_trace_schema(worked_csv, capsys, tmp_path):

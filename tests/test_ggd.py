@@ -6,12 +6,15 @@ from rankwalk import (
     Minimizer,
     RegressionData,
     cell_gradient,
+    default_tie_tol,
     ggd_minimize,
     minimize,
     normalize_scores,
     oracle_minimize,
     random_instance,
+    residuals,
 )
+from rankwalk.ggd import _tie_test
 
 # Narrow valley along the first axis: the two regions either side of it have
 # almost parallel loss contours, so line-search descent crosses the valley
@@ -137,3 +140,23 @@ def test_ggd_rejects_bad_start(worked):
     data, alpha = worked
     with pytest.raises(ValueError):
         ggd_minimize(data, alpha, beta0=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("sign", ["positive", "negative", "mixed", "signed_zeros"])
+def test_ggd_tie_tolerance_is_the_default(sign):
+    """GGD reads the default tie tolerance from residuals it has sorted; it
+    must equal ``default_tie_tol`` of the same residuals."""
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 40):
+        e = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        if sign == "positive":
+            e = np.abs(e) + 0.5
+        elif sign == "negative":
+            e = -np.abs(e) - 0.5
+        elif sign == "signed_zeros":  # only zeros at n <= 2, else one entry of size 3 among them
+            e = rng.choice([0.0, -0.0], n)
+            if n > 2:
+                e[rng.integers(n)] = rng.choice([3.0, -3.0])
+        data = RegressionData(np.zeros((n, 1)), e)
+        res = residuals(data, [0.0])
+        assert _tie_test(np.sort(res.e), None)[0] == default_tie_tol(res)

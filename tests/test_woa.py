@@ -128,8 +128,9 @@ def test_cell_lp_at_a_point_agrees_with_the_origin():
 
 def test_cell_lp_rejects_non_permutation(worked):
     data, alpha = worked
-    with pytest.raises(ValueError):
-        cell_lp(data, alpha, (0, 0, 1))
+    for ordering in ((0, 0, 1), (0.0, 1.0, 2.0)):
+        with pytest.raises(ValueError, match="is not a permutation"):
+            cell_lp(data, alpha, ordering)
 
 
 def test_improving_direction_worked(worked):
