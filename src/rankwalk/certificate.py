@@ -8,9 +8,11 @@ itself be realizable at the point, and the combination reproduces the loss
 value from the responses alone.
 
 One cutting-plane search over the tie blocks decides optimality: it returns
-either a direction of strict descent or G, built from the multipliers of its
-cuts as that convex combination.  ``birkhoff_decompose`` splits any
-bistochastic matrix given from outside; the walk does not need it.
+either a direction of strict descent or that convex combination, weighted
+orderings built from the multipliers of its cuts, with G summed from them
+only when read; ``minimize`` checks the orderings without G.
+``birkhoff_decompose`` splits any bistochastic matrix given from outside;
+the walk does not need it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import ActivePairs, active_pairs, default_tie_tol, residuals
+from .loss import ActivePairs, Residuals, active_pairs, default_tie_tol, residuals
 from .lp import LpNumericError, LpOptimal, _check_lp_tol, _solve_by_dual
 from .model import RegressionData, ScoreVector, sorted_scores
 
@@ -28,7 +30,14 @@ SUPPORT_TOL = 1e-9  # entries of G at or below this are outside its support
 
 @dataclass(frozen=True)
 class OptimalityCertificate:
-    """Bistochastic witness plus its decomposition into orderings."""
+    """Bistochastic witness ``G`` plus its decomposition into weighted
+    orderings, ``(weight, ordering)`` pairs.
+
+    The descent search builds its certificate from the terms alone, as
+    weights and a T x n array of orderings (``_of_terms``); ``G`` and
+    ``decomposition`` are then built from them when first read, G as the
+    sum of w P over the terms in order, so nothing of size n x n is made
+    for a caller that never reads G."""
 
     G: np.ndarray
     decomposition: tuple[tuple[float, tuple[int, ...]], ...]
@@ -38,6 +47,29 @@ class OptimalityCertificate:
         G.setflags(write=False)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "decomposition", tuple((float(w), tuple(pi)) for w, pi in self.decomposition))
+
+    @classmethod
+    def _of_terms(cls, weights: np.ndarray, orders: np.ndarray) -> "OptimalityCertificate":
+        cert = cls.__new__(cls)
+        object.__setattr__(cert, "_terms", (weights, orders))
+        return cert
+
+    def __getattr__(self, name):
+        """Reached only for a field not built yet, of a certificate of terms."""
+        if name not in ("G", "decomposition") or "_terms" not in vars(self):
+            raise AttributeError(name)
+        weights, orders = self._terms
+        if name == "G":
+            n = orders.shape[1]
+            value = np.zeros((n, n))
+            ranks = np.arange(n)
+            for w, pi in zip(weights, orders):
+                value[ranks, pi] += w
+            value.setflags(write=False)
+        else:
+            value = tuple(zip(weights.tolist(), map(tuple, orders.tolist())))
+        object.__setattr__(self, name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -168,12 +200,44 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
     mids = (starts + ends) / 2.0
     for (lo, hi), (orders, cum) in zip(runs, per_block):
         pis[:, lo:hi + 1] = orders[np.searchsorted(cum, mids)]
-    weights = ends - starts
-    G = np.zeros((n, n))
-    ranks = np.arange(n)
-    for w, pi in zip(weights, pis):
-        G[ranks, pi] += w
-    return OptimalityCertificate(G, tuple(zip(weights.tolist(), pis.tolist())))
+    return OptimalityCertificate._of_terms(ends - starts, pis)
+
+
+def _term_failures(data: RegressionData, a: ScoreVector, res: Residuals, ap: ActivePairs,
+                   cert: OptimalityCertificate) -> tuple[str, ...]:
+    """The conditions of ``verify_certificate`` that a certificate built
+    from its terms fails at the point of ``res``, whose tie blocks are
+    ``ap``, read from the terms in O(T n p) without G.
+
+    With every term a permutation, G = sum_t w_t P_t is bistochastic when
+    the weights sum to 1, its column aggregate is sum_t w_t alpha placed by
+    pi_t, and it recomposes exactly.  A failure named here is also one of
+    the verifier's on that G; the verifier may name more (``support`` when
+    an ordering leaves the tie blocks, say, which is named here as
+    ``decomposition_support``)."""
+    weights, orders = cert._terms
+    n = data.n
+    failed = []
+    sums_to_one = abs(float(weights.sum()) - 1.0) <= 1e-9
+    if not sums_to_one:
+        failed.append("bistochastic")
+    perms = orders.shape == (weights.size, n) and bool((np.sort(orders, axis=1) == np.arange(n)).all())
+    if perms:
+        mixed = np.zeros(n)  # alpha @ G
+        for w, pi in zip(weights, orders):
+            mixed[pi] += w * a.alpha
+        if not float(np.abs(mixed @ data.x).max()) <= 1e-7:
+            failed.append("balance")
+    if not (weights.size and perms and sums_to_one and (weights > 0.0).all()):
+        failed.append("decomposition")
+    realizable = perms and bool((ap._block_of()[orders] == ap.label).all())
+    if not realizable:
+        failed.append("decomposition_support")
+    f_here = float(res.e[ap.order] @ a.alpha)
+    if not (realizable and weights.size
+            and abs(float(weights @ (data.y[orders] @ a.alpha)) - f_here) <= 1e-7 * (1.0 + abs(f_here))):
+        failed.append("value")
+    return tuple(failed)
 
 
 def solve_certificate(data: RegressionData, alpha, ap: ActivePairs,

@@ -114,6 +114,10 @@ def _one_based(pi) -> list[int]:
     return [int(i) + 1 for i in pi]
 
 
+def _ray(outcome) -> dict:
+    return {"point": _floats(outcome.point), "direction": _floats(outcome.ray)}
+
+
 def trace_payload(outcome) -> dict:
     iterations = [
         {
@@ -137,7 +141,7 @@ def trace_payload(outcome) -> dict:
                 "certificate": certificate, "ray": None}
     return {"iterations": iterations, "outcome": "unbounded", "beta_opt": None, "F_opt": None,
             "certificate": None,
-            "ray": {"point": _floats(outcome.point), "direction": _floats(outcome.ray)}}
+            "ray": _ray(outcome)}
 
 
 def _walk_config(args) -> WoaConfig:
@@ -148,16 +152,15 @@ def cmd_fit(args) -> int:
     data = read_csv(args.data)
     alpha = build_scores(args.scores, data.n)
     outcome = minimize(data, alpha, initial_point(args.init, data), _walk_config(args))
-    payload = trace_payload(outcome)
-    if args.trace:
+    if args.trace:  # the trace holds G, n x n: built only when asked for
         with open(args.trace, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(trace_payload(outcome), fh, indent=2)
             fh.write("\n")
     if isinstance(outcome, Minimizer):
-        print(json.dumps({"outcome": "minimizer", "beta_opt": payload["beta_opt"],
-                          "F_opt": payload["F_opt"]}))
+        print(json.dumps({"outcome": "minimizer", "beta_opt": _floats(outcome.beta_opt),
+                          "F_opt": float(outcome.f_opt)}))
         return 0
-    print(json.dumps({"outcome": "unbounded", "ray": payload["ray"]}))
+    print(json.dumps({"outcome": "unbounded", "ray": _ray(outcome)}))
     return 2
 
 
@@ -182,14 +185,15 @@ def cmd_check(args) -> int:
     alpha = build_scores(args.scores, data.n)
     outcome = minimize(data, alpha, initial_point(args.init, data), _walk_config(args))
     reference = oracle_minimize(data, alpha, lp_tol=args.lp_tol)
-    payload = trace_payload(outcome)
+    found = isinstance(outcome, Minimizer)
     report: dict = {
-        "walk": {"outcome": payload["outcome"], "beta_opt": payload["beta_opt"],
-                 "F_opt": payload["F_opt"], "iterations": len(outcome.trace.iterations)},
+        "walk": {"outcome": "minimizer" if found else "unbounded",
+                 "beta_opt": _floats(outcome.beta_opt) if found else None,
+                 "F_opt": float(outcome.f_opt) if found else None, "iterations": len(outcome.trace.iterations)},
         "oracle": {"outcome": "unbounded" if reference.unbounded else "minimizer",
                    "value": None if reference.unbounded else float(reference.value)},
     }
-    if isinstance(outcome, Minimizer) and not reference.unbounded:
+    if found and not reference.unbounded:
         agree = abs(outcome.f_opt - reference.value) <= 1e-7 * (1.0 + abs(reference.value))
         check = verify_certificate(data, alpha, outcome.beta_opt, outcome.certificate,
                                    tie_tol=args.tie_tol)
@@ -197,7 +201,7 @@ def cmd_check(args) -> int:
                                  "conditions": {name: good for name, good, _ in check.conditions}}
         agree = agree and check.ok
     else:
-        agree = isinstance(outcome, Minimizer) == (not reference.unbounded)
+        agree = found == (not reference.unbounded)
     report["agree"] = agree
     print(json.dumps(report))
     return 0 if agree else 1
@@ -209,8 +213,7 @@ def cmd_compare(args) -> int:
     beta0 = initial_point(args.init, data)
     outcome = minimize(data, alpha, beta0, _walk_config(args))
     if not isinstance(outcome, Minimizer):
-        print(json.dumps({"outcome": "unbounded",
-                          "ray": trace_payload(outcome)["ray"]}))
+        print(json.dumps({"outcome": "unbounded", "ray": _ray(outcome)}))
         return 2
     baseline = ggd_minimize(data, alpha, beta0,
                             GgdConfig(perturbation=args.perturbation, seed=args.seed,

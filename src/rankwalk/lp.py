@@ -23,7 +23,9 @@ dual multipliers reconstructed from the final basis.
 ``_solve_by_dual`` minimizes c.v over free v subject to Av <= b, with A
 tall (m rows, p columns, m >> p), through its dual: min b.y subject to
 A^T y = -c and y >= 0, p rows and m columns, so the tableau is p x m and
-at most p artificials enter.  The primal point is the p x p solve of the
+at most p artificials enter: a dual row that already holds its unit vector
+as a column (the descent master's index-order cut of a tie block, for one)
+starts with that column basic.  The primal point is the p x p solve of the
 basic rows; an infeasible dual is an unbounded primal, whose ray is the
 Farkas vector of phase 1.  Each column is row j of A scaled to unit
 max-norm and priced to a tolerance that keeps every row within what the
@@ -255,13 +257,14 @@ def _standard(c, M, rhs, slack, lp_tol: float, bland: bool) -> _Std:
     return _Std(T, basis, kept, _run(T, obj2, basis, lp_tol, bland))
 
 
-def _check_rows(A, rel, b, v, lp_tol, homogeneous: bool) -> bool:
+def _check_rows(A, rel, b, v, lp_tol, homogeneous: bool, absA=None) -> bool:
     """Whether A v (rel) b holds row by row within the LP tolerance, or
     A v (rel) 0 when ``homogeneous``.  ``rel`` is "<=" or "==" for every
-    row, or the masks (le, ge) of the "<=" and ">=" rows, the rest "=="."""
+    row, or the masks (le, ge) of the "<=" and ">=" rows, the rest "==";
+    ``absA`` is |A|, computed here when not given."""
     lhs = A @ v
     rhs = 0.0 if homogeneous else b
-    tol = 10.0 * lp_tol * (1.0 + np.abs(rhs) + np.abs(A) @ np.abs(v))
+    tol = 10.0 * lp_tol * (1.0 + np.abs(rhs) + (np.abs(A) if absA is None else absA) @ np.abs(v))
     if rel == "<=":
         bad = lhs > rhs + tol
     elif rel == "==":
@@ -374,30 +377,31 @@ def _dual_once(c, A, b, lp_tol, bland) -> LpOutcome:
     m, nv = A.shape
     # Column j of the dual is row j of A scaled to unit max-norm, as
     # solve_lp scales its rows; y_j comes back divided by the same factor.
-    scale = np.maximum(1.0, np.abs(A).max(axis=1))
+    absA = np.abs(A)
+    scale = np.maximum(1.0, absA.max(axis=1))
     sign = np.where(c > 0.0, -1.0, 1.0)  # dual rows negated to a right-hand side |c|
     M = (A / scale[:, None]).T * sign[:, None]
     cost = b / scale
-    no_slack = np.full(nv, -1, dtype=np.intp)
+    slack = _unit_columns(M)
     # Column j's reduced cost is row j's slack divided by scale[j], so pricing
     # to ``price_tol`` leaves row j broken by at most price_tol * scale[j]:
     # within the 10 * lp_tol that ``_check_rows`` allows every row.
     price_tol = min(lp_tol, 10.0 * lp_tol / scale.max(initial=1.0))
-    std = _standard(cost, M, np.abs(c), no_slack, price_tol, bland)
+    std = _standard(cost, M, np.abs(c), slack, price_tol, bland)
 
     if std.farkas is not None:  # no y: the primal is unbounded along the Farkas vector
         ray = _unit_ray(c, sign * std.farkas)
-        if not _check_rows(A, "<=", b, ray, lp_tol, True):
+        if not _check_rows(A, "<=", b, ray, lp_tol, True, absA):
             raise LpNumericError("unbounded certificate failed verification")
         point = np.zeros(nv)
-        if not _check_rows(A, "<=", b, point, lp_tol, False):
+        if not _check_rows(A, "<=", b, point, lp_tol, False, absA):
             # The multipliers of min b.y subject to A^T y = 0, y >= 0 are a
             # feasible point when it is bounded; when it is not, nothing is.
-            std = _standard(cost, M, np.zeros(nv), no_slack, price_tol, bland)
+            std = _standard(cost, M, np.zeros(nv), slack, price_tol, bland)
             if std.entering is not None:
                 return _infeasible(A, b, scale, std, lp_tol)
             point = _basic_rows_point(A, b, std.basis)
-            if not _check_rows(A, "<=", b, point, lp_tol, False):
+            if not _check_rows(A, "<=", b, point, lp_tol, False, absA):
                 raise LpNumericError("unbounded certificate failed verification")
         return LpUnbounded(point, ray)
 
@@ -408,16 +412,34 @@ def _dual_once(c, A, b, lp_tol, bland) -> LpOutcome:
     point = _basic_rows_point(A, b, std.basis)
     value = float(c @ point)
     gap_tol = 10.0 * lp_tol * (1.0 + np.abs(c) @ np.abs(point) + np.abs(b) @ y)
-    if not (_check_rows(A, "<=", b, point, lp_tol, False) and _check_rows(A.T, "==", -c, y, lp_tol, False)
+    if not (_check_rows(A, "<=", b, point, lp_tol, False, absA)
+            and _check_rows(A.T, "==", -c, y, lp_tol, False, absA.T)
             and abs(value + float(b @ y)) <= gap_tol):
         raise LpNumericError("optimal point failed verification")
     return LpOptimal(point, value, y)
 
 
+def _unit_columns(M) -> np.ndarray:
+    """For each row r of M, the first column equal to the r-th unit vector,
+    or -1 where there is none: the partial basis ``_standard`` starts from."""
+    unit = M == 1.0
+    if not unit.any():
+        return np.full(M.shape[0], -1, dtype=np.intp)
+    unit &= (M != 0.0).sum(axis=0) == 1
+    return np.where(unit.any(axis=1), unit.argmax(axis=1), -1)
+
+
 def _basic_rows_point(A, b, basis) -> np.ndarray:
     """The v on which the rows of the dual's basic columns hold with
-    equality: a p x p solve, least squares when phase 1 dropped rows."""
-    return np.linalg.lstsq(A[basis], b[basis], rcond=None)[0]
+    equality: a p x p solve, least squares when phase 1 dropped rows or the
+    basis is singular."""
+    rows = A[basis]
+    if rows.shape[0] == rows.shape[1]:
+        try:
+            return np.linalg.solve(rows, b[basis])
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(rows, b[basis], rcond=None)[0]
 
 
 def _infeasible(A, b, scale, std: _Std, lp_tol) -> LpInfeasible:

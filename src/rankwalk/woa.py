@@ -6,7 +6,7 @@ ordering, test the realizable pairs at its minimum for an improving direction,
 and if one exists step along it to the smallest loss among the points where
 the ordering changes.  Absence of an improving direction is equivalent to the
 existence of a bistochastic certificate, which is then produced, already
-decomposed, and verified before the minimizer is returned.
+decomposed, and checked from its terms before the minimizer is returned.
 
 The direction and the certificate come from one cutting-plane search over
 the nontrivial tie blocks at the region minimum (see ``certificate``).  A
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .certificate import OptimalityCertificate, _descent_search, verify_certificate
+from .certificate import OptimalityCertificate, _descent_search, _term_failures
 from .loss import ActivePairs, _as_residuals, _check_tie_tol, active_pairs, default_tie_tol, eval_loss, residuals
 from .lp import LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, _solve_by_dual
 from .model import RegressionData, sorted_scores
@@ -243,10 +243,9 @@ def _steps(e: np.ndarray, sigma: np.ndarray, tie_tol: float, lp_tol: float) -> t
     i, j = _upper_pairs(e.size)
     den = sigma[j] - sigma[i]
     keep = np.abs(den) > lp_tol
-    with np.errstate(divide="ignore", invalid="ignore"):  # on the pairs left out
-        d = e[j] - e[i]
-        d /= den
-        keep &= d > tie_tol
+    d = e[j] - e[i]
+    np.divide(d, den, out=d, where=keep)  # the pairs left out keep e_j - e_i, and stay out
+    keep &= d > tie_tol
     return keep, d[keep]
 
 
@@ -378,15 +377,16 @@ def minimize(data: RegressionData, alpha, beta0=None,
                 f"region minimum {f_star} did not improve on {iterations[-1].f_star}", trace_now)
         res_star = residuals(data, beta_star)
         tts = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(res_star)
+        ap = active_pairs(res_star, tts)
         try:
-            found = _descent_search(data, a, active_pairs(res_star, tts), cfg.lp_tol, R)
+            found = _descent_search(data, a, ap, cfg.lp_tol, R)
         except LpNumericError as exc:
             raise WalkNumericError(f"descent_search failed at iteration {it}: {exc}", "descent_search",
                                    trace_now) from exc
         if isinstance(found, OptimalityCertificate):
-            report = verify_certificate(data, a, beta_star, found, tie_tol=tts)
-            if not report.ok:
-                raise WalkInvariantError(f"certificate failed verification: {report.failures}", trace_now)
+            failures = _term_failures(data, a, res_star, ap, found)
+            if failures:
+                raise WalkInvariantError(f"certificate failed verification: {failures}", trace_now)
             iterations.append(WalkIteration(pi, beta_star, f_star, None, None))
             log.info("minimizer found after %d iterations, loss %.12g", len(iterations), f_star)
             return Minimizer(beta_star, f_star, found, WalkTrace(tuple(iterations)))

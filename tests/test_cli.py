@@ -48,6 +48,22 @@ def test_fit_closes_the_weights_file(worked_csv, capsys):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def test_fit_reads_G_only_to_write_the_trace(worked_csv, capsys, tmp_path, monkeypatch):
+    """G is n x n: a fit builds it for ``--trace`` only.  The walk's
+    certificate keeps G in its ``__dict__`` once it is read."""
+    data, scores = worked_csv
+    fits = []
+    monkeypatch.setattr(rankwalk.cli, "minimize", lambda *args: fits.append(rankwalk.minimize(*args)) or fits[-1])
+    code, out, _ = run(capsys, "fit", data, "--scores", f"file={scores}", "--init", "-2")
+    assert code == 0 and json.loads(out)["outcome"] == "minimizer"
+    assert "G" not in vars(fits[-1].certificate)
+    trace_path = tmp_path / "trace.json"
+    code, traced, _ = run(capsys, "fit", data, "--scores", f"file={scores}", "--init", "-2", "--trace", str(trace_path))
+    assert code == 0 and traced == out
+    assert "G" in vars(fits[-1].certificate)
+    assert np.array(json.loads(trace_path.read_text())["certificate"]["G"]).shape == (3, 3)
+
+
 def test_fit_trace_schema(worked_csv, capsys, tmp_path):
     data, scores = worked_csv
     trace_path = tmp_path / "trace.json"
