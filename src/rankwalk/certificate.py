@@ -10,7 +10,12 @@ value from the responses alone.
 One cutting-plane search over the tie blocks decides optimality: it returns
 either a direction of strict descent or that convex combination, weighted
 orderings built from the multipliers of its cuts, with G summed from them
-only when read; ``minimize`` checks the orderings without G.
+only when read; ``minimize`` checks the orderings without G.  ``minimize``
+also hands the search its cell LP's dual, which it reads first: on a tie
+block of two ranks the Birkhoff polytope is the segment between the pair's
+two orders, so when the dual weighs only such pairs, none adjacent and none
+beyond its score gap, the dual already is the certificate and no master LP
+is posed.
 ``birkhoff_decompose`` splits any bistochastic matrix given from outside;
 the walk does not need it.
 """
@@ -86,7 +91,8 @@ class CertificateReport:
 
 
 def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_tol: float,
-                    R: np.ndarray | None = None) -> np.ndarray | OptimalityCertificate:
+                    R: np.ndarray | None = None,
+                    dual: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray | OptimalityCertificate:
     """Decide whether the loss descends from the point of ``ap``: a direction
     ell with D(ell) < 0, or the certificate that none exists.
 
@@ -124,9 +130,20 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
     ``R`` may be given by a caller that searches the same data more than
     once (``minimize`` factors x once per fit); it is computed here
     otherwise.
+
+    ``dual`` is the ordering a cell LP posed and that LP's dual y, which
+    ``minimize`` passes; it is read first (``_dual_read``).  On a tie block
+    of two ranks the Birkhoff polytope is the segment between the pair's two
+    orders, so when y weighs only pairs of tied ranks, none adjacent and
+    each within its score gap, y is the certificate and no master is posed.
+    Any other dual falls through to the master.
     """
     _check_lp_tol(lp_tol)
-    x, p, n, order = data.x, data.p, data.n, ap.order
+    if dual is not None:
+        cert = _dual_read(a, ap, *dual)
+        if cert is not None:
+            return cert
+    x, p, order = data.x, data.p, ap.order
     alone, runs = ap._split
     lin = a.alpha[alone] @ x[order[alone]]
     K = len(runs)
@@ -191,12 +208,48 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
         cum /= cum[-1]
         cum[-1] = 1.0
         per_block.append((np.array(orders), cum))
+    return _merge(order, runs, per_block)
+
+
+def _dual_read(a: ScoreVector, ap: ActivePairs, posed: np.ndarray,
+               y: np.ndarray) -> OptimalityCertificate | None:
+    """The certificate that the cell LP's dual ``y`` at the ordering
+    ``posed`` already is, or None when it is not one.
+
+    The dual reads A^T y = g(posed), row r of A being
+    x[posed[r + 1]] - x[posed[r]].  Swapping ranks r and r + 1 changes g by
+    -(alpha[r + 1] - alpha[r]) A_r, so the posed ordering with each weighted
+    pair swapped with weight w_r = y_r / (alpha[r + 1] - alpha[r]) mixes to
+    g(posed) - A^T y = 0.  On a tie block of two ranks the Birkhoff polytope
+    is the segment between the pair's two orders, so this is a certificate
+    when every w_r <= 1, every row with y_r > 0 joins two ranks of one tie
+    block, no two such rows are adjacent (the swaps are then independent)
+    and the posed ordering is realizable at the point.  All four are tested
+    exactly; the score gap goes first, as it is the one that fails where the
+    loss still descends."""
+    on = np.flatnonzero(y > 0.0)
+    gap = a.alpha[on + 1] - a.alpha[on]
+    if not ((y[on] <= gap).all() and (ap.label[on] == ap.label[on + 1]).all()
+            and (on[1:] - on[:-1] > 1).all() and (ap._block_of()[posed] == ap.label).all()):
+        return None
+    per_pair = [(np.array([[i, j], [j, i]]), np.array([1.0 - w, 1.0]))
+                for i, j, w in zip(posed[on].tolist(), posed[on + 1].tolist(), (y[on] / gap).tolist())]
+    return _merge(posed, [(r, r + 1) for r in on.tolist()], per_pair)
+
+
+def _merge(base: np.ndarray, runs: list[tuple[int, int]],
+           per_block: list[tuple[np.ndarray, np.ndarray]]) -> OptimalityCertificate:
+    """Weighted whole orderings from one distribution per rank range: range
+    (lo, hi) of ``runs`` holds ``orders[k]`` on the weights between
+    ``cum[k - 1]`` and ``cum[k]`` (cumulative, ending at 1), and every other
+    rank holds the observation of ``base`` there.  The ranges draw on common
+    breakpoints, so there is one term per distinct cumulative weight."""
     ends = np.sort(np.concatenate([[1.0]] + [cum for _, cum in per_block]))
     ends = ends[ends > 0.0]
     ends = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]
     starts = np.concatenate([[0.0], ends[:-1]])
-    pis = np.empty((ends.size, n), dtype=np.intp)
-    pis[:, alone] = order[alone]
+    pis = np.empty((ends.size, base.size), dtype=np.intp)
+    pis[:] = base
     mids = (starts + ends) / 2.0
     for (lo, hi), (orders, cum) in zip(runs, per_block):
         pis[:, lo:hi + 1] = orders[np.searchsorted(cum, mids)]

@@ -12,7 +12,13 @@ The direction and the certificate come from one cutting-plane search over
 the nontrivial tie blocks at the region minimum (see ``certificate``).  A
 rank alone in its block can hold nothing but its own observation, so its
 pairing is fixed and folds into a constant; the search grows with the ties
-at the current point, not with n.
+at the current point, not with n.  The search first reads the region LP's
+dual y: on a tie block of two ranks the Birkhoff polytope is the segment
+between the pair's two orders, so when every row y weighs joins two ranks
+of one tie block, no two such rows are adjacent and each y_r is at most its
+score gap, the region's ordering with those pairs swapped is the
+certificate, and the search poses no master LP.  That is how most walks
+end.
 
 The walk strictly decreases the region minima and never revisits an ordering;
 both facts are asserted at runtime and a violation (only possible through
@@ -379,7 +385,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
         tts = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(res_star)
         ap = active_pairs(res_star, tts)
         try:
-            found = _descent_search(data, a, ap, cfg.lp_tol, R)
+            found = _descent_search(data, a, ap, cfg.lp_tol, R, (order, out.dual))
         except LpNumericError as exc:
             raise WalkNumericError(f"descent_search failed at iteration {it}: {exc}", "descent_search",
                                    trace_now) from exc

@@ -136,7 +136,7 @@ def assert_same(got, want):
 
 
 def test_every_program_of_the_walk_pivots_as_before(monkeypatch):
-    """Cell LPs and descent masters of ``walk`` rounds 0-3 and ``walk-hard``
+    """Cell LPs and descent masters of ``walk`` rounds 0-5 and ``walk-hard``
     rounds 0-1 at seeds 0 and 1, recorded as the kernel receives them."""
     programs = []
 
@@ -146,7 +146,7 @@ def test_every_program_of_the_walk_pivots_as_before(monkeypatch):
 
     monkeypatch.setattr(rankwalk.lp, "_standard", recording)
     cases = bench_cases()
-    for workload, rounds in (("walk", 4), ("walk-hard", 2)):
+    for workload, rounds in (("walk", 6), ("walk-hard", 2)):
         for seed in (0, 1):
             for rnd in range(rounds):
                 for case in cases.build_round(cases.WORKLOADS[workload], seed, rnd):
