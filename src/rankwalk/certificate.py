@@ -10,7 +10,9 @@ value from the responses alone.
 One cutting-plane search over the tie blocks decides optimality: it returns
 either a direction of strict descent or that convex combination, weighted
 orderings built from the multipliers of its cuts, with G summed from them
-only when read; ``minimize`` checks the orderings without G.  ``minimize``
+only when read.  ``minimize`` and ``verify_certificate`` check the orderings
+with one function, ``_conditions``, in O(T n (log n + p)) for T of them and
+without G; a certificate given as G is checked on G, in O(n^2).  ``minimize``
 also hands the search its cell LP's dual, which it reads first: on a tie
 block of two ranks the Birkhoff polytope is the segment between the pair's
 two orders, so when the dual weighs only such pairs, none adjacent and none
@@ -33,7 +35,7 @@ from .model import RegressionData, ScoreVector, sorted_scores
 SUPPORT_TOL = 1e-9  # entries of G at or below this are outside its support
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalityCertificate:
     """Bistochastic witness ``G`` plus its decomposition into weighted
     orderings, ``(weight, ordering)`` pairs.
@@ -42,7 +44,8 @@ class OptimalityCertificate:
     weights and a T x n array of orderings (``_of_terms``); ``G`` and
     ``decomposition`` are then built from them when first read, G as the
     sum of w P over the terms in order, so nothing of size n x n is made
-    for a caller that never reads G."""
+    for a caller that never reads G: ``verify_certificate`` and ``repr``
+    read the terms.  Certificates compare by identity."""
 
     G: np.ndarray
     decomposition: tuple[tuple[float, tuple[int, ...]], ...]
@@ -75,6 +78,12 @@ class OptimalityCertificate:
             value = tuple(zip(weights.tolist(), map(tuple, orders.tolist())))
         object.__setattr__(self, name, value)
         return value
+
+    def __repr__(self):
+        if "_terms" in vars(self):
+            weights, orders = self._terms
+            return f"OptimalityCertificate(<{weights.size} weighted orderings of {orders.shape[-1]}>)"
+        return f"OptimalityCertificate(G={self.G!r}, decomposition={self.decomposition!r})"
 
 
 @dataclass(frozen=True)
@@ -256,43 +265,6 @@ def _merge(base: np.ndarray, runs: list[tuple[int, int]],
     return OptimalityCertificate._of_terms(ends - starts, pis)
 
 
-def _term_failures(data: RegressionData, a: ScoreVector, res: Residuals, ap: ActivePairs,
-                   cert: OptimalityCertificate) -> tuple[str, ...]:
-    """The conditions of ``verify_certificate`` that a certificate built
-    from its terms fails at the point of ``res``, whose tie blocks are
-    ``ap``, read from the terms in O(T n p) without G.
-
-    With every term a permutation, G = sum_t w_t P_t is bistochastic when
-    the weights sum to 1, its column aggregate is sum_t w_t alpha placed by
-    pi_t, and it recomposes exactly.  A failure named here is also one of
-    the verifier's on that G; the verifier may name more (``support`` when
-    an ordering leaves the tie blocks, say, which is named here as
-    ``decomposition_support``)."""
-    weights, orders = cert._terms
-    n = data.n
-    failed = []
-    sums_to_one = abs(float(weights.sum()) - 1.0) <= 1e-9
-    if not sums_to_one:
-        failed.append("bistochastic")
-    perms = orders.shape == (weights.size, n) and bool((np.sort(orders, axis=1) == np.arange(n)).all())
-    if perms:
-        mixed = np.zeros(n)  # alpha @ G
-        for w, pi in zip(weights, orders):
-            mixed[pi] += w * a.alpha
-        if not float(np.abs(mixed @ data.x).max()) <= 1e-7:
-            failed.append("balance")
-    if not (weights.size and perms and sums_to_one and (weights > 0.0).all()):
-        failed.append("decomposition")
-    realizable = perms and bool((ap._block_of()[orders] == ap.label).all())
-    if not realizable:
-        failed.append("decomposition_support")
-    f_here = float(res.e[ap.order] @ a.alpha)
-    if not (realizable and weights.size
-            and abs(float(weights @ (data.y[orders] @ a.alpha)) - f_here) <= 1e-7 * (1.0 + abs(f_here))):
-        failed.append("value")
-    return tuple(failed)
-
-
 def solve_certificate(data: RegressionData, alpha, ap: ActivePairs,
                       lp_tol: float = 1e-9) -> OptimalityCertificate | None:
     """The optimality certificate at the point of ``ap``, already decomposed
@@ -380,67 +352,96 @@ def birkhoff_decompose(G) -> list[tuple[float, tuple[int, ...]]]:
     return terms
 
 
+def _conditions(data: RegressionData, a: ScoreVector, res: Residuals, ap: ActivePairs,
+                cert: OptimalityCertificate) -> tuple[tuple[tuple[str, bool, str], ...], float | None]:
+    """Every condition of ``cert`` at the point of ``res``, whose tie blocks
+    are ``ap``, as (name, ok, detail), and the value it certifies (None when
+    no decomposition is usable); never raises on a bad certificate.
+
+    A certificate of terms (``_of_terms``) is read from its weights w and
+    T x n orderings, never from G.  Unless they are T permutations
+    (``shape``) they build no G = sum_t w_t P_t.  When they are, each row
+    and column of G sums to sum w, G >= 0 where w >= 0, its entries off the
+    tie blocks are the weights that land there, added in term order as G
+    adds them, and the terms recompose G exactly.  A G given from outside
+    is read as given, and its decomposition must recompose it."""
+    n = data.n
+    label, block_of = ap.label, ap._block_of()
+    terms = vars(cert).get("_terms")
+    if terms is None:
+        G = np.asarray(cert.G, dtype=float)
+        if G.shape != (n, n):
+            return (("shape", False, f"G has shape {G.shape}, expected {(n, n)}"),), None
+        row_dev = float(np.abs(G.sum(axis=1) - 1.0).max())
+        col_dev = float(np.abs(G.sum(axis=0) - 1.0).max())
+        neg = float(max(0.0, -G.min()))
+        off = float(np.fmax.reduce(np.abs(G[label[:, None] != block_of[None, :]]), initial=0.0))  # NaN is skipped
+        mixed = a.alpha @ G  # column aggregate weighted by rank
+        weights = [w for w, _ in cert.decomposition]
+        recomposed = np.zeros((n, n))
+        ranks = np.arange(n)
+        orders = []  # those orderings that are permutations, as index arrays
+        for w, pi in cert.decomposition:
+            if len(pi) == n and sorted(pi) == list(range(n)):
+                orders.append(np.array(pi))
+                recomposed[ranks, orders[-1]] += w
+        recomp_dev = float(np.abs(recomposed - G).max()) if weights else float("inf")
+        realizable = len(orders) == len(weights) and all((block_of[pi] == label).all() for pi in orders)
+    else:
+        weights, orders = terms
+        if not (weights.ndim == 1 and orders.shape == (weights.size, n) and orders.dtype.kind == "i"
+                and (np.sort(orders, axis=1) == np.arange(n)).all()):
+            return (("shape", False, f"orderings of shape {orders.shape}, expected {weights.size} permutations "
+                                     f"of {n}"),), None
+        off_blocks = block_of[orders] != label  # the placements off the tie blocks
+        realizable, off = not off_blocks.any(), 0.0
+        if not realizable:
+            t, i = np.nonzero(off_blocks)  # in term order
+            cells, at = np.unique(i * n + orders[t, i], return_inverse=True)
+            sums = np.zeros(cells.size)  # the entries of G on those cells
+            np.add.at(sums, at, weights[t])
+            off = float(np.fmax.reduce(np.abs(sums), initial=0.0))
+        mixed = np.bincount(orders.ravel(), (weights[:, None] * a.alpha).ravel(), n)  # alpha G, in term order
+        weights = weights.tolist()
+        row_dev = col_dev = abs(sum(weights) - 1.0)
+        neg = max(0.0, -min(weights, default=0.0))
+        recomp_dev = 0.0  # G is the sum of the terms
+
+    balance = float(np.abs(mixed @ data.x).max()) if data.p else 0.0
+    lam_sum = sum(weights)
+    whole = bool(weights) and min(weights) > 0.0 and abs(lam_sum - 1.0) <= 1e-9 and recomp_dev <= 1e-9
+    certified = None
+    if weights and realizable:
+        certified = float(sum([w * float(a.alpha @ data.y[pi]) for w, pi in zip(weights, orders)]))
+        f_here = float(np.sort(res.e) @ a.alpha)  # eval_loss at beta, from the residuals already at hand
+        value = ("value", abs(certified - f_here) <= 1e-7 * (1.0 + abs(f_here)),
+                 f"certified {certified:.12g} vs loss {f_here:.12g}")
+    else:
+        value = ("value", False, "no usable decomposition to price")
+    conditions = (
+        ("bistochastic", row_dev <= 1e-9 and col_dev <= 1e-9 and neg <= 1e-9,
+         f"row dev {row_dev:.3g}, col dev {col_dev:.3g}, most negative {neg:.3g}"),
+        ("support", off <= 1e-9, f"largest entry off the realizable pairs {off:.3g}"),
+        ("balance", balance <= 1e-7, f"largest design-row imbalance {balance:.3g}"),
+        ("decomposition", whole, f"weight sum {lam_sum:.12g}, recomposition dev {recomp_dev:.3g}"),
+        ("decomposition_support", realizable,
+         "every ordering realizable at beta" if realizable else "an ordering uses a non-realizable pair"),
+        value,
+    )
+    return conditions, certified
+
+
 def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertificate,
                        tie_tol: float | None = None) -> CertificateReport:
     """Check every certificate condition at ``beta``; never raises on a bad
     certificate, reporting each condition separately instead.  Weights are
-    sorted on entry, as ``minimize`` sorts them."""
-    a = sorted_scores(alpha, data.n)
-    n = data.n
+    sorted on entry, as ``minimize`` sorts them.
+
+    The certificates of ``minimize`` and ``solve_certificate`` are checked
+    from their T weighted orderings, in O(T n (log n + p)) time and O(T n)
+    memory, without G; one given as G and a decomposition is checked on G,
+    in O(n^2) time and memory."""
     res = residuals(data, beta)
-    tt = default_tie_tol(res) if tie_tol is None else tie_tol
-    ap = active_pairs(res, tt)
-    G = np.asarray(cert.G, dtype=float)
-    conditions: list[tuple[str, bool, str]] = []
-
-    if G.shape != (n, n):
-        return CertificateReport(False, (("shape", False, f"G has shape {G.shape}, expected {(n, n)}"),), None)
-
-    row_dev = float(np.abs(G.sum(axis=1) - 1.0).max())
-    col_dev = float(np.abs(G.sum(axis=0) - 1.0).max())
-    neg = float(max(0.0, -G.min()))
-    ok = row_dev <= 1e-9 and col_dev <= 1e-9 and neg <= 1e-9
-    conditions.append(("bistochastic", ok,
-                       f"row dev {row_dev:.3g}, col dev {col_dev:.3g}, most negative {neg:.3g}"))
-
-    support = ap.label[:, None] == ap._block_of()[None, :]
-    off = float(np.fmax.reduce(np.abs(G[~support]), initial=0.0))  # NaN entries are skipped
-    conditions.append(("support", off <= 1e-9, f"largest entry off the realizable pairs {off:.3g}"))
-
-    mixed = a.alpha @ G  # column aggregate weighted by rank
-    balance = float(np.abs(mixed @ data.x).max()) if data.p else 0.0
-    conditions.append(("balance", balance <= 1e-7, f"largest design-row imbalance {balance:.3g}"))
-
-    lam_sum = sum(w for w, _ in cert.decomposition)
-    recomposed = np.zeros((n, n))
-    positive = True
-    consistent = True
-    ranks = np.arange(n)
-    orders = []  # the orderings as index arrays, while every one is a permutation
-    for w, pi in cert.decomposition:
-        if w <= 0.0:
-            positive = False
-        if len(pi) != n or sorted(pi) != list(range(n)):
-            consistent = False
-            continue
-        pi = np.array(pi)
-        orders.append(pi)
-        recomposed[ranks, pi] += w
-        consistent = consistent and bool(support[ranks, pi].all())
-    recomp_dev = float(np.abs(recomposed - G).max()) if cert.decomposition else float("inf")
-    ok = bool(cert.decomposition) and positive and abs(lam_sum - 1.0) <= 1e-9 and recomp_dev <= 1e-9
-    conditions.append(("decomposition", ok,
-                       f"weight sum {lam_sum:.12g}, recomposition dev {recomp_dev:.3g}"))
-    conditions.append(("decomposition_support", consistent,
-                       "every ordering realizable at beta" if consistent else "an ordering uses a non-realizable pair"))
-
-    certified = None
-    if cert.decomposition and consistent:
-        certified = float(sum(w * float(a.alpha @ data.y[pi]) for (w, _), pi in zip(cert.decomposition, orders)))
-        f_here = float(np.sort(res.e) @ a.alpha)  # eval_loss at beta, from the residuals already at hand
-        ok = abs(certified - f_here) <= 1e-7 * (1.0 + abs(f_here))
-        conditions.append(("value", ok, f"certified {certified:.12g} vs loss {f_here:.12g}"))
-    else:
-        conditions.append(("value", False, "no usable decomposition to price"))
-
-    return CertificateReport(all(good for _, good, _ in conditions), tuple(conditions), certified)
+    ap = active_pairs(res, default_tie_tol(res) if tie_tol is None else tie_tol)
+    conditions, certified = _conditions(data, sorted_scores(alpha, data.n), res, ap, cert)
+    return CertificateReport(all(good for _, good, _ in conditions), conditions, certified)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import _as_residuals, _check_tie_tol, _residual_vector, _tie_tol_at
-from .model import RegressionData, sorted_scores
+from .model import RegressionData, sorted_scores, start_point
 from .woa import _line_search, _steps
 
 PERTURBATIONS = ("random", "prolong")
@@ -122,9 +122,7 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
     """
     cfg = config or GgdConfig()
     a = sorted_scores(alpha, data.n)
-    beta = np.zeros(data.p) if beta0 is None else np.array(beta0, dtype=float).ravel()
-    if beta.shape[0] != data.p or not np.isfinite(beta).all():
-        raise ValueError("beta0 must be a finite vector of width p")
+    beta = start_point(data, beta0)
     rng = np.random.default_rng(cfg.seed)
     x, y, w = data.x, data.y, a.alpha
     columns = np.ascontiguousarray(x.T)

@@ -76,12 +76,7 @@ class ScoreVector:
 
 def normalize_scores(raw: Iterable[float]) -> ScoreVector:
     """Sort raw weights ascending.  The loss never depends on their input order."""
-    a = np.array(list(raw), dtype=float).ravel()
-    if a.size < 1:
-        raise ValueError("need at least one weight")
-    if not np.isfinite(a).all():
-        raise ValueError("weights must be finite")
-    return ScoreVector(np.sort(a))
+    return ScoreVector(np.sort(np.array(list(raw), dtype=float).ravel()))
 
 
 def standard_normal_cdf(x: float) -> float:
@@ -138,3 +133,11 @@ def sorted_scores(alpha, n: int) -> ScoreVector:
         raise ValueError(f"{a.n} weights for {n} observations")
     return a
 
+
+def start_point(data: RegressionData, beta0) -> np.ndarray:
+    """A fit's first point: a float copy of ``beta0``, or the origin when it
+    is None; rejected unless finite and of width p."""
+    beta = np.zeros(data.p) if beta0 is None else np.array(beta0, dtype=float).ravel()
+    if beta.shape[0] != data.p or not np.isfinite(beta).all():
+        raise ValueError("beta0 must be a finite vector of width p")
+    return beta

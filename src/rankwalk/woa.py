@@ -34,10 +34,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .certificate import OptimalityCertificate, _descent_search, _term_failures
+from .certificate import OptimalityCertificate, _conditions, _descent_search
 from .loss import ActivePairs, _as_residuals, _check_tie_tol, active_pairs, default_tie_tol, eval_loss, residuals
 from .lp import LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, _solve_by_dual
-from .model import RegressionData, sorted_scores
+from .model import RegressionData, sorted_scores, start_point
 
 log = logging.getLogger(__name__)
 
@@ -348,12 +348,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
     """
     cfg = config or WoaConfig()
     a = sorted_scores(alpha, data.n)
-    if beta0 is None:
-        beta = np.zeros(data.p)
-    else:
-        beta = np.array(beta0, dtype=float).ravel()
-        if beta.shape[0] != data.p or not np.isfinite(beta).all():
-            raise ValueError("beta0 must be a finite vector of width p")
+    beta = start_point(data, beta0)
     cap = cfg.max_iter if cfg.max_iter is not None else min(10 ** 6, region_bound(data.n, data.p))
     iterations: list[WalkIteration] = []
     visited: set[tuple[int, ...]] = set()
@@ -390,7 +385,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
             raise WalkNumericError(f"descent_search failed at iteration {it}: {exc}", "descent_search",
                                    trace_now) from exc
         if isinstance(found, OptimalityCertificate):
-            failures = _term_failures(data, a, res_star, ap, found)
+            failures = tuple(name for name, ok, _ in _conditions(data, a, res_star, ap, found)[0] if not ok)
             if failures:
                 raise WalkInvariantError(f"certificate failed verification: {failures}", trace_now)
             iterations.append(WalkIteration(pi, beta_star, f_star, None, None))

@@ -1,7 +1,10 @@
 """The array forms of ``active_pairs``, ``birkhoff_decompose`` and
 ``verify_certificate`` against the Python loops they replaced, kept here as
 references: on seeded inputs, including forged certificates that break each
-condition the gate checks, both must give exactly the same result."""
+condition the gate checks, both must give exactly the same result.  A
+certificate given as G is checked against a loop over G; the walk's
+certificates, weights and a T x n array of orderings, against a loop over
+their terms that never builds G."""
 
 import numpy as np
 import pytest
@@ -105,7 +108,67 @@ def reference_birkhoff(G, support_tol=1e-9):
     return terms
 
 
+def reference_verify_terms(data, alpha, beta, cert, tie_tol=None):
+    """A certificate of terms, by a loop over its weights and orderings.
+    G = sum_t w_t P_t is the sum of the terms, so it recomposes exactly;
+    its rows and columns, and its entries off the realizable pairs, add
+    the weights that land there in term order; and its signs are those of
+    the weights."""
+    a = sorted_scores(alpha, data.n)
+    n = data.n
+    res = residuals(data, beta)
+    tt = default_tie_tol(res) if tie_tol is None else tie_tol
+    *_, pairs = reference_active_pairs(res, tt)
+    weights, orders = cert._terms
+    if not (weights.ndim == 1 and orders.shape == (weights.size, n) and orders.dtype.kind == "i"
+            and all(sorted(pi) == list(range(n)) for pi in orders.tolist())):
+        detail = f"orderings of shape {orders.shape}, expected {weights.size} permutations of {n}"
+        return CertificateReport(False, (("shape", False, detail),), None)
+    weights, orders = weights.tolist(), orders.tolist()
+
+    row_sums, col_sums = [0.0] * n, [0.0] * n
+    off_pairs = {}
+    mixed = np.zeros(n)
+    neg = 0.0
+    for w, pi in zip(weights, orders):
+        neg = max(neg, -w)
+        for i, j in enumerate(pi):
+            row_sums[i] += w
+            col_sums[j] += w
+            mixed[j] += w * a.alpha[i]
+            if (i, j) not in pairs:
+                off_pairs[i, j] = off_pairs.get((i, j), 0.0) + w
+    row_dev = max(abs(s - 1.0) for s in row_sums)
+    col_dev = max(abs(s - 1.0) for s in col_sums)
+    conditions = [("bistochastic", row_dev <= 1e-9 and col_dev <= 1e-9 and neg <= 1e-9,
+                   f"row dev {row_dev:.3g}, col dev {col_dev:.3g}, most negative {neg:.3g}")]
+    off = max([abs(v) for v in off_pairs.values()], default=0.0)
+    conditions.append(("support", off <= 1e-9, f"largest entry off the realizable pairs {off:.3g}"))
+    balance = float(np.abs(mixed @ data.x).max())
+    conditions.append(("balance", balance <= 1e-7, f"largest design-row imbalance {balance:.3g}"))
+
+    lam_sum = sum(weights)
+    ok = bool(weights) and all(w > 0.0 for w in weights) and abs(lam_sum - 1.0) <= 1e-9
+    conditions.append(("decomposition", ok, f"weight sum {lam_sum:.12g}, recomposition dev 0"))
+    consistent = all((i, j) in pairs for pi in orders for i, j in enumerate(pi))
+    conditions.append(("decomposition_support", consistent,
+                       "every ordering realizable at beta" if consistent else "an ordering uses a non-realizable pair"))
+
+    certified = None
+    if weights and consistent:
+        certified = float(sum(w * float(a.alpha @ data.y[pi]) for w, pi in zip(weights, orders)))
+        f_here = eval_loss(data, a, beta)
+        ok = abs(certified - f_here) <= 1e-7 * (1.0 + abs(f_here))
+        conditions.append(("value", ok, f"certified {certified:.12g} vs loss {f_here:.12g}"))
+    else:
+        conditions.append(("value", False, "no usable decomposition to price"))
+
+    return CertificateReport(all(good for _, good, _ in conditions), tuple(conditions), certified)
+
+
 def reference_verify(data, alpha, beta, cert, tie_tol=None):
+    if "_terms" in vars(cert):
+        return reference_verify_terms(data, alpha, beta, cert, tie_tol)
     a = sorted_scores(alpha, data.n)
     n = data.n
     res = residuals(data, beta)
@@ -227,6 +290,46 @@ def forgeries(data, fit, rng):
     return out
 
 
+def forged_terms(weights, orders, ap, a, x):
+    """(name, weights, orders) forgeries of one walk certificate's terms."""
+    n = orders.shape[1]
+    out = []
+    if ap.label[0] != ap.label[-1]:
+        moved = orders.copy()
+        moved[0, [0, n - 1]] = moved[0, [n - 1, 0]]
+        out.append(("off its tie block", weights, moved))
+    repeated = orders.copy()
+    repeated[0, 1] = repeated[0, 0]
+    out.append(("repeated index", weights, repeated))
+    outside = orders.copy()
+    outside[0, 0] = n
+    out.append(("index out of range", weights, outside))
+    out.append(("short ordering", weights, orders[:, :-1]))
+    out.append(("weights short of 1", 0.999 * weights, orders))
+    out.append(("zero weight", np.concatenate(([0.0], weights)), np.vstack([orders[:1], orders])))
+    out.append(("negative weight", np.concatenate(([-0.25, 0.25], weights)), np.vstack([orders[:1], orders[:1], orders])))
+    _, runs = ap._split
+    for lo, hi in runs:  # a swap inside a tie block: still realizable
+        swapped = orders.copy()
+        swapped[0, [lo, hi]] = swapped[0, [hi, lo]]
+        if abs(weights[0] * (a.alpha[lo] - a.alpha[hi])) * np.abs(x[orders[0, lo]] - x[orders[0, hi]]).max() > 1e-5:
+            out.append(("balance broken", weights, swapped))
+            break
+    return out
+
+
+TERMS_NAMED = {  # what the report must name on each forgery of terms, at least
+    "off its tie block": {"support", "decomposition_support", "value"},
+    "repeated index": {"shape"},
+    "index out of range": {"shape"},
+    "short ordering": {"shape"},
+    "weights short of 1": {"bistochastic", "decomposition"},
+    "zero weight": {"decomposition"},
+    "negative weight": {"bistochastic", "decomposition"},
+    "balance broken": {"balance"},
+}
+
+
 def test_active_pairs_matches_the_loop():
     rng = np.random.default_rng(3)
     checked = 0
@@ -296,5 +399,29 @@ def test_verify_certificate_matches_the_loop_on_genuine_and_forged_certificates(
         assert verify_certificate(data, alpha, fit.beta_opt, fit.certificate).ok
     assert compared >= 12 * 14 * 4
     # the forgeries reach every condition the gate reports
+    assert failed == {"shape", "bistochastic", "support", "balance", "decomposition",
+                      "decomposition_support", "value"}
+
+
+def test_verify_certificate_matches_the_term_loop_on_forged_terms(minimizers):
+    """Forgeries of the walk's terms are read from the terms, never from G,
+    and the report names what each one breaks."""
+    seen = {}
+    failed = set()
+    for data, alpha, fit in minimizers:
+        a = sorted_scores(alpha, data.n)
+        res = residuals(data, fit.beta_opt)
+        ap = active_pairs(res, default_tie_tol(res))
+        weights, orders = fit.certificate._terms
+        for name, w, o in forged_terms(weights, orders, ap, a, data.x):
+            forged = OptimalityCertificate._of_terms(w, o)
+            got = verify_certificate(data, alpha, fit.beta_opt, forged)
+            assert got == reference_verify(data, alpha, fit.beta_opt, forged), name
+            assert TERMS_NAMED[name] <= set(got.failures), (name, got.failures)
+            assert "G" not in vars(forged) and "decomposition" not in vars(forged)
+            failed.update(got.failures)
+            seen[name] = seen.get(name, 0) + 1
+    assert set(seen) == set(TERMS_NAMED), seen
+    assert min(seen.values()) >= 5, seen
     assert failed == {"shape", "bistochastic", "support", "balance", "decomposition",
                       "decomposition_support", "value"}

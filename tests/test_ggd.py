@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -138,8 +140,9 @@ def test_ggd_config_rejects_bad_tolerances(field, value, worked):
 
 def test_ggd_rejects_bad_start(worked):
     data, alpha = worked
-    with pytest.raises(ValueError):
-        ggd_minimize(data, alpha, beta0=[1.0, 2.0])
+    for beta0 in ([1.0, 2.0], [math.nan]):
+        with pytest.raises(ValueError, match="^beta0 must be a finite vector of width p$"):
+            ggd_minimize(data, alpha, beta0=beta0)
 
 
 @pytest.mark.parametrize("sign", ["positive", "negative", "mixed", "signed_zeros"])

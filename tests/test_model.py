@@ -85,10 +85,12 @@ def test_normalize_scores_permutation_invariant():
 
 
 def test_normalize_scores_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one weight$"):
         normalize_scores([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weights must be finite$"):
         normalize_scores([1.0, math.nan])
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        normalize_scores([math.inf, 1.0])
 
 
 def test_score_vector_requires_sorted():

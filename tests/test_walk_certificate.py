@@ -1,85 +1,67 @@
-"""The walk's own certificate check against ``verify_certificate``.
+"""The walk's certificate, weights and a T x n array of orderings.
 
-``minimize`` checks the certificate of its descent search from the terms
-alone, weights and a T x n array of orderings, with
-``certificate._term_failures``; it builds no n x n array.  On the
-minimizers of ``test_certificate_reference`` and on forgeries of their
-terms, that check must reach the verifier's verdict and name only
-conditions the verifier also fails.  The verifier reads the forged
-certificate itself, so its G is the one the forged terms build; it may name
-more, as ``support`` for an ordering that leaves its tie blocks, which the
-check names ``decomposition_support``.
+``minimize`` and ``verify_certificate`` check it with one function, from
+the terms alone, and build no n x n array; G and the decomposition are built
+from the terms only when read.  The forgeries of its terms are in
+``test_certificate_reference``, against a loop over the terms.
 """
 
 import numpy as np
 import pytest
 
-from rankwalk import OptimalityCertificate, active_pairs, default_tie_tol, residuals, verify_certificate
-from rankwalk.certificate import _term_failures
-from rankwalk.model import sorted_scores
+import rankwalk.woa
+from rankwalk import OptimalityCertificate, WalkInvariantError, minimize, verify_certificate
 
 from test_certificate_reference import minimizers  # noqa: F401  -- the fixture
 
-ALL = ("bistochastic", "support", "balance", "decomposition", "decomposition_support", "value")
-NAMED = {  # what the check must name on each forgery, at least
-    "off its tie block": {"decomposition_support", "value"},
-    "repeated index": {"decomposition", "decomposition_support", "value"},
-    "short ordering": {"decomposition", "decomposition_support", "value"},
-    "weights short of 1": {"bistochastic", "decomposition"},
-    "zero weight": {"decomposition"},
-    "negative weight": {"decomposition"},
-    "balance broken": {"balance"},
-}
+
+def test_verify_certificate_reads_the_terms_not_G(minimizers):  # noqa: F811
+    for data, alpha, _ in minimizers:
+        out = minimize(data, alpha)
+        cert = out.certificate
+        report = verify_certificate(data, alpha, out.beta_opt, cert)
+        assert report.ok
+        assert "G" not in vars(cert) and "decomposition" not in vars(cert)
+        on_G = verify_certificate(data, alpha, out.beta_opt, OptimalityCertificate(cert.G, cert.decomposition))
+        assert on_G.ok and on_G.certified_value == report.certified_value
 
 
-def forged_terms(weights, orders, ap, a, x):
-    """(name, weights, orders) forgeries of one certificate's terms."""
-    n = orders.shape[1]
-    out = []
-    if ap.label[0] != ap.label[-1]:
-        moved = orders.copy()
-        moved[0, [0, n - 1]] = moved[0, [n - 1, 0]]
-        out.append(("off its tie block", weights, moved))
-    repeated = orders.copy()
-    repeated[0, 1] = repeated[0, 0]
-    out.append(("repeated index", weights, repeated))
-    out.append(("short ordering", weights, orders[:, :-1]))
-    out.append(("weights short of 1", 0.999 * weights, orders))
-    out.append(("zero weight", np.concatenate(([0.0], weights)), np.vstack([orders[:1], orders])))
-    out.append(("negative weight", np.concatenate(([-0.25, 0.25], weights)), np.vstack([orders[:1], orders[:1], orders])))
-    _, runs = ap._split
-    for lo, hi in runs:  # a swap inside a tie block: still realizable
-        swapped = orders.copy()
-        swapped[0, [lo, hi]] = swapped[0, [hi, lo]]
-        if abs(weights[0] * (a.alpha[lo] - a.alpha[hi])) * np.abs(x[orders[0, lo]] - x[orders[0, hi]]).max() > 1e-5:
-            out.append(("balance broken", weights, swapped))
-            break
-    return out
+def test_printing_a_walk_result_builds_no_G(minimizers):  # noqa: F811
+    data, alpha, _ = minimizers[0]
+    out = minimize(data, alpha)
+    text = repr(out)
+    assert "G" not in vars(out.certificate) and "decomposition" not in vars(out.certificate)
+    weights, orders = out.certificate._terms
+    assert f"OptimalityCertificate(<{weights.size} weighted orderings of {data.n}>)" in text
+    twin = OptimalityCertificate._of_terms(weights, orders)
+    assert out.certificate == out.certificate and twin != out.certificate  # by identity, reading no G
+    assert "G" not in vars(out.certificate) and "G" not in vars(twin)
+    given = OptimalityCertificate(np.eye(2), [(1.0, (0, 1))])
+    assert repr(given) == f"OptimalityCertificate(G={given.G!r}, decomposition=((1.0, (0, 1)),))"
 
 
-def test_walk_check_reaches_the_verifiers_verdict(minimizers):  # noqa: F811
-    seen = {}
-    for data, alpha, fit in minimizers:
-        a = sorted_scores(alpha, data.n)
-        res = residuals(data, fit.beta_opt)
-        ap = active_pairs(res, default_tie_tol(res))
-        cert = fit.certificate
-        weights, orders = cert._terms
-        assert _term_failures(data, a, res, ap, cert) == ()
-        assert verify_certificate(data, alpha, fit.beta_opt, cert).ok
-        for name, w, o in forged_terms(weights, orders, ap, a, data.x):
-            forged = OptimalityCertificate._of_terms(w, o)
-            walk = _term_failures(data, a, res, ap, forged)
-            if o.shape[1] != data.n:  # its G would be (n - 1) x (n - 1): the verifier reads the fit's G
-                forged = OptimalityCertificate(cert.G, forged.decomposition)
-            report = verify_certificate(data, alpha, fit.beta_opt, forged)
-            assert NAMED[name] <= set(walk), (name, walk)
-            assert not report.ok, name
-            assert set(walk) <= set(report.failures), (name, walk, report.failures)
-            assert list(walk) == [c for c in ALL if c in walk]
-            seen[name] = seen.get(name, 0) + 1
-    assert set(seen) == set(NAMED), seen
-    assert min(seen.values()) >= 5, seen
+def test_minimize_names_the_failures_the_verifier_names(minimizers, monkeypatch):  # noqa: F811
+    """A certificate of the walk's search that fails is a WalkInvariantError
+    naming the report's failures at the walk's point."""
+    search = rankwalk.woa._descent_search
+    for data, alpha, fit in minimizers[:6]:
+        forged = []
+
+        def short_of_one(*args):
+            found = search(*args)
+            if isinstance(found, OptimalityCertificate):
+                weights, orders = found._terms
+                found = OptimalityCertificate._of_terms(0.999 * weights, orders)
+                forged.append(found)
+            return found
+
+        monkeypatch.setattr(rankwalk.woa, "_descent_search", short_of_one)
+        with pytest.raises(WalkInvariantError) as raised:
+            minimize(data, alpha)
+        monkeypatch.undo()
+        failures = verify_certificate(data, alpha, fit.beta_opt, forged[-1]).failures
+        assert {"bistochastic", "decomposition"} <= set(failures)
+        assert str(raised.value) == f"certificate failed verification: {failures}"
 
 
 def test_terms_build_the_old_loops_G(minimizers):  # noqa: F811

@@ -364,8 +364,9 @@ def test_numeric_failure_names_its_layer_and_keeps_the_trace(monkeypatch, layer,
 
 def test_minimize_rejects_bad_start(worked):
     data, alpha = worked
-    with pytest.raises(ValueError):
-        minimize(data, alpha, beta0=[1.0, 2.0])
+    for beta0 in ([1.0, 2.0], [math.nan]):
+        with pytest.raises(ValueError, match="^beta0 must be a finite vector of width p$"):
+            minimize(data, alpha, beta0=beta0)
     with pytest.raises(ValueError):
         minimize(data, [1.0, 2.0])
 
