@@ -125,8 +125,9 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
     Measuring t_B from g_B, and relaxing cut c by a distinct
     eps_c = threshold / (c + 2), keep the vertices non-degenerate (the
     dual prices every cut column differently): with every cut through the
-    origin, the free-variable simplex that solved the master before stalled
-    there under Dantzig's rule and returned multipliers of the wrong sign.
+    origin, the free-variable simplex that solved the master before (now
+    the tests' reference, ``tests/reference_simplex.py``) stalled there
+    under Dantzig's rule and returned multipliers of the wrong sign.
     The most violated ordering of a block lists its observations by x_j . ell
     descending (rearrangement inequality) and is added while it exceeds t_B
     by more than the threshold.  Then either D(ell) < -threshold and ell, the

@@ -2,40 +2,38 @@
 
 The core solves standard form, min c.y subject to My = rhs and y >= 0 with
 rhs >= 0, from a given partial basis: a row that already holds a unit
-column (a slack) starts with it basic, and only the other rows get an
-artificial, so phase 1 runs only for them.  Two drivers pose programs for
-it, and both certify what they return: an optimal point is re-checked
-against the original rows, and an unbounded verdict carries a feasible
-point and a ray re-checked to stay feasible and strictly decrease the
-objective.
+column starts with it basic, and only the other rows get an artificial, so
+phase 1 runs only for them.
 
-``solve_lp`` minimizes c.x over free variables subject to rows (a,
-relation, b), relation one of "<=", ">=", "==".  It is the public wrapper,
-behind ``find_feasible`` too; no layer of the package poses a program to it.
-It validates the ``LinearProgram`` row by row into arrays, so that an error
-names the first malformed constraint, splits each variable into a
-difference of two nonnegative parts and gives each inequality a slack.
-A row whose slack is feasible at the origin starts with that slack basic:
-"<=" rows with a nonnegative right-hand side, and ">=" rows with a zero
-right-hand side, which are stored negated as "<=".  Optimal results carry
-dual multipliers reconstructed from the final basis.
-
-``_solve_by_dual`` minimizes c.v over free v subject to Av <= b, with A
-tall (m rows, p columns, m >> p), through its dual: min b.y subject to
-A^T y = -c and y >= 0, p rows and m columns, so the tableau is p x m and
-at most p artificials enter: a dual row that already holds its unit vector
-as a column (the descent master's index-order cut of a tie block, for one)
-starts with that column basic.  The primal point is the p x p solve of the
-basic rows; an infeasible dual is an unbounded primal, whose ray is the
-Farkas vector of phase 1.  Each column is row j of A scaled to unit
-max-norm and priced to a tolerance that keeps every row within what the
-final check allows.  Every program of the package has this shape:
-``woa.cell_lp`` (a region's n - 1 rows in p variables),
+One driver poses programs for it.  ``_solve_by_dual`` minimizes c.v over
+free v subject to Av <= b, with A tall (m rows, p columns, m >> p), through
+its dual: min b.y subject to A^T y = -c and y >= 0, p rows and m columns,
+so the tableau is p x m and at most p artificials enter: a dual row that
+already holds its unit vector as a column (the descent master's
+index-order cut of a tie block, for one) starts with that column basic.
+The primal point is the p x p solve of the basic rows; an infeasible dual
+is an unbounded primal, whose ray is the Farkas vector of phase 1.  Each
+column is row j of A scaled to unit max-norm and priced to a tolerance
+that keeps every row within what the final check allows.  The driver
+certifies what it returns: an optimal point and its multipliers are
+re-checked against the original rows and for a zero duality gap, an
+unbounded verdict carries a feasible point and a ray re-checked to stay
+feasible and strictly decrease the objective, and an infeasible one a
+checked Farkas ray of the dual.  Every program of the package has this
+shape: ``woa.cell_lp`` (a region's n - 1 rows in p variables),
 ``certificate._descent_search`` (the master's cuts and box rows in
 p + K variables, K the tie blocks, its multipliers read from y),
 ``oracle.oracle_minimize`` (the envelope program's n! rows in p + 1) and
 ``oracle.enumerate_nonempty_cells`` (each region's rows, with a zero
 objective, so an empty region is its ``LpInfeasible``).
+
+``solve_lp`` is the public front end, behind ``find_feasible`` too; no
+layer of the package poses a program to it.  It validates a
+``LinearProgram`` of rows (a, relation, b), relation one of "<=", ">=",
+"==", row by row into arrays, so that an error names the first malformed
+constraint.  It then poses every row as "<=" for the driver (">=" rows
+negated, "==" rows as a pair of opposite "<=" rows) and maps the
+multipliers back to the rows as given.
 
 Pivoting is deterministic: largest reduced-cost violation with lowest-index
 tie breaks, switching to Bland's rule (lowest index only) once degenerate
@@ -101,7 +99,10 @@ LpOutcome = LpOptimal | LpUnbounded | LpInfeasible
 def _validate(prob: LinearProgram):
     """The program as arrays (c, A, relations, b), row by row so that an
     error names the first malformed constraint."""
-    c = np.array(prob.objective, dtype=float).ravel()
+    try:
+        c = np.array(prob.objective, dtype=float).ravel()
+    except (TypeError, ValueError):
+        raise LpError("objective must be numeric") from None
     nv = c.shape[0]
     if nv < 1:
         raise LpError("need at least one variable")
@@ -109,16 +110,11 @@ def _validate(prob: LinearProgram):
         raise LpError("objective must be finite")
     rows = []
     for k, con in enumerate(prob.constraints):
-        try:
-            coeffs, rel, rhs = con
-        except (TypeError, ValueError):
-            raise LpError(f"constraint {k} is not a (coeffs, relation, rhs) triple") from None
-        a = np.array(coeffs, dtype=float).ravel()
+        a, rel, rhs = _row(k, con)
         if a.shape[0] != nv:
             raise LpError(f"constraint {k} has {a.shape[0]} coefficients, expected {nv}")
-        if rel not in RELATIONS:
+        if not isinstance(rel, str) or rel not in RELATIONS:
             raise LpError(f"constraint {k} has unknown relation {rel!r}")
-        rhs = float(rhs)
         if not (np.isfinite(a).all() and np.isfinite(rhs)):
             raise LpError(f"constraint {k} must be finite")
         rows.append((a, rel, rhs))
@@ -127,6 +123,18 @@ def _validate(prob: LinearProgram):
     rels = np.array([r[1] for r in rows], dtype="<U2")
     b = np.array([r[2] for r in rows]) if m else np.zeros(0)
     return c, A, rels, b
+
+
+def _row(k: int, con):
+    """Constraint k as (coefficients, relation, rhs), numbers as floats."""
+    try:
+        coeffs, rel, rhs = con
+    except (TypeError, ValueError):
+        raise LpError(f"constraint {k} is not a (coeffs, relation, rhs) triple") from None
+    try:
+        return np.array(coeffs, dtype=float).ravel(), rel, float(rhs)
+    except (TypeError, ValueError):
+        raise LpError(f"constraint {k} must be numeric") from None
 
 
 def _reduced_row(T: np.ndarray, basis: np.ndarray, cvec: np.ndarray) -> np.ndarray:
@@ -260,18 +268,11 @@ def _standard(c, M, rhs, slack, lp_tol: float, bland: bool) -> _Std:
 def _check_rows(A, rel, b, v, lp_tol, homogeneous: bool, absA=None) -> bool:
     """Whether A v (rel) b holds row by row within the LP tolerance, or
     A v (rel) 0 when ``homogeneous``.  ``rel`` is "<=" or "==" for every
-    row, or the masks (le, ge) of the "<=" and ">=" rows, the rest "==";
-    ``absA`` is |A|, computed here when not given."""
+    row; ``absA`` is |A|, computed here when not given."""
     lhs = A @ v
     rhs = 0.0 if homogeneous else b
     tol = 10.0 * lp_tol * (1.0 + np.abs(rhs) + (np.abs(A) if absA is None else absA) @ np.abs(v))
-    if rel == "<=":
-        bad = lhs > rhs + tol
-    elif rel == "==":
-        bad = np.abs(lhs - rhs) > tol
-    else:
-        le, ge = rel
-        bad = np.where(le, lhs > rhs + tol, np.where(ge, lhs < rhs - tol, np.abs(lhs - rhs) > tol))
+    bad = lhs > rhs + tol if rel == "<=" else np.abs(lhs - rhs) > tol
     return not bad.any()
 
 
@@ -287,79 +288,26 @@ def _unit_ray(c, ray) -> np.ndarray:
     return ray
 
 
-def _simplex_once(c, A_raw, rels_raw, b_raw, lp_tol, bland) -> LpOutcome:
-    m, nv = A_raw.shape
-    le, ge = rels = (rels_raw == "<=", rels_raw == ">=")
-
-    scale = np.maximum(1.0, np.abs(A_raw).max(axis=1))
-    b = b_raw / scale
-    # Rows the origin violates are negated, and so are ">=" rows with a zero
-    # right-hand side: stored as "<=", their slack starts basic.
-    flip = (b < 0.0) | ((b == 0.0) & ge)
-    sign = np.where(flip, -1.0, 1.0)
-    b *= sign
-    slack_rows = np.flatnonzero(le | ge)
-    upper = np.where(flip, ge, le)[slack_rows]  # stored as "<="
-    ns = slack_rows.size
-    n_real = 2 * nv + ns
-    M = np.zeros((m, n_real))
-    A = np.divide(A_raw, scale[:, None], out=M[:, :nv])
-    A *= sign[:, None]
-    np.negative(A, out=M[:, nv : 2 * nv])
-    M[slack_rows, 2 * nv + np.arange(ns)] = np.where(upper, 1.0, -1.0)
-    slack = np.full(m, -1, dtype=np.intp)
-    slack[slack_rows[upper]] = 2 * nv + np.flatnonzero(upper)
-    c2 = np.concatenate([c, -c, np.zeros(ns)])
-
-    std = _standard(c2, M, b, slack, lp_tol, bland)
-    if std.farkas is not None:
-        return LpInfeasible()
-    T, basis, kept = std.T, std.basis, std.kept
-    xstd = np.zeros(n_real)
-    xstd[basis] = T[:, -1]
-    point = xstd[:nv] - xstd[nv : 2 * nv]
-
-    if std.entering is not None:
-        ray_std = np.zeros(n_real)
-        ray_std[std.entering] = 1.0
-        ray_std[basis] = -T[:, std.entering]
-        ray = _unit_ray(c, ray_std[:nv] - ray_std[nv : 2 * nv])
-        if not (_check_rows(A_raw, rels, b_raw, point, lp_tol, False)
-                and _check_rows(A_raw, rels, b_raw, ray, lp_tol, True)):
-            raise LpNumericError("unbounded certificate failed verification")
-        return LpUnbounded(point, ray)
-
-    if not _check_rows(A_raw, rels, b_raw, point, lp_tol, False):
-        raise LpNumericError("optimal point failed feasibility verification")
-    value = float(c @ point)
-
-    dual = np.zeros(m)
-    if kept.size:
-        B = M[kept[:, None], basis]
-        cb = c2[basis]
-        try:
-            y = np.linalg.solve(B.T, cb)
-        except np.linalg.LinAlgError:
-            y = np.linalg.lstsq(B.T, cb, rcond=None)[0]
-        if float(np.abs(B.T @ y - cb).max()) > 1e-7 * (1.0 + float(np.abs(cb).max())):
-            raise LpNumericError("dual reconstruction failed on the final basis")
-        dual[kept] = sign[kept] * y / scale[kept]
-    return LpOptimal(point, value, dual)
-
-
 def _check_lp_tol(lp_tol: float):
     if not (math.isfinite(lp_tol) and lp_tol > 0.0):
         raise LpError("lp_tol must be finite and positive")
 
 
 def solve_lp(prob: LinearProgram, lp_tol: float = 1e-9) -> LpOutcome:
-    """Solve the program, retrying once under Bland's rule before giving up."""
+    """Solve the program on the dual core, every row as "<=": ">=" rows
+    negated, and each "==" row posed twice, as itself and negated.  An
+    optimum's ``dual`` holds one multiplier per row as posed, with
+    c = A^T dual, >= 0 on ">=" rows and <= 0 on "<=" rows."""
     _check_lp_tol(lp_tol)
-    rows = _validate(prob)
-    try:
-        return _simplex_once(*rows, lp_tol, bland=False)
-    except LpNumericError:
-        return _simplex_once(*rows, lp_tol, bland=True)
+    c, A, rels, b = _validate(prob)
+    sign = np.where(rels == ">=", -1.0, 1.0)
+    eq = np.flatnonzero(rels == "==")
+    out = _solve_by_dual(c, np.vstack([sign[:, None] * A, -A[eq]]), np.concatenate([sign * b, -b[eq]]), lp_tol)
+    if not isinstance(out, LpOptimal):
+        return out
+    dual = -sign * out.dual[:b.size]
+    dual[eq] += out.dual[b.size:]
+    return LpOptimal(out.point, out.value, dual)
 
 
 def _solve_by_dual(c, A, b, lp_tol: float = 1e-9) -> LpOutcome:
@@ -375,8 +323,8 @@ def _solve_by_dual(c, A, b, lp_tol: float = 1e-9) -> LpOutcome:
 
 def _dual_once(c, A, b, lp_tol, bland) -> LpOutcome:
     m, nv = A.shape
-    # Column j of the dual is row j of A scaled to unit max-norm, as
-    # solve_lp scales its rows; y_j comes back divided by the same factor.
+    # Column j of the dual is row j of A scaled to unit max-norm; y_j comes
+    # back divided by the same factor.
     absA = np.abs(A)
     scale = np.maximum(1.0, absA.max(axis=1))
     sign = np.where(c > 0.0, -1.0, 1.0)  # dual rows negated to a right-hand side |c|
@@ -460,7 +408,7 @@ def find_feasible(constraints: Sequence[tuple], nvars: int | None = None,
     if nvars is None:
         if not constraints:
             raise LpError("cannot infer the variable count from zero constraints")
-        nvars = len(constraints[0][0])
+        nvars = _row(0, constraints[0])[0].shape[0]
     out = solve_lp(LinearProgram(np.zeros(nvars), tuple(constraints)), lp_tol=lp_tol)
     if isinstance(out, LpInfeasible):
         return None

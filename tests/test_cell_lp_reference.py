@@ -2,10 +2,11 @@
 it replaced.
 
 ``ref_cell_lp`` is the former ``cell_lp``: the region's n - 1 rows handed
-to ``solve_lp`` over p free variables, an (n - 1) x (n + 2p) tableau.  It
-is kept here as the specification: both must reach the same verdict and,
-when optimal, values within 1e-9 * (1 + |f|), and every unbounded ray must
-stay in the region while the loss falls along it.
+to the free-variable simplex ``ref_solve_lp`` over p free variables, an
+(n - 1) x (n + 2p) tableau.  It is kept here as the specification: both
+must reach the same verdict and, when optimal, values within
+1e-9 * (1 + |f|), and every unbounded ray must stay in the region while
+the loss falls along it.
 """
 
 import importlib.util
@@ -30,12 +31,12 @@ from rankwalk import (
     minimize,
     normalize_scores,
     residuals,
-    solve_lp,
     verify_certificate,
 )
 from rankwalk.loss import _as_residuals
 from rankwalk.model import sorted_scores
 
+from reference_simplex import ref_solve_lp
 from test_reference import FAMILIES, scenario
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -49,7 +50,7 @@ def ref_cell_lp(data, alpha, pi, lp_tol=1e-9, at=None):
     grad = a.alpha @ xp
     const = float(a.alpha @ data.y[list(pi)]) - float(grad @ res.beta)
     rows = tuple(zip(np.diff(xp, axis=0), ("<=",) * (data.n - 1), np.diff(ep).tolist()))
-    out = solve_lp(LinearProgram(-grad, rows), lp_tol=lp_tol)
+    out = ref_solve_lp(LinearProgram(-grad, rows), lp_tol=lp_tol)
     if isinstance(out, LpOptimal):
         return LpOptimal(res.beta + out.point, const + out.value, out.dual)
     if isinstance(out, LpUnbounded):
@@ -175,11 +176,10 @@ def test_cell_lp_memory_stays_linear_in_n():
     assert peak < 2 * 2**20, peak
 
 
-def test_descent_master_programs_replay_bit_for_bit():
+def master_programs():
     """The descent search's master LPs, recorded with their outcomes from
     ``walk`` rounds 0-3 at seeds 0 and 1 on the free-variable simplex that
-    preceded the standard-form core: the wrapper builds the same columns in
-    the same order, so it pivots the same way to the same bytes."""
+    preceded the standard-form core: (program, point, value, dual)."""
     rec = np.load(DATA / "descent_master_walk.npz")
     nv, m = rec["shapes"].T
 
@@ -187,11 +187,21 @@ def test_descent_master_programs_replay_bit_for_bit():
         return np.split(rec[name], np.cumsum(sizes)[:-1])
 
     relations = np.array(["<=", ">=", "=="])[rec["relations"]]
-    programs = zip(split("objective", nv), split("rows", nv * m), np.split(relations, np.cumsum(m)[:-1]),
-                   split("rhs", m), split("point", nv), rec["value"], split("dual", m))
+    for c, rows, rels, rhs, point, value, dual in zip(
+            split("objective", nv), split("rows", nv * m), np.split(relations, np.cumsum(m)[:-1]),
+            split("rhs", m), split("point", nv), rec["value"], split("dual", m)):
+        prob = LinearProgram(c, tuple(zip(rows.reshape(rhs.size, c.size), rels.tolist(), rhs.tolist())))
+        yield prob, point, value, dual
+
+
+def test_descent_master_programs_replay_bit_for_bit():
+    """The recorded master LPs on ``ref_solve_lp``, the free-variable
+    simplex kept in the tests: it builds the same columns in the same order
+    as when they were recorded, so it pivots the same way to the same
+    bytes."""
     replayed = 0
-    for c, rows, rels, rhs, point, value, dual in programs:
-        out = solve_lp(LinearProgram(c, tuple(zip(rows.reshape(rhs.size, c.size), rels.tolist(), rhs.tolist()))))
+    for prob, point, value, dual in master_programs():
+        out = ref_solve_lp(prob)
         assert isinstance(out, LpOptimal)
         assert out.point.tobytes() == point.tobytes()
         assert out.value == value

@@ -100,6 +100,15 @@ def test_find_feasible_needs_nvars_or_rows():
     assert find_feasible([], nvars=2) is not None
 
 
+def test_find_feasible_names_a_malformed_first_row():
+    """The variable count is read from row 0, which must parse first."""
+    for rows, message in [([3.0], "constraint 0 is not a (coeffs, relation, rhs) triple"),
+                          ([(["a"], "<=", 0.0)], "constraint 0 must be numeric")]:
+        with pytest.raises(LpError) as err:
+            find_feasible(rows)
+        assert str(err.value) == message
+
+
 def test_validation_errors():
     with pytest.raises(LpError):
         solve_lp(LinearProgram([], []))
@@ -130,11 +139,21 @@ def test_validation_names_the_offending_row():
         ([([1.0], "<=")], "constraint 0 is not a (coeffs, relation, rhs) triple"),
         ([ok, ([1.0], "<=", 0.0, 0.0)], "constraint 1 is not a (coeffs, relation, rhs) triple"),
         ([ok, 3.0], "constraint 1 is not a (coeffs, relation, rhs) triple"),
+        ([(["a"], "<=", 0.0)], "constraint 0 must be numeric"),
+        ([ok, ([1.0], "<=", "x")], "constraint 1 must be numeric"),
+        ([ok, ok, ([1.0], ">=", None)], "constraint 2 must be numeric"),
+        ([ok, ([1.0], "==", [0.0, 1.0])], "constraint 1 must be numeric"),
+        ([ok, ([1.0], np.array(["<=", ">="]), 0.0)],
+         "constraint 1 has unknown relation array(['<=', '>='], dtype='<U2')"),
     ]
     for rows, message in cases:
         with pytest.raises(LpError) as err:
             solve_lp(LinearProgram([1.0], rows))
         assert str(err.value) == message
+    for objective in (["a"], [1.0, "b"]):
+        with pytest.raises(LpError) as err:
+            solve_lp(LinearProgram(objective, [ok]))
+        assert str(err.value) == "objective must be numeric"
 
 
 def test_determinism():

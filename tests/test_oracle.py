@@ -16,10 +16,11 @@ from rankwalk import (
     oracle_minimize,
     random_instance,
     residuals,
-    solve_lp,
 )
 from rankwalk.loss import _perm_table
 from rankwalk.oracle import ENUMERATION_LIMIT, ORACLE_LIMIT
+
+from reference_simplex import ref_solve_lp
 
 TIE = 1e-9
 KINDS = ("sign", "wilcoxon", "van_der_waerden")
@@ -40,7 +41,7 @@ def ref_oracle_minimize(data, alpha):
     rows = tuple((np.concatenate([[1.0], -np.array(key)]), ">=", c) for key, c in dominant.items())
     objective = np.zeros(1 + data.p)
     objective[0] = 1.0
-    out = solve_lp(LinearProgram(objective, rows))
+    out = ref_solve_lp(LinearProgram(objective, rows))
     if isinstance(out, LpUnbounded):
         return None
     assert isinstance(out, LpOptimal)

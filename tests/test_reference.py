@@ -1,7 +1,8 @@
 """Ground truth past the exhaustive oracle's n <= 8.
 
 Two score kinds have closed forms, each a plain linear program that the
-package's own simplex solves independently of the walk:
+free-variable simplex of ``reference_simplex.py`` solves independently of
+the walk:
 
 - sign: F = min_m sum_i |e_i - m|, least absolute deviations; the designs
   here hold an intercept column, which absorbs m;
@@ -31,9 +32,10 @@ from rankwalk import (
     RegressionData,
     make_scores,
     minimize,
-    solve_lp,
     verify_certificate,
 )
+
+from reference_simplex import ref_solve_lp
 
 FAMILIES = ("t2", "integer_grid", "duplicated_rows", "collinear_column", "scaled_column", "cauchy",
             "high_leverage")
@@ -66,7 +68,7 @@ def l1_minimum(z, d):
     eye = np.eye(z.shape[0])
     rows = [(col, "==", 0.0) for col in z.T]
     rows += [(row, "<=", 1.0) for row in eye] + [(row, ">=", -1.0) for row in eye]
-    out = solve_lp(LinearProgram(-d, tuple(rows)))
+    out = ref_solve_lp(LinearProgram(-d, tuple(rows)))
     assert isinstance(out, LpOptimal)
     return -out.value
 
