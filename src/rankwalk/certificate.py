@@ -9,15 +9,17 @@ value from the responses alone.
 
 One cutting-plane search over the tie blocks decides optimality: it returns
 either a direction of strict descent or that convex combination, weighted
-orderings built from the multipliers of its cuts, with G summed from them
-only when read.  ``minimize`` and ``verify_certificate`` check the orderings
-with one function, ``_conditions``, in O(T n (log n + p)) for T of them and
-without G; a certificate given as G is checked on G, in O(n^2).  ``minimize``
-also hands the search its cell LP's dual, which it reads first: on a tie
-block of two ranks the Birkhoff polytope is the segment between the pair's
-two orders, so when the dual weighs only such pairs, none adjacent and none
-beyond its score gap, the dual already is the certificate and no master LP
-is posed.
+orderings built from the multipliers of its cuts.  The certificate is those
+terms, weights and a T x n array of orderings; G is summed from them only
+when read.  ``minimize`` and ``verify_certificate`` check the terms with
+one function, ``_conditions``, in O(T n (log n + p)) for T of them and
+without G.  A certificate given as G and a decomposition is turned into its
+terms when it is built, which records how far they are from recomposing G.
+``minimize`` also hands the search its cell LP's dual, which it reads first:
+on a tie block of two ranks the Birkhoff polytope is the segment between
+the pair's two orders, so when the dual weighs only such pairs, none
+adjacent and none beyond its score gap, the dual already is the certificate
+and no master LP is posed.
 ``birkhoff_decompose`` splits any bistochastic matrix given from outside;
 the walk does not need it.
 """
@@ -25,6 +27,7 @@ the walk does not need it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,55 +38,79 @@ from .model import RegressionData, ScoreVector, sorted_scores
 SUPPORT_TOL = 1e-9  # entries of G at or below this are outside its support
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class OptimalityCertificate:
-    """Bistochastic witness ``G`` plus its decomposition into weighted
-    orderings, ``(weight, ordering)`` pairs.
+    """The certificate as its terms: read-only ``weights`` (T floats) and
+    ``orders`` (T x n integers), term t placing observation
+    ``orders[t, r]`` at rank r with weight ``weights[t]``.
 
-    The descent search builds its certificate from the terms alone, as
-    weights and a T x n array of orderings (``_of_terms``); ``G`` and
-    ``decomposition`` are then built from them when first read, G as the
-    sum of w P over the terms in order, so nothing of size n x n is made
-    for a caller that never reads G: ``verify_certificate`` and ``repr``
-    read the terms.  Certificates compare by identity."""
+    ``G``, the sum of w P over the terms in order, and ``decomposition``,
+    the terms as ``(weight, ordering)`` pairs, are built when first read,
+    so nothing of size n x n is made for a caller that never reads G.
+    ``OptimalityCertificate(G, decomposition)`` is the one place a G enters:
+    the decomposition becomes the terms, G is kept only so that ``.G`` reads
+    it back, and ``recomposition_dev``, the largest entry of the terms' sum
+    minus G, is the one thing of G that verification reads (0 for the
+    walk's certificates, which are built from their terms by
+    ``_of_terms``).  Certificates compare by identity."""
 
-    G: np.ndarray
-    decomposition: tuple[tuple[float, tuple[int, ...]], ...]
+    weights: np.ndarray
+    orders: np.ndarray
+    recomposition_dev: float
 
-    def __post_init__(self):
-        G = np.array(self.G, dtype=float)
+    def __init__(self, G, decomposition):
+        """Raises ValueError when G is not numeric or the orderings are not
+        integer sequences of one length."""
+        G = np.array(G, dtype=float)
         G.setflags(write=False)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "decomposition", tuple((float(w), tuple(pi)) for w, pi in self.decomposition))
+        terms = [(float(w), tuple(pi)) for w, pi in decomposition]
+        if len({len(pi) for _, pi in terms}) > 1:
+            raise ValueError("the orderings of a decomposition differ in length")
+        orders = np.array([pi for _, pi in terms]) if terms else np.empty((0, G.shape[0] if G.ndim else 0), np.intp)
+        if orders.dtype.kind not in "iu":
+            raise ValueError(f"orderings must be integer, got {orders.dtype}")
+        weights = np.array([w for w, _ in terms])
+        orders = orders.astype(np.intp)
+        n = orders.shape[1]
+        perms = weights.size and G.shape == (n, n) and (np.sort(orders, axis=1) == np.arange(n)).all()
+        self._set(weights, orders, float(np.abs(_recompose(weights, orders) - G).max()) if perms else np.inf)
+        vars(self)["G"] = G
 
     @classmethod
     def _of_terms(cls, weights: np.ndarray, orders: np.ndarray) -> "OptimalityCertificate":
+        """The certificate of these terms, which it makes read-only."""
         cert = cls.__new__(cls)
-        object.__setattr__(cert, "_terms", (weights, orders))
+        cert._set(weights, orders, 0.0)
         return cert
 
-    def __getattr__(self, name):
-        """Reached only for a field not built yet, of a certificate of terms."""
-        if name not in ("G", "decomposition") or "_terms" not in vars(self):
-            raise AttributeError(name)
-        weights, orders = self._terms
-        if name == "G":
-            n = orders.shape[1]
-            value = np.zeros((n, n))
-            ranks = np.arange(n)
-            for w, pi in zip(weights, orders):
-                value[ranks, pi] += w
-            value.setflags(write=False)
-        else:
-            value = tuple(zip(weights.tolist(), map(tuple, orders.tolist())))
-        object.__setattr__(self, name, value)
-        return value
+    def _set(self, weights, orders, recomposition_dev):
+        weights.setflags(write=False)
+        orders.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "recomposition_dev", recomposition_dev)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return _recompose(self.weights, self.orders)
+
+    @cached_property
+    def decomposition(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
+        return tuple(zip(self.weights.tolist(), map(tuple, self.orders.tolist())))
 
     def __repr__(self):
-        if "_terms" in vars(self):
-            weights, orders = self._terms
-            return f"OptimalityCertificate(<{weights.size} weighted orderings of {orders.shape[-1]}>)"
-        return f"OptimalityCertificate(G={self.G!r}, decomposition={self.decomposition!r})"
+        return f"OptimalityCertificate(<{self.weights.size} weighted orderings of {self.orders.shape[-1]}>)"
+
+
+def _recompose(weights: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """G = sum_t w_t P_t, read-only, added in term order."""
+    n = orders.shape[1]
+    G = np.zeros((n, n))
+    ranks = np.arange(n)
+    for w, pi in zip(weights, orders):
+        G[ranks, pi] += w
+    G.setflags(write=False)
+    return G
 
 
 @dataclass(frozen=True)
@@ -359,58 +386,36 @@ def _conditions(data: RegressionData, a: ScoreVector, res: Residuals, ap: Active
     are ``ap``, as (name, ok, detail), and the value it certifies (None when
     no decomposition is usable); never raises on a bad certificate.
 
-    A certificate of terms (``_of_terms``) is read from its weights w and
-    T x n orderings, never from G.  Unless they are T permutations
-    (``shape``) they build no G = sum_t w_t P_t.  When they are, each row
-    and column of G sums to sum w, G >= 0 where w >= 0, its entries off the
-    tie blocks are the weights that land there, added in term order as G
-    adds them, and the terms recompose G exactly.  A G given from outside
-    is read as given, and its decomposition must recompose it."""
+    The certificate is read from its weights w and T x n orderings, never
+    from G.  Unless they are T permutations (``shape``) they build no
+    G = sum_t w_t P_t.  When they are, each row and column of G sums to
+    sum w, G >= 0 where w >= 0, its entries off the tie blocks are the
+    weights that land there, added in term order as G adds them, and the
+    terms recompose G up to ``recomposition_dev``, which is 0 unless the
+    certificate was built from a G given from outside."""
     n = data.n
     label, block_of = ap.label, ap._block_of()
-    terms = vars(cert).get("_terms")
-    if terms is None:
-        G = np.asarray(cert.G, dtype=float)
-        if G.shape != (n, n):
-            return (("shape", False, f"G has shape {G.shape}, expected {(n, n)}"),), None
-        row_dev = float(np.abs(G.sum(axis=1) - 1.0).max())
-        col_dev = float(np.abs(G.sum(axis=0) - 1.0).max())
-        neg = float(max(0.0, -G.min()))
-        off = float(np.fmax.reduce(np.abs(G[label[:, None] != block_of[None, :]]), initial=0.0))  # NaN is skipped
-        mixed = a.alpha @ G  # column aggregate weighted by rank
-        weights = [w for w, _ in cert.decomposition]
-        recomposed = np.zeros((n, n))
-        ranks = np.arange(n)
-        orders = []  # those orderings that are permutations, as index arrays
-        for w, pi in cert.decomposition:
-            if len(pi) == n and sorted(pi) == list(range(n)):
-                orders.append(np.array(pi))
-                recomposed[ranks, orders[-1]] += w
-        recomp_dev = float(np.abs(recomposed - G).max()) if weights else float("inf")
-        realizable = len(orders) == len(weights) and all((block_of[pi] == label).all() for pi in orders)
-    else:
-        weights, orders = terms
-        if not (weights.ndim == 1 and orders.shape == (weights.size, n) and orders.dtype.kind == "i"
-                and (np.sort(orders, axis=1) == np.arange(n)).all()):
-            return (("shape", False, f"orderings of shape {orders.shape}, expected {weights.size} permutations "
-                                     f"of {n}"),), None
-        off_blocks = block_of[orders] != label  # the placements off the tie blocks
-        realizable, off = not off_blocks.any(), 0.0
-        if not realizable:
-            t, i = np.nonzero(off_blocks)  # in term order
-            cells, at = np.unique(i * n + orders[t, i], return_inverse=True)
-            sums = np.zeros(cells.size)  # the entries of G on those cells
-            np.add.at(sums, at, weights[t])
-            off = float(np.fmax.reduce(np.abs(sums), initial=0.0))
-        mixed = np.bincount(orders.ravel(), (weights[:, None] * a.alpha).ravel(), n)  # alpha G, in term order
-        weights = weights.tolist()
-        row_dev = col_dev = abs(sum(weights) - 1.0)
-        neg = max(0.0, -min(weights, default=0.0))
-        recomp_dev = 0.0  # G is the sum of the terms
-
-    balance = float(np.abs(mixed @ data.x).max()) if data.p else 0.0
+    weights, orders = cert.weights, cert.orders
+    if not (weights.ndim == 1 and orders.shape == (weights.size, n) and orders.dtype.kind == "i"
+            and (np.sort(orders, axis=1) == np.arange(n)).all()):
+        return (("shape", False, f"orderings of shape {orders.shape}, expected {weights.size} permutations "
+                                 f"of {n}"),), None
+    off_blocks = block_of[orders] != label  # the placements off the tie blocks
+    realizable, off = not off_blocks.any(), 0.0
+    if not realizable:
+        t, i = np.nonzero(off_blocks)  # in term order
+        cells, at = np.unique(i * n + orders[t, i], return_inverse=True)
+        sums = np.zeros(cells.size)  # the entries of G on those cells
+        np.add.at(sums, at, weights[t])
+        off = float(np.fmax.reduce(np.abs(sums), initial=0.0))
+    mixed = np.bincount(orders.ravel(), (weights[:, None] * a.alpha).ravel(), n)  # alpha G, in term order
+    weights = weights.tolist()
     lam_sum = sum(weights)
-    whole = bool(weights) and min(weights) > 0.0 and abs(lam_sum - 1.0) <= 1e-9 and recomp_dev <= 1e-9
+    dev = abs(lam_sum - 1.0)  # of every row and column sum of G
+    neg = max(0.0, -min(weights, default=0.0))
+    recomp_dev = cert.recomposition_dev
+    balance = float(np.abs(mixed @ data.x).max())
+    whole = bool(weights) and min(weights) > 0.0 and dev <= 1e-9 and recomp_dev <= 1e-9
     certified = None
     if weights and realizable:
         certified = float(sum([w * float(a.alpha @ data.y[pi]) for w, pi in zip(weights, orders)]))
@@ -420,8 +425,7 @@ def _conditions(data: RegressionData, a: ScoreVector, res: Residuals, ap: Active
     else:
         value = ("value", False, "no usable decomposition to price")
     conditions = (
-        ("bistochastic", row_dev <= 1e-9 and col_dev <= 1e-9 and neg <= 1e-9,
-         f"row dev {row_dev:.3g}, col dev {col_dev:.3g}, most negative {neg:.3g}"),
+        ("bistochastic", dev <= 1e-9 and neg <= 1e-9, f"row dev {dev:.3g}, col dev {dev:.3g}, most negative {neg:.3g}"),
         ("support", off <= 1e-9, f"largest entry off the realizable pairs {off:.3g}"),
         ("balance", balance <= 1e-7, f"largest design-row imbalance {balance:.3g}"),
         ("decomposition", whole, f"weight sum {lam_sum:.12g}, recomposition dev {recomp_dev:.3g}"),
@@ -438,10 +442,10 @@ def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertif
     certificate, reporting each condition separately instead.  Weights are
     sorted on entry, as ``minimize`` sorts them.
 
-    The certificates of ``minimize`` and ``solve_certificate`` are checked
-    from their T weighted orderings, in O(T n (log n + p)) time and O(T n)
-    memory, without G; one given as G and a decomposition is checked on G,
-    in O(n^2) time and memory."""
+    Every certificate is checked from its T weighted orderings, in
+    O(T n (log n + p)) time and O(T n) memory, without G.  Of a G given
+    from outside only the terms' recomposition deviation from it, recorded
+    when the certificate was built, is read."""
     res = residuals(data, beta)
     ap = active_pairs(res, default_tie_tol(res) if tie_tol is None else tie_tol)
     conditions, certified = _conditions(data, sorted_scores(alpha, data.n), res, ap, cert)

@@ -20,7 +20,6 @@ import numpy as np
 from .certificate import verify_certificate
 from .ggd import GgdConfig, ggd_minimize
 from .loss import consistent_permutation, default_tie_tol, eval_loss, residuals
-from .lp import LpError
 from .model import RegressionData, ScoreVector, make_scores, normalize_scores
 from .oracle import ORACLE_LIMIT, oracle_minimize
 from .woa import Minimizer, WalkError, WoaConfig, minimize
@@ -131,7 +130,6 @@ def trace_payload(outcome) -> dict:
     ]
     if isinstance(outcome, Minimizer):
         certificate = {
-            "G": [_floats(row) for row in outcome.certificate.G],
             "decomposition": [
                 {"lambda": float(w), "pi": _one_based(pi)} for w, pi in outcome.certificate.decomposition
             ],
@@ -152,7 +150,7 @@ def cmd_fit(args) -> int:
     data = read_csv(args.data)
     alpha = build_scores(args.scores, data.n)
     outcome = minimize(data, alpha, initial_point(args.init, data), _walk_config(args))
-    if args.trace:  # the trace holds G, n x n: built only when asked for
+    if args.trace:
         with open(args.trace, "w") as fh:
             json.dump(trace_payload(outcome), fh, indent=2)
             fh.write("\n")
@@ -293,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, LpError, WalkError) as exc:
+    except (ValueError, OSError, WalkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -59,8 +59,8 @@ _PIVOT_TOL = 1e-10
 _DEGEN_TOL = 1e-12
 
 
-class LpError(Exception):
-    """Malformed linear program."""
+class LpError(ValueError):
+    """Malformed linear program or tolerance."""
 
 
 class LpNumericError(LpError):
@@ -290,7 +290,7 @@ def _unit_ray(c, ray) -> np.ndarray:
 
 def _check_lp_tol(lp_tol: float):
     if not (math.isfinite(lp_tol) and lp_tol > 0.0):
-        raise LpError("lp_tol must be finite and positive")
+        raise LpError(f"lp_tol must be finite and positive, got {lp_tol}")
 
 
 def solve_lp(prob: LinearProgram, lp_tol: float = 1e-9) -> LpOutcome:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .certificate import OptimalityCertificate, _conditions, _descent_search
 from .loss import ActivePairs, _as_residuals, _check_tie_tol, active_pairs, default_tie_tol, eval_loss, residuals
-from .lp import LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, _solve_by_dual
+from .lp import LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, _check_lp_tol, _solve_by_dual
 from .model import RegressionData, sorted_scores, start_point
 
 log = logging.getLogger(__name__)
@@ -71,11 +71,6 @@ class WalkNumericError(WalkError):
         super().__init__(message)
         self.layer = layer
         self.trace = trace
-
-
-def _check_lp_tol(lp_tol: float):
-    if not (math.isfinite(lp_tol) and lp_tol > 0.0):
-        raise ValueError(f"lp_tol must be finite and positive, got {lp_tol}")
 
 
 @dataclass(frozen=True)

@@ -161,12 +161,30 @@ def test_verify_certificate_wrong_point(worked):
 
 
 def test_verify_certificate_broken_matrix(worked):
+    """A G is read only through how far the terms are from recomposing it:
+    a broken G beside a decomposition that is itself bistochastic fails
+    ``decomposition``, and terms that are not fail ``bistochastic``."""
     data, alpha = worked
     broken = HAND_G.copy()
     broken[0, 0] = 0.4
+    cert = OptimalityCertificate(broken, ((1.0, (0, 2, 1)),))
+    assert cert.recomposition_dev == pytest.approx(0.6)  # G[0, 0] is 0.4 where the ordering puts 1
+    report = verify_certificate(data, alpha, [0.0], cert)
+    assert "decomposition" in report.failures and "bistochastic" not in report.failures
+    assert dict((name, detail) for name, _, detail in report.conditions)["decomposition"] == (
+        "weight sum 1, recomposition dev 0.6")
     report = verify_certificate(data, alpha, [0.0],
-                                OptimalityCertificate(broken, ((1.0, (0, 2, 1)),)))
-    assert "bistochastic" in report.failures
+                                OptimalityCertificate(broken, ((0.4, (0, 2, 1)), (0.5, (2, 0, 1)))))
+    assert {"bistochastic", "decomposition"} <= set(report.failures)
+
+
+def test_verify_certificate_given_float_orderings():
+    """Orderings of floats are refused when the certificate is built, so the
+    verifier never indexes with them."""
+    data = RegressionData(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 0.0]))
+    alpha = normalize_scores([-1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="integer"):
+        verify_certificate(data, alpha, [0.0], OptimalityCertificate(np.eye(3), ((1.0, (0.0, 1.0, 2.0)),)))
 
 
 def test_verify_certificate_bad_decomposition(worked):

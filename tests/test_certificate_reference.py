@@ -1,10 +1,10 @@
 """The array forms of ``active_pairs``, ``birkhoff_decompose`` and
 ``verify_certificate`` against the Python loops they replaced, kept here as
 references: on seeded inputs, including forged certificates that break each
-condition the gate checks, both must give exactly the same result.  A
-certificate given as G is checked against a loop over G; the walk's
-certificates, weights and a T x n array of orderings, against a loop over
-their terms that never builds G."""
+condition the gate checks, both must give exactly the same result.  Every
+certificate, weights and a T x n array of orderings, is checked against a
+loop over its terms that never builds G; of a certificate given as G, the
+loop reads G only for the terms' recomposition deviation from it."""
 
 import numpy as np
 import pytest
@@ -108,18 +108,18 @@ def reference_birkhoff(G, support_tol=1e-9):
     return terms
 
 
-def reference_verify_terms(data, alpha, beta, cert, tie_tol=None):
-    """A certificate of terms, by a loop over its weights and orderings.
-    G = sum_t w_t P_t is the sum of the terms, so it recomposes exactly;
-    its rows and columns, and its entries off the realizable pairs, add
-    the weights that land there in term order; and its signs are those of
-    the weights."""
+def reference_verify(data, alpha, beta, cert, tie_tol=None, G=None):
+    """A certificate, by a loop over its weights and orderings.  Its rows
+    and columns, and its entries off the realizable pairs, add the weights
+    that land there in term order; its signs are those of the weights; and
+    the terms recompose ``G``, the matrix it was built from, up to the
+    deviation this loop finds (none when it was built from its terms)."""
     a = sorted_scores(alpha, data.n)
     n = data.n
     res = residuals(data, beta)
     tt = default_tie_tol(res) if tie_tol is None else tie_tol
     *_, pairs = reference_active_pairs(res, tt)
-    weights, orders = cert._terms
+    weights, orders = cert.weights, cert.orders
     if not (weights.ndim == 1 and orders.shape == (weights.size, n) and orders.dtype.kind == "i"
             and all(sorted(pi) == list(range(n)) for pi in orders.tolist())):
         detail = f"orderings of shape {orders.shape}, expected {weights.size} permutations of {n}"
@@ -129,6 +129,7 @@ def reference_verify_terms(data, alpha, beta, cert, tie_tol=None):
     row_sums, col_sums = [0.0] * n, [0.0] * n
     off_pairs = {}
     mixed = np.zeros(n)
+    recomposed = np.zeros((n, n))
     neg = 0.0
     for w, pi in zip(weights, orders):
         neg = max(neg, -w)
@@ -136,6 +137,7 @@ def reference_verify_terms(data, alpha, beta, cert, tie_tol=None):
             row_sums[i] += w
             col_sums[j] += w
             mixed[j] += w * a.alpha[i]
+            recomposed[i, j] += w
             if (i, j) not in pairs:
                 off_pairs[i, j] = off_pairs.get((i, j), 0.0) + w
     row_dev = max(abs(s - 1.0) for s in row_sums)
@@ -147,9 +149,15 @@ def reference_verify_terms(data, alpha, beta, cert, tie_tol=None):
     balance = float(np.abs(mixed @ data.x).max())
     conditions.append(("balance", balance <= 1e-7, f"largest design-row imbalance {balance:.3g}"))
 
+    if G is None:
+        recomp_dev = 0.0
+    elif not weights or np.shape(G) != (n, n):
+        recomp_dev = float("inf")
+    else:
+        recomp_dev = float(np.abs(recomposed - G).max())
     lam_sum = sum(weights)
-    ok = bool(weights) and all(w > 0.0 for w in weights) and abs(lam_sum - 1.0) <= 1e-9
-    conditions.append(("decomposition", ok, f"weight sum {lam_sum:.12g}, recomposition dev 0"))
+    ok = bool(weights) and all(w > 0.0 for w in weights) and abs(lam_sum - 1.0) <= 1e-9 and recomp_dev <= 1e-9
+    conditions.append(("decomposition", ok, f"weight sum {lam_sum:.12g}, recomposition dev {recomp_dev:.3g}"))
     consistent = all((i, j) in pairs for pi in orders for i, j in enumerate(pi))
     conditions.append(("decomposition_support", consistent,
                        "every ordering realizable at beta" if consistent else "an ordering uses a non-realizable pair"))
@@ -157,71 +165,6 @@ def reference_verify_terms(data, alpha, beta, cert, tie_tol=None):
     certified = None
     if weights and consistent:
         certified = float(sum(w * float(a.alpha @ data.y[pi]) for w, pi in zip(weights, orders)))
-        f_here = eval_loss(data, a, beta)
-        ok = abs(certified - f_here) <= 1e-7 * (1.0 + abs(f_here))
-        conditions.append(("value", ok, f"certified {certified:.12g} vs loss {f_here:.12g}"))
-    else:
-        conditions.append(("value", False, "no usable decomposition to price"))
-
-    return CertificateReport(all(good for _, good, _ in conditions), tuple(conditions), certified)
-
-
-def reference_verify(data, alpha, beta, cert, tie_tol=None):
-    if "_terms" in vars(cert):
-        return reference_verify_terms(data, alpha, beta, cert, tie_tol)
-    a = sorted_scores(alpha, data.n)
-    n = data.n
-    res = residuals(data, beta)
-    tt = default_tie_tol(res) if tie_tol is None else tie_tol
-    *_, pairs = reference_active_pairs(res, tt)
-    G = np.asarray(cert.G, dtype=float)
-    conditions = []
-
-    if G.shape != (n, n):
-        return CertificateReport(False, (("shape", False, f"G has shape {G.shape}, expected {(n, n)}"),), None)
-
-    row_dev = float(np.abs(G.sum(axis=1) - 1.0).max())
-    col_dev = float(np.abs(G.sum(axis=0) - 1.0).max())
-    neg = float(max(0.0, -G.min()))
-    ok = row_dev <= 1e-9 and col_dev <= 1e-9 and neg <= 1e-9
-    conditions.append(("bistochastic", ok,
-                       f"row dev {row_dev:.3g}, col dev {col_dev:.3g}, most negative {neg:.3g}"))
-
-    off = 0.0
-    for i in range(n):
-        for j in range(n):
-            if (i, j) not in pairs:
-                off = max(off, abs(G[i, j]))
-    conditions.append(("support", off <= 1e-9, f"largest entry off the realizable pairs {off:.3g}"))
-
-    mixed = a.alpha @ G
-    balance = float(np.abs(mixed @ data.x).max()) if data.p else 0.0
-    conditions.append(("balance", balance <= 1e-7, f"largest design-row imbalance {balance:.3g}"))
-
-    lam_sum = sum(w for w, _ in cert.decomposition)
-    recomposed = np.zeros((n, n))
-    positive = True
-    consistent = True
-    for w, pi in cert.decomposition:
-        if w <= 0.0:
-            positive = False
-        if len(pi) != n or sorted(pi) != list(range(n)):
-            consistent = False
-            continue
-        for i, j in enumerate(pi):
-            recomposed[i, j] += w
-            if (i, j) not in pairs:
-                consistent = False
-    recomp_dev = float(np.abs(recomposed - G).max()) if cert.decomposition else float("inf")
-    ok = bool(cert.decomposition) and positive and abs(lam_sum - 1.0) <= 1e-9 and recomp_dev <= 1e-9
-    conditions.append(("decomposition", ok,
-                       f"weight sum {lam_sum:.12g}, recomposition dev {recomp_dev:.3g}"))
-    conditions.append(("decomposition_support", consistent,
-                       "every ordering realizable at beta" if consistent else "an ordering uses a non-realizable pair"))
-
-    certified = None
-    if cert.decomposition and consistent:
-        certified = float(sum(w * float(a.alpha @ data.y[list(pi)]) for w, pi in cert.decomposition))
         f_here = eval_loss(data, a, beta)
         ok = abs(certified - f_here) <= 1e-7 * (1.0 + abs(f_here))
         conditions.append(("value", ok, f"certified {certified:.12g} vs loss {f_here:.12g}"))
@@ -260,7 +203,8 @@ def minimizers():
 
 
 def forgeries(data, fit, rng):
-    """Certificates that break the gate's conditions one or several at a time."""
+    """(G, decomposition) pairs that break the gate's conditions one or
+    several at a time."""
     n = data.n
     cert = fit.certificate
     G = np.array(cert.G)
@@ -268,25 +212,24 @@ def forgeries(data, fit, rng):
     perm = tuple(rng.permutation(n).tolist())
     swap = np.eye(n)[list(perm)]
     out = [
-        cert,
-        OptimalityCertificate(G, ()),  # empty decomposition
-        OptimalityCertificate(G, ((0.0, dec[0][1]),) + dec),  # zero weight
-        OptimalityCertificate(G, ((-0.25, dec[0][1]), (0.25, dec[0][1])) + dec),  # negative weight
-        OptimalityCertificate(G, ((dec[0][0], dec[0][1][:-1]),) + dec[1:]),  # short ordering
-        OptimalityCertificate(G, ((dec[0][0], dec[0][1] + (n,)),) + dec[1:]),  # long ordering
-        OptimalityCertificate(G, ((dec[0][0], (0,) * n),) + dec[1:]),  # not a permutation
-        OptimalityCertificate(1.1 * G, dec),  # not bistochastic
-        OptimalityCertificate(G - 0.01 * (G > 0.5), dec),  # rows short of 1
-        OptimalityCertificate(0.5 * G + 0.5 * swap, dec),  # mass off the support
-        OptimalityCertificate(swap, ((1.0, perm),)),  # an unrealizable ordering
-        OptimalityCertificate(np.full((n, n), 1.0 / n), dec),  # uniform
-        OptimalityCertificate(G[:-1], dec),  # wrong shape
+        (G, ()),  # empty decomposition
+        (G, ((0.0, dec[0][1]),) + dec),  # zero weight
+        (G, ((-0.25, dec[0][1]), (0.25, dec[0][1])) + dec),  # negative weight
+        (G, ((dec[0][0], dec[0][1][:-1]),) + dec[1:]),  # short ordering
+        (G, ((dec[0][0], dec[0][1] + (n,)),) + dec[1:]),  # long ordering
+        (G, ((dec[0][0], (0,) * n),) + dec[1:]),  # not a permutation
+        (1.1 * G, dec),  # not bistochastic
+        (G - 0.01 * (G > 0.5), dec),  # rows short of 1
+        (0.5 * G + 0.5 * swap, dec),  # mass off the support
+        (swap, ((1.0, perm),)),  # an unrealizable ordering
+        (np.full((n, n), 1.0 / n), dec),  # uniform
+        (G[:-1], dec),  # wrong shape
     ]
     if len(dec) > 1:
-        out.append(OptimalityCertificate(G, dec[:-1]))  # weights short of 1
+        out.append((G, dec[:-1]))  # weights short of 1
     nan_G = G.copy()
     nan_G[0, n - 1] = np.nan
-    out.append(OptimalityCertificate(nan_G, dec))
+    out.append((nan_G, dec))
     return out
 
 
@@ -383,21 +326,33 @@ def test_perfect_matching_matches_the_recursion():
 
 
 def test_verify_certificate_matches_the_loop_on_genuine_and_forged_certificates(minimizers):
+    """A forgery given as G is refused when built if its orderings differ in
+    length, and otherwise fails verification, as the loop does."""
     rng = np.random.default_rng(12)
     failed = set()
-    compared = 0
+    compared = rejected = 0
     for data, alpha, fit in minimizers:
         points = [fit.beta_opt, fit.beta_opt + 1e-3 * rng.standard_normal(data.p)]
-        for cert in forgeries(data, fit, rng):
+        certs = [(fit.certificate, None)]
+        for G, dec in forgeries(data, fit, rng):
+            if len({len(pi) for _, pi in dec}) > 1:
+                with pytest.raises(ValueError, match="differ in length"):
+                    OptimalityCertificate(G, dec)
+                rejected += 1
+                continue
+            cert = OptimalityCertificate(G, dec)
+            assert not verify_certificate(data, alpha, fit.beta_opt, cert).ok
+            certs.append((cert, G))
+        for cert, G in certs:
             for beta in points:
                 for tie_tol in (None, 1e-6):
                     got = verify_certificate(data, alpha, beta, cert, tie_tol=tie_tol)
-                    want = reference_verify(data, alpha, beta, cert, tie_tol=tie_tol)
+                    want = reference_verify(data, alpha, beta, cert, tie_tol=tie_tol, G=G)
                     assert got == want
                     failed.update(got.failures)
                     compared += 1
         assert verify_certificate(data, alpha, fit.beta_opt, fit.certificate).ok
-    assert compared >= 12 * 14 * 4
+    assert compared >= 12 * 13 * 4 and rejected >= 2
     # the forgeries reach every condition the gate reports
     assert failed == {"shape", "bistochastic", "support", "balance", "decomposition",
                       "decomposition_support", "value"}
@@ -412,7 +367,7 @@ def test_verify_certificate_matches_the_term_loop_on_forged_terms(minimizers):
         a = sorted_scores(alpha, data.n)
         res = residuals(data, fit.beta_opt)
         ap = active_pairs(res, default_tie_tol(res))
-        weights, orders = fit.certificate._terms
+        weights, orders = fit.certificate.weights, fit.certificate.orders
         for name, w, o in forged_terms(weights, orders, ap, a, data.x):
             forged = OptimalityCertificate._of_terms(w, o)
             got = verify_certificate(data, alpha, fit.beta_opt, forged)

@@ -48,9 +48,9 @@ def test_fit_closes_the_weights_file(worked_csv, capsys):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
-def test_fit_reads_G_only_to_write_the_trace(worked_csv, capsys, tmp_path, monkeypatch):
-    """G is n x n: a fit builds it for ``--trace`` only.  The walk's
-    certificate keeps G in its ``__dict__`` once it is read."""
+def test_fit_trace_builds_no_G(worked_csv, capsys, tmp_path, monkeypatch):
+    """G is n x n: a fit never builds it, traced or not.  The trace writes
+    the certificate as its weighted orderings."""
     data, scores = worked_csv
     fits = []
     monkeypatch.setattr(rankwalk.cli, "minimize", lambda *args: fits.append(rankwalk.minimize(*args)) or fits[-1])
@@ -60,8 +60,10 @@ def test_fit_reads_G_only_to_write_the_trace(worked_csv, capsys, tmp_path, monke
     trace_path = tmp_path / "trace.json"
     code, traced, _ = run(capsys, "fit", data, "--scores", f"file={scores}", "--init", "-2", "--trace", str(trace_path))
     assert code == 0 and traced == out
-    assert "G" in vars(fits[-1].certificate)
-    assert np.array(json.loads(trace_path.read_text())["certificate"]["G"]).shape == (3, 3)
+    assert "G" not in vars(fits[-1].certificate)
+    cert = fits[-1].certificate
+    assert json.loads(trace_path.read_text())["certificate"] == {"decomposition": [
+        {"lambda": w, "pi": (pi + 1).tolist()} for w, pi in zip(cert.weights.tolist(), cert.orders)]}
 
 
 def test_fit_trace_schema(worked_csv, capsys, tmp_path):
@@ -81,7 +83,7 @@ def test_fit_trace_schema(worked_csv, capsys, tmp_path):
     f_seq = [rec["F_star"] for rec in trace["iterations"]]
     assert all(b < a for a, b in zip(f_seq, f_seq[1:]))
     cert = trace["certificate"]
-    assert np.array(cert["G"]).shape == (3, 3)
+    assert set(cert) == {"decomposition"}
     assert sum(term["lambda"] for term in cert["decomposition"]) == pytest.approx(1.0)
     for term in cert["decomposition"]:
         assert sorted(term["pi"]) == [1, 2, 3]

@@ -9,7 +9,15 @@ from rankwalk import (
     LpInfeasible,
     LpOptimal,
     LpUnbounded,
+    WoaConfig,
+    active_pairs,
+    breakpoints,
+    cell_lp,
     find_feasible,
+    improving_direction,
+    oracle_minimize,
+    residuals,
+    solve_certificate,
     solve_lp,
 )
 from rankwalk.lp import _check_rows, _solve_by_dual
@@ -126,6 +134,29 @@ def test_validation_errors():
 def test_lp_tol_must_be_finite_and_positive(lp_tol):
     with pytest.raises(LpError, match="lp_tol"):
         solve_lp(LinearProgram([1.0], [([1.0], ">=", 3.0)]), lp_tol=lp_tol)
+
+
+LP_TOL_TAKERS = {  # each layer that takes lp_tol, called at the worked instance's origin
+    "WoaConfig": lambda data, alpha, ap, lp_tol: WoaConfig(lp_tol=lp_tol),
+    "breakpoints": lambda data, alpha, ap, lp_tol: breakpoints(data, [0.0], [1.0], 1e-9, lp_tol),
+    "cell_lp": lambda data, alpha, ap, lp_tol: cell_lp(data, alpha, [0, 2, 1], lp_tol),
+    "improving_direction": lambda data, alpha, ap, lp_tol: improving_direction(data, alpha, ap, lp_tol),
+    "solve_certificate": lambda data, alpha, ap, lp_tol: solve_certificate(data, alpha, ap, lp_tol),
+    "oracle_minimize": lambda data, alpha, ap, lp_tol: oracle_minimize(data, alpha, lp_tol),
+    "solve_lp": lambda data, alpha, ap, lp_tol: solve_lp(LinearProgram([1.0], [([1.0], ">=", 3.0)]), lp_tol),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(LP_TOL_TAKERS))
+@pytest.mark.parametrize("lp_tol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_every_layer_checks_lp_tol_alike(worked, layer, lp_tol):
+    """One check, one error type, whichever layer is handed the tolerance;
+    LpError is a ValueError."""
+    data, alpha = worked
+    ap = active_pairs(residuals(data, [0.0]), 1e-9)
+    with pytest.raises(LpError, match=f"^lp_tol must be finite and positive, got {lp_tol}$") as raised:
+        LP_TOL_TAKERS[layer](data, alpha, ap, lp_tol)
+    assert isinstance(raised.value, ValueError)
 
 
 def test_validation_names_the_offending_row():

@@ -1,8 +1,9 @@
-"""The walk's certificate, weights and a T x n array of orderings.
+"""The certificate, weights and a T x n array of orderings.
 
 ``minimize`` and ``verify_certificate`` check it with one function, from
 the terms alone, and build no n x n array; G and the decomposition are built
-from the terms only when read.  The forgeries of its terms are in
+from the terms only when read.  A certificate given as G is turned into its
+terms when built.  The forgeries of both kinds are in
 ``test_certificate_reference``, against a loop over the terms.
 """
 
@@ -31,13 +32,13 @@ def test_printing_a_walk_result_builds_no_G(minimizers):  # noqa: F811
     out = minimize(data, alpha)
     text = repr(out)
     assert "G" not in vars(out.certificate) and "decomposition" not in vars(out.certificate)
-    weights, orders = out.certificate._terms
+    weights, orders = out.certificate.weights, out.certificate.orders
     assert f"OptimalityCertificate(<{weights.size} weighted orderings of {data.n}>)" in text
     twin = OptimalityCertificate._of_terms(weights, orders)
     assert out.certificate == out.certificate and twin != out.certificate  # by identity, reading no G
     assert "G" not in vars(out.certificate) and "G" not in vars(twin)
     given = OptimalityCertificate(np.eye(2), [(1.0, (0, 1))])
-    assert repr(given) == f"OptimalityCertificate(G={given.G!r}, decomposition=((1.0, (0, 1)),))"
+    assert repr(given) == "OptimalityCertificate(<1 weighted orderings of 2>)"  # one form, however it was built
 
 
 def test_minimize_names_the_failures_the_verifier_names(minimizers, monkeypatch):  # noqa: F811
@@ -50,8 +51,7 @@ def test_minimize_names_the_failures_the_verifier_names(minimizers, monkeypatch)
         def short_of_one(*args):
             found = search(*args)
             if isinstance(found, OptimalityCertificate):
-                weights, orders = found._terms
-                found = OptimalityCertificate._of_terms(0.999 * weights, orders)
+                found = OptimalityCertificate._of_terms(0.999 * found.weights, found.orders)
                 forged.append(found)
             return found
 
@@ -66,7 +66,9 @@ def test_minimize_names_the_failures_the_verifier_names(minimizers, monkeypatch)
 
 def test_terms_build_the_old_loops_G(minimizers):  # noqa: F811
     for data, _, fit in minimizers:
-        weights, orders = fit.certificate._terms
+        weights, orders = fit.certificate.weights, fit.certificate.orders
+        assert weights.dtype == float and orders.dtype == np.intp and orders.shape == (weights.size, data.n)
+        assert not weights.flags.writeable and not orders.flags.writeable
         cert = OptimalityCertificate._of_terms(weights, orders)
         G = cert.G
         n = data.n
