@@ -14,7 +14,6 @@ from .ggd import GgdConfig, GgdResult, GgdTrace, cell_gradient, ggd_minimize
 from .loss import (
     ActivePairs,
     Residuals,
-    TieBlock,
     active_pairs,
     consistent_permutation,
     default_tie_tol,
@@ -68,7 +67,7 @@ __all__ = [
     "GgdTrace", "IterationBudgetError", "LinearProgram",
     "LpError", "LpInfeasible", "LpNumericError", "LpOptimal", "LpOutcome",
     "LpUnbounded", "Minimizer", "OptimalityCertificate", "OracleResult",
-    "RegressionData", "Residuals", "ScoreVector", "TieBlock", "Unbounded",
+    "RegressionData", "Residuals", "ScoreVector", "Unbounded",
     "WalkError", "WalkInvariantError", "WalkIteration", "WalkNumericError", "WalkTrace", "WoaConfig",
     "active_pairs", "birkhoff_decompose", "breakpoints", "cell_gradient",
     "cell_lp", "consistent_permutation", "default_tie_tol",

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import _as_residuals, _check_tie_tol, _residual_vector, _tie_tol_at
+from .lp import _check_lp_tol
 from .model import RegressionData, sorted_scores, start_point
 from .woa import _line_search, _steps
 
@@ -46,8 +47,9 @@ class GgdConfig:
     def __post_init__(self):
         if self.perturbation not in PERTURBATIONS:
             raise ValueError(f"unknown perturbation {self.perturbation!r}")
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.magnitude, self.stop_tol, self.lp_tol)):
-            raise ValueError("magnitude, stop_tol and lp_tol must be finite and positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.magnitude, self.stop_tol)):
+            raise ValueError("magnitude and stop_tol must be finite and positive")
+        _check_lp_tol(self.lp_tol)
         if self.tie_tol is not None:
             _check_tie_tol(self.tie_tol)
         if self.max_iter < 1 or self.stall_window < 1:

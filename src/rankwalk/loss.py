@@ -52,56 +52,33 @@ class Residuals:
         return self.e.shape[0]
 
 
-@dataclass(frozen=True)
-class TieBlock:
-    """Observations whose residuals are indistinguishable within the tie
-    tolerance, holding the contiguous rank range [lo, hi]."""
-
-    lo: int
-    hi: int
-    observations: tuple[int, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class ActivePairs:
     """The tie blocks at a point: ``order`` lists the observations in rank
     order (by value, then index) and ``label`` the block of each rank,
     numbered from 0 upward, so block b holds the ranks where ``label == b``.
-    The blocks as ``TieBlock``s, the block of each observation and the
-    realizable pairs are derived from them when first read."""
+    The block of each observation and the realizable pairs are derived from
+    them when first read."""
 
     order: np.ndarray
     label: np.ndarray
 
     @cached_property
-    def _bounds(self) -> np.ndarray:
-        """The first rank of every block, then n."""
-        label = self.label
-        return np.concatenate(([0], (label[1:] != label[:-1]).nonzero()[0] + 1, [label.size]))
-
-    @cached_property
     def _split(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """The ranks alone in their block, and the rank range (lo, hi) of
         every other block."""
-        lo, hi = self._bounds[:-1], self._bounds[1:] - 1
+        label = self.label
+        bounds = np.concatenate(([0], (label[1:] != label[:-1]).nonzero()[0] + 1, [label.size]))
+        lo, hi = bounds[:-1], bounds[1:] - 1
         alone = lo == hi
         return lo[alone], list(zip(lo[~alone].tolist(), hi[~alone].tolist()))
 
     @cached_property
-    def blocks(self) -> tuple[TieBlock, ...]:
-        """The tie blocks in rank order, observations listed by index."""
-        bounds = self._bounds.tolist()
-        return tuple(TieBlock(lo, hi - 1, tuple(sorted(self.order[lo:hi].tolist())))
-                     for lo, hi in zip(bounds, bounds[1:]))
-
-    @cached_property
-    def block_of(self) -> tuple[int, ...]:
-        """The block of each observation."""
-        return tuple(self._block_of().tolist())
-
-    def _block_of(self) -> np.ndarray:
+    def block_of(self) -> np.ndarray:
+        """The block of each observation, a read-only integer array."""
         out = np.empty(self.order.size, dtype=np.intp)
         out[self.order] = self.label
+        out.setflags(write=False)
         return out
 
     @cached_property

@@ -265,14 +265,13 @@ def _standard(c, M, rhs, slack, lp_tol: float, bland: bool) -> _Std:
     return _Std(T, basis, kept, _run(T, obj2, basis, lp_tol, bland))
 
 
-def _check_rows(A, rel, b, v, lp_tol, homogeneous: bool, absA=None) -> bool:
-    """Whether A v (rel) b holds row by row within the LP tolerance, or
-    A v (rel) 0 when ``homogeneous``.  ``rel`` is "<=" or "==" for every
-    row; ``absA`` is |A|, computed here when not given."""
+def _check_rows(A, rel, b, v, lp_tol, absA=None) -> bool:
+    """Whether A v (rel) b holds row by row within the LP tolerance, b an
+    array or a scalar.  ``rel`` is "<=" or "==" for every row; ``absA`` is
+    |A|, computed here when not given."""
     lhs = A @ v
-    rhs = 0.0 if homogeneous else b
-    tol = 10.0 * lp_tol * (1.0 + np.abs(rhs) + (np.abs(A) if absA is None else absA) @ np.abs(v))
-    bad = lhs > rhs + tol if rel == "<=" else np.abs(lhs - rhs) > tol
+    tol = 10.0 * lp_tol * (1.0 + np.abs(b) + (np.abs(A) if absA is None else absA) @ np.abs(v))
+    bad = lhs > b + tol if rel == "<=" else np.abs(lhs - b) > tol
     return not bad.any()
 
 
@@ -339,17 +338,17 @@ def _dual_once(c, A, b, lp_tol, bland) -> LpOutcome:
 
     if std.farkas is not None:  # no y: the primal is unbounded along the Farkas vector
         ray = _unit_ray(c, sign * std.farkas)
-        if not _check_rows(A, "<=", b, ray, lp_tol, True, absA):
+        if not _check_rows(A, "<=", 0.0, ray, lp_tol, absA):
             raise LpNumericError("unbounded certificate failed verification")
         point = np.zeros(nv)
-        if not _check_rows(A, "<=", b, point, lp_tol, False, absA):
+        if not _check_rows(A, "<=", b, point, lp_tol, absA):
             # The multipliers of min b.y subject to A^T y = 0, y >= 0 are a
             # feasible point when it is bounded; when it is not, nothing is.
             std = _standard(cost, M, np.zeros(nv), slack, price_tol, bland)
             if std.entering is not None:
                 return _infeasible(A, b, scale, std, lp_tol)
             point = _basic_rows_point(A, b, std.basis)
-            if not _check_rows(A, "<=", b, point, lp_tol, False, absA):
+            if not _check_rows(A, "<=", b, point, lp_tol, absA):
                 raise LpNumericError("unbounded certificate failed verification")
         return LpUnbounded(point, ray)
 
@@ -360,8 +359,8 @@ def _dual_once(c, A, b, lp_tol, bland) -> LpOutcome:
     point = _basic_rows_point(A, b, std.basis)
     value = float(c @ point)
     gap_tol = 10.0 * lp_tol * (1.0 + np.abs(c) @ np.abs(point) + np.abs(b) @ y)
-    if not (_check_rows(A, "<=", b, point, lp_tol, False, absA)
-            and _check_rows(A.T, "==", -c, y, lp_tol, False, absA.T)
+    if not (_check_rows(A, "<=", b, point, lp_tol, absA)
+            and _check_rows(A.T, "==", -c, y, lp_tol, absA.T)
             and abs(value + float(b @ y)) <= gap_tol):
         raise LpNumericError("optimal point failed verification")
     return LpOptimal(point, value, y)
@@ -397,7 +396,7 @@ def _infeasible(A, b, scale, std: _Std, lp_tol) -> LpInfeasible:
     r[std.entering] = 1.0
     r[std.basis] = -std.T[:, std.entering]
     r = np.maximum(r, 0.0) / scale
-    if not (float(b @ r) < 0.0 and _check_rows(A.T, "==", np.zeros(A.shape[1]), r, lp_tol, True)):
+    if not (float(b @ r) < 0.0 and _check_rows(A.T, "==", 0.0, r, lp_tol)):
         raise LpNumericError("infeasibility certificate failed verification")
     return LpInfeasible()
 

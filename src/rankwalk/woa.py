@@ -43,34 +43,28 @@ log = logging.getLogger(__name__)
 
 
 class WalkError(Exception):
-    pass
+    """The walk stopped without a verdict.  ``layer`` names where: "cell_lp",
+    "descent_search", "certificate", "ray" or "walk" (the walk's own loop),
+    and ``trace`` holds the iterations completed before the failure."""
+
+    def __init__(self, message: str, layer: str, trace: "WalkTrace"):
+        super().__init__(message)
+        self.layer = layer
+        self.trace = trace
 
 
 class WalkInvariantError(WalkError):
     """A runtime assertion of the descent theory failed; this indicates a
     numerical tolerance problem, never a valid terminal state."""
 
-    def __init__(self, message: str, trace: "WalkTrace | None" = None):
-        super().__init__(message)
-        self.trace = trace
-
 
 class IterationBudgetError(WalkError):
-    def __init__(self, message: str, trace: "WalkTrace"):
-        super().__init__(message)
-        self.trace = trace
+    """The iteration cap was reached."""
 
 
 class WalkNumericError(WalkError):
     """A layer's simplex refused to report a verdict on the program the walk
-    posed (an LpNumericError, chained as the cause).  ``layer`` names it,
-    "cell_lp" or "descent_search", and ``trace`` holds the iterations
-    completed before it."""
-
-    def __init__(self, message: str, layer: str, trace: "WalkTrace"):
-        super().__init__(message)
-        self.layer = layer
-        self.trace = trace
+    posed (an LpNumericError, chained as the cause)."""
 
 
 @dataclass(frozen=True)
@@ -327,7 +321,7 @@ def _require_descending_ray(data, alpha, point, ray, trace):
     for t in (1.0, 10.0, 100.0):
         f_t = eval_loss(data, alpha, point + t * ray)
         if not f_t < f_prev:
-            raise WalkInvariantError(f"claimed ray fails to decrease the loss at step {t}", trace)
+            raise WalkInvariantError(f"claimed ray fails to decrease the loss at step {t}", "ray", trace)
         f_prev = f_t
 
 
@@ -339,7 +333,8 @@ def minimize(data: RegressionData, alpha, beta0=None,
     Weights are sorted on entry; their input order never matters.  Raises
     IterationBudgetError if the iteration cap is hit, WalkInvariantError if
     a runtime descent assertion fails, and WalkNumericError if the simplex
-    of the cell LP or of the descent search degrades numerically.
+    of the cell LP or of the descent search degrades numerically; each
+    names its layer and carries the iterations completed before it.
     """
     cfg = config or WoaConfig()
     a = sorted_scores(alpha, data.n)
@@ -355,14 +350,14 @@ def minimize(data: RegressionData, alpha, beta0=None,
         pi = tuple(order.tolist())
         trace_now = WalkTrace(tuple(iterations))
         if pi in visited:
-            raise WalkInvariantError(f"ordering {pi} revisited at iteration {it}", trace_now)
+            raise WalkInvariantError(f"ordering {pi} revisited at iteration {it}", "walk", trace_now)
         visited.add(pi)
         try:
             out = cell_lp(data, a, order, lp_tol=cfg.lp_tol, at=res)
         except LpNumericError as exc:
             raise WalkNumericError(f"cell_lp failed at iteration {it}: {exc}", "cell_lp", trace_now) from exc
         if isinstance(out, LpInfeasible):
-            raise WalkInvariantError(f"region of the current ordering {pi} came back empty", trace_now)
+            raise WalkInvariantError(f"region of the current ordering {pi} came back empty", "cell_lp", trace_now)
         if isinstance(out, LpUnbounded):
             _require_descending_ray(data, a, out.point, out.ray, trace_now)
             log.info("unbounded within region %s at iteration %d", pi, it)
@@ -370,7 +365,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
         beta_star, f_star = out.point, out.value
         if iterations and not (f_star < iterations[-1].f_star):
             raise WalkInvariantError(
-                f"region minimum {f_star} did not improve on {iterations[-1].f_star}", trace_now)
+                f"region minimum {f_star} did not improve on {iterations[-1].f_star}", "walk", trace_now)
         res_star = residuals(data, beta_star)
         tts = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(res_star)
         ap = active_pairs(res_star, tts)
@@ -382,7 +377,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
         if isinstance(found, OptimalityCertificate):
             failures = tuple(name for name, ok, _ in _conditions(data, a, res_star, ap, found)[0] if not ok)
             if failures:
-                raise WalkInvariantError(f"certificate failed verification: {failures}", trace_now)
+                raise WalkInvariantError(f"certificate failed verification: {failures}", "certificate", trace_now)
             iterations.append(WalkIteration(pi, beta_star, f_star, None, None))
             log.info("minimizer found after %d iterations, loss %.12g", len(iterations), f_star)
             return Minimizer(beta_star, f_star, found, WalkTrace(tuple(iterations)))
@@ -402,4 +397,4 @@ def minimize(data: RegressionData, alpha, beta0=None,
         log.debug("iteration %d: ordering %s, region minimum %.12g, step %.6g", it, pi, f_star, d_star)
         beta = beta_star + d_star * ell
 
-    raise IterationBudgetError(f"no terminal state within {cap} iterations", WalkTrace(tuple(iterations)))
+    raise IterationBudgetError(f"no terminal state within {cap} iterations", "walk", WalkTrace(tuple(iterations)))

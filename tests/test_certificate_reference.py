@@ -24,15 +24,15 @@ from rankwalk import (
     verify_certificate,
 )
 from rankwalk.certificate import _perfect_matching
-from rankwalk.loss import TieBlock, _tie_order
+from rankwalk.loss import _tie_order
 from rankwalk.model import sorted_scores
 
 KINDS = ("sign", "wilcoxon", "van_der_waerden")
 
 
 def reference_active_pairs(res, tie_tol):
-    """The tie blocks, the block of each observation and the realizable
-    pairs, by a loop."""
+    """The tie blocks as (lo, hi, observations) rank ranges, the block of
+    each observation and the realizable pairs, by a loop."""
     blocks = []
     pairs = set()
     block_of = [0] * res.n
@@ -41,7 +41,7 @@ def reference_active_pairs(res, tie_tol):
     for b, members in enumerate(np.split(order, np.flatnonzero(np.diff(label)) + 1)):
         obs = tuple(sorted(members.tolist()))
         hi = lo + len(obs) - 1
-        blocks.append(TieBlock(lo, hi, obs))
+        blocks.append((lo, hi, obs))
         for i in range(lo, hi + 1):
             for j in obs:
                 pairs.add((i, j))
@@ -109,11 +109,9 @@ def reference_birkhoff(G, support_tol=1e-9):
 
 
 def reference_verify(data, alpha, beta, cert, tie_tol=None, G=None):
-    """A certificate, by a loop over its weights and orderings.  Its rows
-    and columns, and its entries off the realizable pairs, add the weights
-    that land there in term order; its signs are those of the weights; and
-    the terms recompose ``G``, the matrix it was built from, up to the
-    deviation this loop finds (none when it was built from its terms)."""
+    """A certificate, by a loop over its weights and orderings.  The terms
+    recompose ``G``, the matrix it was built from, up to the deviation this
+    loop finds (none when it was built from its terms)."""
     a = sorted_scores(alpha, data.n)
     n = data.n
     res = residuals(data, beta)
@@ -126,28 +124,14 @@ def reference_verify(data, alpha, beta, cert, tie_tol=None, G=None):
         return CertificateReport(False, (("shape", False, detail),), None)
     weights, orders = weights.tolist(), orders.tolist()
 
-    row_sums, col_sums = [0.0] * n, [0.0] * n
-    off_pairs = {}
     mixed = np.zeros(n)
     recomposed = np.zeros((n, n))
-    neg = 0.0
     for w, pi in zip(weights, orders):
-        neg = max(neg, -w)
         for i, j in enumerate(pi):
-            row_sums[i] += w
-            col_sums[j] += w
             mixed[j] += w * a.alpha[i]
             recomposed[i, j] += w
-            if (i, j) not in pairs:
-                off_pairs[i, j] = off_pairs.get((i, j), 0.0) + w
-    row_dev = max(abs(s - 1.0) for s in row_sums)
-    col_dev = max(abs(s - 1.0) for s in col_sums)
-    conditions = [("bistochastic", row_dev <= 1e-9 and col_dev <= 1e-9 and neg <= 1e-9,
-                   f"row dev {row_dev:.3g}, col dev {col_dev:.3g}, most negative {neg:.3g}")]
-    off = max([abs(v) for v in off_pairs.values()], default=0.0)
-    conditions.append(("support", off <= 1e-9, f"largest entry off the realizable pairs {off:.3g}"))
     balance = float(np.abs(mixed @ data.x).max())
-    conditions.append(("balance", balance <= 1e-7, f"largest design-row imbalance {balance:.3g}"))
+    conditions = [("balance", balance <= 1e-7, f"largest design-row imbalance {balance:.3g}")]
 
     if G is None:
         recomp_dev = 0.0
@@ -262,13 +246,13 @@ def forged_terms(weights, orders, ap, a, x):
 
 
 TERMS_NAMED = {  # what the report must name on each forgery of terms, at least
-    "off its tie block": {"support", "decomposition_support", "value"},
+    "off its tie block": {"decomposition_support", "value"},
     "repeated index": {"shape"},
     "index out of range": {"shape"},
     "short ordering": {"shape"},
-    "weights short of 1": {"bistochastic", "decomposition"},
+    "weights short of 1": {"decomposition"},
     "zero weight": {"decomposition"},
-    "negative weight": {"bistochastic", "decomposition"},
+    "negative weight": {"decomposition"},
     "balance broken": {"balance"},
 }
 
@@ -284,8 +268,12 @@ def test_active_pairs_matches_the_loop():
         for tie_tol in (0.0, 1e-9, 1e-5, default_tie_tol(res), 0.5):
             got = active_pairs(res, tie_tol)
             want_blocks, want_block_of, want_pairs = reference_active_pairs(res, tie_tol)
-            assert got.blocks == want_blocks
-            assert got.block_of == want_block_of
+            for b, (lo, hi, obs) in enumerate(want_blocks):
+                assert (got.label[lo:hi + 1] == b).all() and sorted(got.order[lo:hi + 1].tolist()) == list(obs)
+            alone, runs = got._split
+            assert alone.tolist() == [lo for lo, hi, _ in want_blocks if lo == hi]
+            assert runs == [(lo, hi) for lo, hi, _ in want_blocks if lo < hi]
+            assert got.block_of.tolist() == list(want_block_of)
             assert got.pairs == want_pairs
             checked += 1
     assert checked == 750
@@ -354,8 +342,7 @@ def test_verify_certificate_matches_the_loop_on_genuine_and_forged_certificates(
         assert verify_certificate(data, alpha, fit.beta_opt, fit.certificate).ok
     assert compared >= 12 * 13 * 4 and rejected >= 2
     # the forgeries reach every condition the gate reports
-    assert failed == {"shape", "bistochastic", "support", "balance", "decomposition",
-                      "decomposition_support", "value"}
+    assert failed == {"shape", "balance", "decomposition", "decomposition_support", "value"}
 
 
 def test_verify_certificate_matches_the_term_loop_on_forged_terms(minimizers):
@@ -378,5 +365,4 @@ def test_verify_certificate_matches_the_term_loop_on_forged_terms(minimizers):
             seen[name] = seen.get(name, 0) + 1
     assert set(seen) == set(TERMS_NAMED), seen
     assert min(seen.values()) >= 5, seen
-    assert failed == {"shape", "bistochastic", "support", "balance", "decomposition",
-                      "decomposition_support", "value"}
+    assert failed == {"shape", "balance", "decomposition", "decomposition_support", "value"}

@@ -200,6 +200,15 @@ def test_scores_flag_errors(worked_csv, capsys, tmp_path):
     assert code == 1
 
 
+def test_scores_file_with_a_word_is_an_error(worked_csv, capsys, tmp_path):
+    data, _ = worked_csv
+    words = tmp_path / "words.txt"
+    words.write_text("-1 zero 1\n")
+    code, out, err = run(capsys, "fit", data, "--scores", f"file={words}")
+    assert code == 1 and out == ""
+    assert err == f"error: {words}: could not convert string to float: 'zero'\n"
+
+
 def test_scores_file_is_normalized(worked_csv, capsys, tmp_path):
     data, _ = worked_csv
     shuffled = tmp_path / "shuffled.txt"
@@ -229,6 +238,14 @@ def test_eval_worked(worked_csv, capsys):
     payload = json.loads(out)
     assert payload["F"] == 2.0
     assert payload["pi"] == [1, 2, 3]
+
+
+def test_eval_beta_zero_is_the_origin(worked_csv, capsys):
+    """``--beta zero`` is read as ``--init`` reads it: the origin."""
+    data, scores = worked_csv
+    code, out, _ = run(capsys, "eval", data, "--scores", f"file={scores}", "--beta", "zero")
+    assert code == 0
+    assert json.loads(out) == {"F": 1.0, "pi": [1, 3, 2]}
 
 
 def test_check_worked(worked_csv, capsys):

@@ -178,8 +178,9 @@ def test_active_pairs_worked():
     res = Residuals(np.array([0.0, 1.0, 0.0]), np.zeros(1))
     ap = active_pairs(res, TIE)
     assert ap.pairs == frozenset({(0, 0), (0, 2), (1, 0), (1, 2), (2, 1)})
-    assert [(b.lo, b.hi, b.observations) for b in ap.blocks] == [(0, 1, (0, 2)), (2, 2, (1,))]
-    assert ap.block_of == (0, 1, 0)
+    assert ap.order.tolist() == [0, 2, 1] and ap.label.tolist() == [0, 0, 1]
+    assert ap.block_of.tolist() == [0, 1, 0] and ap.block_of.dtype == np.intp
+    assert not ap.block_of.flags.writeable and ap.block_of is ap.block_of  # read-only, built once
 
 
 def test_active_pairs_edge_cases():
@@ -190,8 +191,9 @@ def test_active_pairs_edge_cases():
 
 
 def test_active_pairs_block_structure():
-    """Rank ranges partition 0..n-1 and the pair count is the sum of squared
-    block sizes; every consistent ordering stays inside the pairs."""
+    """Blocks are contiguous rank ranges numbered upward, the block of each
+    observation is its rank's, the pair count is the sum of squared block
+    sizes, and every consistent ordering stays inside the pairs."""
     rng = np.random.default_rng(17)
     for _ in range(200):
         n = int(rng.integers(1, 9))
@@ -199,8 +201,10 @@ def test_active_pairs_block_structure():
         res = Residuals(e, np.zeros(1))
         tie_tol = float(rng.choice([0.0, 1e-9, 0.7]))
         ap = active_pairs(res, tie_tol)
-        ranks = [i for b in ap.blocks for i in range(b.lo, b.hi + 1)]
-        assert ranks == list(range(n))
-        assert sum(len(b.observations) ** 2 for b in ap.blocks) == len(ap.pairs)
+        steps = np.diff(ap.label)
+        assert ap.label[0] == 0 and ((steps == 0) | (steps == 1)).all()
+        assert sorted(ap.order.tolist()) == list(range(n))
+        assert (ap.block_of[ap.order] == ap.label).all()
+        assert int((np.bincount(ap.label) ** 2).sum()) == len(ap.pairs)
         pi = consistent_permutation(res, tie_tol)
         assert all((i, j) in ap.pairs for i, j in enumerate(pi))

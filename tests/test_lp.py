@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rankwalk import (
+    GgdConfig,
     LinearProgram,
     LpError,
     LpInfeasible,
@@ -138,6 +139,7 @@ def test_lp_tol_must_be_finite_and_positive(lp_tol):
 
 LP_TOL_TAKERS = {  # each layer that takes lp_tol, called at the worked instance's origin
     "WoaConfig": lambda data, alpha, ap, lp_tol: WoaConfig(lp_tol=lp_tol),
+    "GgdConfig": lambda data, alpha, ap, lp_tol: GgdConfig(lp_tol=lp_tol),
     "breakpoints": lambda data, alpha, ap, lp_tol: breakpoints(data, [0.0], [1.0], 1e-9, lp_tol),
     "cell_lp": lambda data, alpha, ap, lp_tol: cell_lp(data, alpha, [0, 2, 1], lp_tol),
     "improving_direction": lambda data, alpha, ap, lp_tol: improving_direction(data, alpha, ap, lp_tol),
@@ -324,6 +326,6 @@ def test_dual_core_prices_to_what_its_row_check_accepts():
     c = np.array([-7.0, 14.0, 2.0, 1.0])
     out = _solve_by_dual(c, A, b, lp_tol=1e-9)
     assert isinstance(out, LpOptimal)
-    assert _check_rows(A, "<=", b, out.point, 1e-9, False)
+    assert _check_rows(A, "<=", b, out.point, 1e-9)
     np.testing.assert_allclose(A.T @ out.dual, -c, atol=1e-9)
     assert out.dual[:5].sum() == pytest.approx(1.0)  # the cuts of the one block

@@ -60,7 +60,7 @@ def test_minimize_names_the_failures_the_verifier_names(minimizers, monkeypatch)
             minimize(data, alpha)
         monkeypatch.undo()
         failures = verify_certificate(data, alpha, fit.beta_opt, forged[-1]).failures
-        assert {"bistochastic", "decomposition"} <= set(failures)
+        assert "decomposition" in failures
         assert str(raised.value) == f"certificate failed verification: {failures}"
 
 

@@ -7,10 +7,12 @@ import rankwalk
 from rankwalk import (
     Breakpoints,
     IterationBudgetError,
+    LpInfeasible,
     LpNumericError,
     LpOptimal,
     LpUnbounded,
     Minimizer,
+    OptimalityCertificate,
     RegressionData,
     Unbounded,
     WalkError,
@@ -362,6 +364,78 @@ def test_numeric_failure_names_its_layer_and_keeps_the_trace(monkeypatch, layer,
     assert summary(err.trace.iterations) == summary(full.trace.iterations[:1])  # those before the failure
 
 
+def raise_numeric(original, earlier, *args, **kwargs):
+    raise LpNumericError("pivot budget exhausted")
+
+
+def returns(make):
+    """A replacement that returns ``make(original, earlier, args, kwargs)``."""
+    return lambda original, earlier, *args, **kwargs: make(original, earlier, args, kwargs)
+
+
+def short_of_one(original, earlier, *args):
+    found = original(*args)
+    return OptimalityCertificate._of_terms(0.999 * found.weights, found.orders)
+
+
+RAISE_SITES = [  # layer, error, its message's start; the function of rankwalk.woa replaced on its call-th call
+    pytest.param("walk", WalkInvariantError, "ordering (", "residuals", 3,  # iteration 1 starts where 0 did
+                 returns(lambda f, earlier, args, kwargs: earlier[0]), id="revisited"),
+    pytest.param("walk", WalkInvariantError, "region minimum", "cell_lp", 2,
+                 returns(lambda f, earlier, args, kwargs: earlier[0]), id="not-improved"),
+    pytest.param("walk", IterationBudgetError, "no terminal state", None, None, None,  # max_iter = 1
+                 id="budget"),
+    pytest.param("cell_lp", WalkNumericError, "cell_lp failed", "cell_lp", 2, raise_numeric,
+                 id="cell-refused"),
+    pytest.param("cell_lp", WalkInvariantError, "region of the current ordering", "cell_lp", 2,
+                 returns(lambda f, earlier, args, kwargs: LpInfeasible()), id="cell-empty"),
+    pytest.param("ray", WalkInvariantError, "claimed ray fails", "cell_lp", 2,  # unbounded along a zero ray
+                 returns(lambda f, earlier, args, kwargs: LpUnbounded(f(*args, **kwargs).point, np.zeros(2))),
+                 id="cell-ray"),
+    pytest.param("ray", WalkInvariantError, "claimed ray fails", "_steps", 1,  # a descent ray without breakpoints
+                 returns(lambda f, earlier, args, kwargs: (f(*args)[0], np.empty(0))), id="descent-ray"),
+    pytest.param("descent_search", WalkNumericError, "descent_search failed", "_descent_search", 2,
+                 raise_numeric, id="descent-refused"),
+    pytest.param("certificate", WalkInvariantError, "certificate failed verification", "_descent_search", 2,
+                 short_of_one, id="certificate"),
+]
+
+
+@pytest.mark.parametrize("layer, error, message, name, call, replacement", RAISE_SITES)
+def test_every_walk_error_names_its_layer_and_keeps_the_trace(monkeypatch, layer, error, message, name, call,
+                                                              replacement):
+    """Each raise of ``minimize`` (and of ``_require_descending_ray``), forced
+    on a fit of two iterations, names its layer and carries the iterations
+    before the failure: the first."""
+    rng = np.random.default_rng(4)
+    x = np.column_stack([np.ones(40), rng.standard_normal(40)])
+    data = RegressionData(x, x @ rng.standard_normal(2) + rng.standard_t(2, 40))
+    alpha = make_scores("wilcoxon", 40)
+    full = minimize(data, alpha)
+    assert isinstance(full, Minimizer) and len(full.trace.iterations) == 2
+    if name is not None:
+        original = getattr(rankwalk.woa, name)
+        earlier = []
+
+        def wrapped(*args, **kwargs):
+            if len(earlier) + 1 == call:
+                out = replacement(original, earlier, *args, **kwargs)
+            else:
+                out = original(*args, **kwargs)
+            earlier.append(out)
+            return out
+
+        monkeypatch.setattr(rankwalk.woa, name, wrapped)
+    with pytest.raises(error) as info:
+        minimize(data, alpha, config=WoaConfig(max_iter=1) if name is None else None)
+    err = info.value
+    assert type(err) is error and isinstance(err, WalkError) and err.layer == layer
+    assert str(err).startswith(message)
+    assert isinstance(err.trace, WalkTrace)
+    assert [(it.pi, it.f_star) for it in err.trace.iterations] == [(it.pi, it.f_star)
+                                                                 for it in full.trace.iterations[:1]]
+
+
 def test_minimize_rejects_bad_start(worked):
     data, alpha = worked
     for beta0 in ([1.0, 2.0], [math.nan]):
@@ -397,8 +471,9 @@ def test_config_rejects_bad_tolerances(field, value):
 
 def test_descending_ray_guard(worked):
     data, alpha = worked
-    with pytest.raises(WalkInvariantError):
-        _require_descending_ray(data, alpha, np.array([0.0]), np.array([1.0]), None)
+    with pytest.raises(WalkInvariantError) as info:
+        _require_descending_ray(data, alpha, np.array([0.0]), np.array([1.0]), WalkTrace(()))
+    assert info.value.layer == "ray" and info.value.trace == WalkTrace(())
 
 
 def test_walk_steps_match_the_public_ray_search():
