@@ -37,7 +37,6 @@ from .model import (
     ScoreVector,
     inverse_normal_cdf,
     make_scores,
-    normalize_scores,
     standard_normal_cdf,
 )
 from .oracle import OracleResult, enumerate_nonempty_cells, oracle_minimize, random_instance
@@ -73,7 +72,7 @@ __all__ = [
     "cell_lp", "consistent_permutation", "default_tie_tol",
     "enumerate_nonempty_cells", "eval_loss", "eval_loss_bruteforce",
     "find_feasible", "ggd_minimize", "improving_direction", "inverse_normal_cdf",
-    "line_search", "make_scores", "minimize", "normalize_scores",
+    "line_search", "make_scores", "minimize",
     "oracle_minimize", "random_instance", "region_bound", "residuals",
     "solve_certificate", "solve_lp", "standard_normal_cdf", "verify_certificate",
 ]

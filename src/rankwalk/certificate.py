@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .loss import ActivePairs, Residuals, active_pairs, default_tie_tol, residuals
+from .loss import ActivePairs, Residuals, _are_orderings, active_pairs, residuals
 from .lp import LpNumericError, LpOptimal, _solve_by_dual
 from .model import RegressionData, ScoreVector, sorted_scores
 
@@ -72,7 +72,7 @@ class OptimalityCertificate:
         weights = np.array([w for w, _ in terms])
         orders = orders.astype(np.intp)
         n = orders.shape[1]
-        perms = weights.size and G.shape == (n, n) and (np.sort(orders, axis=1) == np.arange(n)).all()
+        perms = weights.size and G.shape == (n, n) and _are_orderings(orders, (weights.size, n))
         self._set(weights, orders, float(np.abs(_recompose(weights, orders) - G).max()) if perms else np.inf)
         vars(self)["G"] = G
 
@@ -394,8 +394,7 @@ def _conditions(data: RegressionData, a: ScoreVector, res: Residuals, ap: Active
     ``value`` for the terms' price to be the loss here."""
     n = data.n
     weights, orders = cert.weights, cert.orders
-    if not (weights.ndim == 1 and orders.shape == (weights.size, n) and orders.dtype.kind == "i"
-            and (np.sort(orders, axis=1) == np.arange(n)).all()):
+    if not (weights.ndim == 1 and _are_orderings(orders, (weights.size, n))):
         return (("shape", False, f"orderings of shape {orders.shape}, expected {weights.size} permutations "
                                  f"of {n}"),), None
     realizable = not (ap.block_of[orders] != ap.label).any()
@@ -432,6 +431,6 @@ def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertif
     The certificate is checked from its T weighted orderings, in
     O(T n (log n + p)) time and O(T n) memory."""
     res = residuals(data, beta)
-    ap = active_pairs(res, default_tie_tol(res) if tie_tol is None else tie_tol)
+    ap = active_pairs(res, tie_tol)
     conditions, certified = _conditions(data, sorted_scores(alpha, data.n), res, ap, cert)
     return CertificateReport(all(good for _, good, _ in conditions), conditions, certified)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .certificate import verify_certificate
 from .ggd import GgdConfig, ggd_minimize
-from .loss import consistent_permutation, default_tie_tol, eval_loss, residuals
-from .model import RegressionData, ScoreVector, make_scores, normalize_scores
+from .loss import consistent_permutation, eval_loss, residuals
+from .model import RegressionData, ScoreVector, make_scores
 from .oracle import ORACLE_LIMIT, oracle_minimize
 from .woa import Minimizer, WalkError, WoaConfig, minimize
 
@@ -85,7 +85,7 @@ def build_scores(spec: str, n: int) -> ScoreVector:
             raise CliError(f"{path}: {exc}") from None
         if len(raw) != n:
             raise CliError(f"{path}: {len(raw)} weights for {n} observations")
-        return normalize_scores(raw)
+        return ScoreVector(raw)
     raise CliError(f"unknown --scores value {spec!r} (use sign, wilcoxon, vdw, or file=PATH)")
 
 
@@ -169,9 +169,7 @@ def cmd_eval(args) -> int:
     if beta is None:
         beta = np.zeros(data.p)
     f = eval_loss(data, alpha, beta)
-    res = residuals(data, beta)
-    tt = args.tie_tol if args.tie_tol is not None else default_tie_tol(res)
-    pi = consistent_permutation(res, tt)
+    pi = consistent_permutation(residuals(data, beta), args.tie_tol)
     print(json.dumps({"F": f, "pi": _one_based(pi)}))
     return 0
 

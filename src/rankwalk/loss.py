@@ -56,12 +56,13 @@ class Residuals:
 class ActivePairs:
     """The tie blocks at a point: ``order`` lists the observations in rank
     order (by value, then index) and ``label`` the block of each rank,
-    numbered from 0 upward, so block b holds the ranks where ``label == b``.
-    The block of each observation and the realizable pairs are derived from
-    them when first read."""
+    numbered from 0 upward, so block b holds the ranks where ``label == b``,
+    cut with ``tie_tol``.  The block of each observation and the realizable
+    pairs are derived from them when first read."""
 
     order: np.ndarray
     label: np.ndarray
+    tie_tol: float
 
     @cached_property
     def _split(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -135,6 +136,18 @@ def default_tie_tol(res: Residuals) -> float:
     return _tie_tol_at(float(np.abs(res.e).max()))
 
 
+def _check_tie_tol(tie_tol: float):
+    if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
+        raise ValueError(f"tie tolerance must be finite and nonnegative, got {tie_tol}")
+
+
+def _tie_tol_or_default(res: Residuals, tie_tol: float | None) -> float:
+    """``tie_tol``, or ``default_tie_tol(res)`` when None; checked."""
+    tie_tol = default_tie_tol(res) if tie_tol is None else tie_tol
+    _check_tie_tol(tie_tol)
+    return tie_tol
+
+
 def _tie_order(e: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Observations in (value, index) order, and the tie block of each
     position: the transitive closure of |e_a - e_b| <= tie_tol over that
@@ -145,25 +158,25 @@ def _tie_order(e: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
     return order, label
 
 
-def _check_tie_tol(tie_tol: float):
-    if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
-        raise ValueError(f"tie tolerance must be finite and nonnegative, got {tie_tol}")
+def _are_orderings(orders: np.ndarray, shape: tuple[int, ...]) -> bool:
+    """Whether ``orders`` is integer, of ``shape``, and each row a permutation of 0..shape[-1]-1."""
+    return (orders.dtype.kind in "iu" and orders.shape == shape
+            and bool((np.sort(orders, axis=-1) == np.arange(shape[-1])).all()))
 
 
-def consistent_permutation(res: Residuals, tie_tol: float) -> tuple[int, ...]:
+def consistent_permutation(res: Residuals, tie_tol: float | None = None) -> tuple[int, ...]:
     """An ordering putting residuals in nondecreasing order, deterministic
     under ties: within a tie block observations are listed by index
     (any block order is valid)."""
-    _check_tie_tol(tie_tol)
-    order, label = _tie_order(res.e, tie_tol)
+    order, label = _tie_order(res.e, _tie_tol_or_default(res, tie_tol))
     return tuple(order[np.lexsort((order, label))].tolist())
 
 
-def active_pairs(res: Residuals, tie_tol: float) -> ActivePairs:
+def active_pairs(res: Residuals, tie_tol: float | None = None) -> ActivePairs:
     """The tie blocks of the residuals at this point: observation j can hold
     rank i in some consistent ordering exactly when both share a block."""
-    _check_tie_tol(tie_tol)
-    return ActivePairs(*_tie_order(res.e, tie_tol))
+    tie_tol = _tie_tol_or_default(res, tie_tol)
+    return ActivePairs(*_tie_order(res.e, tie_tol), tie_tol)
 
 
 def eval_loss(data: RegressionData, alpha, beta) -> float:

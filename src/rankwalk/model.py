@@ -1,16 +1,15 @@
 """Problem data and score weights.
 
 A problem instance is a design matrix with one row per observation plus a
-response vector.  The loss downstream pairs the sorted residuals with a
-nondecreasing weight vector, so weights are carried in a container that
-enforces the sort order at construction time.
+response vector.  The loss is the maximum over pairings of residuals with
+weights, so the order of the weights never matters: ``ScoreVector`` sorts
+them when built, the one way weights become a ``ScoreVector``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,29 +53,24 @@ class RegressionData:
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """Weight vector sorted ascending; rejected otherwise."""
+    """Weights in any order, kept sorted ascending."""
 
     alpha: np.ndarray
 
     def __post_init__(self):
         a = np.array(self.alpha, dtype=float).ravel()
+        if (a[1:] < a[:-1]).any():  # sorted weights are kept as given, signed zeros included
+            a.sort()
         if a.size < 1:
             raise ValueError("need at least one weight")
         if not np.isfinite(a).all():
             raise ValueError("weights must be finite")
-        if np.any(np.diff(a) < 0):
-            raise ValueError("weights must be nondecreasing; use normalize_scores to sort raw weights")
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
 
     @property
     def n(self) -> int:
         return self.alpha.shape[0]
-
-
-def normalize_scores(raw: Iterable[float]) -> ScoreVector:
-    """Sort raw weights ascending.  The loss never depends on their input order."""
-    return ScoreVector(np.sort(np.array(list(raw), dtype=float).ravel()))
 
 
 def standard_normal_cdf(x: float) -> float:
@@ -102,33 +96,25 @@ def _phi(kind: str, xi: float) -> float:
         return 0.0
     if kind == "wilcoxon":
         return math.sqrt(12.0) * (xi - 0.5)
-    if kind == "van_der_waerden":
-        return inverse_normal_cdf(xi)
-    raise ValueError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS} or a custom table")
+    return inverse_normal_cdf(xi)  # van_der_waerden
 
 
-def make_scores(kind: str | Sequence[float], n: int) -> ScoreVector:
-    """Build the weight vector for n observations.
-
-    ``kind`` is one of the named generators in SCORE_KINDS, each evaluating a
-    nondecreasing function at i/(n+1) for i = 1..n, or an explicit table of n
-    values.  Tables must already be nondecreasing (normalize_scores sorts raw
-    ones).
-    """
+def make_scores(kind: str, n: int) -> ScoreVector:
+    """The weights of score kind ``kind`` for n observations: one of the
+    named generators in SCORE_KINDS, each evaluating a nondecreasing
+    function at i/(n+1) for i = 1..n.  A table of weights is a
+    ``ScoreVector`` itself."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if isinstance(kind, str):
-        return ScoreVector(np.array([_phi(kind, i / (n + 1)) for i in range(1, n + 1)]))
-    table = np.array(list(kind), dtype=float).ravel()
-    if table.size != n:
-        raise ValueError(f"custom table has {table.size} entries, expected {n}")
-    return ScoreVector(table)
+    if not (isinstance(kind, str) and kind in SCORE_KINDS):
+        raise ValueError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS} (a table is a ScoreVector)")
+    return ScoreVector(np.array([_phi(kind, i / (n + 1)) for i in range(1, n + 1)]))
 
 
 def sorted_scores(alpha, n: int) -> ScoreVector:
-    """Weights for n observations, sorted on entry: a ScoreVector passes
-    through, anything else is taken as raw weights and sorted."""
-    a = alpha if isinstance(alpha, ScoreVector) else normalize_scores(np.ravel(np.asarray(alpha, dtype=float)))
+    """Weights for n observations: a ScoreVector passes through, anything
+    else is taken as raw weights and becomes one."""
+    a = alpha if isinstance(alpha, ScoreVector) else ScoreVector(alpha)
     if a.n != n:
         raise ValueError(f"{a.n} weights for {n} observations")
     return a

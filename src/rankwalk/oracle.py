@@ -75,5 +75,4 @@ def random_instance(rng: np.random.Generator, n_range=(2, 6), p_range=(1, 3)) ->
     p = int(rng.integers(p_range[0], p_range[1] + 1))
     x = rng.integers(lo, hi + 1, size=(n, p)).astype(float)
     y = rng.integers(lo, hi + 1, size=n).astype(float)
-    alpha = np.sort(rng.integers(lo, hi + 1, size=n).astype(float))
-    return RegressionData(x, y), ScoreVector(alpha)
+    return RegressionData(x, y), ScoreVector(rng.integers(lo, hi + 1, size=n).astype(float))

@@ -35,7 +35,8 @@ from functools import lru_cache
 import numpy as np
 
 from .certificate import OptimalityCertificate, _conditions, _descent_search
-from .loss import ActivePairs, _as_residuals, _check_tie_tol, active_pairs, default_tie_tol, eval_loss, residuals
+from .loss import (ActivePairs, _are_orderings, _as_residuals, _check_tie_tol, _tie_tol_or_default, active_pairs,
+                   eval_loss, residuals)
 from .lp import LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, _check_lp_tol, _solve_by_dual
 from .model import RegressionData, sorted_scores, start_point
 
@@ -71,7 +72,7 @@ class WalkNumericError(WalkError):
 class WoaConfig:
     """Tolerances and the iteration cap."""
 
-    tie_tol: float | None = None  # None: 1e-9 * (1 + max |residual|), per point
+    tie_tol: float | None = None  # None: loss.default_tie_tol at each region minimum
     lp_tol: float = 1e-9
     max_iter: int | None = None  # None: min(1e6, region-count bound)
 
@@ -145,6 +146,9 @@ class Minimizer:
 
 @dataclass(frozen=True)
 class Unbounded:
+    """The loss falls without bound from ``point`` along ``ray``; the trace
+    ends with the region's iteration, at ``point`` along a multiple of ``ray``."""
+
     point: np.ndarray
     ray: np.ndarray
     trace: WalkTrace
@@ -180,10 +184,9 @@ def cell_lp(data: RegressionData, alpha, pi, lp_tol: float = 1e-9, at=None) -> L
     rows of the region.
     """
     a = sorted_scores(alpha, data.n)
-    given = pi if isinstance(pi, np.ndarray) else list(pi)
-    pi = np.asarray(given)
-    if pi.dtype.kind not in "iu" or pi.shape != (data.n,) or not (np.sort(pi) == np.arange(data.n)).all():
-        raise ValueError(f"{tuple(given)} is not a permutation of 0..{data.n - 1}")
+    pi = np.asarray(pi if isinstance(pi, np.ndarray) else list(pi))
+    if not _are_orderings(pi, (data.n,)):
+        raise ValueError(f"{tuple(pi.tolist())} is not a permutation of 0..{data.n - 1}")
     res = _as_residuals(data, np.zeros(data.p) if at is None else at)
     xp = data.x[pi]
     ep = res.e[pi]
@@ -278,7 +281,7 @@ def _line_search(alpha: np.ndarray, e: np.ndarray, neg: np.ndarray, steps: np.nd
     return float(steps[lo])
 
 
-def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float,
+def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float | None = None,
                 lp_tol: float = 1e-9) -> Breakpoints:
     """Step lengths d > tie_tol at which residual pairs tie along the ray
     beta_star + d * direction.  Pairs whose residuals move in parallel within
@@ -287,10 +290,11 @@ def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float,
     ``beta_star`` may also be given as its Residuals.  All pairs are handled
     at once, each with the floating-point operations of a scalar loop over
     i < j, so the steps equal that loop's bit for bit and come in its order."""
-    _check_tie_tol(tie_tol)
+    res = _as_residuals(data, beta_star)
+    tie_tol = _tie_tol_or_default(res, tie_tol)
     _check_lp_tol(lp_tol)
     ell = _direction(data, direction)
-    keep, steps = _steps(_as_residuals(data, beta_star).e, data.x @ ell, tie_tol, lp_tol)
+    keep, steps = _steps(res.e, data.x @ ell, tie_tol, lp_tol)
     i, j = _upper_pairs(data.n)
     return Breakpoints._of_fresh(np.stack((i[keep], j[keep]), axis=1), steps)
 
@@ -359,6 +363,8 @@ def minimize(data: RegressionData, alpha, beta0=None,
         if isinstance(out, LpInfeasible):
             raise WalkInvariantError(f"region of the current ordering {pi} came back empty", "cell_lp", trace_now)
         if isinstance(out, LpUnbounded):
+            iterations.append(WalkIteration(pi, out.point, eval_loss(data, a, out.point), out.ray, None))
+            trace_now = WalkTrace(tuple(iterations))
             _require_descending_ray(data, a, out.point, out.ray, trace_now)
             log.info("unbounded within region %s at iteration %d", pi, it)
             return Unbounded(out.point, out.ray, trace_now)
@@ -367,8 +373,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
             raise WalkInvariantError(
                 f"region minimum {f_star} did not improve on {iterations[-1].f_star}", "walk", trace_now)
         res_star = residuals(data, beta_star)
-        tts = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(res_star)
-        ap = active_pairs(res_star, tts)
+        ap = active_pairs(res_star, cfg.tie_tol)
         try:
             found = _descent_search(data, a, ap, cfg.lp_tol, R, (order, out.dual))
         except LpNumericError as exc:
@@ -383,7 +388,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
             return Minimizer(beta_star, f_star, found, WalkTrace(tuple(iterations)))
         ell = found
         sigma = data.x @ ell
-        steps = _steps(res_star.e, sigma, tts, cfg.lp_tol)[1]
+        steps = _steps(res_star.e, sigma, ap.tie_tol, cfg.lp_tol)[1]
         if steps.size == 0:
             iterations.append(WalkIteration(pi, beta_star, f_star, ell, None))
             ray = ell / float(np.abs(ell).max())

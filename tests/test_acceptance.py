@@ -16,6 +16,7 @@ from rankwalk import (
     Minimizer,
     OptimalityCertificate,
     RegressionData,
+    ScoreVector,
     Unbounded,
     active_pairs,
     breakpoints,
@@ -25,7 +26,6 @@ from rankwalk import (
     ggd_minimize,
     improving_direction,
     minimize,
-    normalize_scores,
     oracle_minimize,
     random_instance,
     region_bound,
@@ -102,7 +102,7 @@ def test_02_loss_evaluation_equivalence(report):
         p = int(rng.integers(1, 4))
         data = RegressionData(rng.integers(-3, 4, size=(n, p)).astype(float),
                               rng.integers(-3, 4, size=n).astype(float))
-        alpha = normalize_scores(rng.integers(-3, 4, size=n).astype(float))
+        alpha = ScoreVector(rng.integers(-3, 4, size=n).astype(float))
         beta = rng.normal(size=p) * 2.0
         worst = max(worst, abs(eval_loss(data, alpha, beta)
                                - eval_loss_bruteforce(data, alpha, beta)))
@@ -118,7 +118,7 @@ def test_03_weight_shuffle_invariance(report):
     for _ in range(instances):
         data, alpha = random_instance(rng)
         baseline = minimize(data, alpha)
-        shuffled = minimize(data, normalize_scores(rng.permutation(alpha.alpha)))
+        shuffled = minimize(data, ScoreVector(rng.permutation(alpha.alpha)))
         if isinstance(baseline, Minimizer) != isinstance(shuffled, Minimizer):
             verdict_flips += 1
         elif isinstance(baseline, Minimizer):
@@ -194,7 +194,7 @@ def test_06_certificate_soundness(sweep, report):
 
 def test_07_worked_instance(report):
     data = RegressionData(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 0.0]))
-    alpha = normalize_scores([-1.0, 0.0, 1.0])
+    alpha = ScoreVector([-1.0, 0.0, 1.0])
     out = minimize(data, alpha, beta0=[-2.0])
     hand_g = np.array([[0.5, 0.0, 0.5], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
     reference = oracle_minimize(data, alpha)

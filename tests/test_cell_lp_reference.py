@@ -25,11 +25,11 @@ from rankwalk import (
     LpUnbounded,
     Minimizer,
     RegressionData,
+    ScoreVector,
     cell_lp,
     eval_loss,
     make_scores,
     minimize,
-    normalize_scores,
     residuals,
     verify_certificate,
 )
@@ -137,7 +137,7 @@ def test_arbitrary_orderings_at_the_origin():
         n, p = int(rng.integers(2, 9)), int(rng.integers(1, 4))
         x = rng.integers(-2, 3, size=(n, p)).astype(float) if t % 2 else rng.standard_normal((n, p))
         data = RegressionData(x, rng.standard_normal(n))
-        alpha = normalize_scores(rng.standard_normal(n)) if t % 3 else make_scores("wilcoxon", n)
+        alpha = ScoreVector(rng.standard_normal(n)) if t % 3 else make_scores("wilcoxon", n)
         pi = tuple(rng.permutation(n).tolist())
         outside += not in_region(data, pi, np.zeros(p))
         seen[type(assert_same_cell(data, alpha, pi, None))] += 1
@@ -148,10 +148,10 @@ def test_arbitrary_orderings_at_the_origin():
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_one_observation_has_no_rows(p):
     data = RegressionData(np.arange(1.0, p + 1.0).reshape(1, p), np.array([2.0]))
-    out = assert_same_cell(data, normalize_scores([1.0]), (0,), None)
+    out = assert_same_cell(data, ScoreVector([1.0]), (0,), None)
     assert isinstance(out, LpUnbounded)
     np.testing.assert_array_equal(out.point, np.zeros(p))
-    flat = assert_same_cell(data, normalize_scores([0.0]), (0,), [0.5] * p)
+    flat = assert_same_cell(data, ScoreVector([0.0]), (0,), [0.5] * p)
     assert isinstance(flat, LpOptimal) and flat.value == 0.0 and flat.dual.shape == (0,)
     np.testing.assert_array_equal(flat.point, [0.5] * p)
 

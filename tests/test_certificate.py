@@ -5,6 +5,7 @@ from rankwalk import (
     Minimizer,
     OptimalityCertificate,
     RegressionData,
+    ScoreVector,
     active_pairs,
     birkhoff_decompose,
     eval_loss,
@@ -12,7 +13,6 @@ from rankwalk import (
     improving_direction,
     make_scores,
     minimize,
-    normalize_scores,
     oracle_minimize,
     residuals,
     solve_certificate,
@@ -48,7 +48,7 @@ def test_solve_certificate_interior_point_infeasible(worked):
 
 def test_solve_certificate_intercept_only():
     data = RegressionData(np.ones((3, 1)), np.array([0.0, 1.0, 0.0]))
-    alpha = normalize_scores([-1.0, 0.0, 1.0])
+    alpha = ScoreVector([-1.0, 0.0, 1.0])
     cert = solve_certificate(data, alpha, pairs_at(data, [0.7]))
     assert cert is not None
     report = verify_certificate(data, alpha, [0.7], cert)
@@ -59,7 +59,7 @@ def test_solve_certificate_without_ties():
     # Every tie block is a singleton, so nothing is free: the fixed pairing
     # balances the design here and is the certificate.
     data = RegressionData(np.ones((2, 1)), np.array([0.0, 1.0]))
-    alpha = normalize_scores([-1.0, 1.0])
+    alpha = ScoreVector([-1.0, 1.0])
     ap = pairs_at(data, [0.4])
     assert ap.label.tolist() == list(range(data.n))
     cert = solve_certificate(data, alpha, ap)
@@ -184,7 +184,7 @@ def test_verify_certificate_given_float_orderings():
     """Orderings of floats are refused when the certificate is built, so the
     verifier never indexes with them."""
     data = RegressionData(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 0.0]))
-    alpha = normalize_scores([-1.0, 0.0, 1.0])
+    alpha = ScoreVector([-1.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="integer"):
         verify_certificate(data, alpha, [0.0], OptimalityCertificate(np.eye(3), ((1.0, (0.0, 1.0, 2.0)),)))
 
@@ -215,7 +215,7 @@ def test_exactly_one_of_direction_and_certificate():
         p = int(rng.integers(1, 3))
         data = RegressionData(rng.integers(-3, 4, size=(n, p)).astype(float),
                               rng.integers(-3, 4, size=n).astype(float))
-        alpha = normalize_scores(np.sort(rng.integers(-3, 4, size=n)).astype(float))
+        alpha = ScoreVector(np.sort(rng.integers(-3, 4, size=n)).astype(float))
         beta = rng.integers(-3, 4, size=p).astype(float)
         ap = pairs_at(data, beta)
         has_direction = improving_direction(data, alpha, ap) is not None

@@ -91,7 +91,7 @@ def test_fit_trace_schema(worked_csv, capsys, tmp_path):
 
 def test_fit_trace_round_trips_exactly(worked_csv, capsys, tmp_path):
     """Serialized loss values survive a JSON round trip bit for bit."""
-    from rankwalk import minimize, normalize_scores
+    from rankwalk import ScoreVector, minimize
     from rankwalk.cli import read_csv
 
     data_path, scores = worked_csv
@@ -100,7 +100,7 @@ def test_fit_trace_round_trips_exactly(worked_csv, capsys, tmp_path):
                      "--init", "-2", "--trace", str(trace_path))
     assert code == 0
     reread = json.loads(trace_path.read_text())
-    direct = minimize(read_csv(data_path), normalize_scores([-1.0, 0.0, 1.0]),
+    direct = minimize(read_csv(data_path), ScoreVector([-1.0, 0.0, 1.0]),
                       beta0=np.array([-2.0]))
     assert [rec["F_star"] for rec in reread["iterations"]] == [
         it.f_star for it in direct.trace.iterations]

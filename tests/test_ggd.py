@@ -7,11 +7,11 @@ from rankwalk import (
     GgdConfig,
     Minimizer,
     RegressionData,
+    ScoreVector,
     cell_gradient,
     default_tie_tol,
     ggd_minimize,
     minimize,
-    normalize_scores,
     oracle_minimize,
     random_instance,
     residuals,
@@ -31,7 +31,7 @@ def test_cell_gradient_worked(worked):
     data, alpha = worked
     np.testing.assert_array_equal(cell_gradient(data, alpha, [-2.0]), [-2.0])
     assert cell_gradient(data, alpha, [0.0]) is None  # tied residuals
-    zero = normalize_scores([0.0, 0.0, 0.0])
+    zero = ScoreVector([0.0, 0.0, 0.0])
     np.testing.assert_array_equal(cell_gradient(data, zero, [-2.0]), [0.0])
 
 

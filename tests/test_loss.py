@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+import rankwalk
 from rankwalk import (
+    Minimizer,
     RegressionData,
+    ScoreVector,
     active_pairs,
+    breakpoints,
     consistent_permutation,
     default_tie_tol,
     eval_loss,
     eval_loss_bruteforce,
-    normalize_scores,
+    minimize,
     residuals,
+    verify_certificate,
 )
+from rankwalk.cli import main
 from rankwalk.loss import Residuals
 
 TIE = 1e-9
@@ -81,6 +87,45 @@ def test_default_tie_tol(worked):
     assert default_tie_tol(residuals(data, [-1.0])) == 1e-9 * 3.0
 
 
+def test_every_layer_takes_its_default_tie_tolerance_from_loss(monkeypatch, worked, tmp_path, capsys):
+    """Given no tolerance, the walk, the verifier, the orderings, the ray's
+    breakpoints and ``rankwalk eval`` all read ``loss.default_tie_tol`` at
+    their own point, so the tie rule has one site to change; a given
+    tolerance is used as it is."""
+    data, alpha = worked
+    seen = []
+
+    def spy(res):
+        seen.append(res.e.tobytes())
+        return 1e-9 * (1.0 + float(np.abs(res.e).max()))
+
+    monkeypatch.setattr(rankwalk.loss, "default_tie_tol", spy)
+
+    def reads(call):
+        del seen[:]
+        call()
+        return seen[:]
+
+    out = minimize(data, alpha, beta0=[-2.0])
+    assert isinstance(out, Minimizer) and len(out.trace.iterations) == 2
+    assert reads(lambda: minimize(data, alpha, beta0=[-2.0])) == [
+        residuals(data, it.beta_star).e.tobytes() for it in out.trace.iterations]
+    at_opt = residuals(data, out.beta_opt)
+    assert reads(lambda: verify_certificate(data, alpha, out.beta_opt, out.certificate)) == [at_opt.e.tobytes()]
+    res = residuals(data, [0.5])
+    assert reads(lambda: consistent_permutation(res)) == [res.e.tobytes()]
+    assert reads(lambda: breakpoints(data, res, [1.0])) == [res.e.tobytes()]
+    ap = active_pairs(res)
+    assert ap.tie_tol == spy(res) and active_pairs(res, 0.25).tie_tol == 0.25
+    csv = tmp_path / "worked.csv"
+    csv.write_text("y,x1\n0,0\n1,1\n0,2\n")
+    assert reads(lambda: main(["eval", str(csv), "--beta", "0.5"])) == [res.e.tobytes()]
+    assert reads(lambda: main(["eval", str(csv), "--beta", "0.5", "--tie-tol", "0"])) == []
+    assert reads(lambda: consistent_permutation(res, 0.0)) == []
+    assert reads(lambda: breakpoints(data, res, [1.0], 0.0)) == []
+    capsys.readouterr()
+
+
 def test_consistent_permutation_worked():
     res = Residuals(np.array([0.0, 1.0, 0.0]), np.zeros(1))
     assert consistent_permutation(res, TIE) == (0, 2, 1)
@@ -121,7 +166,7 @@ def test_eval_loss_worked(worked):
     data, alpha = worked
     assert eval_loss(data, alpha, [0.0]) == 1.0
     assert eval_loss(data, alpha, [1.0]) == 2.0
-    assert eval_loss(data, normalize_scores([0.0, 0.0, 0.0]), [0.3]) == 0.0
+    assert eval_loss(data, ScoreVector([0.0, 0.0, 0.0]), [0.3]) == 0.0
 
 
 def test_eval_loss_matches_bruteforce():
@@ -131,7 +176,7 @@ def test_eval_loss_matches_bruteforce():
         p = int(rng.integers(1, 4))
         data = RegressionData(rng.integers(-3, 4, size=(n, p)).astype(float),
                               rng.integers(-3, 4, size=n).astype(float))
-        alpha = normalize_scores(rng.integers(-3, 4, size=n).astype(float))
+        alpha = ScoreVector(rng.integers(-3, 4, size=n).astype(float))
         beta = rng.normal(size=p) * 2.0
         fast = eval_loss(data, alpha, beta)
         slow = eval_loss_bruteforce(data, alpha, beta)
@@ -142,13 +187,13 @@ def test_eval_loss_bruteforce_worked(worked):
     data, alpha = worked
     assert eval_loss_bruteforce(data, alpha, [0.0]) == 1.0
     tiny = RegressionData(np.array([[2.0]]), np.array([3.0]))
-    assert eval_loss_bruteforce(tiny, normalize_scores([2.0]), [1.0]) == 2.0
+    assert eval_loss_bruteforce(tiny, ScoreVector([2.0]), [1.0]) == 2.0
 
 
 def test_eval_loss_bruteforce_guard():
     data = RegressionData(np.zeros((9, 1)), np.zeros(9))
     with pytest.raises(ValueError):
-        eval_loss_bruteforce(data, normalize_scores(np.zeros(9)), [0.0])
+        eval_loss_bruteforce(data, ScoreVector(np.zeros(9)), [0.0])
 
 
 def test_eval_loss_invariant_under_weight_shuffle(worked):
@@ -156,7 +201,7 @@ def test_eval_loss_invariant_under_weight_shuffle(worked):
     rng = np.random.default_rng(5)
     base = eval_loss(data, alpha, [0.7])
     for _ in range(20):
-        shuffled = normalize_scores(rng.permutation(alpha.alpha))
+        shuffled = ScoreVector(rng.permutation(alpha.alpha))
         assert eval_loss(data, shuffled, [0.7]) == base
 
 
@@ -167,7 +212,7 @@ def test_eval_loss_convexity():
         p = int(rng.integers(1, 4))
         data = RegressionData(rng.integers(-3, 4, size=(n, p)).astype(float),
                               rng.integers(-3, 4, size=n).astype(float))
-        alpha = normalize_scores(rng.integers(-3, 4, size=n).astype(float))
+        alpha = ScoreVector(rng.integers(-3, 4, size=n).astype(float))
         b1, b2 = rng.normal(size=p), rng.normal(size=p)
         t = float(rng.uniform())
         mid = eval_loss(data, alpha, t * b1 + (1.0 - t) * b2)

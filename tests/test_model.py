@@ -8,7 +8,6 @@ from rankwalk import (
     ScoreVector,
     inverse_normal_cdf,
     make_scores,
-    normalize_scores,
     standard_normal_cdf,
 )
 
@@ -55,12 +54,11 @@ def test_named_kinds_monotone_and_antisymmetric():
 
 
 def test_make_scores_custom_table():
-    got = make_scores([-2.0, 0.0, 5.0], 3)
-    np.testing.assert_array_equal(got.alpha, [-2.0, 0.0, 5.0])
-    with pytest.raises(ValueError, match="normalize_scores"):
-        make_scores([1.0, 0.0, 2.0], 3)
-    with pytest.raises(ValueError, match="expected 3"):
-        make_scores([1.0, 2.0], 3)
+    """A table of weights is a ScoreVector; make_scores takes only a kind."""
+    np.testing.assert_array_equal(ScoreVector([-2.0, 0.0, 5.0]).alpha, [-2.0, 0.0, 5.0])
+    for table in ([-2.0, 0.0, 5.0], np.array([-2.0, 0.0, 5.0])):
+        with pytest.raises(ValueError, match="unknown score kind.*a table is a ScoreVector"):
+            make_scores(table, 3)
 
 
 def test_make_scores_rejects_bad_input():
@@ -70,35 +68,43 @@ def test_make_scores_rejects_bad_input():
         make_scores("huber", 3)
 
 
-def test_normalize_scores_sorts():
-    np.testing.assert_array_equal(normalize_scores([1.0, -1.0, 0.0]).alpha, [-1.0, 0.0, 1.0])
-    np.testing.assert_array_equal(normalize_scores([0.0, 0.0, 1.0]).alpha, [0.0, 0.0, 1.0])
-    np.testing.assert_array_equal(normalize_scores([5.0]).alpha, [5.0])
+def test_score_vector_sorts():
+    np.testing.assert_array_equal(ScoreVector([1, -1, 0]).alpha, [-1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(ScoreVector([0.0, 0.0, 1.0]).alpha, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(ScoreVector([5.0]).alpha, [5.0])
+    np.testing.assert_array_equal(ScoreVector(np.array([[2.0], [1.0]])).alpha, [1.0, 2.0])
 
 
-def test_normalize_scores_permutation_invariant():
+def test_score_vector_permutation_invariant():
     rng = np.random.default_rng(3)
     for _ in range(50):
         v = rng.normal(size=rng.integers(1, 9))
-        np.testing.assert_array_equal(
-            normalize_scores(v).alpha, normalize_scores(rng.permutation(v)).alpha)
+        np.testing.assert_array_equal(ScoreVector(v).alpha, ScoreVector(rng.permutation(v)).alpha)
 
 
-def test_normalize_scores_rejects():
+def test_score_vector_rejects():
     with pytest.raises(ValueError, match="^need at least one weight$"):
-        normalize_scores([])
+        ScoreVector([])
     with pytest.raises(ValueError, match="^weights must be finite$"):
-        normalize_scores([1.0, math.nan])
+        ScoreVector([1.0, math.nan])
     with pytest.raises(ValueError, match="^weights must be finite$"):
-        normalize_scores([math.inf, 1.0])
+        ScoreVector([math.inf, 1.0])
 
 
-def test_score_vector_requires_sorted():
-    with pytest.raises(ValueError, match="normalize_scores"):
-        ScoreVector(np.array([1.0, 0.0]))
-    sv = ScoreVector(np.array([0.0, 1.0]))
+def test_score_vector_keeps_sorted_input_bit_for_bit():
+    """Sorted weights keep their bits and order, signed zeros included, and
+    the stored copy is frozen while the caller's array is not."""
+    for kind in ("sign", "wilcoxon", "van_der_waerden"):
+        a = make_scores(kind, 41).alpha
+        assert ScoreVector(a).alpha.tobytes() == a.tobytes()
+    zeros = np.array([-1.0] * 10 + [-0.0, 0.0] * 10 + [1.0] * 10)
+    assert ScoreVector(zeros).alpha.tobytes() == zeros.tobytes()
+    raw = np.array([1.0, 0.0])
+    sv = ScoreVector(raw)
     with pytest.raises(ValueError):
         sv.alpha[0] = 7.0  # frozen storage
+    raw[0] = 7.0
+    np.testing.assert_array_equal(sv.alpha, [0.0, 1.0])
 
 
 def test_inverse_normal_cdf_center_and_tails():

@@ -7,12 +7,12 @@ from rankwalk import (
     LpUnbounded,
     Minimizer,
     RegressionData,
+    ScoreVector,
     consistent_permutation,
     enumerate_nonempty_cells,
     eval_loss_bruteforce,
     make_scores,
     minimize,
-    normalize_scores,
     oracle_minimize,
     random_instance,
     residuals,
@@ -67,14 +67,14 @@ def test_oracle_worked(worked):
 
 def test_oracle_zero_weights(worked):
     data, _ = worked
-    out = oracle_minimize(data, normalize_scores([0.0, 0.0, 0.0]))
+    out = oracle_minimize(data, ScoreVector([0.0, 0.0, 0.0]))
     assert not out.unbounded
     assert abs(out.value) < 1e-9
 
 
 def test_oracle_single_row_unbounded():
     data = RegressionData(np.array([[1.0]]), np.array([0.0]))
-    out = oracle_minimize(data, normalize_scores([1.0]))
+    out = oracle_minimize(data, ScoreVector([1.0]))
     assert out.unbounded
     assert out.value is None and out.point is None
 
@@ -83,7 +83,7 @@ def test_oracle_size_guard():
     n = ORACLE_LIMIT + 1
     data = RegressionData(np.zeros((n, 1)), np.zeros(n))
     with pytest.raises(ValueError):
-        oracle_minimize(data, normalize_scores(np.zeros(n)))
+        oracle_minimize(data, ScoreVector(np.zeros(n)))
 
 
 def test_enumerate_cells_worked(worked):
@@ -153,7 +153,7 @@ def p_at_least_n_draws(rng, draws, n_max):
         p = int(rng.integers(n, n + 4))
         x = rng.integers(-2, 3, size=(n, p)).astype(float)
         y = rng.integers(-2, 3, size=n).astype(float)
-        alpha = normalize_scores(rng.integers(-2, 3, size=n).astype(float))
+        alpha = ScoreVector(rng.integers(-2, 3, size=n).astype(float))
         yield RegressionData(x, y), alpha
 
 

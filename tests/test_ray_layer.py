@@ -25,7 +25,6 @@ from rankwalk import (
     eval_loss,
     line_search,
     make_scores,
-    normalize_scores,
     residuals,
 )
 
@@ -139,7 +138,7 @@ def instances(seed, count):
             y = x @ rng.standard_normal(p) + rng.standard_t(2, n)
             beta = rng.standard_normal(p)
             ell = rng.standard_normal(p)
-        alpha = normalize_scores(np.zeros(n)) if t % 5 == 4 else make_scores(KINDS[t % 3], n)
+        alpha = ScoreVector(np.zeros(n)) if t % 5 == 4 else make_scores(KINDS[t % 3], n)
         yield RegressionData(x, y), beta, ell, alpha
 
 
@@ -245,7 +244,7 @@ def test_line_search_stops_at_the_first_rise(rise):
 
 def test_line_search_flat_scores_take_the_smallest_step():
     data, _ = _v_shape()
-    flat = normalize_scores([0.0, 0.0])
+    flat = ScoreVector([0.0, 0.0])
     steps = np.array([3.0, 0.5, 2.0, 0.5, 9.0] * 20)
     bps = Breakpoints(np.zeros((steps.size, 2)), steps)
     assert line_search(data, flat, [-4.0], [1.0], bps) == 0.5

@@ -14,6 +14,7 @@ from rankwalk import (
     Minimizer,
     OptimalityCertificate,
     RegressionData,
+    ScoreVector,
     Unbounded,
     WalkError,
     WalkInvariantError,
@@ -30,7 +31,7 @@ from rankwalk import (
     line_search,
     make_scores,
     minimize,
-    normalize_scores,
+    random_instance,
     region_bound,
     residuals,
 )
@@ -61,7 +62,7 @@ def test_cell_lp_worked(worked):
 
 def test_cell_lp_unbounded_single_row():
     data = RegressionData(np.array([[1.0]]), np.array([0.0]))
-    out = cell_lp(data, normalize_scores([1.0]), (0,))
+    out = cell_lp(data, ScoreVector([1.0]), (0,))
     assert isinstance(out, LpUnbounded)
 
 
@@ -96,7 +97,7 @@ def test_cell_lp_at_a_point_agrees_with_the_origin():
             x = np.round(2.0 * x)
             x[:, 0] = 1.0
         data = RegressionData(x, np.round(x @ rng.standard_normal(p) + rng.standard_t(2, n), t % 2))
-        alpha = make_scores(kinds[t % 3], n) if t % 4 else normalize_scores(rng.standard_normal(n))
+        alpha = make_scores(kinds[t % 3], n) if t % 4 else ScoreVector(rng.standard_normal(n))
         probes = []
         beta = 3.0 * rng.standard_normal(p)
         res = residuals(data, beta)
@@ -149,7 +150,7 @@ def test_improving_direction_worked(worked):
 
 def test_improving_direction_single_observation():
     data = RegressionData(np.array([[1.0]]), np.array([0.0]))
-    alpha = normalize_scores([1.0])
+    alpha = ScoreVector([1.0])
     res = residuals(data, [0.0])
     found = improving_direction(data, alpha, active_pairs(res, TIE))
     assert found is not None and found.shape == (1,)
@@ -245,7 +246,7 @@ def test_line_search_worked(worked):
 
 def test_line_search_ties_take_smallest_step(worked):
     data, _ = worked
-    flat = normalize_scores([0.0, 0.0, 0.0])  # loss identically zero along the ray
+    flat = ScoreVector([0.0, 0.0, 0.0])  # loss identically zero along the ray
     bps = breakpoints(data, [-2.0], [1.0], TIE)
     assert len(bps.entries) == 3
     assert line_search(data, flat, [-2.0], [1.0], bps) == min(d for _, d in bps.entries)
@@ -283,12 +284,41 @@ def test_minimize_single_observation_unbounded():
     data = RegressionData(np.array([[1.0]]), np.array([0.0]))
     out = minimize(data, [1.0])
     assert isinstance(out, Unbounded)
-    assert len(out.trace.iterations) == 0
+    [region] = out.trace.iterations  # the region the cell LP found unbounded
+    assert region.beta_star is out.point and region.direction is out.ray and region.d_star is None
     f = eval_loss(data, [1.0], out.point)
     for t in (1.0, 10.0, 100.0):
         ft = eval_loss(data, [1.0], out.point + t * out.ray)
         assert ft < f
         f = ft
+
+
+def test_every_unbounded_trace_ends_at_its_ray(monkeypatch):
+    """Whether the cell LP or the descent ray finds it, an Unbounded's trace
+    ends with the iteration of its region, at its point and along its ray."""
+    found_by_cell = []
+    original = rankwalk.woa.cell_lp
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        found_by_cell.append(isinstance(out, LpUnbounded))
+        return out
+
+    monkeypatch.setattr(rankwalk.woa, "cell_lp", spy)
+    rng = np.random.default_rng(0)
+    paths = {True: 0, False: 0}
+    for _ in range(60):
+        data, alpha = random_instance(rng)
+        out = minimize(data, alpha)
+        if not isinstance(out, Unbounded):
+            continue
+        paths[found_by_cell[-1]] += 1
+        last = out.trace.iterations[-1]
+        assert last.beta_star is out.point and last.d_star is None
+        scale = float(np.abs(out.ray).max()) / float(np.abs(last.direction).max())
+        np.testing.assert_allclose(scale * last.direction, out.ray, rtol=1e-15, atol=0.0)
+        assert last.f_star == pytest.approx(eval_loss(data, alpha, out.point), rel=1e-12, abs=1e-12)
+    assert paths[True] >= 1 and paths[False] >= 1, paths
 
 
 def test_minimize_intercept_only_constant_loss():
@@ -311,7 +341,7 @@ def test_minimize_tie_break_independence(worked):
             p = int(rng.integers(1, 3))
             data = RegressionData(rng.integers(-3, 4, size=(n, p)).astype(float),
                                   rng.integers(-3, 4, size=n).astype(float))
-            alpha = normalize_scores(np.sort(rng.integers(-3, 4, size=n)).astype(float))
+            alpha = ScoreVector(np.sort(rng.integers(-3, 4, size=n)).astype(float))
         # Reversing the rows lists every tie block by descending original
         # index, so the walk breaks each tie the other way.
         asc = minimize(data, alpha)
@@ -406,7 +436,8 @@ def test_every_walk_error_names_its_layer_and_keeps_the_trace(monkeypatch, layer
                                                               replacement):
     """Each raise of ``minimize`` (and of ``_require_descending_ray``), forced
     on a fit of two iterations, names its layer and carries the iterations
-    before the failure: the first."""
+    before the failure: the first, and when a claimed ray fails, also the
+    region it was claimed in.  A refused simplex is chained as the cause."""
     rng = np.random.default_rng(4)
     x = np.column_stack([np.ones(40), rng.standard_normal(40)])
     data = RegressionData(x, x @ rng.standard_normal(2) + rng.standard_t(2, 40))
@@ -431,9 +462,16 @@ def test_every_walk_error_names_its_layer_and_keeps_the_trace(monkeypatch, layer
     err = info.value
     assert type(err) is error and isinstance(err, WalkError) and err.layer == layer
     assert str(err).startswith(message)
+    assert isinstance(err.__cause__, LpNumericError) == (error is WalkNumericError)
     assert isinstance(err.trace, WalkTrace)
-    assert [(it.pi, it.f_star) for it in err.trace.iterations] == [(it.pi, it.f_star)
-                                                                 for it in full.trace.iterations[:1]]
+    kept = err.trace.iterations
+    assert [(it.pi, it.f_star) for it in kept[:1]] == [(it.pi, it.f_star) for it in full.trace.iterations[:1]]
+    if name != "_steps":  # the first iteration is whole, its step included
+        assert kept[0].d_star == full.trace.iterations[0].d_star
+    if name == "cell_lp" and layer == "ray":  # iteration 1's region, claimed along the zero ray
+        assert len(kept) == 2 and kept[1].pi == full.trace.iterations[1].pi and not kept[1].direction.any()
+    else:
+        assert len(kept) == 1
 
 
 def test_minimize_rejects_bad_start(worked):
@@ -502,7 +540,7 @@ def test_walk_steps_match_the_public_ray_search():
 def test_walk_rejects_a_bad_default_tie_tolerance(monkeypatch, worked, bad):
     """A non-finite tie tolerance at a region minimum raises the ValueError
     of ``active_pairs`` and ``breakpoints``."""
-    monkeypatch.setattr(rankwalk.woa, "default_tie_tol", lambda res: bad)
+    monkeypatch.setattr(rankwalk.loss, "default_tie_tol", lambda res: bad)
     data, alpha = worked
     with pytest.raises(ValueError, match="tie tolerance must be finite"):
         minimize(data, alpha)
