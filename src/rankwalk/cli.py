@@ -168,8 +168,12 @@ def cmd_eval(args) -> int:
     beta = initial_point(args.beta, data)
     if beta is None:
         beta = np.zeros(data.p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = residuals(data, beta)
+    if not np.isfinite(res.e).all():
+        raise CliError("the residuals at --beta are not finite")
     f = eval_loss(data, alpha, beta)
-    pi = consistent_permutation(residuals(data, beta), args.tie_tol)
+    pi = consistent_permutation(res, args.tie_tol)
     print(json.dumps({"F": f, "pi": _one_based(pi)}))
     return 0
 

@@ -13,9 +13,8 @@ weights) and computes each point once: an accepted candidate's residuals,
 sorted for its loss, become the next iteration's start, and the gaps of that
 sort give its tie test, which stands while the point does.  The results are
 those of ``residuals``, ``cell_gradient``, ``breakpoints`` and
-``line_search`` bit for bit; the ray is searched with the array core behind
-the last two (``woa._steps`` and ``woa._line_search``), which the walk's
-``minimize`` shares.
+``line_search`` bit for bit.  It shares the walk's tie rule,
+``loss._tie_cut``, and its ray search, ``woa._ray_step``.
 """
 
 from __future__ import annotations
@@ -25,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import _as_residuals, _check_tie_tol, _residual_vector, _tie_tol_at
+from .loss import _as_residuals, _check_tie_tol, _residual_vector, _tie_cut
 from .lp import _check_lp_tol
-from .model import RegressionData, sorted_scores, start_point
-from .woa import _line_search, _steps
+from .model import RegressionData, _check_count, sorted_scores, start_point
+from .woa import _ray_step
 
 PERTURBATIONS = ("random", "prolong")
 
@@ -52,8 +51,9 @@ class GgdConfig:
         _check_lp_tol(self.lp_tol)
         if self.tie_tol is not None:
             _check_tie_tol(self.tie_tol)
-        if self.max_iter < 1 or self.stall_window < 1:
-            raise ValueError("max_iter and stall_window must be positive")
+        _check_count("seed", self.seed, 0)
+        _check_count("max_iter", self.max_iter, 1)
+        _check_count("stall_window", self.stall_window, 1)
 
 
 @dataclass(frozen=True)
@@ -72,27 +72,14 @@ class GgdResult:
     trace: GgdTrace
 
 
-def _tie_test(es: np.ndarray, tie_tol: float | None) -> tuple[float, bool]:
-    """The tie tolerance at residuals sorted as ``es`` (``default_tie_tol``
-    when None: the largest |e| is at one end) and whether every gap exceeds
-    it.  A NaN residual fails the test.  Any sort of e has the gaps of
-    ``e[argsort(e)]``, so the loss's ``np.sort`` serves as well."""
-    if tie_tol is None:
-        tie_tol = _tie_tol_at(float(max(-es[0], es[-1])))
-    gaps = es[1:] - es[:-1]
-    return tie_tol, bool(gaps.size == 0 or gaps.min() > tie_tol)  # the min of gaps with a NaN is NaN
-
-
 def cell_gradient(data: RegressionData, alpha, beta, tie_tol: float | None = None) -> np.ndarray | None:
     """Gradient of the loss where it is smooth, None on a tie point: where
     two sorted residuals lie within the tie tolerance.  ``beta`` may also be
     given as its Residuals."""
     a = sorted_scores(alpha, data.n)
     res = _as_residuals(data, beta)
-    if tie_tol is not None:
-        _check_tie_tol(tie_tol)
     order = np.argsort(res.e, kind="stable")
-    if not _tie_test(res.e[order], tie_tol)[1]:
+    if not _tie_cut(res.e[order], tie_tol)[1].all():
         return None
     return -(a.alpha @ data.x[order])
 
@@ -132,8 +119,8 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
     e = _residual_vector(y, columns, beta)
     es = np.sort(e)
     f_best = float(es @ w)
-    tt, smooth = _tie_test(es, cfg.tie_tol)
-    order = np.argsort(e, kind="stable") if smooth else None  # None at a tie point
+    tt, cut = _tie_cut(es, cfg.tie_tol)
+    order = np.argsort(e, kind="stable") if cut.all() else None  # None at a tie point
     points = [beta.copy()]
     f_values = [f_best]
     last_dir: np.ndarray | None = None
@@ -154,8 +141,8 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
             start_e = _residual_vector(y, columns, start)
             scale *= 1.7
             start_order = np.argsort(start_e, kind="stable")
-            start_tt, smooth = _tie_test(start_e[start_order], cfg.tie_tol)
-            if not smooth:
+            start_tt, cut = _tie_cut(start_e[start_order], cfg.tie_tol)
+            if not cut.all():
                 start_order = None
         if start_order is None:
             stop_reason = "stuck_on_ties"
@@ -167,13 +154,10 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
             break
         if not all(map(math.isfinite, entries)):
             raise ValueError("direction must be a finite vector of width p")
-        sigma = x @ direction
-        _, steps = _steps(start_e, sigma, start_tt, cfg.lp_tol)
-        if steps.size == 0:
+        d = _ray_step(w, start_e, x @ direction, start_tt, cfg.lp_tol)
+        if d is None:
             stop_reason = "unbounded_direction"
             break
-        steps.sort()
-        d = _line_search(w, start_e, -sigma, steps)
         candidate = start + d * direction
         cand_e = _residual_vector(y, columns, candidate)
         cand_es = np.sort(cand_e)
@@ -181,8 +165,8 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
         if f_cand < f_best:
             improvement = f_best - f_cand
             beta, e, f_best, last_dir = candidate, cand_e, f_cand, direction
-            tt, smooth = _tie_test(cand_es, cfg.tie_tol)
-            order = np.argsort(e, kind="stable") if smooth else None
+            tt, cut = _tie_cut(cand_es, cfg.tie_tol)
+            order = np.argsort(e, kind="stable") if cut.all() else None
             points.append(candidate.copy())
             f_values.append(f_cand)
         else:

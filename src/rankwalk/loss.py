@@ -5,6 +5,9 @@ with residuals; since the weights are sorted ascending the maximum is attained
 by pairing them with the residuals sorted ascending.  Permutations are tuples
 ``pi`` with ``pi[i] = j`` meaning observation j holds rank i (0-based
 throughout; the CLI converts to 1-based on output).
+
+Which residuals tie has one site, ``_tie_cut``; the walk's tie blocks, the
+verifier's, the orderings, ``breakpoints`` and gradient descent all read it.
 """
 
 from __future__ import annotations
@@ -35,17 +38,6 @@ class Residuals:
         beta.setflags(write=False)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "beta", beta)
-
-    @classmethod
-    def _of_fresh(cls, e: np.ndarray, beta: np.ndarray) -> "Residuals":
-        """Residuals of float vectors no caller holds: frozen in place
-        rather than copied as the constructor does."""
-        e.setflags(write=False)
-        beta.setflags(write=False)
-        res = cls.__new__(cls)
-        object.__setattr__(res, "e", e)
-        object.__setattr__(res, "beta", beta)
-        return res
 
     @property
     def n(self) -> int:
@@ -100,7 +92,7 @@ def residuals(data: RegressionData, beta) -> Residuals:
     b = np.array(beta, dtype=float).ravel()
     if b.shape[0] != data.p:
         raise ValueError(f"beta has {b.shape[0]} entries, expected {data.p}")
-    return Residuals._of_fresh(_residual_vector(data.y, data.x.T, b), b)
+    return Residuals(_residual_vector(data.y, data.x.T, b), b)
 
 
 def _residual_vector(y: np.ndarray, columns: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -141,21 +133,23 @@ def _check_tie_tol(tie_tol: float):
         raise ValueError(f"tie tolerance must be finite and nonnegative, got {tie_tol}")
 
 
-def _tie_tol_or_default(res: Residuals, tie_tol: float | None) -> float:
-    """``tie_tol``, or ``default_tie_tol(res)`` when None; checked."""
-    tie_tol = default_tie_tol(res) if tie_tol is None else tie_tol
+def _tie_cut(es: np.ndarray, tie_tol: float | None) -> tuple[float, np.ndarray]:
+    """At residuals sorted ascending as ``es``: ``tie_tol``, or when None the
+    default read from the sorted ends (``default_tie_tol``'s, NaN if some
+    residual is), checked; and where the gap to the next residual exceeds it."""
+    if tie_tol is None:
+        tie_tol = _tie_tol_at(float(max(es[-1], -es[0])))
     _check_tie_tol(tie_tol)
-    return tie_tol
+    return tie_tol, es[1:] - es[:-1] > tie_tol
 
 
-def _tie_order(e: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Observations in (value, index) order, and the tie block of each
-    position: the transitive closure of |e_a - e_b| <= tie_tol over that
-    order, blocks numbered from 0 upward."""
+def _tie_order(e: np.ndarray, tie_tol: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """Observations in (value, index) order, the tie block of each position
+    (the transitive closure of |e_a - e_b| <= tie_tol over that order,
+    blocks numbered from 0 upward) and the tolerance of ``_tie_cut``."""
     order = np.argsort(e, kind="stable")
-    es = e[order]
-    label = np.concatenate(([0], np.cumsum(es[1:] - es[:-1] > tie_tol)))
-    return order, label
+    tie_tol, cut = _tie_cut(e[order], tie_tol)
+    return order, np.concatenate(([0], np.cumsum(cut))), tie_tol
 
 
 def _are_orderings(orders: np.ndarray, shape: tuple[int, ...]) -> bool:
@@ -168,15 +162,14 @@ def consistent_permutation(res: Residuals, tie_tol: float | None = None) -> tupl
     """An ordering putting residuals in nondecreasing order, deterministic
     under ties: within a tie block observations are listed by index
     (any block order is valid)."""
-    order, label = _tie_order(res.e, _tie_tol_or_default(res, tie_tol))
+    order, label, _ = _tie_order(res.e, tie_tol)
     return tuple(order[np.lexsort((order, label))].tolist())
 
 
 def active_pairs(res: Residuals, tie_tol: float | None = None) -> ActivePairs:
     """The tie blocks of the residuals at this point: observation j can hold
     rank i in some consistent ordering exactly when both share a block."""
-    tie_tol = _tie_tol_or_default(res, tie_tol)
-    return ActivePairs(*_tie_order(res.e, tie_tol), tie_tol)
+    return ActivePairs(*_tie_order(res.e, tie_tol))
 
 
 def eval_loss(data: RegressionData, alpha, beta) -> float:

@@ -9,6 +9,7 @@ them when built, the one way weights become a ``ScoreVector``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,3 +128,9 @@ def start_point(data: RegressionData, beta0) -> np.ndarray:
     if beta.shape[0] != data.p or not np.isfinite(beta).all():
         raise ValueError("beta0 must be a finite vector of width p")
     return beta
+
+
+def _check_count(name: str, value, least: int):
+    """Reject ``value`` unless it is an integer (NumPy's too, not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")

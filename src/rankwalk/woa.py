@@ -20,6 +20,9 @@ score gap, the region's ordering with those pairs swapped is the
 certificate, and the search poses no master LP.  That is how most walks
 end.
 
+Where the loss stops falling along a ray has one site, ``_ray_step``, which
+gradient descent shares.
+
 The walk strictly decreases the region minima and never revisits an ordering;
 both facts are asserted at runtime and a violation (only possible through
 inconsistent tolerances) raises WalkInvariantError rather than looping.
@@ -35,10 +38,10 @@ from functools import lru_cache
 import numpy as np
 
 from .certificate import OptimalityCertificate, _conditions, _descent_search
-from .loss import (ActivePairs, _are_orderings, _as_residuals, _check_tie_tol, _tie_tol_or_default, active_pairs,
-                   eval_loss, residuals)
+from .loss import (ActivePairs, _are_orderings, _as_residuals, _check_tie_tol, _tie_cut, active_pairs, eval_loss,
+                   residuals)
 from .lp import LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, _check_lp_tol, _solve_by_dual
-from .model import RegressionData, sorted_scores, start_point
+from .model import RegressionData, _check_count, sorted_scores, start_point
 
 log = logging.getLogger(__name__)
 
@@ -80,8 +83,8 @@ class WoaConfig:
         if self.tie_tol is not None:
             _check_tie_tol(self.tie_tol)
         _check_lp_tol(self.lp_tol)
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        if self.max_iter is not None:
+            _check_count("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -103,18 +106,6 @@ class Breakpoints:
         steps.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "steps", steps)
-
-    @classmethod
-    def _of_fresh(cls, pairs: np.ndarray, steps: np.ndarray) -> "Breakpoints":
-        """Breakpoints of a K x 2 intp array and a float array of length K
-        that no caller holds: frozen in place rather than copied as the
-        constructor does."""
-        pairs.setflags(write=False)
-        steps.setflags(write=False)
-        bps = cls.__new__(cls)
-        object.__setattr__(bps, "pairs", pairs)
-        object.__setattr__(bps, "steps", steps)
-        return bps
 
     @property
     def entries(self) -> tuple[tuple[tuple[int, int], float], ...]:
@@ -281,6 +272,16 @@ def _line_search(alpha: np.ndarray, e: np.ndarray, neg: np.ndarray, steps: np.nd
     return float(steps[lo])
 
 
+def _ray_step(alpha: np.ndarray, e: np.ndarray, sigma: np.ndarray, tie_tol: float, lp_tol: float) -> float | None:
+    """``line_search`` over the ``breakpoints`` of the ray e - d * sigma, on
+    sorted weights ``alpha``; None when it has none, so the loss is unbounded."""
+    steps = _steps(e, sigma, tie_tol, lp_tol)[1]
+    if steps.size == 0:
+        return None
+    steps.sort()
+    return _line_search(alpha, e, -sigma, steps)
+
+
 def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float | None = None,
                 lp_tol: float = 1e-9) -> Breakpoints:
     """Step lengths d > tie_tol at which residual pairs tie along the ray
@@ -291,12 +292,12 @@ def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float | Non
     at once, each with the floating-point operations of a scalar loop over
     i < j, so the steps equal that loop's bit for bit and come in its order."""
     res = _as_residuals(data, beta_star)
-    tie_tol = _tie_tol_or_default(res, tie_tol)
+    tie_tol = _tie_cut(np.sort(res.e), tie_tol)[0]
     _check_lp_tol(lp_tol)
     ell = _direction(data, direction)
     keep, steps = _steps(res.e, data.x @ ell, tie_tol, lp_tol)
     i, j = _upper_pairs(data.n)
-    return Breakpoints._of_fresh(np.stack((i[keep], j[keep]), axis=1), steps)
+    return Breakpoints(np.stack((i[keep], j[keep]), axis=1), steps)
 
 
 def line_search(data: RegressionData, alpha, beta_star, direction, bps: Breakpoints) -> float:
@@ -334,7 +335,8 @@ def minimize(data: RegressionData, alpha, beta0=None,
     """Walk the arrangement from ``beta0`` (origin by default) to a verified
     minimizer, or detect that the loss is unbounded below.
 
-    Weights are sorted on entry; their input order never matters.  Raises
+    Weights are sorted on entry; their input order never matters.  A start
+    whose residuals overflow raises ValueError before the walk.  Raises
     IterationBudgetError if the iteration cap is hit, WalkInvariantError if
     a runtime descent assertion fails, and WalkNumericError if the simplex
     of the cell LP or of the descent search degrades numerically; each
@@ -342,14 +344,16 @@ def minimize(data: RegressionData, alpha, beta0=None,
     """
     cfg = config or WoaConfig()
     a = sorted_scores(alpha, data.n)
-    beta = start_point(data, beta0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = residuals(data, start_point(data, beta0))
+    if not np.isfinite(res.e).all():
+        raise ValueError("the residuals at beta0 are not finite")
     cap = cfg.max_iter if cfg.max_iter is not None else min(10 ** 6, region_bound(data.n, data.p))
     iterations: list[WalkIteration] = []
     visited: set[tuple[int, ...]] = set()
     R = np.linalg.qr(data.x, mode="r")  # the descent search's box, once per fit
 
     for it in range(cap):
-        res = residuals(data, beta)
         order = np.argsort(res.e, kind="stable")
         pi = tuple(order.tolist())
         trace_now = WalkTrace(tuple(iterations))
@@ -387,19 +391,16 @@ def minimize(data: RegressionData, alpha, beta0=None,
             log.info("minimizer found after %d iterations, loss %.12g", len(iterations), f_star)
             return Minimizer(beta_star, f_star, found, WalkTrace(tuple(iterations)))
         ell = found
-        sigma = data.x @ ell
-        steps = _steps(res_star.e, sigma, ap.tie_tol, cfg.lp_tol)[1]
-        if steps.size == 0:
+        d_star = _ray_step(a.alpha, res_star.e, data.x @ ell, ap.tie_tol, cfg.lp_tol)
+        if d_star is None:
             iterations.append(WalkIteration(pi, beta_star, f_star, ell, None))
             ray = ell / float(np.abs(ell).max())
             trace_now = WalkTrace(tuple(iterations))
             _require_descending_ray(data, a, beta_star, ray, trace_now)
             log.info("descent ray never changes the ordering; unbounded at iteration %d", it)
             return Unbounded(beta_star, ray, trace_now)
-        steps.sort()
-        d_star = _line_search(a.alpha, res_star.e, -sigma, steps)
         iterations.append(WalkIteration(pi, beta_star, f_star, ell, d_star))
         log.debug("iteration %d: ordering %s, region minimum %.12g, step %.6g", it, pi, f_star, d_star)
-        beta = beta_star + d_star * ell
+        res = residuals(data, beta_star + d_star * ell)
 
     raise IterationBudgetError(f"no terminal state within {cap} iterations", "walk", WalkTrace(tuple(iterations)))

@@ -37,7 +37,7 @@ def reference_active_pairs(res, tie_tol):
     pairs = set()
     block_of = [0] * res.n
     lo = 0
-    order, label = _tie_order(res.e, tie_tol)
+    order, label, _ = _tie_order(res.e, tie_tol)
     for b, members in enumerate(np.split(order, np.flatnonzero(np.diff(label)) + 1)):
         obs = tuple(sorted(members.tolist()))
         hi = lo + len(obs) - 1

@@ -226,6 +226,20 @@ def test_init_flag_errors(worked_csv, capsys):
     assert code == 1 and "--init" in err
 
 
+@pytest.mark.parametrize("command, flag", [("fit", "--init"), ("eval", "--beta")])
+@pytest.mark.parametrize("value", ["1e308", "-1e308"])
+def test_a_point_whose_residuals_overflow_is_named(worked_csv, capsys, command, flag, value):
+    """A finite point whose residuals are not finite is refused as such,
+    before any layer runs and with no NumPy warning."""
+    data, _ = worked_csv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, data, f"{flag}={value}")
+    assert code == 1 and out == ""
+    name = "beta0" if command == "fit" else "--beta"
+    assert err == f"error: the residuals at {name} are not finite\n"
+
+
 def test_eval_worked(worked_csv, capsys):
     data, scores = worked_csv
     code, out, _ = run(capsys, "eval", data, "--scores", f"file={scores}", "--beta", "0")

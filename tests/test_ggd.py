@@ -16,7 +16,7 @@ from rankwalk import (
     random_instance,
     residuals,
 )
-from rankwalk.ggd import _tie_test
+from rankwalk.loss import _tie_cut
 
 # Narrow valley along the first axis: the two regions either side of it have
 # almost parallel loss contours, so line-search descent crosses the valley
@@ -127,6 +127,23 @@ def test_ggd_config_validation():
         GgdConfig(stall_window=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iter", 0), ("max_iter", 2.5), ("max_iter", float("nan")), ("max_iter", True),
+    ("stall_window", 0), ("stall_window", 1.5), ("seed", -1), ("seed", 0.5),
+])
+def test_ggd_config_rejects_bad_counts(field, value):
+    """The counts and the seed must be integers in range, or the fit would
+    fail in ``range`` or in NumPy's generator, or run on a fractional window."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        GgdConfig(**{field: value})
+
+
+def test_ggd_config_accepts_numpy_integers(worked):
+    cfg = GgdConfig(seed=np.int64(3), max_iter=np.int32(5), stall_window=np.uint8(2))
+    data, alpha = worked
+    assert ggd_minimize(data, alpha, config=cfg).trace.n_iterations <= 5
+
+
 @pytest.mark.parametrize("field", ["magnitude", "stop_tol", "lp_tol", "tie_tol"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_ggd_config_rejects_bad_tolerances(field, value, worked):
@@ -147,8 +164,9 @@ def test_ggd_rejects_bad_start(worked):
 
 @pytest.mark.parametrize("sign", ["positive", "negative", "mixed", "signed_zeros"])
 def test_ggd_tie_tolerance_is_the_default(sign):
-    """GGD reads the default tie tolerance from residuals it has sorted; it
-    must equal ``default_tie_tol`` of the same residuals."""
+    """GGD reads the default tie tolerance from residuals it has sorted, with
+    the walk's ``loss._tie_cut``; it must equal ``default_tie_tol`` of the
+    same residuals."""
     rng = np.random.default_rng(11)
     for n in (1, 2, 5, 40):
         e = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
@@ -162,4 +180,4 @@ def test_ggd_tie_tolerance_is_the_default(sign):
                 e[rng.integers(n)] = rng.choice([3.0, -3.0])
         data = RegressionData(np.zeros((n, 1)), e)
         res = residuals(data, [0.0])
-        assert _tie_test(np.sort(res.e), None)[0] == default_tie_tol(res)
+        assert _tie_cut(np.sort(res.e), None)[0] == default_tie_tol(res)

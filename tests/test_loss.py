@@ -1,23 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 
 import rankwalk
 from rankwalk import (
+    GgdConfig,
     Minimizer,
     RegressionData,
     ScoreVector,
     active_pairs,
     breakpoints,
+    cell_gradient,
     consistent_permutation,
     default_tie_tol,
     eval_loss,
     eval_loss_bruteforce,
+    ggd_minimize,
     minimize,
     residuals,
     verify_certificate,
 )
 from rankwalk.cli import main
-from rankwalk.loss import Residuals
+from rankwalk.loss import Residuals, _tie_cut
 
 TIE = 1e-9
 
@@ -88,42 +93,65 @@ def test_default_tie_tol(worked):
 
 
 def test_every_layer_takes_its_default_tie_tolerance_from_loss(monkeypatch, worked, tmp_path, capsys):
-    """Given no tolerance, the walk, the verifier, the orderings, the ray's
-    breakpoints and ``rankwalk eval`` all read ``loss.default_tie_tol`` at
-    their own point, so the tie rule has one site to change; a given
-    tolerance is used as it is."""
+    """Given no tolerance, the walk, the verifier, the orderings, the tie
+    blocks, the ray's breakpoints, ``rankwalk eval`` and gradient descent
+    (its ``cell_gradient`` and each tie test of ``ggd_minimize``) all read
+    the tie formula ``loss._tie_tol_at`` at their own point, so the tie rule
+    has one site to change; a given tolerance is used as it is."""
     data, alpha = worked
     seen = []
+    formula = rankwalk.loss._tie_tol_at
 
-    def spy(res):
-        seen.append(res.e.tobytes())
-        return 1e-9 * (1.0 + float(np.abs(res.e).max()))
+    def spy(top):
+        seen.append(top)
+        return formula(top)
 
-    monkeypatch.setattr(rankwalk.loss, "default_tie_tol", spy)
+    monkeypatch.setattr(rankwalk.loss, "_tie_tol_at", spy)
 
     def reads(call):
         del seen[:]
         call()
         return seen[:]
 
+    def top(res):
+        return float(np.abs(res.e).max())
+
     out = minimize(data, alpha, beta0=[-2.0])
     assert isinstance(out, Minimizer) and len(out.trace.iterations) == 2
     assert reads(lambda: minimize(data, alpha, beta0=[-2.0])) == [
-        residuals(data, it.beta_star).e.tobytes() for it in out.trace.iterations]
+        top(residuals(data, it.beta_star)) for it in out.trace.iterations]
     at_opt = residuals(data, out.beta_opt)
-    assert reads(lambda: verify_certificate(data, alpha, out.beta_opt, out.certificate)) == [at_opt.e.tobytes()]
+    assert reads(lambda: verify_certificate(data, alpha, out.beta_opt, out.certificate)) == [top(at_opt)]
     res = residuals(data, [0.5])
-    assert reads(lambda: consistent_permutation(res)) == [res.e.tobytes()]
-    assert reads(lambda: breakpoints(data, res, [1.0])) == [res.e.tobytes()]
+    assert reads(lambda: consistent_permutation(res)) == [top(res)]
+    assert reads(lambda: active_pairs(res)) == [top(res)]
+    assert reads(lambda: breakpoints(data, res, [1.0])) == [top(res)]
+    assert reads(lambda: cell_gradient(data, alpha, res)) == [top(res)]
+    fitted = reads(lambda: ggd_minimize(data, alpha, beta0=[0.5]))
+    assert fitted[0] == top(res) and len(fitted) >= 2
     ap = active_pairs(res)
-    assert ap.tie_tol == spy(res) and active_pairs(res, 0.25).tie_tol == 0.25
+    assert ap.tie_tol == formula(top(res)) and active_pairs(res, 0.25).tie_tol == 0.25
     csv = tmp_path / "worked.csv"
     csv.write_text("y,x1\n0,0\n1,1\n0,2\n")
-    assert reads(lambda: main(["eval", str(csv), "--beta", "0.5"])) == [res.e.tobytes()]
+    assert reads(lambda: main(["eval", str(csv), "--beta", "0.5"])) == [top(res)]
     assert reads(lambda: main(["eval", str(csv), "--beta", "0.5", "--tie-tol", "0"])) == []
     assert reads(lambda: consistent_permutation(res, 0.0)) == []
+    assert reads(lambda: active_pairs(res, 0.0)) == []
     assert reads(lambda: breakpoints(data, res, [1.0], 0.0)) == []
-    capsys.readouterr()
+    assert reads(lambda: cell_gradient(data, alpha, res, 0.0)) == []
+    assert reads(lambda: ggd_minimize(data, alpha, beta0=[0.5], config=GgdConfig(tie_tol=0.0))) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_the_tie_cut_refuses_residuals_whose_default_is_not_finite(bad):
+    """``default_tie_tol`` reads max|e|, which a NaN makes NaN; the tie cut
+    reads the sorted ends, where a NaN sorts last, and so agrees with it on
+    non-finite residuals too, then refuses that tolerance."""
+    e = np.array([1.0, bad, -2.0, 0.5])
+    assert not math.isfinite(default_tie_tol(Residuals(e, [0.0])))
+    with pytest.raises(ValueError, match="^tie tolerance must be finite and nonnegative"):
+        _tie_cut(np.sort(e), None)
+    assert _tie_cut(np.sort(e), 0.5)[0] == 0.5
 
 
 def test_consistent_permutation_worked():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -483,6 +484,29 @@ def test_minimize_rejects_bad_start(worked):
         minimize(data, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("value", [0, 2.5, float("nan"), True, "3"])
+def test_config_rejects_a_bad_iteration_cap(value):
+    with pytest.raises(ValueError, match="^max_iter must be an integer"):
+        WoaConfig(max_iter=value)
+
+
+def test_config_accepts_a_numpy_iteration_cap(worked):
+    data, alpha = worked
+    out = minimize(data, alpha, beta0=[-2.0], config=WoaConfig(max_iter=np.int64(5)))
+    assert isinstance(out, Minimizer)
+
+
+@pytest.mark.parametrize("beta0", [[1e308], [-1e308]])
+def test_minimize_rejects_a_start_whose_residuals_overflow(worked, beta0):
+    """A finite start whose residuals are not finite is refused before the
+    walk, with no NumPy warning on the way."""
+    data, alpha = worked
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the residuals at beta0 are not finite$"):
+            minimize(data, alpha, beta0=beta0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         WoaConfig(tie_tol=-1.0)
@@ -538,9 +562,9 @@ def test_walk_steps_match_the_public_ray_search():
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_walk_rejects_a_bad_default_tie_tolerance(monkeypatch, worked, bad):
-    """A non-finite tie tolerance at a region minimum raises the ValueError
-    of ``active_pairs`` and ``breakpoints``."""
-    monkeypatch.setattr(rankwalk.loss, "default_tie_tol", lambda res: bad)
+    """A non-finite default tie tolerance at a region minimum raises the
+    ValueError of ``active_pairs`` and ``breakpoints``."""
+    monkeypatch.setattr(rankwalk.loss, "_tie_tol_at", lambda top: bad)
     data, alpha = worked
     with pytest.raises(ValueError, match="tie tolerance must be finite"):
         minimize(data, alpha)
