@@ -8,10 +8,11 @@ itself be realizable at the point, and the combination reproduces the loss
 value from the responses alone.
 
 One cutting-plane search over the tie blocks decides optimality: it returns
-either a direction of strict descent or that convex combination, weighted
-orderings built from the multipliers of its cuts.  The certificate is those
-terms, weights and a T x n array of orderings; G is summed from them only
-when read.  ``minimize`` and ``verify_certificate`` check the terms with
+either a direction of strict descent or that convex combination, the cuts
+of its master LP (p + 1 columns, one cut per round, each one whole
+ordering) weighted by their multipliers.  The certificate is those terms,
+weights and a T x n array of orderings; G is summed from them only when
+read.  ``minimize`` and ``verify_certificate`` check the terms with
 one function, ``_conditions``, in O(T n (log n + p)) for T of them and
 without G.  A certificate given as G and a decomposition is turned into its
 terms when it is built, which records how far they are from recomposing G.
@@ -137,32 +138,31 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
     observation, so those ranks fold into the constant lin, the sum of
     alpha[rank] x[observation] over them; B runs over the other blocks, s
     is an ordering of B's observations on B's ranks and
-    g_s = sum_k alpha[B.lo + k] x[s(k)].  With g_B the g of B's observations
-    in index order, D(ell) = -(lin + sum_B g_B) . ell + sum_B t_B where
-    t_B = max_s (g_B - g_s) . ell >= 0 is B's excess over that ordering.
+    g_s = sum_k alpha[B.lo + k] x[s(k)].  An ordering S of every block at
+    once has g_S = sum_B g_s, so with g_0 that of index order in every block,
+    D(ell) = -(lin + g_0) . ell + t where t = max_S (g_0 - g_S) . ell >= 0.
 
-    Kelley's cutting planes minimize D: the master LP minimizes
-    -(lin + sum_B g_B) . ell + sum_B t_B over |R ell|_inf <= 1 (R from the QR
+    Kelley's cutting planes minimize D, one cut per round: the master LP
+    minimizes -(lin + g_0) . ell + t over |R ell|_inf <= 1 (R from the QR
     factorization of x, since D depends on ell only through x ell) with one
-    cut t_B + (g_s - g_B) . ell >= -eps_c per distinct cut met so far,
-    starting from each block's index order (t_B >= -eps) and its reverse.
-    It has p + (number of blocks) columns and is posed as A z <= b, the cuts
-    negated and the box as [R; -R] ell <= 1, to ``lp._solve_by_dual``: its
-    dual has one row per column, p + K, and one column per cut or box row.
-    Measuring t_B from g_B, and relaxing cut c by a distinct
-    eps_c = threshold / (c + 2), keep the vertices non-degenerate (the
-    dual prices every cut column differently): with every cut through the
-    origin, the free-variable simplex that solved the master before (now
-    the tests' reference, ``tests/reference_simplex.py``) stalled there
-    under Dantzig's rule and returned multipliers of the wrong sign.
-    The most violated ordering of a block lists its observations by x_j . ell
-    descending (rearrangement inequality) and is added while it exceeds t_B
-    by more than the threshold.  Then either D(ell) < -threshold and ell, the
-    steepest descent in that norm, is returned, or the cut multipliers, which
-    sum to 1 per block and balance lin (the relaxation leaves both
-    conditions as they are), are merged into weighted whole orderings: the
-    certificate, already decomposed.  The multipliers are the dual's y on
-    the cut rows: A^T y = -c reads, on block B's column, that B's add to 1.
+    cut t + (g_S - g_0) . ell >= -eps_c per distinct S met so far, starting
+    from index order (t >= -eps_0) and every block reversed.  It has p + 1
+    columns however many blocks there are, and is posed as A z <= b, the
+    cuts negated and the box as [R; -R] ell <= 1, to ``lp._solve_by_dual``:
+    its dual has p + 1 rows and one column per cut or box row.  Measuring t
+    from g_0, and relaxing cut c by a distinct eps_c = threshold / (c + 2),
+    keep the vertices non-degenerate (the dual prices every cut column
+    differently): with every cut through the origin, the free-variable
+    simplex that solved the master before (now the tests' reference,
+    ``tests/reference_simplex.py``) stalled there under Dantzig's rule and
+    returned multipliers of the wrong sign.  The most violated S lists each
+    block's observations by x_j . ell descending (rearrangement inequality)
+    and is added while its excess exceeds t by more than the threshold.
+    Then either D(ell) < -threshold and ell, the steepest descent in that
+    norm, is returned, or the cuts with a positive multiplier are the
+    certificate, already decomposed: each is one whole ordering, and the
+    multipliers, the dual's y on the cut rows, sum to 1 (A^T y = -c on t's
+    column) and balance lin (the relaxation leaves both as they are).
 
     ``R`` may be given by a caller that searches the same data more than
     once (``minimize`` factors x once per fit); it is computed here
@@ -180,71 +180,62 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
         if cert is not None:
             return cert
     x, p, order = data.x, data.p, ap.order
-    alone, runs = ap._split
-    lin = a.alpha[alone] @ x[order[alone]]
-    K = len(runs)
-    obs_of = [np.sort(order[lo:hi + 1]) for lo, hi in runs]
-    x_of = [x[obs] for obs in obs_of]
-    al_of = [a.alpha[lo:hi + 1] for lo, hi in runs]
-    base = [al @ xb for xb, al in zip(x_of, al_of)]
-    thr = lp_tol * (1.0 + float(np.abs(lin).sum())
-                    + sum(float(np.abs(al).sum() * np.abs(xb).sum(axis=1).max()) for xb, al in zip(x_of, al_of)))
+    tied = np.bincount(ap.label)[ap.label] > 1
+    pos = np.flatnonzero(tied)  # the ranks of the blocks, block by block
+    block = ap.label[pos]
+    obs = order[pos][np.lexsort((order[pos], block))]  # each block's observations in index order
+    al, xo = a.alpha[pos], x[obs]
+    lin = a.alpha[~tied] @ x[order[~tied]]
+    g0 = al @ xo
+    first = np.ones(block.size, dtype=bool)  # where each block begins in pos
+    first[1:] = block[1:] != block[:-1]
+    starts = np.flatnonzero(first)
+    thr = lp_tol * (1.0 + float(np.abs(lin).sum()) + float(
+        np.add.reduceat(np.abs(al), starts) @ np.maximum.reduceat(np.abs(xo).sum(axis=1), starts)))
     if R is None:
         R = np.linalg.qr(x, mode="r")
-    width, r = p + K, R.shape[0]
-    box = np.zeros((2 * r, width))
+    r = R.shape[0]
+    box = np.zeros((2 * r, p + 1))
     box[:r, :p] = R
     box[r:, :p] = -R
-    slope0 = -(lin + sum(base, np.zeros(p)))
-    objective = np.concatenate([slope0, np.ones(K)])
-    rows, rhs, seen = [], [], set()
-    cuts = [[] for _ in range(K)]  # per block: (row, ordering) of each of its cuts
+    slope0 = -(lin + g0)
+    objective = np.append(slope0, 1.0)
+    rows, rhs, orders, seen = [], [], [], set()
 
-    def add_cut(b, k) -> bool:
-        """Add the cut of block b's observations in the order k (positions in obs_of[b])."""
-        row = np.zeros(width)
-        row[:p] = base[b] - al_of[b] @ x_of[b][k]
-        row[p + b] = -1.0
-        key = (b, row.tobytes())
+    def add_cut(new) -> bool:
+        """Add the cut of the blocks' observations in the order ``new``, with its whole ordering."""
+        row = np.full(p + 1, -1.0)
+        row[:p] = g0 - al @ x[new]
+        key = row.tobytes()
         if key in seen:  # orderings of equal rows of x give equal cuts
             return False
         seen.add(key)
-        cuts[b].append((len(rows), obs_of[b][k]))
+        whole = order.copy()
+        whole[pos] = new
+        orders.append(whole)
         rows.append(row)
         rhs.append(thr / (len(rhs) + 2))
         return True
 
-    for b, obs in enumerate(obs_of):
-        add_cut(b, np.arange(obs.size))
-        add_cut(b, np.arange(obs.size)[::-1])
+    add_cut(obs)
+    add_cut(obs[np.lexsort((-np.arange(obs.size), block))])
     while True:
         out = _solve_by_dual(objective, np.vstack(rows + [box]), np.array(rhs + [1.0] * (2 * r)), lp_tol)
         if not isinstance(out, LpOptimal):
             raise LpNumericError(f"descent master returned {type(out).__name__}, expected an optimum")
-        ell, t = out.point[:p], out.point[p:].tolist()
-        added = False
-        excess = []
-        for b, (xb, al, g) in enumerate(zip(x_of, al_of, base)):
-            k = np.argsort(-(xb @ ell), kind="stable")
-            excess.append(float((g - al @ xb[k]) @ ell))
-            if excess[b] > t[b] + thr:
-                added = add_cut(b, k) or added
-        if not added:
+        ell, t = out.point[:p], float(out.point[p])
+        new = obs[np.lexsort((-(xo @ ell), block))]
+        excess = float((g0 - al @ x[new]) @ ell)
+        if not (excess > t + thr and add_cut(new)):
             break
 
-    if float(slope0 @ ell) + sum(excess) < -thr:
+    if float(slope0 @ ell) + excess < -thr:
         return ell
-    weight = np.maximum(out.dual, 0.0)
-    per_block = []
-    for mine in cuts:
-        at, orders = zip(*mine)
-        cum = np.cumsum(weight[list(at)])
-        if not cum[-1] > 0.0:
-            raise LpNumericError("no ordering of a tie block carries weight")
-        cum /= cum[-1]
-        cum[-1] = 1.0
-        per_block.append((np.array(orders), cum))
-    return _merge(order, runs, per_block)
+    weight = np.maximum(out.dual[:len(orders)], 0.0)
+    on = np.flatnonzero(weight > 0.0)
+    if on.size == 0:
+        raise LpNumericError("no cut of the descent master carries weight")
+    return OptimalityCertificate._of_terms(weight[on] / weight[on].sum(), np.array(orders)[on])
 
 
 def _dual_read(a: ScoreVector, ap: ActivePairs, posed: np.ndarray,
@@ -262,33 +253,26 @@ def _dual_read(a: ScoreVector, ap: ActivePairs, posed: np.ndarray,
     block, no two such rows are adjacent (the swaps are then independent)
     and the posed ordering is realizable at the point.  All four are tested
     exactly; the score gap goes first, as it is the one that fails where the
-    loss still descends."""
+    loss still descends.
+
+    The swaps draw on common breakpoints of [0, 1]: pair r keeps the posed
+    order on the weights up to 1 - w_r and is swapped above it, so there is
+    one term per distinct 1 - w_r."""
     on = np.flatnonzero(y > 0.0)
     gap = a.alpha[on + 1] - a.alpha[on]
     if not ((y[on] <= gap).all() and (ap.label[on] == ap.label[on + 1]).all()
             and (on[1:] - on[:-1] > 1).all() and (ap.block_of[posed] == ap.label).all()):
         return None
-    per_pair = [(np.array([[i, j], [j, i]]), np.array([1.0 - w, 1.0]))
-                for i, j, w in zip(posed[on].tolist(), posed[on + 1].tolist(), (y[on] / gap).tolist())]
-    return _merge(posed, [(r, r + 1) for r in on.tolist()], per_pair)
-
-
-def _merge(base: np.ndarray, runs: list[tuple[int, int]],
-           per_block: list[tuple[np.ndarray, np.ndarray]]) -> OptimalityCertificate:
-    """Weighted whole orderings from one distribution per rank range: range
-    (lo, hi) of ``runs`` holds ``orders[k]`` on the weights between
-    ``cum[k - 1]`` and ``cum[k]`` (cumulative, ending at 1), and every other
-    rank holds the observation of ``base`` there.  The ranges draw on common
-    breakpoints, so there is one term per distinct cumulative weight."""
-    ends = np.sort(np.concatenate([[1.0]] + [cum for _, cum in per_block]))
+    flip = 1.0 - y[on] / gap
+    ends = np.sort(np.append(flip, 1.0))
     ends = ends[ends > 0.0]
-    ends = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]
+    ends = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]  # np.unique would import numpy.ma
     starts = np.concatenate([[0.0], ends[:-1]])
-    pis = np.empty((ends.size, base.size), dtype=np.intp)
-    pis[:] = base
-    mids = (starts + ends) / 2.0
-    for (lo, hi), (orders, cum) in zip(runs, per_block):
-        pis[:, lo:hi + 1] = orders[np.searchsorted(cum, mids)]
+    swapped = flip < ((starts + ends) / 2.0)[:, None]  # term by pair
+    pis = np.empty((ends.size, posed.size), dtype=np.intp)
+    pis[:] = posed
+    pis[:, on] = np.where(swapped, posed[on + 1], posed[on])
+    pis[:, on + 1] = np.where(swapped, posed[on], posed[on + 1])
     return OptimalityCertificate._of_terms(ends - starts, pis)
 
 

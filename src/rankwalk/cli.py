@@ -19,7 +19,7 @@ import numpy as np
 
 from .certificate import verify_certificate
 from .ggd import GgdConfig, ggd_minimize
-from .loss import consistent_permutation, eval_loss, residuals
+from .loss import _finite_residuals, consistent_permutation, eval_loss
 from .model import RegressionData, ScoreVector, make_scores
 from .oracle import ORACLE_LIMIT, oracle_minimize
 from .woa import Minimizer, WalkError, WoaConfig, minimize
@@ -168,10 +168,7 @@ def cmd_eval(args) -> int:
     beta = initial_point(args.beta, data)
     if beta is None:
         beta = np.zeros(data.p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = residuals(data, beta)
-    if not np.isfinite(res.e).all():
-        raise CliError("the residuals at --beta are not finite")
+    res = _finite_residuals(data, beta, "--beta")
     f = eval_loss(data, alpha, beta)
     pi = consistent_permutation(res, args.tie_tol)
     print(json.dumps({"F": f, "pi": _one_based(pi)}))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import _as_residuals, _check_tie_tol, _residual_vector, _tie_cut
+from .loss import _check_tie_tol, _finite_residuals, _residual_vector, _tie_cut
 from .lp import _check_lp_tol
 from .model import RegressionData, _check_count, sorted_scores, start_point
 from .woa import _ray_step
@@ -75,9 +75,10 @@ class GgdResult:
 def cell_gradient(data: RegressionData, alpha, beta, tie_tol: float | None = None) -> np.ndarray | None:
     """Gradient of the loss where it is smooth, None on a tie point: where
     two sorted residuals lie within the tie tolerance.  ``beta`` may also be
-    given as its Residuals."""
+    given as its Residuals; a point whose residuals are not finite raises
+    ValueError."""
     a = sorted_scores(alpha, data.n)
-    res = _as_residuals(data, beta)
+    res = _finite_residuals(data, beta, "beta")
     order = np.argsort(res.e, kind="stable")
     if not _tie_cut(res.e[order], tie_tol)[1].all():
         return None
@@ -107,7 +108,8 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
     """Best point found by perturbed exact-line-search gradient descent.
 
     No optimality claim is made for the result; the trace records the strictly
-    decreasing losses of the accepted steps and why the loop stopped.
+    decreasing losses of the accepted steps and why the loop stopped.  A
+    start whose residuals are not finite raises ValueError.
     """
     cfg = config or GgdConfig()
     a = sorted_scores(alpha, data.n)
@@ -116,7 +118,7 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
     x, y, w = data.x, data.y, a.alpha
     columns = np.ascontiguousarray(x.T)
 
-    e = _residual_vector(y, columns, beta)
+    e = _finite_residuals(data, beta, "beta0").e
     es = np.sort(e)
     f_best = float(es @ w)
     tt, cut = _tie_cut(es, cfg.tie_tol)

@@ -8,6 +8,8 @@ throughout; the CLI converts to 1-based on output).
 
 Which residuals tie has one site, ``_tie_cut``; the walk's tie blocks, the
 verifier's, the orderings, ``breakpoints`` and gradient descent all read it.
+The walk, gradient descent, ``cell_gradient`` and ``rankwalk eval`` refuse
+a point whose residuals overflow through one helper, ``_finite_residuals``.
 """
 
 from __future__ import annotations
@@ -117,6 +119,17 @@ def _as_residuals(data: RegressionData, point) -> Residuals:
                              f"expected {data.n}x{data.p}")
         return point
     return residuals(data, point)
+
+
+def _finite_residuals(data: RegressionData, point, name: str) -> Residuals:
+    """``_as_residuals(data, point)``, computed without NumPy's overflow
+    warnings; a point whose residuals are not finite raises ValueError
+    naming it as ``name``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _as_residuals(data, point)
+    if not np.isfinite(res.e).all():
+        raise ValueError(f"the residuals at {name} are not finite")
+    return res
 
 
 def _tie_tol_at(top: float) -> float:

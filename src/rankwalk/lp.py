@@ -9,8 +9,8 @@ One driver poses programs for it.  ``_solve_by_dual`` minimizes c.v over
 free v subject to Av <= b, with A tall (m rows, p columns, m >> p), through
 its dual: min b.y subject to A^T y = -c and y >= 0, p rows and m columns,
 so the tableau is p x m and at most p artificials enter: a dual row that
-already holds its unit vector as a column (the descent master's
-index-order cut of a tie block, for one) starts with that column basic.
+already holds its unit vector as a column (the descent master's cut of
+every tie block in index order, for one) starts with that column basic.
 The primal point is the p x p solve of the basic rows; an infeasible dual
 is an unbounded primal, whose ray is the Farkas vector of phase 1.  Each
 column is row j of A scaled to unit max-norm and priced to a tolerance
@@ -22,8 +22,8 @@ feasible and strictly decrease the objective, and an infeasible one a
 checked Farkas ray of the dual.  Every program of the package has this
 shape: ``woa.cell_lp`` (a region's n - 1 rows in p variables),
 ``certificate._descent_search`` (the master's cuts and box rows in
-p + K variables, K the tie blocks, its multipliers read from y),
-``oracle.oracle_minimize`` (the envelope program's n! rows in p + 1) and
+p + 1 variables whatever the number of tie blocks, its multipliers read
+from y), ``oracle.oracle_minimize`` (the envelope program's n! rows in p + 1) and
 ``oracle.enumerate_nonempty_cells`` (each region's rows, with a zero
 objective, so an empty region is its ``LpInfeasible``).
 
@@ -39,8 +39,8 @@ Pivoting is deterministic: largest reduced-cost violation with lowest-index
 tie breaks, switching to Bland's rule (lowest index only) once degenerate
 steps stall; among rows tied in the ratio test, the one whose basic column
 has the lowest index leaves.  The tableaus have few rows (p for the cell
-LP, p + 1 for the envelope program, p + K for the master), so
-each pivot costs a handful of array operations and the ratio test runs over
+LP, p + 1 for the envelope program and for the master), so each pivot
+costs a handful of array operations and the ratio test runs over
 Python floats.  Anything the tableau cannot answer cleanly raises
 LpNumericError rather than returning a wrong verdict.
 """

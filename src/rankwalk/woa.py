@@ -38,8 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .certificate import OptimalityCertificate, _conditions, _descent_search
-from .loss import (ActivePairs, _are_orderings, _as_residuals, _check_tie_tol, _tie_cut, active_pairs, eval_loss,
-                   residuals)
+from .loss import (ActivePairs, _are_orderings, _as_residuals, _check_tie_tol, _finite_residuals, _tie_cut,
+                   active_pairs, eval_loss, residuals)
 from .lp import LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, _check_lp_tol, _solve_by_dual
 from .model import RegressionData, _check_count, sorted_scores, start_point
 
@@ -344,10 +344,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
     """
     cfg = config or WoaConfig()
     a = sorted_scores(alpha, data.n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = residuals(data, start_point(data, beta0))
-    if not np.isfinite(res.e).all():
-        raise ValueError("the residuals at beta0 are not finite")
+    res = _finite_residuals(data, start_point(data, beta0), "beta0")
     cap = cfg.max_iter if cfg.max_iter is not None else min(10 ** 6, region_bound(data.n, data.p))
     iterations: list[WalkIteration] = []
     visited: set[tuple[int, ...]] = set()

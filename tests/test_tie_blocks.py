@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rankwalk.certificate
+import rankwalk.woa
 from rankwalk import (
     LpOptimal,
     Minimizer,
@@ -26,6 +27,8 @@ from rankwalk import (
     solve_certificate,
     verify_certificate,
 )
+
+from tie_data import grid
 
 KINDS = ("sign", "wilcoxon", "van_der_waerden")
 
@@ -124,9 +127,10 @@ def test_minimizers_have_no_direction_and_a_certificate_on_the_realizable_pairs(
 
 
 def test_lp_columns_follow_the_tie_blocks(monkeypatch):
-    """Every master LP of the search has p + K columns, K the number of
-    nontrivial tie blocks, where the unreduced systems had p + 2n and
-    |pairs|."""
+    """Every master LP of the search has p + 1 columns, one t for all the
+    nontrivial tie blocks whatever their number K, where the unreduced
+    systems had p + 2n and |pairs| and a master with one t per block had
+    p + K.  The grid fits reach vertices with K >= 100 blocks."""
     shapes = []
     original = rankwalk.certificate._solve_by_dual
 
@@ -143,15 +147,33 @@ def test_lp_columns_follow_the_tie_blocks(monkeypatch):
         if beta is None:
             continue
         ap = pairs_at(data, beta)
-        k = int((np.bincount(ap.label) > 1).sum())
         for search in (improving_direction, solve_certificate):
             shapes.clear()
             search(data, alpha, ap)
-            assert shapes and set(shapes) == {data.p + k}
+            assert shapes and set(shapes) == {data.p + 1}
         if data.n >= 40:
-            assert data.p + k < data.n < len(ap.pairs)
+            assert data.p + 1 < data.n < len(ap.pairs)
         probed += 1
     assert probed >= 12
+
+    blocks = []
+    descent_search = rankwalk.woa._descent_search
+
+    def counting(data, a, ap, *args):
+        blocks.append(len(ap._split[1]))
+        return descent_search(data, a, ap, *args)
+
+    monkeypatch.setattr(rankwalk.woa, "_descent_search", counting)
+    data = grid(0, 1000, 4, 5)
+    for kind in KINDS:
+        alpha = make_scores(kind, data.n)
+        shapes.clear()
+        blocks.clear()
+        out = minimize(data, alpha)
+        assert isinstance(out, Minimizer)
+        assert verify_certificate(data, alpha, out.beta_opt, out.certificate).ok
+        assert shapes and set(shapes) == {data.p + 1}
+        assert max(blocks) >= 100
 
 
 def test_wilcoxon_n30_p6_reaches_a_verified_minimizer():

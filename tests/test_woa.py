@@ -359,42 +359,6 @@ def test_minimize_iteration_budget(worked):
     assert len(info.value.trace.iterations) == 1
 
 
-def failing_on_call(monkeypatch, layer, call):
-    """Make ``rankwalk.woa.<layer>`` raise LpNumericError on its ``call``-th
-    call, running the real layer before that."""
-    original = getattr(rankwalk.woa, layer)
-    calls = []
-
-    def wrapped(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == call:
-            raise LpNumericError("pivot budget exhausted")
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(rankwalk.woa, layer, wrapped)
-
-
-@pytest.mark.parametrize("layer,name", [("cell_lp", "cell_lp"), ("_descent_search", "descent_search")])
-def test_numeric_failure_names_its_layer_and_keeps_the_trace(monkeypatch, layer, name):
-    rng = np.random.default_rng(4)
-    x = np.column_stack([np.ones(40), rng.standard_normal(40)])
-    data = RegressionData(x, x @ rng.standard_normal(2) + rng.standard_t(2, 40))
-    alpha = make_scores("wilcoxon", 40)
-    full = minimize(data, alpha)
-    assert isinstance(full, Minimizer) and len(full.trace.iterations) >= 2
-    failing_on_call(monkeypatch, layer, 2)
-    with pytest.raises(WalkNumericError) as info:
-        minimize(data, alpha)
-    err = info.value
-    assert isinstance(err, WalkError) and err.layer == name and name in str(err)
-    assert isinstance(err.__cause__, LpNumericError)
-    assert isinstance(err.trace, WalkTrace)
-    def summary(iterations):
-        return [(it.pi, it.f_star, it.d_star) for it in iterations]
-
-    assert summary(err.trace.iterations) == summary(full.trace.iterations[:1])  # those before the failure
-
-
 def raise_numeric(original, earlier, *args, **kwargs):
     raise LpNumericError("pivot budget exhausted")
 
@@ -410,8 +374,8 @@ def short_of_one(original, earlier, *args):
 
 
 RAISE_SITES = [  # layer, error, its message's start; the function of rankwalk.woa replaced on its call-th call
-    pytest.param("walk", WalkInvariantError, "ordering (", "residuals", 3,  # iteration 1 starts where 0 did
-                 returns(lambda f, earlier, args, kwargs: earlier[0]), id="revisited"),
+    pytest.param("walk", WalkInvariantError, "ordering (", "residuals", 2,  # iteration 1 starts where 0 did
+                 returns(lambda f, earlier, args, kwargs: f(args[0], np.zeros(2))), id="revisited"),
     pytest.param("walk", WalkInvariantError, "region minimum", "cell_lp", 2,
                  returns(lambda f, earlier, args, kwargs: earlier[0]), id="not-improved"),
     pytest.param("walk", IterationBudgetError, "no terminal state", None, None, None,  # max_iter = 1
