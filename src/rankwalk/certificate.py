@@ -32,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .loss import ActivePairs, Residuals, _are_orderings, active_pairs, residuals
-from .lp import LpNumericError, LpOptimal, _solve_by_dual
+from .loss import ActivePairs, Residuals, _are_orderings, _finite_residuals, active_pairs
+from .lp import LP_TOL, LpNumericError, LpOptimal, _solve_by_dual
 from .model import RegressionData, ScoreVector, sorted_scores
 
 SUPPORT_TOL = 1e-9  # entries of G at or below this are outside its support
@@ -127,8 +127,7 @@ class CertificateReport:
         return tuple(name for name, good, _ in self.conditions if not good)
 
 
-def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_tol: float,
-                    R: np.ndarray | None = None,
+def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, R: np.ndarray | None = None,
                     dual: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray | OptimalityCertificate:
     """Decide whether the loss descends from the point of ``ap``: a direction
     ell with D(ell) < 0, or the certificate that none exists.
@@ -149,8 +148,10 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
     from index order (t >= -eps_0) and every block reversed.  It has p + 1
     columns however many blocks there are, and is posed as A z <= b, the
     cuts negated and the box as [R; -R] ell <= 1, to ``lp._solve_by_dual``:
-    its dual has p + 1 rows and one column per cut or box row.  Measuring t
-    from g_0, and relaxing cut c by a distinct eps_c = threshold / (c + 2),
+    its dual has p + 1 rows and one column per cut or box row.  The
+    threshold is ``lp.LP_TOL`` times one plus the sizes of lin and of each
+    block's scores and rows.  Measuring t from g_0, and relaxing cut c by
+    a distinct eps_c = threshold / (c + 2),
     keep the vertices non-degenerate (the dual prices every cut column
     differently): with every cut through the origin, the free-variable
     simplex that solved the master before (now the tests' reference,
@@ -190,7 +191,7 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
     first = np.ones(block.size, dtype=bool)  # where each block begins in pos
     first[1:] = block[1:] != block[:-1]
     starts = np.flatnonzero(first)
-    thr = lp_tol * (1.0 + float(np.abs(lin).sum()) + float(
+    thr = LP_TOL * (1.0 + float(np.abs(lin).sum()) + float(
         np.add.reduceat(np.abs(al), starts) @ np.maximum.reduceat(np.abs(xo).sum(axis=1), starts)))
     if R is None:
         R = np.linalg.qr(x, mode="r")
@@ -220,7 +221,7 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, lp_to
     add_cut(obs)
     add_cut(obs[np.lexsort((-np.arange(obs.size), block))])
     while True:
-        out = _solve_by_dual(objective, np.vstack(rows + [box]), np.array(rhs + [1.0] * (2 * r)), lp_tol)
+        out = _solve_by_dual(objective, np.vstack(rows + [box]), np.array(rhs + [1.0] * (2 * r)))
         if not isinstance(out, LpOptimal):
             raise LpNumericError(f"descent master returned {type(out).__name__}, expected an optimum")
         ell, t = out.point[:p], float(out.point[p])
@@ -276,12 +277,11 @@ def _dual_read(a: ScoreVector, ap: ActivePairs, posed: np.ndarray,
     return OptimalityCertificate._of_terms(ends - starts, pis)
 
 
-def solve_certificate(data: RegressionData, alpha, ap: ActivePairs,
-                      lp_tol: float = 1e-9) -> OptimalityCertificate | None:
+def solve_certificate(data: RegressionData, alpha, ap: ActivePairs) -> OptimalityCertificate | None:
     """The optimality certificate at the point of ``ap``, already decomposed
     into weighted orderings realizable there, or None when the loss still
     descends from it.  Weights are sorted on entry."""
-    found = _descent_search(data, sorted_scores(alpha, data.n), ap, lp_tol)
+    found = _descent_search(data, sorted_scores(alpha, data.n), ap)
     return found if isinstance(found, OptimalityCertificate) else None
 
 
@@ -410,11 +410,12 @@ def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertif
                        tie_tol: float | None = None) -> CertificateReport:
     """Check every certificate condition at ``beta``; never raises on a bad
     certificate, reporting each condition separately instead.  Weights are
-    sorted on entry, as ``minimize`` sorts them.
+    sorted on entry, as ``minimize`` sorts them; a ``beta`` whose residuals
+    are not finite raises ValueError.
 
     The certificate is checked from its T weighted orderings, in
     O(T n (log n + p)) time and O(T n) memory."""
-    res = residuals(data, beta)
+    res = _finite_residuals(data, beta, "beta")
     ap = active_pairs(res, tie_tol)
     conditions, certified = _conditions(data, sorted_scores(alpha, data.n), res, ap, cert)
     return CertificateReport(all(good for _, good, _ in conditions), conditions, certified)

@@ -143,7 +143,7 @@ def trace_payload(outcome) -> dict:
 
 
 def _walk_config(args) -> WoaConfig:
-    return WoaConfig(tie_tol=args.tie_tol, lp_tol=args.lp_tol, max_iter=args.max_iter)
+    return WoaConfig(tie_tol=args.tie_tol, max_iter=args.max_iter)
 
 
 def cmd_fit(args) -> int:
@@ -181,7 +181,7 @@ def cmd_check(args) -> int:
         raise CliError(f"check is exhaustive and refuses n > {ORACLE_LIMIT} (got {data.n})")
     alpha = build_scores(args.scores, data.n)
     outcome = minimize(data, alpha, initial_point(args.init, data), _walk_config(args))
-    reference = oracle_minimize(data, alpha, lp_tol=args.lp_tol)
+    reference = oracle_minimize(data, alpha)
     found = isinstance(outcome, Minimizer)
     report: dict = {
         "walk": {"outcome": "minimizer" if found else "unbounded",
@@ -215,7 +215,7 @@ def cmd_compare(args) -> int:
     baseline = ggd_minimize(data, alpha, beta0,
                             GgdConfig(perturbation=args.perturbation, seed=args.seed,
                                       max_iter=args.max_iter or 1000,
-                                      tie_tol=args.tie_tol, lp_tol=args.lp_tol))
+                                      tie_tol=args.tie_tol))
     print(json.dumps({
         "outcome": "minimizer",
         "walk": {"iterations": len(outcome.trace.iterations), "F_opt": float(outcome.f_opt)},
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sign | wilcoxon | vdw | file=PATH (raw weights, sorted on load)")
     common.add_argument("--tie-tol", type=float, default=None,
                         help="residual tie tolerance (default: scaled 1e-9)")
-    common.add_argument("--lp-tol", type=float, default=1e-9, help="simplex tolerance")
     common.add_argument("--max-iter", type=int, default=None, help="iteration budget")
 
     start = _Parser(add_help=False)

@@ -25,35 +25,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import _check_tie_tol, _finite_residuals, _residual_vector, _tie_cut
-from .lp import _check_lp_tol
 from .model import RegressionData, _check_count, sorted_scores, start_point
 from .woa import _ray_step
 
 PERTURBATIONS = ("random", "prolong")
+MAGNITUDE = 1e-4  # the first nudge's length, relative to 1 + |beta|
+STOP_TOL = 1e-9  # a step that improves the loss by less than this stalls
+STALL_WINDOW = 8  # consecutive stalled steps that stop the loop
 
 
 @dataclass(frozen=True)
 class GgdConfig:
     perturbation: str = "random"
-    magnitude: float = 1e-4
     seed: int = 0
     max_iter: int = 1000
-    stop_tol: float = 1e-9
-    stall_window: int = 8
     tie_tol: float | None = None
-    lp_tol: float = 1e-9
 
     def __post_init__(self):
         if self.perturbation not in PERTURBATIONS:
             raise ValueError(f"unknown perturbation {self.perturbation!r}")
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.magnitude, self.stop_tol)):
-            raise ValueError("magnitude and stop_tol must be finite and positive")
-        _check_lp_tol(self.lp_tol)
         if self.tie_tol is not None:
             _check_tie_tol(self.tie_tol)
         _check_count("seed", self.seed, 0)
         _check_count("max_iter", self.max_iter, 1)
-        _check_count("stall_window", self.stall_window, 1)
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,7 @@ def _norm(u: np.ndarray) -> float:
 
 
 def _nudge(beta, last_dir, scale, rng, cfg) -> np.ndarray:
-    size = cfg.magnitude * (1.0 + _norm(beta)) * scale
+    size = MAGNITUDE * (1.0 + _norm(beta)) * scale
     if cfg.perturbation == "prolong":
         d = last_dir if last_dir is not None else np.ones_like(beta)
         return beta + size * d / _norm(d)
@@ -156,7 +150,7 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
             break
         if not all(map(math.isfinite, entries)):
             raise ValueError("direction must be a finite vector of width p")
-        d = _ray_step(w, start_e, x @ direction, start_tt, cfg.lp_tol)
+        d = _ray_step(w, start_e, x @ direction, start_tt)
         if d is None:
             stop_reason = "unbounded_direction"
             break
@@ -173,9 +167,9 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
             f_values.append(f_cand)
         else:
             improvement = 0.0
-        if improvement < cfg.stop_tol:
+        if improvement < STOP_TOL:
             stall += 1
-            if stall >= cfg.stall_window:
+            if stall >= STALL_WINDOW:
                 stop_reason = "stalled"
                 break
         else:

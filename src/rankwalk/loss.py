@@ -8,8 +8,9 @@ throughout; the CLI converts to 1-based on output).
 
 Which residuals tie has one site, ``_tie_cut``; the walk's tie blocks, the
 verifier's, the orderings, ``breakpoints`` and gradient descent all read it.
-The walk, gradient descent, ``cell_gradient`` and ``rankwalk eval`` refuse
-a point whose residuals overflow through one helper, ``_finite_residuals``.
+The walk, gradient descent, ``cell_gradient``, ``breakpoints``,
+``line_search``, ``verify_certificate`` and ``rankwalk eval`` refuse a
+point whose residuals overflow through one helper, ``_finite_residuals``.
 """
 
 from __future__ import annotations

@@ -35,6 +35,10 @@ constraint.  It then poses every row as "<=" for the driver (">=" rows
 negated, "==" rows as a pair of opposite "<=" rows) and maps the
 multipliers back to the rows as given.
 
+One tolerance, ``LP_TOL``, serves every program: ``_solve_by_dual``
+prices to what it allows and checks each verdict against it, and the
+descent search and the ray read it too.  No caller sets another.
+
 Pivoting is deterministic: largest reduced-cost violation with lowest-index
 tie breaks, switching to Bland's rule (lowest index only) once degenerate
 steps stall; among rows tied in the ratio test, the one whose basic column
@@ -47,7 +51,6 @@ LpNumericError rather than returning a wrong verdict.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -55,12 +58,13 @@ import numpy as np
 
 RELATIONS = ("<=", ">=", "==")
 
+LP_TOL = 1e-9  # pricing and verification tolerance of every program
 _PIVOT_TOL = 1e-10
 _DEGEN_TOL = 1e-12
 
 
 class LpError(ValueError):
-    """Malformed linear program or tolerance."""
+    """Malformed linear program."""
 
 
 class LpNumericError(LpError):
@@ -287,21 +291,15 @@ def _unit_ray(c, ray) -> np.ndarray:
     return ray
 
 
-def _check_lp_tol(lp_tol: float):
-    if not (math.isfinite(lp_tol) and lp_tol > 0.0):
-        raise LpError(f"lp_tol must be finite and positive, got {lp_tol}")
-
-
-def solve_lp(prob: LinearProgram, lp_tol: float = 1e-9) -> LpOutcome:
+def solve_lp(prob: LinearProgram) -> LpOutcome:
     """Solve the program on the dual core, every row as "<=": ">=" rows
     negated, and each "==" row posed twice, as itself and negated.  An
     optimum's ``dual`` holds one multiplier per row as posed, with
     c = A^T dual, >= 0 on ">=" rows and <= 0 on "<=" rows."""
-    _check_lp_tol(lp_tol)
     c, A, rels, b = _validate(prob)
     sign = np.where(rels == ">=", -1.0, 1.0)
     eq = np.flatnonzero(rels == "==")
-    out = _solve_by_dual(c, np.vstack([sign[:, None] * A, -A[eq]]), np.concatenate([sign * b, -b[eq]]), lp_tol)
+    out = _solve_by_dual(c, np.vstack([sign[:, None] * A, -A[eq]]), np.concatenate([sign * b, -b[eq]]))
     if not isinstance(out, LpOptimal):
         return out
     dual = -sign * out.dual[:b.size]
@@ -309,15 +307,15 @@ def solve_lp(prob: LinearProgram, lp_tol: float = 1e-9) -> LpOutcome:
     return LpOptimal(out.point, out.value, dual)
 
 
-def _solve_by_dual(c, A, b, lp_tol: float = 1e-9) -> LpOutcome:
+def _solve_by_dual(c, A, b) -> LpOutcome:
     """Minimize c.v over free v subject to Av <= b, through the dual
-    min b.y subject to A^T y = -c and y >= 0 (see the module docstring).
-    An optimum carries the dual's y as its ``dual``, with A^T y = -c."""
-    _check_lp_tol(lp_tol)
+    min b.y subject to A^T y = -c and y >= 0 (see the module docstring),
+    to ``LP_TOL``.  An optimum carries the dual's y as its ``dual``, with
+    A^T y = -c."""
     try:
-        return _dual_once(c, A, b, lp_tol, bland=False)
+        return _dual_once(c, A, b, LP_TOL, bland=False)
     except LpNumericError:
-        return _dual_once(c, A, b, lp_tol, bland=True)
+        return _dual_once(c, A, b, LP_TOL, bland=True)
 
 
 def _dual_once(c, A, b, lp_tol, bland) -> LpOutcome:
@@ -401,14 +399,13 @@ def _infeasible(A, b, scale, std: _Std, lp_tol) -> LpInfeasible:
     return LpInfeasible()
 
 
-def find_feasible(constraints: Sequence[tuple], nvars: int | None = None,
-                  lp_tol: float = 1e-9) -> np.ndarray | None:
+def find_feasible(constraints: Sequence[tuple], nvars: int | None = None) -> np.ndarray | None:
     """A point satisfying the rows, or None when the system is infeasible."""
     if nvars is None:
         if not constraints:
             raise LpError("cannot infer the variable count from zero constraints")
         nvars = _row(0, constraints[0])[0].shape[0]
-    out = solve_lp(LinearProgram(np.zeros(nvars), tuple(constraints)), lp_tol=lp_tol)
+    out = solve_lp(LinearProgram(np.zeros(nvars), tuple(constraints)))
     if isinstance(out, LpInfeasible):
         return None
     if isinstance(out, LpUnbounded):  # cannot happen with a zero objective

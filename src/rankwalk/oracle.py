@@ -33,7 +33,7 @@ class OracleResult:
     point: np.ndarray | None
 
 
-def oracle_minimize(data: RegressionData, alpha, lp_tol: float = 1e-9) -> OracleResult:
+def oracle_minimize(data: RegressionData, alpha) -> OracleResult:
     """Exact minimum by the one-row-per-pairing envelope program (n <= 8),
     weights sorted on entry."""
     if data.n > ORACLE_LIMIT:
@@ -45,7 +45,7 @@ def oracle_minimize(data: RegressionData, alpha, lp_tol: float = 1e-9) -> Oracle
     np.negative(np.einsum("i,kip->kp", a.alpha, data.x[perms]), out=A[:, 1:])
     objective = np.zeros(1 + data.p)
     objective[0] = 1.0
-    out = _solve_by_dual(objective, A, -(data.y[perms] @ a.alpha), lp_tol=lp_tol)
+    out = _solve_by_dual(objective, A, -(data.y[perms] @ a.alpha))
     if isinstance(out, LpOptimal):
         return OracleResult(False, out.value, out.point[1:].copy())
     if isinstance(out, LpUnbounded):
@@ -53,7 +53,7 @@ def oracle_minimize(data: RegressionData, alpha, lp_tol: float = 1e-9) -> Oracle
     raise LpNumericError("envelope program reported infeasible, which is impossible")
 
 
-def enumerate_nonempty_cells(data: RegressionData, lp_tol: float = 1e-9) -> tuple[tuple[int, ...], ...]:
+def enumerate_nonempty_cells(data: RegressionData) -> tuple[tuple[int, ...], ...]:
     """All orderings whose region is nonempty (n <= 6)."""
     if data.n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration limited to n <= {ENUMERATION_LIMIT}, got {data.n}")
@@ -61,7 +61,7 @@ def enumerate_nonempty_cells(data: RegressionData, lp_tol: float = 1e-9) -> tupl
     for pi in itertools.permutations(range(data.n)):
         xp = data.x[list(pi)]
         yp = data.y[list(pi)]
-        out = _solve_by_dual(np.zeros(data.p), xp[1:] - xp[:-1], yp[1:] - yp[:-1], lp_tol=lp_tol)
+        out = _solve_by_dual(np.zeros(data.p), xp[1:] - xp[:-1], yp[1:] - yp[:-1])
         if not isinstance(out, LpInfeasible):
             found.append(pi)
     return tuple(found)

@@ -40,7 +40,7 @@ import numpy as np
 from .certificate import OptimalityCertificate, _conditions, _descent_search
 from .loss import (ActivePairs, _are_orderings, _as_residuals, _check_tie_tol, _finite_residuals, _tie_cut,
                    active_pairs, eval_loss, residuals)
-from .lp import LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, _check_lp_tol, _solve_by_dual
+from .lp import LP_TOL, LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, _solve_by_dual
 from .model import RegressionData, _check_count, sorted_scores, start_point
 
 log = logging.getLogger(__name__)
@@ -73,16 +73,14 @@ class WalkNumericError(WalkError):
 
 @dataclass(frozen=True)
 class WoaConfig:
-    """Tolerances and the iteration cap."""
+    """The tie tolerance and the iteration cap; the LP's is ``lp.LP_TOL``."""
 
     tie_tol: float | None = None  # None: loss.default_tie_tol at each region minimum
-    lp_tol: float = 1e-9
     max_iter: int | None = None  # None: min(1e6, region-count bound)
 
     def __post_init__(self):
         if self.tie_tol is not None:
             _check_tie_tol(self.tie_tol)
-        _check_lp_tol(self.lp_tol)
         if self.max_iter is not None:
             _check_count("max_iter", self.max_iter, 1)
 
@@ -152,7 +150,7 @@ def region_bound(n: int, p: int) -> int:
     return sum(math.comb(big_n, i) for i in range(0, p + 1))
 
 
-def cell_lp(data: RegressionData, alpha, pi, lp_tol: float = 1e-9, at=None) -> LpOutcome:
+def cell_lp(data: RegressionData, alpha, pi, at=None) -> LpOutcome:
     """Minimize the loss restricted to the region of ordering ``pi``.
 
     The program is posed in the offset delta from the point ``at`` (a beta
@@ -183,7 +181,7 @@ def cell_lp(data: RegressionData, alpha, pi, lp_tol: float = 1e-9, at=None) -> L
     ep = res.e[pi]
     grad = a.alpha @ xp
     const = float(a.alpha @ data.y[pi]) - float(grad @ res.beta)
-    out = _solve_by_dual(-grad, xp[1:] - xp[:-1], ep[1:] - ep[:-1], lp_tol=lp_tol)
+    out = _solve_by_dual(-grad, xp[1:] - xp[:-1], ep[1:] - ep[:-1])
     if isinstance(out, LpOptimal):
         return LpOptimal(res.beta + out.point, const + out.value, out.dual)
     if isinstance(out, LpUnbounded):
@@ -191,14 +189,13 @@ def cell_lp(data: RegressionData, alpha, pi, lp_tol: float = 1e-9, at=None) -> L
     return out
 
 
-def improving_direction(data: RegressionData, alpha, ap: ActivePairs,
-                        lp_tol: float = 1e-9) -> np.ndarray | None:
+def improving_direction(data: RegressionData, alpha, ap: ActivePairs) -> np.ndarray | None:
     """A direction ell of strict descent from the point of ``ap``, or None
     when there is none (the point is then optimal).  The direction is the
     steepest in the norm |R ell|_inf, R the triangular factor of x; it comes
     from the cutting-plane search over the tie blocks that also yields the
     certificate (see ``solve_certificate``).  Weights are sorted on entry."""
-    found = _descent_search(data, sorted_scores(alpha, data.n), ap, lp_tol)
+    found = _descent_search(data, sorted_scores(alpha, data.n), ap)
     return found if isinstance(found, np.ndarray) else None
 
 
@@ -223,15 +220,15 @@ def _direction(data: RegressionData, direction) -> np.ndarray:
     return ell
 
 
-def _steps(e: np.ndarray, sigma: np.ndarray, tie_tol: float, lp_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _steps(e: np.ndarray, sigma: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The breakpoints of the ray along which the residuals move as
     e - d * sigma: a mask over the pairs of ``_upper_pairs``, true where the
     pair ties at some step d > tie_tol, and those steps in (i, j) order.
-    Pairs with |sigma_j - sigma_i| <= lp_tol never tie.  Each step is the
+    Pairs with |sigma_j - sigma_i| <= ``LP_TOL`` never tie.  Each step is the
     scalar loop's (e_j - e_i) / (sigma_j - sigma_i), bit for bit."""
     i, j = _upper_pairs(e.size)
     den = sigma[j] - sigma[i]
-    keep = np.abs(den) > lp_tol
+    keep = np.abs(den) > LP_TOL
     d = e[j] - e[i]
     np.divide(d, den, out=d, where=keep)  # the pairs left out keep e_j - e_i, and stay out
     keep &= d > tie_tol
@@ -272,30 +269,29 @@ def _line_search(alpha: np.ndarray, e: np.ndarray, neg: np.ndarray, steps: np.nd
     return float(steps[lo])
 
 
-def _ray_step(alpha: np.ndarray, e: np.ndarray, sigma: np.ndarray, tie_tol: float, lp_tol: float) -> float | None:
+def _ray_step(alpha: np.ndarray, e: np.ndarray, sigma: np.ndarray, tie_tol: float) -> float | None:
     """``line_search`` over the ``breakpoints`` of the ray e - d * sigma, on
     sorted weights ``alpha``; None when it has none, so the loss is unbounded."""
-    steps = _steps(e, sigma, tie_tol, lp_tol)[1]
+    steps = _steps(e, sigma, tie_tol)[1]
     if steps.size == 0:
         return None
     steps.sort()
     return _line_search(alpha, e, -sigma, steps)
 
 
-def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float | None = None,
-                lp_tol: float = 1e-9) -> Breakpoints:
+def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float | None = None) -> Breakpoints:
     """Step lengths d > tie_tol at which residual pairs tie along the ray
     beta_star + d * direction.  Pairs whose residuals move in parallel within
-    lp_tol never tie and are skipped.
+    ``LP_TOL`` never tie and are skipped.
 
-    ``beta_star`` may also be given as its Residuals.  All pairs are handled
-    at once, each with the floating-point operations of a scalar loop over
+    ``beta_star`` may also be given as its Residuals; a point whose
+    residuals are not finite raises ValueError.  All pairs are handled at
+    once, each with the floating-point operations of a scalar loop over
     i < j, so the steps equal that loop's bit for bit and come in its order."""
-    res = _as_residuals(data, beta_star)
+    res = _finite_residuals(data, beta_star, "beta_star")
     tie_tol = _tie_cut(np.sort(res.e), tie_tol)[0]
-    _check_lp_tol(lp_tol)
     ell = _direction(data, direction)
-    keep, steps = _steps(res.e, data.x @ ell, tie_tol, lp_tol)
+    keep, steps = _steps(res.e, data.x @ ell, tie_tol)
     i, j = _upper_pairs(data.n)
     return Breakpoints(np.stack((i[keep], j[keep]), axis=1), steps)
 
@@ -311,12 +307,12 @@ def line_search(data: RegressionData, alpha, beta_star, direction, bps: Breakpoi
     gallops first, probing intervals 0, 1, 3, 7, ... until a slope is
     nonnegative, then bisects inside that bracket, so an answer at sorted
     position k costs about 2 log2(k) probes.  ``beta_star`` may also be
-    given as its Residuals; ``direction`` is checked as ``breakpoints``
-    checks it."""
+    given as its Residuals, and it and ``direction`` are checked as
+    ``breakpoints`` checks them."""
     if bps.steps.size == 0:
         raise ValueError("no breakpoints to search")
     a = sorted_scores(alpha, data.n)
-    e = _as_residuals(data, beta_star).e
+    e = _finite_residuals(data, beta_star, "beta_star").e
     neg = -(data.x @ _direction(data, direction))  # -sigma
     return _line_search(a.alpha, e, neg, np.sort(bps.steps))
 
@@ -358,7 +354,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
             raise WalkInvariantError(f"ordering {pi} revisited at iteration {it}", "walk", trace_now)
         visited.add(pi)
         try:
-            out = cell_lp(data, a, order, lp_tol=cfg.lp_tol, at=res)
+            out = cell_lp(data, a, order, at=res)
         except LpNumericError as exc:
             raise WalkNumericError(f"cell_lp failed at iteration {it}: {exc}", "cell_lp", trace_now) from exc
         if isinstance(out, LpInfeasible):
@@ -376,7 +372,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
         res_star = residuals(data, beta_star)
         ap = active_pairs(res_star, cfg.tie_tol)
         try:
-            found = _descent_search(data, a, ap, cfg.lp_tol, R, (order, out.dual))
+            found = _descent_search(data, a, ap, R, (order, out.dual))
         except LpNumericError as exc:
             raise WalkNumericError(f"descent_search failed at iteration {it}: {exc}", "descent_search",
                                    trace_now) from exc
@@ -388,7 +384,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
             log.info("minimizer found after %d iterations, loss %.12g", len(iterations), f_star)
             return Minimizer(beta_star, f_star, found, WalkTrace(tuple(iterations)))
         ell = found
-        d_star = _ray_step(a.alpha, res_star.e, data.x @ ell, ap.tie_tol, cfg.lp_tol)
+        d_star = _ray_step(a.alpha, res_star.e, data.x @ ell, ap.tie_tol)
         if d_star is None:
             iterations.append(WalkIteration(pi, beta_star, f_star, ell, None))
             ray = ell / float(np.abs(ell).max())

@@ -26,7 +26,6 @@ from rankwalk.lp import (
     LpNumericError,
     LpOptimal,
     LpUnbounded,
-    _check_lp_tol,
     _standard,
     _unit_ray,
     _validate,
@@ -107,7 +106,6 @@ def simplex_once(c, A_raw, rels_raw, b_raw, lp_tol, bland):
 
 def ref_solve_lp(prob, lp_tol: float = 1e-9):
     """Solve the program, retrying once under Bland's rule before giving up."""
-    _check_lp_tol(lp_tol)
     rows = _validate(prob)
     try:
         return simplex_once(*rows, lp_tol, bland=False)

@@ -95,9 +95,9 @@ def walk_cells(fits):
     cells = []
     original = rankwalk.woa.cell_lp
 
-    def recording(data, alpha, pi, lp_tol=1e-9, at=None):
+    def recording(data, alpha, pi, at=None):
         cells.append((data, alpha, tuple(pi), at))
-        return original(data, alpha, pi, lp_tol=lp_tol, at=at)
+        return original(data, alpha, pi, at=at)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rankwalk.woa, "cell_lp", recording)
@@ -218,9 +218,9 @@ def test_walk_poses_every_region_at_a_point_inside_it(monkeypatch):
     gaps = []
     original = rankwalk.woa.cell_lp
 
-    def recording(data, alpha, pi, lp_tol=1e-9, at=None):
+    def recording(data, alpha, pi, at=None):
         gaps.append(float(np.diff(_as_residuals(data, at).e[list(pi)]).min()))
-        return original(data, alpha, pi, lp_tol=lp_tol, at=at)
+        return original(data, alpha, pi, at=at)
 
     monkeypatch.setattr(rankwalk.woa, "cell_lp", recording)
     rng = np.random.default_rng(23)

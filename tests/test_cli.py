@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import inspect
 import json
 import warnings
 
@@ -330,13 +332,29 @@ def test_usage_errors_exit_one_not_two(capsys):
     assert run(capsys, "fit", "x.csv", "--direction", "first")[0] == 1  # the option is gone
 
 
-@pytest.mark.parametrize("flag", ["--tie-tol", "--lp-tol"])
+@pytest.mark.parametrize("flag", ["--tie-tol"])
 def test_nonfinite_tolerances_are_errors(worked_csv, capsys, flag):
     data, scores = worked_csv
     for value in ("nan", "inf"):
         code, out, err = run(capsys, "fit", data, "--scores", f"file={scores}", flag, value)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "finite" in err
+
+
+def test_no_caller_sets_the_lp_tolerance(worked_csv, capsys):
+    """The simplex tolerance is ``lp.LP_TOL``: no public callable takes an
+    ``lp_tol``, each config keeps only the fields a caller sets, and the
+    command line has no ``--lp-tol``."""
+    takers = [name for name in rankwalk.__all__ if callable(obj := getattr(rankwalk, name))
+              and not (isinstance(obj, type) and issubclass(obj, BaseException))  # no signature to read
+              and "lp_tol" in inspect.signature(obj).parameters]
+    assert takers == []
+    assert {f.name for f in dataclasses.fields(rankwalk.WoaConfig)} == {"tie_tol", "max_iter"}
+    assert {f.name for f in dataclasses.fields(rankwalk.GgdConfig)} == {"perturbation", "seed", "max_iter", "tie_tol"}
+    data, scores = worked_csv
+    assert run(capsys, "fit", data, "--scores", f"file={scores}")[0] == 0
+    code, out, err = run(capsys, "fit", data, "--scores", f"file={scores}", "--lp-tol", "1e-9")
+    assert code == 1 and out == "" and "--lp-tol" in err
 
 
 def test_log_env_handling(worked_csv, capsys, monkeypatch):

@@ -64,13 +64,13 @@ def walked():
         original = rankwalk.woa._descent_search
         taken = []
 
-        def spy(data, a, ap, lp_tol, R=None, dual=None):
+        def spy(data, a, ap, R=None, dual=None):
             before = len(calls)
-            found = original(data, a, ap, lp_tol, R, dual)
+            found = original(data, a, ap, R, dual)
             if len(calls) == before:  # no master LP: the read returned
                 taken.append(1)
                 agreed.append(isinstance(found, OptimalityCertificate)
-                              and isinstance(original(data, a, ap, lp_tol, R), OptimalityCertificate))
+                              and isinstance(original(data, a, ap, R), OptimalityCertificate))
             return found
 
         mp.setattr(rankwalk.woa, "_descent_search", spy)
@@ -142,9 +142,9 @@ def forged(a, ap, kind):
                                   "an ordering off its tie blocks"])
 def test_a_forged_dual_falls_through_to_the_master(monkeypatch, tied_point, kind):
     data, a, ap = tied_point
-    want = _descent_search(data, a, ap, 1e-9)
+    want = _descent_search(data, a, ap)
     calls = counting_masters(monkeypatch)
-    got = _descent_search(data, a, ap, 1e-9, dual=forged(a, ap, kind))
+    got = _descent_search(data, a, ap, dual=forged(a, ap, kind))
     assert calls
     if isinstance(want, np.ndarray):
         assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()

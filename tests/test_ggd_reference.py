@@ -79,7 +79,7 @@ def ref_ggd_minimize(data, alpha, beta0=None, config=None):
             break
         direction = -grad
         tt = default_tie_tol(res) if cfg.tie_tol is None else cfg.tie_tol
-        bps = breakpoints(data, res, direction, tt, lp_tol=cfg.lp_tol)
+        bps = breakpoints(data, res, direction, tt)
         if bps.steps.size == 0:
             stop_reason = "unbounded_direction"
             break
@@ -95,9 +95,9 @@ def ref_ggd_minimize(data, alpha, beta0=None, config=None):
             f_values.append(f_cand)
         else:
             improvement = 0.0
-        if improvement < cfg.stop_tol:
+        if improvement < 1e-9:
             stall += 1
-            if stall >= cfg.stall_window:
+            if stall >= 8:
                 stop_reason = "stalled"
                 break
         else:

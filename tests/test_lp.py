@@ -21,7 +21,7 @@ from rankwalk import (
     solve_certificate,
     solve_lp,
 )
-from rankwalk.lp import _check_rows, _solve_by_dual
+from rankwalk.lp import LP_TOL, _check_rows, _solve_by_dual
 
 TOL = 1e-6
 
@@ -127,38 +127,30 @@ def test_validation_errors():
         solve_lp(LinearProgram([1.0], [([1.0], "<", 0.0)]))
     with pytest.raises(LpError):
         solve_lp(LinearProgram([1.0], [([np.inf], "<=", 0.0)]))
-    with pytest.raises(LpError):
-        solve_lp(LinearProgram([1.0], [([1.0], "<=", 0.0)]), lp_tol=0.0)
 
 
-@pytest.mark.parametrize("lp_tol", [float("nan"), float("inf"), -1e-9])
-def test_lp_tol_must_be_finite_and_positive(lp_tol):
-    with pytest.raises(LpError, match="lp_tol"):
-        solve_lp(LinearProgram([1.0], [([1.0], ">=", 3.0)]), lp_tol=lp_tol)
-
-
-LP_TOL_TAKERS = {  # each layer that takes lp_tol, called at the worked instance's origin
-    "WoaConfig": lambda data, alpha, ap, lp_tol: WoaConfig(lp_tol=lp_tol),
-    "GgdConfig": lambda data, alpha, ap, lp_tol: GgdConfig(lp_tol=lp_tol),
-    "breakpoints": lambda data, alpha, ap, lp_tol: breakpoints(data, [0.0], [1.0], 1e-9, lp_tol),
-    "cell_lp": lambda data, alpha, ap, lp_tol: cell_lp(data, alpha, [0, 2, 1], lp_tol),
-    "improving_direction": lambda data, alpha, ap, lp_tol: improving_direction(data, alpha, ap, lp_tol),
-    "solve_certificate": lambda data, alpha, ap, lp_tol: solve_certificate(data, alpha, ap, lp_tol),
-    "oracle_minimize": lambda data, alpha, ap, lp_tol: oracle_minimize(data, alpha, lp_tol),
-    "solve_lp": lambda data, alpha, ap, lp_tol: solve_lp(LinearProgram([1.0], [([1.0], ">=", 3.0)]), lp_tol),
+LP_TOL_TAKERS = {  # each layer that once took lp_tol, called at the worked instance's origin
+    "WoaConfig": lambda data, alpha, ap, **kw: WoaConfig(**kw),
+    "GgdConfig": lambda data, alpha, ap, **kw: GgdConfig(**kw),
+    "breakpoints": lambda data, alpha, ap, **kw: breakpoints(data, [0.0], [1.0], 1e-9, **kw),
+    "cell_lp": lambda data, alpha, ap, **kw: cell_lp(data, alpha, [0, 2, 1], **kw),
+    "improving_direction": lambda data, alpha, ap, **kw: improving_direction(data, alpha, ap, **kw),
+    "solve_certificate": lambda data, alpha, ap, **kw: solve_certificate(data, alpha, ap, **kw),
+    "oracle_minimize": lambda data, alpha, ap, **kw: oracle_minimize(data, alpha, **kw),
+    "solve_lp": lambda data, alpha, ap, **kw: solve_lp(LinearProgram([1.0], [([1.0], ">=", 3.0)]), **kw),
 }
 
 
 @pytest.mark.parametrize("layer", sorted(LP_TOL_TAKERS))
 @pytest.mark.parametrize("lp_tol", [0.0, -1e-9, float("nan"), float("inf")])
 def test_every_layer_checks_lp_tol_alike(worked, layer, lp_tol):
-    """One check, one error type, whichever layer is handed the tolerance;
-    LpError is a ValueError."""
+    """The LP tolerance is ``lp.LP_TOL``: every layer that once took one
+    refuses an ``lp_tol`` alike, whatever its value, and runs without it."""
     data, alpha = worked
     ap = active_pairs(residuals(data, [0.0]), 1e-9)
-    with pytest.raises(LpError, match=f"^lp_tol must be finite and positive, got {lp_tol}$") as raised:
-        LP_TOL_TAKERS[layer](data, alpha, ap, lp_tol)
-    assert isinstance(raised.value, ValueError)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'lp_tol'$"):
+        LP_TOL_TAKERS[layer](data, alpha, ap, lp_tol=lp_tol)
+    LP_TOL_TAKERS[layer](data, alpha, ap)
 
 
 def test_validation_names_the_offending_row():
@@ -312,7 +304,7 @@ def test_dual_core_prices_to_what_its_row_check_accepts():
     """The descent master of acceptance gate 1's draw #136 (sweep seed
     20260816, n = 4, p = 3): four cuts on one tie block and the box rows,
     in p + 1 = 4 variables.  Cut row 1 has max entry 28 and right-hand side
-    1.9e-8.  Priced with lp_tol on columns scaled by 28, the dual stopped
+    1.9e-8.  Priced with LP_TOL on columns scaled by 28, the dual stopped
     at a point that broke that row by 1.15e-8, past the 1e-8 its row check
     allows, and raised "optimal point failed verification"."""
     r = (3.605551275463989, 1.386750490563073, 5.3923022056375025, 2.781743201320934, 4.273394992497741)
@@ -324,8 +316,8 @@ def test_dual_core_prices_to_what_its_row_check_accepts():
                     [8.0, -13.0, -5.0, -1.0]], box, -box])
     b = np.array([2.85e-08, 1.9e-08, 1.425e-08, 1.14e-08, 9.5e-09] + [1.0] * 6)
     c = np.array([-7.0, 14.0, 2.0, 1.0])
-    out = _solve_by_dual(c, A, b, lp_tol=1e-9)
+    out = _solve_by_dual(c, A, b)
     assert isinstance(out, LpOptimal)
-    assert _check_rows(A, "<=", b, out.point, 1e-9)
+    assert _check_rows(A, "<=", b, out.point, LP_TOL)
     np.testing.assert_allclose(A.T @ out.dual, -c, atol=1e-9)
     assert out.dual[:5].sum() == pytest.approx(1.0)  # the cuts of the one block

@@ -6,16 +6,15 @@ tests: the same verdict on every program, and optimal values within
 import numpy as np
 
 from rankwalk import LinearProgram, LpInfeasible, LpOptimal, find_feasible, solve_lp
+from rankwalk.lp import LP_TOL
 
 from reference_simplex import ref_solve_lp
 from test_cell_lp_reference import master_programs
 from test_lp import random_boxed_lp
 
-LP_TOL = 1e-9
-
 
 def assert_agrees(prob):
-    got, want = solve_lp(prob, LP_TOL), ref_solve_lp(prob, LP_TOL)
+    got, want = solve_lp(prob), ref_solve_lp(prob, LP_TOL)
     assert type(got) is type(want)
     if isinstance(want, LpOptimal):
         assert abs(got.value - want.value) <= 10.0 * LP_TOL * (1.0 + abs(want.value))

@@ -134,10 +134,10 @@ def test_lp_columns_follow_the_tie_blocks(monkeypatch):
     shapes = []
     original = rankwalk.certificate._solve_by_dual
 
-    def recording(c, A, b, lp_tol):
+    def recording(c, A, b):
         shapes.append(len(c))
         assert A.shape[1] == len(c)
-        return original(c, A, b, lp_tol)
+        return original(c, A, b)
 
     monkeypatch.setattr(rankwalk.certificate, "_solve_by_dual", recording)
     rng = np.random.default_rng(5)

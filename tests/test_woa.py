@@ -1,4 +1,6 @@
+import linecache
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -35,6 +37,7 @@ from rankwalk import (
     random_instance,
     region_bound,
     residuals,
+    verify_certificate,
 )
 from rankwalk.woa import _require_descending_ray
 
@@ -373,48 +376,73 @@ def short_of_one(original, earlier, *args):
     return OptimalityCertificate._of_terms(0.999 * found.weights, found.orders)
 
 
-RAISE_SITES = [  # layer, error, its message's start; the function of rankwalk.woa replaced on its call-th call
-    pytest.param("walk", WalkInvariantError, "ordering (", "residuals", 2,  # iteration 1 starts where 0 did
+MINIMIZE = rankwalk.woa.minimize.__code__
+
+
+def call_site() -> tuple[int, str]:
+    """Where ``minimize`` stands during the current call: its iteration, and
+    the name that the statement it is executing assigns."""
+    frame = sys._getframe(1)
+    while frame.f_code is not MINIMIZE:
+        frame = frame.f_back
+    line = linecache.getline(frame.f_code.co_filename, frame.f_lineno)
+    return frame.f_locals["it"], line.split("=", 1)[0].strip()
+
+
+# Layer, error, its message's start, the call replaced and its replacement.
+# A call is (name in rankwalk.woa, minimize's iteration, the name minimize
+# assigns when it is made): ("cell_lp", 1, "out") is iteration 1's cell LP.
+RAISE_SITES = [
+    # iteration 1 starts where iteration 0 did
+    pytest.param("walk", WalkInvariantError, "ordering (", ("residuals", 0, "res"),
                  returns(lambda f, earlier, args, kwargs: f(args[0], np.zeros(2))), id="revisited"),
-    pytest.param("walk", WalkInvariantError, "region minimum", "cell_lp", 2,
+    # iteration 1's region minimum is iteration 0's
+    pytest.param("walk", WalkInvariantError, "region minimum", ("cell_lp", 1, "out"),
                  returns(lambda f, earlier, args, kwargs: earlier[0]), id="not-improved"),
-    pytest.param("walk", IterationBudgetError, "no terminal state", None, None, None,  # max_iter = 1
+    pytest.param("walk", IterationBudgetError, "no terminal state", None, None,  # max_iter = 1
                  id="budget"),
-    pytest.param("cell_lp", WalkNumericError, "cell_lp failed", "cell_lp", 2, raise_numeric,
+    pytest.param("cell_lp", WalkNumericError, "cell_lp failed", ("cell_lp", 1, "out"), raise_numeric,
                  id="cell-refused"),
-    pytest.param("cell_lp", WalkInvariantError, "region of the current ordering", "cell_lp", 2,
+    pytest.param("cell_lp", WalkInvariantError, "region of the current ordering", ("cell_lp", 1, "out"),
                  returns(lambda f, earlier, args, kwargs: LpInfeasible()), id="cell-empty"),
-    pytest.param("ray", WalkInvariantError, "claimed ray fails", "cell_lp", 2,  # unbounded along a zero ray
+    # iteration 1's region is unbounded along a zero ray
+    pytest.param("ray", WalkInvariantError, "claimed ray fails", ("cell_lp", 1, "out"),
                  returns(lambda f, earlier, args, kwargs: LpUnbounded(f(*args, **kwargs).point, np.zeros(2))),
                  id="cell-ray"),
-    pytest.param("ray", WalkInvariantError, "claimed ray fails", "_steps", 1,  # a descent ray without breakpoints
+    # iteration 0's descent ray has no breakpoints
+    pytest.param("ray", WalkInvariantError, "claimed ray fails", ("_steps", 0, "d_star"),
                  returns(lambda f, earlier, args, kwargs: (f(*args)[0], np.empty(0))), id="descent-ray"),
-    pytest.param("descent_search", WalkNumericError, "descent_search failed", "_descent_search", 2,
+    pytest.param("descent_search", WalkNumericError, "descent_search failed", ("_descent_search", 1, "found"),
                  raise_numeric, id="descent-refused"),
-    pytest.param("certificate", WalkInvariantError, "certificate failed verification", "_descent_search", 2,
-                 short_of_one, id="certificate"),
+    pytest.param("certificate", WalkInvariantError, "certificate failed verification",
+                 ("_descent_search", 1, "found"), short_of_one, id="certificate"),
 ]
 
 
-@pytest.mark.parametrize("layer, error, message, name, call, replacement", RAISE_SITES)
-def test_every_walk_error_names_its_layer_and_keeps_the_trace(monkeypatch, layer, error, message, name, call,
+@pytest.mark.parametrize("layer, error, message, site, replacement", RAISE_SITES)
+def test_every_walk_error_names_its_layer_and_keeps_the_trace(monkeypatch, layer, error, message, site,
                                                               replacement):
     """Each raise of ``minimize`` (and of ``_require_descending_ray``), forced
     on a fit of two iterations, names its layer and carries the iterations
     before the failure: the first, and when a claimed ray fails, also the
-    region it was claimed in.  A refused simplex is chained as the cause."""
+    region it was claimed in.  A refused simplex is chained as the cause.
+    The call replaced is named by where ``minimize`` makes it, and is
+    replaced exactly once."""
     rng = np.random.default_rng(4)
     x = np.column_stack([np.ones(40), rng.standard_normal(40)])
     data = RegressionData(x, x @ rng.standard_normal(2) + rng.standard_t(2, 40))
     alpha = make_scores("wilcoxon", 40)
     full = minimize(data, alpha)
     assert isinstance(full, Minimizer) and len(full.trace.iterations) == 2
+    name, at = (site[0], site[1:]) if site is not None else (None, None)
+    replaced = []
     if name is not None:
         original = getattr(rankwalk.woa, name)
         earlier = []
 
         def wrapped(*args, **kwargs):
-            if len(earlier) + 1 == call:
+            if call_site() == at:
+                replaced.append(at)
                 out = replacement(original, earlier, *args, **kwargs)
             else:
                 out = original(*args, **kwargs)
@@ -424,6 +452,7 @@ def test_every_walk_error_names_its_layer_and_keeps_the_trace(monkeypatch, layer
         monkeypatch.setattr(rankwalk.woa, name, wrapped)
     with pytest.raises(error) as info:
         minimize(data, alpha, config=WoaConfig(max_iter=1) if name is None else None)
+    assert replaced == ([] if name is None else [at])
     err = info.value
     assert type(err) is error and isinstance(err, WalkError) and err.layer == layer
     assert str(err).startswith(message)
@@ -471,28 +500,42 @@ def test_minimize_rejects_a_start_whose_residuals_overflow(worked, beta0):
             minimize(data, alpha, beta0=beta0)
 
 
+@pytest.mark.parametrize("layer, name", [("verify_certificate", "beta"), ("breakpoints", "beta_star"),
+                                         ("line_search", "beta_star")])
+@pytest.mark.parametrize("beta", [[1e308], [-1e308]])
+def test_public_layers_refuse_a_point_whose_residuals_overflow(worked, layer, name, beta):
+    """Each names the point as its parameter list does, with no NumPy
+    warning on the way and no tie tolerance blamed; ``line_search`` read a
+    step from the infinite residuals."""
+    data, alpha = worked
+    cert = minimize(data, alpha).certificate
+    calls = {"verify_certificate": lambda: verify_certificate(data, alpha, beta, cert),
+             "breakpoints": lambda: breakpoints(data, beta, [1.0]),
+             "line_search": lambda: line_search(data, alpha, beta, [1.0], Breakpoints([[0, 1]], [1.0]))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^the residuals at {name} are not finite$"):
+            calls[layer]()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         WoaConfig(tie_tol=-1.0)
-    with pytest.raises(ValueError):
-        WoaConfig(lp_tol=0.0)
     with pytest.raises(ValueError):
         WoaConfig(max_iter=0)
 
 
 @pytest.mark.parametrize("field, value", [
     ("tie_tol", float("nan")), ("tie_tol", float("inf")), ("tie_tol", -1e-12),
-    ("lp_tol", float("nan")), ("lp_tol", float("inf")), ("lp_tol", -1e-9),
 ])
 def test_config_rejects_bad_tolerances(field, value):
     with pytest.raises(ValueError, match="finite"):
         WoaConfig(**{field: value})
-    # breakpoints takes the same two tolerances.  Here its steps are 5 and 2;
+    # breakpoints takes the same tolerance.  Here its steps are 5 and 2;
     # unchecked, a NaN tie_tol drops both and a negative one adds the step -1.
     data = RegressionData(np.array([[2.0], [1.0], [3.0]]), np.array([0.0, 1.0, 5.0]))
-    tolerances = {"tie_tol": TIE, "lp_tol": 1e-9, field: value}
     with pytest.raises(ValueError, match="finite"):
-        breakpoints(data, [0.0], [1.0], **tolerances)
+        breakpoints(data, [0.0], [1.0], **{field: value})
 
 
 def test_descending_ray_guard(worked):
