@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .loss import ActivePairs, Residuals, _are_orderings, _finite_residuals, active_pairs
+from .loss import ActivePairs, Residuals, _are_orderings, _residuals_at, active_pairs
 from .lp import LP_TOL, LpNumericError, LpOptimal, _solve_by_dual
 from .model import RegressionData, ScoreVector, sorted_scores
 
@@ -410,12 +410,12 @@ def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertif
                        tie_tol: float | None = None) -> CertificateReport:
     """Check every certificate condition at ``beta``; never raises on a bad
     certificate, reporting each condition separately instead.  Weights are
-    sorted on entry, as ``minimize`` sorts them; a ``beta`` whose residuals
-    are not finite raises ValueError.
+    sorted on entry, as ``minimize`` sorts them; ``beta`` is checked as
+    ``loss._residuals_at`` checks a point.
 
     The certificate is checked from its T weighted orderings, in
     O(T n (log n + p)) time and O(T n) memory."""
-    res = _finite_residuals(data, beta, "beta")
+    res = _residuals_at(data, beta, "beta")
     ap = active_pairs(res, tie_tol)
     conditions, certified = _conditions(data, sorted_scores(alpha, data.n), res, ap, cert)
     return CertificateReport(all(good for _, good, _ in conditions), conditions, certified)

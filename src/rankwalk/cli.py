@@ -19,7 +19,7 @@ import numpy as np
 
 from .certificate import verify_certificate
 from .ggd import GgdConfig, ggd_minimize
-from .loss import _finite_residuals, consistent_permutation, eval_loss
+from .loss import _residuals_at, consistent_permutation
 from .model import RegressionData, ScoreVector, make_scores
 from .oracle import ORACLE_LIMIT, oracle_minimize
 from .woa import Minimizer, WalkError, WoaConfig, minimize
@@ -97,12 +97,9 @@ def initial_point(spec: str, data: RegressionData) -> np.ndarray | None:
         log.info("least-squares start (design rank %d of %d)", rank, data.p)
         return coef
     try:
-        beta = np.array([float(tok) for tok in spec.split(",")])
+        return np.array([float(tok) for tok in spec.split(",")])
     except ValueError:
         raise CliError(f"--init must be zero, ls, or a comma-separated vector (got {spec!r})") from None
-    if beta.shape[0] != data.p:
-        raise CliError(f"--init vector has {beta.shape[0]} entries, expected {data.p}")
-    return beta
 
 
 def _floats(arr) -> list[float]:
@@ -165,11 +162,8 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     data = read_csv(args.data)
     alpha = build_scores(args.scores, data.n)
-    beta = initial_point(args.beta, data)
-    if beta is None:
-        beta = np.zeros(data.p)
-    res = _finite_residuals(data, beta, "--beta")
-    f = eval_loss(data, alpha, beta)
+    res = _residuals_at(data, initial_point(args.beta, data), "--beta", origin=True)
+    f = float(np.sort(res.e) @ alpha.alpha)  # eval_loss at --beta, from the residuals at hand
     pi = consistent_permutation(res, args.tie_tol)
     print(json.dumps({"F": f, "pi": _one_based(pi)}))
     return 0
@@ -286,10 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, WalkError) as exc:
+    except (CliError, ValueError, OSError, WalkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

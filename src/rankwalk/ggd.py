@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import _check_tie_tol, _finite_residuals, _residual_vector, _tie_cut
-from .model import RegressionData, _check_count, sorted_scores, start_point
+from .loss import _check_tie_tol, _residual_vector, _residuals_at, _tie_cut
+from .model import RegressionData, _check_count, sorted_scores
 from .woa import _ray_step
 
 PERTURBATIONS = ("random", "prolong")
@@ -69,10 +69,10 @@ class GgdResult:
 def cell_gradient(data: RegressionData, alpha, beta, tie_tol: float | None = None) -> np.ndarray | None:
     """Gradient of the loss where it is smooth, None on a tie point: where
     two sorted residuals lie within the tie tolerance.  ``beta`` may also be
-    given as its Residuals; a point whose residuals are not finite raises
-    ValueError."""
+    given as its Residuals; it is checked as ``loss._residuals_at`` checks a
+    point."""
     a = sorted_scores(alpha, data.n)
-    res = _finite_residuals(data, beta, "beta")
+    res = _residuals_at(data, beta, "beta")
     order = np.argsort(res.e, kind="stable")
     if not _tie_cut(res.e[order], tie_tol)[1].all():
         return None
@@ -80,8 +80,10 @@ def cell_gradient(data: RegressionData, alpha, beta, tie_tol: float | None = Non
 
 
 def _norm(u: np.ndarray) -> float:
-    """``np.linalg.norm`` of a float vector without its dispatch: sqrt(u . u)."""
-    return math.sqrt(u.dot(u))
+    """``np.linalg.norm`` of a float vector without its dispatch: sqrt(u . u),
+    or ``math.hypot`` where an entry's square could overflow."""
+    entries = u.tolist()
+    return math.hypot(*entries) if max(map(abs, entries)) > 1e150 else math.sqrt(u.dot(u))
 
 
 def _nudge(beta, last_dir, scale, rng, cfg) -> np.ndarray:
@@ -102,17 +104,17 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
     """Best point found by perturbed exact-line-search gradient descent.
 
     No optimality claim is made for the result; the trace records the strictly
-    decreasing losses of the accepted steps and why the loop stopped.  A
-    start whose residuals are not finite raises ValueError.
+    decreasing losses of the accepted steps and why the loop stopped.  A ray
+    with a breakpoint that overflows raises ValueError.
     """
     cfg = config or GgdConfig()
     a = sorted_scores(alpha, data.n)
-    beta = start_point(data, beta0)
+    res = _residuals_at(data, beta0, "beta0", origin=True)
+    beta, e = res.beta.copy(), res.e
     rng = np.random.default_rng(cfg.seed)
     x, y, w = data.x, data.y, a.alpha
     columns = np.ascontiguousarray(x.T)
 
-    e = _finite_residuals(data, beta, "beta0").e
     es = np.sort(e)
     f_best = float(es @ w)
     tt, cut = _tie_cut(es, cfg.tie_tol)

@@ -8,9 +8,9 @@ throughout; the CLI converts to 1-based on output).
 
 Which residuals tie has one site, ``_tie_cut``; the walk's tie blocks, the
 verifier's, the orderings, ``breakpoints`` and gradient descent all read it.
-The walk, gradient descent, ``cell_gradient``, ``breakpoints``,
-``line_search``, ``verify_certificate`` and ``rankwalk eval`` refuse a
-point whose residuals overflow through one helper, ``_finite_residuals``.
+Every layer that takes a point reads it through one helper,
+``_residuals_at``, so each refuses a bad point in the same two forms,
+naming it as its signature does.
 """
 
 from __future__ import annotations
@@ -91,43 +91,39 @@ class ActivePairs:
 def residuals(data: RegressionData, beta) -> Residuals:
     """e_i = y_i - x_i . beta, with the dot product summed left to right (one
     column at a time, over all rows at once) from zeros, so the result is
-    bit-reproducible."""
-    b = np.array(beta, dtype=float).ravel()
-    if b.shape[0] != data.p:
-        raise ValueError(f"beta has {b.shape[0]} entries, expected {data.p}")
-    return Residuals(_residual_vector(data.y, data.x.T, b), b)
+    bit-reproducible; ``beta`` is read as ``_residuals_at`` reads a point."""
+    return _residuals_at(data, beta, "beta")
 
 
 def _residual_vector(y: np.ndarray, columns: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The residual vector of ``residuals`` on arrays, ``columns`` the rows
-    of x^T and b of width p.  The sign of a zero residual depends on the
-    start from zeros."""
-    if not all(map(math.isfinite, b.tolist())):  # p is small: cheaper than a NumPy reduction
-        raise ValueError("beta must be finite")
+    of x^T and b of width p, unchecked.  The sign of a zero residual depends
+    on the start from zeros."""
     acc = np.zeros(y.shape[0])
     for column, bk in zip(columns, b):
         acc += column * bk
     return y - acc
 
 
-def _as_residuals(data: RegressionData, point) -> Residuals:
-    """``point`` itself when it already is the Residuals of ``data`` at some
-    beta, else ``residuals(data, point)``: lets a caller that holds the
-    residuals of a point pass them on instead of computing them again."""
-    if isinstance(point, Residuals):
-        if point.n != data.n or point.beta.shape[0] != data.p:
-            raise ValueError(f"residuals of shape {point.n}x{point.beta.shape[0]}, "
-                             f"expected {data.n}x{data.p}")
-        return point
-    return residuals(data, point)
-
-
-def _finite_residuals(data: RegressionData, point, name: str) -> Residuals:
-    """``_as_residuals(data, point)``, computed without NumPy's overflow
-    warnings; a point whose residuals are not finite raises ValueError
-    naming it as ``name``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = _as_residuals(data, point)
+def _residuals_at(data: RegressionData, point, name: str, origin: bool = False) -> Residuals:
+    """The one way a caller's point becomes Residuals: a Residuals of ``data``
+    passes through, None is the origin where ``origin`` says so, and anything
+    else must be a finite vector of width p, its residuals computed without
+    NumPy's warnings.  Residuals that are not finite are refused too.  Each
+    refusal is a ValueError, "<name> must be a finite vector of width p" or
+    "the residuals at <name> are not finite"."""
+    if point is None and origin:
+        point = np.zeros(data.p)
+    res = point if isinstance(point, Residuals) and point.n == data.n else None
+    try:  # a Residuals of other data is no vector of numbers either
+        b = np.array(point, dtype=float).ravel() if res is None else res.beta
+    except (TypeError, ValueError):
+        b = np.empty(0)
+    if b.shape[0] != data.p or not all(map(math.isfinite, b.tolist())):  # p is small
+        raise ValueError(f"{name} must be a finite vector of width p")
+    if res is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = Residuals(_residual_vector(data.y, data.x.T, b), b)
     if not np.isfinite(res.e).all():
         raise ValueError(f"the residuals at {name} are not finite")
     return res
@@ -188,7 +184,7 @@ def active_pairs(res: Residuals, tie_tol: float | None = None) -> ActivePairs:
 
 def eval_loss(data: RegressionData, alpha, beta) -> float:
     """Loss at beta: sorted residuals paired with the weights, sorted on
-    entry."""
+    entry.  A ``beta`` whose residuals overflow is refused."""
     a = sorted_scores(alpha, data.n)
     e = residuals(data, beta).e
     return float(np.sort(e) @ a.alpha)

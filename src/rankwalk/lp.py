@@ -271,12 +271,12 @@ def _standard(c, M, rhs, slack, lp_tol: float, bland: bool) -> _Std:
 
 def _check_rows(A, rel, b, v, lp_tol, absA=None) -> bool:
     """Whether A v (rel) b holds row by row within the LP tolerance, b an
-    array or a scalar.  ``rel`` is "<=" or "==" for every row; ``absA`` is
-    |A|, computed here when not given."""
+    array or a scalar; never where that tolerance overflows.  ``rel`` is
+    "<=" or "==" for every row; ``absA`` is |A|, computed here when not given."""
     lhs = A @ v
     tol = 10.0 * lp_tol * (1.0 + np.abs(b) + (np.abs(A) if absA is None else absA) @ np.abs(v))
     bad = lhs > b + tol if rel == "<=" else np.abs(lhs - b) > tol
-    return not bad.any()
+    return not bad.any() and bool(np.isfinite(tol).all())
 
 
 def _unit_ray(c, ray) -> np.ndarray:

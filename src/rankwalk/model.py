@@ -3,7 +3,8 @@
 A problem instance is a design matrix with one row per observation plus a
 response vector.  The loss is the maximum over pairings of residuals with
 weights, so the order of the weights never matters: ``ScoreVector`` sorts
-them when built, the one way weights become a ``ScoreVector``.
+them when built, the one way weights become a ``ScoreVector``.  A point
+has its own one way in, ``loss._residuals_at``.
 """
 
 from __future__ import annotations
@@ -119,15 +120,6 @@ def sorted_scores(alpha, n: int) -> ScoreVector:
     if a.n != n:
         raise ValueError(f"{a.n} weights for {n} observations")
     return a
-
-
-def start_point(data: RegressionData, beta0) -> np.ndarray:
-    """A fit's first point: a float copy of ``beta0``, or the origin when it
-    is None; rejected unless finite and of width p."""
-    beta = np.zeros(data.p) if beta0 is None else np.array(beta0, dtype=float).ravel()
-    if beta.shape[0] != data.p or not np.isfinite(beta).all():
-        raise ValueError("beta0 must be a finite vector of width p")
-    return beta
 
 
 def _check_count(name: str, value, least: int):

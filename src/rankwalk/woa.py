@@ -38,10 +38,10 @@ from functools import lru_cache
 import numpy as np
 
 from .certificate import OptimalityCertificate, _conditions, _descent_search
-from .loss import (ActivePairs, _are_orderings, _as_residuals, _check_tie_tol, _finite_residuals, _tie_cut,
-                   active_pairs, eval_loss, residuals)
+from .loss import (ActivePairs, _are_orderings, _check_tie_tol, _residuals_at, _tie_cut, active_pairs, eval_loss,
+                   residuals)
 from .lp import LP_TOL, LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, _solve_by_dual
-from .model import RegressionData, _check_count, sorted_scores, start_point
+from .model import RegressionData, _check_count, sorted_scores
 
 log = logging.getLogger(__name__)
 
@@ -90,7 +90,7 @@ class Breakpoints:
     """Positive step lengths at which some residual pair ties along a ray:
     observations ``pairs[k] = (i, j)``, i < j, tie at step ``steps[k]``.
     ``pairs`` is a read-only K x 2 integer array and ``steps`` a read-only
-    float array of length K, both in (i, j) order."""
+    float array of length K, both in (i, j) order; each step finite and positive."""
 
     pairs: np.ndarray
     steps: np.ndarray
@@ -100,6 +100,8 @@ class Breakpoints:
         steps = np.array(self.steps, dtype=float).ravel()
         if pairs.shape[0] != steps.shape[0]:
             raise ValueError(f"{pairs.shape[0]} pairs for {steps.shape[0]} steps")
+        if not ((steps > 0.0) & (steps < math.inf)).all():  # NaN fails both
+            raise ValueError("breakpoint steps must be finite and positive")
         pairs.setflags(write=False)
         steps.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
@@ -153,8 +155,8 @@ def region_bound(n: int, p: int) -> int:
 def cell_lp(data: RegressionData, alpha, pi, at=None) -> LpOutcome:
     """Minimize the loss restricted to the region of ordering ``pi``.
 
-    The program is posed in the offset delta from the point ``at`` (a beta
-    or its Residuals; the origin when None): with A = diff(x[pi]),
+    The program is posed in the offset delta from the point ``at`` (read as
+    ``loss._residuals_at`` reads a point; the origin when None): with A = diff(x[pi]),
     b = diff(e[pi]) for the residuals e at ``at`` and grad = alpha . x[pi],
     minimize -grad . delta subject to A delta <= b.  It is solved as its
     dual, min b . y subject to A^T y = grad and y >= 0: p rows and n - 1
@@ -176,7 +178,7 @@ def cell_lp(data: RegressionData, alpha, pi, at=None) -> LpOutcome:
     pi = np.asarray(pi if isinstance(pi, np.ndarray) else list(pi))
     if not _are_orderings(pi, (data.n,)):
         raise ValueError(f"{tuple(pi.tolist())} is not a permutation of 0..{data.n - 1}")
-    res = _as_residuals(data, np.zeros(data.p) if at is None else at)
+    res = _residuals_at(data, at, "at", origin=True)
     xp = data.x[pi]
     ep = res.e[pi]
     grad = a.alpha @ xp
@@ -238,9 +240,7 @@ def _steps(e: np.ndarray, sigma: np.ndarray, tie_tol: float) -> tuple[np.ndarray
 def _line_search(alpha: np.ndarray, e: np.ndarray, neg: np.ndarray, steps: np.ndarray) -> float:
     """The line search of ``line_search`` on arrays: sorted weights
     ``alpha``, residuals ``e`` at the start of the ray, ``neg`` = -sigma and
-    the ray's steps sorted ascending, at least one."""
-    if not (math.isfinite(steps[0]) and math.isfinite(steps[-1])):  # -inf sorts first, inf and NaN last
-        raise ValueError("beta must be finite")
+    the ray's steps sorted ascending, at least one, finite and positive."""
     repeated = steps[1:] == steps[:-1]
     if repeated.any():
         steps = steps[np.concatenate(([True], ~repeated))]
@@ -271,11 +271,14 @@ def _line_search(alpha: np.ndarray, e: np.ndarray, neg: np.ndarray, steps: np.nd
 
 def _ray_step(alpha: np.ndarray, e: np.ndarray, sigma: np.ndarray, tie_tol: float) -> float | None:
     """``line_search`` over the ``breakpoints`` of the ray e - d * sigma, on
-    sorted weights ``alpha``; None when it has none, so the loss is unbounded."""
+    sorted weights ``alpha``: None when it has none, so the loss is unbounded,
+    and ValueError when one overflows."""
     steps = _steps(e, sigma, tie_tol)[1]
     if steps.size == 0:
         return None
     steps.sort()
+    if steps[-1] == math.inf:  # the one step that is not finite: NaN and -inf fail _steps' d > tie_tol
+        raise ValueError("a breakpoint of the ray is not finite")
     return _line_search(alpha, e, -sigma, steps)
 
 
@@ -284,11 +287,11 @@ def breakpoints(data: RegressionData, beta_star, direction, tie_tol: float | Non
     beta_star + d * direction.  Pairs whose residuals move in parallel within
     ``LP_TOL`` never tie and are skipped.
 
-    ``beta_star`` may also be given as its Residuals; a point whose
-    residuals are not finite raises ValueError.  All pairs are handled at
+    ``beta_star`` is read as ``loss._residuals_at`` reads a point, its
+    Residuals included.  All pairs are handled at
     once, each with the floating-point operations of a scalar loop over
     i < j, so the steps equal that loop's bit for bit and come in its order."""
-    res = _finite_residuals(data, beta_star, "beta_star")
+    res = _residuals_at(data, beta_star, "beta_star")
     tie_tol = _tie_cut(np.sort(res.e), tie_tol)[0]
     ell = _direction(data, direction)
     keep, steps = _steps(res.e, data.x @ ell, tie_tol)
@@ -312,18 +315,21 @@ def line_search(data: RegressionData, alpha, beta_star, direction, bps: Breakpoi
     if bps.steps.size == 0:
         raise ValueError("no breakpoints to search")
     a = sorted_scores(alpha, data.n)
-    e = _finite_residuals(data, beta_star, "beta_star").e
+    e = _residuals_at(data, beta_star, "beta_star").e
     neg = -(data.x @ _direction(data, direction))  # -sigma
     return _line_search(a.alpha, e, neg, np.sort(bps.steps))
 
 
 def _require_descending_ray(data, alpha, point, ray, trace):
-    f_prev = eval_loss(data, alpha, point)
-    for t in (1.0, 10.0, 100.0):
-        f_t = eval_loss(data, alpha, point + t * ray)
-        if not f_t < f_prev:
-            raise WalkInvariantError(f"claimed ray fails to decrease the loss at step {t}", "ray", trace)
-        f_prev = f_t
+    try:
+        f_prev = eval_loss(data, alpha, point)
+        for t in (1.0, 10.0, 100.0):
+            f_t = eval_loss(data, alpha, point + t * ray)
+            if not f_t < f_prev:
+                raise WalkInvariantError(f"claimed ray fails to decrease the loss at step {t}", "ray", trace)
+            f_prev = f_t
+    except ValueError as exc:  # eval_loss refused a point of the ray whose residuals overflow
+        raise WalkError("the loss along the claimed ray overflows", "ray", trace) from exc
 
 
 def minimize(data: RegressionData, alpha, beta0=None,
@@ -331,16 +337,16 @@ def minimize(data: RegressionData, alpha, beta0=None,
     """Walk the arrangement from ``beta0`` (origin by default) to a verified
     minimizer, or detect that the loss is unbounded below.
 
-    Weights are sorted on entry; their input order never matters.  A start
-    whose residuals overflow raises ValueError before the walk.  Raises
-    IterationBudgetError if the iteration cap is hit, WalkInvariantError if
-    a runtime descent assertion fails, and WalkNumericError if the simplex
-    of the cell LP or of the descent search degrades numerically; each
-    names its layer and carries the iterations completed before it.
+    Weights are sorted on entry; their input order never matters.  A
+    ``beta0`` that ``loss._residuals_at`` refuses raises ValueError; past
+    that every failure is a WalkError that names its layer and carries the
+    iterations before it: IterationBudgetError at the cap, WalkInvariantError
+    where a descent assertion fails, WalkNumericError where a simplex
+    degrades, and WalkError itself where a number the walk makes overflows.
     """
     cfg = config or WoaConfig()
     a = sorted_scores(alpha, data.n)
-    res = _finite_residuals(data, start_point(data, beta0), "beta0")
+    res = _residuals_at(data, beta0, "beta0", origin=True)
     cap = cfg.max_iter if cfg.max_iter is not None else min(10 ** 6, region_bound(data.n, data.p))
     iterations: list[WalkIteration] = []
     visited: set[tuple[int, ...]] = set()
@@ -359,7 +365,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
             raise WalkNumericError(f"cell_lp failed at iteration {it}: {exc}", "cell_lp", trace_now) from exc
         if isinstance(out, LpInfeasible):
             raise WalkInvariantError(f"region of the current ordering {pi} came back empty", "cell_lp", trace_now)
-        if isinstance(out, LpUnbounded):
+        if isinstance(out, LpUnbounded):  # its point is res.beta, posed in value order, so its loss is finite
             iterations.append(WalkIteration(pi, out.point, eval_loss(data, a, out.point), out.ray, None))
             trace_now = WalkTrace(tuple(iterations))
             _require_descending_ray(data, a, out.point, out.ray, trace_now)
@@ -369,7 +375,10 @@ def minimize(data: RegressionData, alpha, beta0=None,
         if iterations and not (f_star < iterations[-1].f_star):
             raise WalkInvariantError(
                 f"region minimum {f_star} did not improve on {iterations[-1].f_star}", "walk", trace_now)
-        res_star = residuals(data, beta_star)
+        try:
+            res_star = residuals(data, beta_star)
+        except ValueError as exc:
+            raise WalkError("the residuals at the region minimum overflow", "cell_lp", trace_now) from exc
         ap = active_pairs(res_star, cfg.tie_tol)
         try:
             found = _descent_search(data, a, ap, R, (order, out.dual))
@@ -384,7 +393,10 @@ def minimize(data: RegressionData, alpha, beta0=None,
             log.info("minimizer found after %d iterations, loss %.12g", len(iterations), f_star)
             return Minimizer(beta_star, f_star, found, WalkTrace(tuple(iterations)))
         ell = found
-        d_star = _ray_step(a.alpha, res_star.e, data.x @ ell, ap.tie_tol)
+        try:
+            d_star = _ray_step(a.alpha, res_star.e, data.x @ ell, ap.tie_tol)
+        except ValueError as exc:
+            raise WalkError(f"{exc} at iteration {it}", "ray", trace_now) from exc
         if d_star is None:
             iterations.append(WalkIteration(pi, beta_star, f_star, ell, None))
             ray = ell / float(np.abs(ell).max())
@@ -392,8 +404,11 @@ def minimize(data: RegressionData, alpha, beta0=None,
             _require_descending_ray(data, a, beta_star, ray, trace_now)
             log.info("descent ray never changes the ordering; unbounded at iteration %d", it)
             return Unbounded(beta_star, ray, trace_now)
+        try:
+            res = residuals(data, beta_star + d_star * ell)
+        except ValueError as exc:
+            raise WalkError("the residuals at the step overflow", "ray", trace_now) from exc
         iterations.append(WalkIteration(pi, beta_star, f_star, ell, d_star))
         log.debug("iteration %d: ordering %s, region minimum %.12g, step %.6g", it, pi, f_star, d_star)
-        res = residuals(data, beta_star + d_star * ell)
 
     raise IterationBudgetError(f"no terminal state within {cap} iterations", "walk", WalkTrace(tuple(iterations)))

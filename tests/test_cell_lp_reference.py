@@ -33,7 +33,7 @@ from rankwalk import (
     residuals,
     verify_certificate,
 )
-from rankwalk.loss import _as_residuals
+from rankwalk.loss import _residuals_at
 from rankwalk.model import sorted_scores
 
 from reference_simplex import ref_solve_lp
@@ -44,7 +44,7 @@ DATA = Path(__file__).resolve().parent / "data"
 
 def ref_cell_lp(data, alpha, pi, lp_tol=1e-9, at=None):
     a = sorted_scores(alpha, data.n)
-    res = _as_residuals(data, np.zeros(data.p) if at is None else at)
+    res = _residuals_at(data, at, "at", origin=True)
     xp = data.x[list(pi)]
     ep = res.e[list(pi)]
     grad = a.alpha @ xp
@@ -219,7 +219,7 @@ def test_walk_poses_every_region_at_a_point_inside_it(monkeypatch):
     original = rankwalk.woa.cell_lp
 
     def recording(data, alpha, pi, at=None):
-        gaps.append(float(np.diff(_as_residuals(data, at).e[list(pi)]).min()))
+        gaps.append(float(np.diff(_residuals_at(data, at, "at").e[list(pi)]).min()))
         return original(data, alpha, pi, at=at)
 
     monkeypatch.setattr(rankwalk.woa, "cell_lp", recording)

@@ -223,7 +223,7 @@ def test_scores_file_is_normalized(worked_csv, capsys, tmp_path):
 def test_init_flag_errors(worked_csv, capsys):
     data, scores = worked_csv
     code, _, err = run(capsys, "fit", data, "--scores", f"file={scores}", "--init", "1,2")
-    assert code == 1 and "expected 1" in err
+    assert code == 1 and err == "error: beta0 must be a finite vector of width p\n"
     code, _, err = run(capsys, "fit", data, "--scores", f"file={scores}", "--init", "north")
     assert code == 1 and "--init" in err
 

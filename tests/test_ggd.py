@@ -1,6 +1,3 @@
-import math
-import warnings
-
 import numpy as np
 import pytest
 
@@ -148,27 +145,6 @@ def test_ggd_config_rejects_bad_tolerances(field, value, worked):
     data, alpha = worked
     with pytest.raises(ValueError, match="tie tolerance"):
         cell_gradient(data, alpha, [-2.0], tie_tol=value)
-
-
-def test_ggd_rejects_bad_start(worked):
-    data, alpha = worked
-    for beta0 in ([1.0, 2.0], [math.nan]):
-        with pytest.raises(ValueError, match="^beta0 must be a finite vector of width p$"):
-            ggd_minimize(data, alpha, beta0=beta0)
-
-
-@pytest.mark.parametrize("beta", [[1e308], [-1e308]])
-def test_a_point_whose_residuals_overflow_is_named(worked, beta):
-    """``ggd_minimize`` from, and ``cell_gradient`` at, a finite point whose
-    residuals are not finite refuse it as such, with no NumPy warning on the
-    way."""
-    data, alpha = worked
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^the residuals at beta0 are not finite$"):
-            ggd_minimize(data, alpha, beta0=beta)
-        with pytest.raises(ValueError, match="^the residuals at beta are not finite$"):
-            cell_gradient(data, alpha, beta)
 
 
 @pytest.mark.parametrize("sign", ["positive", "negative", "mixed", "signed_zeros"])

@@ -252,9 +252,11 @@ def test_line_search_flat_scores_take_the_smallest_step():
 
 def test_line_search_raises_where_the_scan_would():
     data, alpha = _v_shape()
-    bps = Breakpoints(np.zeros((3, 2)), [-math.inf, 1.0, 2.0])
-    with pytest.raises(ValueError, match="finite"):
-        line_search(data, alpha, [0.0], [1.0], bps)
+    # A step the scan could not take, or one behind the start, is refused when
+    # the breakpoints are built; a step of -1 would have walked backwards.
+    for step in (-math.inf, math.inf, math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match="^breakpoint steps must be finite and positive$"):
+            Breakpoints(np.zeros((3, 2)), [step, 1.0, 2.0])
     # Past the first rise the scan stops before an overflowing point.
     bps = Breakpoints(np.zeros((3, 2)), [1.0, 2.0, 1e308])
     assert line_search(data, alpha, [-1.0], [1e10], bps) == ref_line_search(data, alpha, [-1.0], [1e10], bps.entries)

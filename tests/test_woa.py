@@ -1,7 +1,6 @@
 import linecache
 import math
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +36,6 @@ from rankwalk import (
     random_instance,
     region_bound,
     residuals,
-    verify_certificate,
 )
 from rankwalk.woa import _require_descending_ray
 
@@ -282,6 +280,8 @@ def test_minimize_accepts_raw_weights(worked):
     out = minimize(data, [1.0, 0.0, -1.0], beta0=[-2.0])  # sorted on entry
     assert isinstance(out, Minimizer)
     assert abs(out.f_opt - 1.0) < 1e-9
+    with pytest.raises(ValueError, match="^2 weights for 3 observations$"):
+        minimize(data, [1.0, 2.0])
 
 
 def test_minimize_single_observation_unbounded():
@@ -405,6 +405,10 @@ RAISE_SITES = [
                  id="cell-refused"),
     pytest.param("cell_lp", WalkInvariantError, "region of the current ordering", ("cell_lp", 1, "out"),
                  returns(lambda f, earlier, args, kwargs: LpInfeasible()), id="cell-empty"),
+    # iteration 1's region minimum, where the residuals overflow
+    pytest.param("cell_lp", WalkError, "the residuals at the region minimum overflow", ("cell_lp", 1, "out"),
+                 returns(lambda f, earlier, args, kwargs: LpOptimal(np.full(2, 1e308), -1e300, earlier[0].dual)),
+                 id="cell-overflow"),
     # iteration 1's region is unbounded along a zero ray
     pytest.param("ray", WalkInvariantError, "claimed ray fails", ("cell_lp", 1, "out"),
                  returns(lambda f, earlier, args, kwargs: LpUnbounded(f(*args, **kwargs).point, np.zeros(2))),
@@ -468,15 +472,6 @@ def test_every_walk_error_names_its_layer_and_keeps_the_trace(monkeypatch, layer
         assert len(kept) == 1
 
 
-def test_minimize_rejects_bad_start(worked):
-    data, alpha = worked
-    for beta0 in ([1.0, 2.0], [math.nan]):
-        with pytest.raises(ValueError, match="^beta0 must be a finite vector of width p$"):
-            minimize(data, alpha, beta0=beta0)
-    with pytest.raises(ValueError):
-        minimize(data, [1.0, 2.0])
-
-
 @pytest.mark.parametrize("value", [0, 2.5, float("nan"), True, "3"])
 def test_config_rejects_a_bad_iteration_cap(value):
     with pytest.raises(ValueError, match="^max_iter must be an integer"):
@@ -487,35 +482,6 @@ def test_config_accepts_a_numpy_iteration_cap(worked):
     data, alpha = worked
     out = minimize(data, alpha, beta0=[-2.0], config=WoaConfig(max_iter=np.int64(5)))
     assert isinstance(out, Minimizer)
-
-
-@pytest.mark.parametrize("beta0", [[1e308], [-1e308]])
-def test_minimize_rejects_a_start_whose_residuals_overflow(worked, beta0):
-    """A finite start whose residuals are not finite is refused before the
-    walk, with no NumPy warning on the way."""
-    data, alpha = worked
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^the residuals at beta0 are not finite$"):
-            minimize(data, alpha, beta0=beta0)
-
-
-@pytest.mark.parametrize("layer, name", [("verify_certificate", "beta"), ("breakpoints", "beta_star"),
-                                         ("line_search", "beta_star")])
-@pytest.mark.parametrize("beta", [[1e308], [-1e308]])
-def test_public_layers_refuse_a_point_whose_residuals_overflow(worked, layer, name, beta):
-    """Each names the point as its parameter list does, with no NumPy
-    warning on the way and no tie tolerance blamed; ``line_search`` read a
-    step from the infinite residuals."""
-    data, alpha = worked
-    cert = minimize(data, alpha).certificate
-    calls = {"verify_certificate": lambda: verify_certificate(data, alpha, beta, cert),
-             "breakpoints": lambda: breakpoints(data, beta, [1.0]),
-             "line_search": lambda: line_search(data, alpha, beta, [1.0], Breakpoints([[0, 1]], [1.0]))}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^the residuals at {name} are not finite$"):
-            calls[layer]()
 
 
 def test_config_validation():
@@ -543,6 +509,18 @@ def test_descending_ray_guard(worked):
     with pytest.raises(WalkInvariantError) as info:
         _require_descending_ray(data, alpha, np.array([0.0]), np.array([1.0]), WalkTrace(()))
     assert info.value.layer == "ray" and info.value.trace == WalkTrace(())
+
+
+def test_descending_ray_guard_refuses_a_ray_whose_loss_overflows(worked):
+    """With only the top weight the loss is the largest residual, which falls
+    along beta = d * 1e307 until the residual 0 - 2 * beta overflows at
+    d = 10: a WalkError of the ray, not the loss's refusal of a beta no
+    caller gave."""
+    data, _ = worked
+    with pytest.raises(WalkError) as info:
+        _require_descending_ray(data, [0.0, 0.0, 1.0], np.array([0.0]), np.array([1e307]), WalkTrace(()))
+    assert type(info.value) is WalkError and info.value.layer == "ray" and info.value.trace == WalkTrace(())
+    assert str(info.value) == "the loss along the claimed ray overflows"
 
 
 def test_walk_steps_match_the_public_ray_search():
