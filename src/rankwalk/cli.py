@@ -19,7 +19,7 @@ import numpy as np
 
 from .certificate import verify_certificate
 from .ggd import GgdConfig, ggd_minimize
-from .loss import _residuals_at, consistent_permutation
+from .loss import _residuals_at, _sorted_loss, consistent_permutation
 from .model import RegressionData, ScoreVector, make_scores
 from .oracle import ORACLE_LIMIT, oracle_minimize
 from .woa import Minimizer, WalkError, WoaConfig, minimize
@@ -89,7 +89,9 @@ def build_scores(spec: str, n: int) -> ScoreVector:
     raise CliError(f"unknown --scores value {spec!r} (use sign, wilcoxon, vdw, or file=PATH)")
 
 
-def initial_point(spec: str, data: RegressionData) -> np.ndarray | None:
+def initial_point(spec: str, data: RegressionData, flag: str) -> np.ndarray | None:
+    """The point ``spec`` names, parsed from the flag ``flag``, which a bad
+    spec's error names."""
     if spec == "zero":
         return None
     if spec == "ls":
@@ -99,7 +101,7 @@ def initial_point(spec: str, data: RegressionData) -> np.ndarray | None:
     try:
         return np.array([float(tok) for tok in spec.split(",")])
     except ValueError:
-        raise CliError(f"--init must be zero, ls, or a comma-separated vector (got {spec!r})") from None
+        raise CliError(f"{flag} must be zero, ls, or a comma-separated vector (got {spec!r})") from None
 
 
 def _floats(arr) -> list[float]:
@@ -146,7 +148,7 @@ def _walk_config(args) -> WoaConfig:
 def cmd_fit(args) -> int:
     data = read_csv(args.data)
     alpha = build_scores(args.scores, data.n)
-    outcome = minimize(data, alpha, initial_point(args.init, data), _walk_config(args))
+    outcome = minimize(data, alpha, initial_point(args.init, data, "--init"), _walk_config(args))
     if args.trace:
         with open(args.trace, "w") as fh:
             json.dump(trace_payload(outcome), fh, indent=2)
@@ -162,8 +164,8 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     data = read_csv(args.data)
     alpha = build_scores(args.scores, data.n)
-    res = _residuals_at(data, initial_point(args.beta, data), "--beta", origin=True)
-    f = float(np.sort(res.e) @ alpha.alpha)  # eval_loss at --beta, from the residuals at hand
+    res = _residuals_at(data, initial_point(args.beta, data, "--beta"), "--beta", origin=True)
+    f = _sorted_loss(np.sort(res.e), alpha.alpha, "--beta")  # eval_loss at --beta, from the residuals at hand
     pi = consistent_permutation(res, args.tie_tol)
     print(json.dumps({"F": f, "pi": _one_based(pi)}))
     return 0
@@ -174,7 +176,7 @@ def cmd_check(args) -> int:
     if data.n > ORACLE_LIMIT:
         raise CliError(f"check is exhaustive and refuses n > {ORACLE_LIMIT} (got {data.n})")
     alpha = build_scores(args.scores, data.n)
-    outcome = minimize(data, alpha, initial_point(args.init, data), _walk_config(args))
+    outcome = minimize(data, alpha, initial_point(args.init, data, "--init"), _walk_config(args))
     reference = oracle_minimize(data, alpha)
     found = isinstance(outcome, Minimizer)
     report: dict = {
@@ -201,7 +203,7 @@ def cmd_check(args) -> int:
 def cmd_compare(args) -> int:
     data = read_csv(args.data)
     alpha = build_scores(args.scores, data.n)
-    beta0 = initial_point(args.init, data)
+    beta0 = initial_point(args.init, data, "--init")
     outcome = minimize(data, alpha, beta0, _walk_config(args))
     if not isinstance(outcome, Minimizer):
         print(json.dumps({"outcome": "unbounded", "ray": _ray(outcome)}))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import _check_tie_tol, _residual_vector, _residuals_at, _tie_cut
+from .loss import _check_tie_tol, _residual_vector, _residuals_at, _sorted_loss, _tie_cut
 from .model import RegressionData, _check_count, sorted_scores
 from .woa import _ray_step
 
@@ -105,7 +105,9 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
 
     No optimality claim is made for the result; the trace records the strictly
     decreasing losses of the accepted steps and why the loop stopped.  A ray
-    with a breakpoint that overflows raises ValueError.
+    with a breakpoint that overflows raises ValueError, and so do a gradient
+    and a loss that overflow, at the start or at a step: no loss returned
+    is infinite.
     """
     cfg = config or GgdConfig()
     a = sorted_scores(alpha, data.n)
@@ -116,7 +118,7 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
     columns = np.ascontiguousarray(x.T)
 
     es = np.sort(e)
-    f_best = float(es @ w)
+    f_best = _sorted_loss(es, w, "beta0")
     tt, cut = _tie_cut(es, cfg.tie_tol)
     order = np.argsort(e, kind="stable") if cut.all() else None  # None at a tie point
     points = [beta.copy()]
@@ -151,7 +153,7 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
             stop_reason = "zero_gradient"
             break
         if not all(map(math.isfinite, entries)):
-            raise ValueError("direction must be a finite vector of width p")
+            raise ValueError("the gradient at the descent's current point is not finite")
         d = _ray_step(w, start_e, x @ direction, start_tt)
         if d is None:
             stop_reason = "unbounded_direction"
@@ -159,7 +161,7 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
         candidate = start + d * direction
         cand_e = _residual_vector(y, columns, candidate)
         cand_es = np.sort(cand_e)
-        f_cand = float(cand_es @ w)  # eval_loss at the candidate
+        f_cand = _sorted_loss(cand_es, w, "a step")  # eval_loss at the candidate
         if f_cand < f_best:
             improvement = f_best - f_cand
             beta, e, f_best, last_dir = candidate, cand_e, f_cand, direction

@@ -10,7 +10,8 @@ Which residuals tie has one site, ``_tie_cut``; the walk's tie blocks, the
 verifier's, the orderings, ``breakpoints`` and gradient descent all read it.
 Every layer that takes a point reads it through one helper,
 ``_residuals_at``, so each refuses a bad point in the same two forms,
-naming it as its signature does.
+naming it as its signature does.  A loss is summed by one helper too,
+``_sorted_loss``, which refuses a sum that overflows, naming its point.
 """
 
 from __future__ import annotations
@@ -184,10 +185,21 @@ def active_pairs(res: Residuals, tie_tol: float | None = None) -> ActivePairs:
 
 def eval_loss(data: RegressionData, alpha, beta) -> float:
     """Loss at beta: sorted residuals paired with the weights, sorted on
-    entry.  A ``beta`` whose residuals overflow is refused."""
+    entry.  A ``beta`` whose residuals or loss overflow is refused."""
     a = sorted_scores(alpha, data.n)
-    e = residuals(data, beta).e
-    return float(np.sort(e) @ a.alpha)
+    return _sorted_loss(np.sort(residuals(data, beta).e), a.alpha, "beta")
+
+
+def _sorted_loss(es: np.ndarray, alpha: np.ndarray, name: str) -> float:
+    """The loss of residuals sorted ascending as ``es`` under sorted weights
+    ``alpha``, summed without NumPy's warnings.  Finite residuals can still
+    sum past the largest float, and such a loss is refused with ValueError
+    "the loss at <name> is not finite"."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = float(es @ alpha)
+    if not math.isfinite(f):
+        raise ValueError(f"the loss at {name} is not finite")
+    return f
 
 
 @lru_cache(maxsize=8)

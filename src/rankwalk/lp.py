@@ -12,7 +12,11 @@ so the tableau is p x m and at most p artificials enter: a dual row that
 already holds its unit vector as a column (the descent master's cut of
 every tie block in index order, for one) starts with that column basic.
 The primal point is the p x p solve of the basic rows; an infeasible dual
-is an unbounded primal, whose ray is the Farkas vector of phase 1.  Each
+is an unbounded primal, whose ray is the Farkas vector of phase 1.  A
+caller may name rows to try first as the dual's basis (``woa.cell_lp``
+names the rows tied where the walk's step landed): their multipliers and
+vertex are solved directly, and the simplex runs only when those fail the
+same checks as its own answer.  Each
 column is row j of A scaled to unit max-norm and priced to a tolerance
 that keeps every row within what the final check allows.  The driver
 certifies what it returns: an optimal point and its multipliers are
@@ -307,11 +311,17 @@ def solve_lp(prob: LinearProgram) -> LpOutcome:
     return LpOptimal(out.point, out.value, dual)
 
 
-def _solve_by_dual(c, A, b) -> LpOutcome:
+def _solve_by_dual(c, A, b, start=None) -> LpOutcome:
     """Minimize c.v over free v subject to Av <= b, through the dual
     min b.y subject to A^T y = -c and y >= 0 (see the module docstring),
     to ``LP_TOL``.  An optimum carries the dual's y as its ``dual``, with
-    A^T y = -c."""
+    A^T y = -c.  ``start``, when given, holds row indices tried first as
+    the dual's basis (``_from_rows``); the simplex runs only when they give
+    no checked optimum."""
+    if start is not None:
+        out = _from_rows(c, A, b, start)
+        if out is not None:
+            return out
     try:
         return _dual_once(c, A, b, LP_TOL, bland=False)
     except LpNumericError:
@@ -354,14 +364,39 @@ def _dual_once(c, A, b, lp_tol, bland) -> LpOutcome:
         return _infeasible(A, b, scale, std, lp_tol)
     y = np.zeros(m)
     y[std.basis] = std.T[:, -1] / scale[std.basis]
-    point = _basic_rows_point(A, b, std.basis)
+    out = _checked_optimum(c, A, b, _basic_rows_point(A, b, std.basis), y, lp_tol, absA)
+    if out is None:
+        raise LpNumericError("optimal point failed verification")
+    return out
+
+
+def _checked_optimum(c, A, b, point, y, lp_tol, absA) -> LpOptimal | None:
+    """The optimum at ``point`` with multipliers ``y`` >= 0, or None unless
+    the rows hold at the point, A^T y = -c and the duality gap is zero, each
+    within the LP tolerance; ``absA`` is |A|."""
     value = float(c @ point)
     gap_tol = 10.0 * lp_tol * (1.0 + np.abs(c) @ np.abs(point) + np.abs(b) @ y)
     if not (_check_rows(A, "<=", b, point, lp_tol, absA)
             and _check_rows(A.T, "==", -c, y, lp_tol, absA.T)
             and abs(value + float(b @ y)) <= gap_tol):
-        raise LpNumericError("optimal point failed verification")
+        return None
     return LpOptimal(point, value, y)
+
+
+def _from_rows(c, A, b, rows) -> LpOptimal | None:
+    """The optimum whose dual basis is ``rows``, or None.  The rows may be
+    fewer or more than p: y solves A_rows^T y = -c and the point
+    A_rows v = b_rows, each by ``_basic_rows_point`` (least squares unless
+    square and regular), and the optimum must have y >= 0 and pass
+    ``_checked_optimum``.  No pivot is made."""
+    if rows.size == 0:
+        return None
+    y_rows = _basic_rows_point(A[rows].T, -c, slice(None))
+    if not (y_rows >= 0.0).all():
+        return None
+    y = np.zeros(A.shape[0])
+    y[rows] = y_rows
+    return _checked_optimum(c, A, b, _basic_rows_point(A, b, rows), y, LP_TOL, np.abs(A))
 
 
 def _unit_columns(M) -> np.ndarray:
@@ -375,9 +410,10 @@ def _unit_columns(M) -> np.ndarray:
 
 
 def _basic_rows_point(A, b, basis) -> np.ndarray:
-    """The v on which the rows of the dual's basic columns hold with
-    equality: a p x p solve, least squares when phase 1 dropped rows or the
-    basis is singular."""
+    """The v on which the rows ``basis`` of A (indices, or a slice) hold with
+    equality: a solve when they are square and regular, least squares
+    otherwise (phase 1 dropped rows, a singular basis, or other than p rows
+    to start from)."""
     rows = A[basis]
     if rows.shape[0] == rows.shape[1]:
         try:

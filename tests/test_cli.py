@@ -228,6 +228,15 @@ def test_init_flag_errors(worked_csv, capsys):
     assert code == 1 and "--init" in err
 
 
+@pytest.mark.parametrize("command, flag", [("fit", "--init"), ("check", "--init"), ("compare", "--init"),
+                                           ("eval", "--beta")])
+def test_a_point_that_is_no_vector_names_its_flag(worked_csv, capsys, command, flag):
+    data, _ = worked_csv
+    code, out, err = run(capsys, command, data, flag, "north")
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be zero, ls, or a comma-separated vector (got 'north')\n"
+
+
 @pytest.mark.parametrize("command, flag", [("fit", "--init"), ("eval", "--beta")])
 @pytest.mark.parametrize("value", ["1e308", "-1e308"])
 def test_a_point_whose_residuals_overflow_is_named(worked_csv, capsys, command, flag, value):

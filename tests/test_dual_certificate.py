@@ -3,12 +3,15 @@
 ``minimize`` hands ``_descent_search`` the ordering its cell LP posed and
 that LP's dual y, with A^T y = g(posed).  When the posed ordering is
 realizable at the point, every row that y weighs joins two ranks of one
-tie block, no two weighted rows are adjacent and
-y_r <= alpha[r + 1] - alpha[r], the posed ordering with each weighted pair
-swapped with weight y_r / (alpha[r + 1] - alpha[r]) balances, and the
-search returns it without posing a master LP.  The read must never certify
-a point the master descends from, the walk must take it on most ``walk``
-fits, and a dual that breaks any condition must reach the master's answer.
+tie block and no two weighted rows are adjacent, y answers without a
+master LP in two ways.  With every y_r <= alpha[r + 1] - alpha[r], the
+posed ordering with each weighted pair swapped with weight
+y_r / (alpha[r + 1] - alpha[r]) balances, and is the certificate.  With
+exactly one row above its gap, y names an edge, which is taken when the
+master's own test finds the loss falling along it.  The read must never
+certify a point the master descends from nor descend from one the master
+certifies, the walk must take the certificate on most ``walk`` fits, and
+a dual that breaks any condition must reach the master's answer.
 """
 
 import numpy as np
@@ -56,37 +59,42 @@ def fits():
 @pytest.fixture(scope="module")
 def walked():
     """Per fit: its group, whether the read certified its last point, and
-    whether its certificate verifies; and per search the read certified,
-    whether the master certifies the same point without the dual."""
-    per_fit, agreed = [], []
+    whether its certificate verifies; and per search the read answered, the
+    kind of the answer and whether the master, posed without the dual,
+    gives an answer of the same kind at the same point."""
+    per_fit, answers = [], []
     with pytest.MonkeyPatch.context() as mp:
         calls = counting_masters(mp)
         original = rankwalk.woa._descent_search
-        taken = []
+        certified = []
 
         def spy(data, a, ap, R=None, dual=None):
             before = len(calls)
             found = original(data, a, ap, R, dual)
-            if len(calls) == before:  # no master LP: the read returned
-                taken.append(1)
-                agreed.append(isinstance(found, OptimalityCertificate)
-                              and isinstance(original(data, a, ap, R), OptimalityCertificate))
+            if len(calls) == before:  # no master LP: the read answered
+                kind = type(found)
+                certified.append(kind is OptimalityCertificate)
+                answers.append((kind, isinstance(original(data, a, ap, R), kind)))
             return found
 
         mp.setattr(rankwalk.woa, "_descent_search", spy)
         for group, data, alpha in fits():
-            taken.clear()
+            certified.clear()
             out = minimize(data, alpha)
             ok = isinstance(out, Minimizer) and verify_certificate(data, alpha, out.beta_opt, out.certificate).ok
-            per_fit.append((group, bool(taken), ok))
-    return per_fit, agreed
+            per_fit.append((group, any(certified), ok))
+    return per_fit, answers
 
 
 def test_the_read_certifies_only_where_the_master_does(walked):
-    per_fit, agreed = walked
+    """Both answers of the read: a certificate meets a master that
+    certifies, and an edge meets a master that descends from that point."""
+    per_fit, answers = walked
     assert len(per_fit) == 96 + 60 + 600
-    assert agreed and all(agreed)
-    assert len(agreed) == sum(read for _, read, _ in per_fit)  # one read at most per fit: its last search
+    kinds = [kind for kind, _ in answers]
+    assert kinds.count(OptimalityCertificate) and kinds.count(np.ndarray)
+    assert all(agreed for _, agreed in answers)
+    assert kinds.count(OptimalityCertificate) == sum(read for _, read, _ in per_fit)  # one per fit: its last
     assert all(ok for _, read, ok in per_fit if read)
 
 
@@ -126,7 +134,7 @@ def forged(a, ap, kind):
         r = np.flatnonzero(label[1:] != label[:-1])[0]
         posed[r:r + 2] = posed[r:r + 2][::-1]
         return posed, y
-    if kind == "above the score gap":
+    if kind == "above the score gap":  # an edge, which the master's test refuses at this minimizer
         r = inner[0]
         y[r] = np.nextafter(gap[r], np.inf)
     elif kind == "two adjacent rows":

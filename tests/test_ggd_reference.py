@@ -9,7 +9,7 @@ trace, the stop reason and both counts), or raise the same error, on the
 benchmark's ``ggd-line`` fits and on shapes that workload leaves out (exact
 ties, and continuous data at p = 4 and 6), on both perturbations and an explicit tie
 tolerance, at each stop reason, on a ray whose residuals overflow, and on a
-gradient that overflows.
+gradient and a loss that overflow.
 """
 
 import dataclasses
@@ -47,7 +47,10 @@ def ref_ggd_minimize(data, alpha, beta0=None, config=None):
         raise ValueError("beta0 must be a finite vector of width p")
     rng = np.random.default_rng(cfg.seed)
 
-    f_best = eval_loss(data, a, beta)
+    try:
+        f_best = eval_loss(data, a, beta)
+    except ValueError as exc:  # the start is beta0 to ggd_minimize
+        raise ValueError(str(exc).replace("at beta ", "at beta0 ")) from None
     points = [beta.copy()]
     f_values = [f_best]
     last_dir = None
@@ -77,6 +80,8 @@ def ref_ggd_minimize(data, alpha, beta0=None, config=None):
         if float(np.abs(grad).max()) == 0.0:
             stop_reason = "zero_gradient"
             break
+        if not np.isfinite(grad).all():
+            raise ValueError("the gradient at the descent's current point is not finite")
         direction = -grad
         tt = default_tie_tol(res) if cfg.tie_tol is None else cfg.tie_tol
         bps = breakpoints(data, res, direction, tt)
@@ -85,7 +90,10 @@ def ref_ggd_minimize(data, alpha, beta0=None, config=None):
             break
         d = line_search(data, a, res, direction, bps)
         candidate = start + d * direction
-        f_cand = eval_loss(data, a, candidate)
+        try:
+            f_cand = eval_loss(data, a, candidate)
+        except ValueError:  # residuals that overflow sum past the largest float too
+            raise ValueError("the loss at a step is not finite") from None
         if f_cand < f_best:
             improvement = f_best - f_cand
             beta = candidate
@@ -217,4 +225,10 @@ def test_overflowing_residuals_along_the_ray_match_the_reference(monkeypatch):
 def test_an_overflowing_gradient_raises_as_the_reference_does():
     data = RegressionData(np.array([[1e308], [1.5e308], [0.0]]), np.array([0.0, 1.0, 2.0]))
     got = assert_same_fit(data, ScoreVector(np.ones(3)))
-    assert got == "ValueError: direction must be a finite vector of width p"
+    assert got == "ValueError: the gradient at the descent's current point is not finite"
+
+
+def test_an_overflowing_loss_raises_as_the_reference_does():
+    data = RegressionData(np.array([[1.0], [2.0]]), np.array([1e308, 1.5e308]))
+    got = assert_same_fit(data, ScoreVector(np.ones(2)))
+    assert got == "ValueError: the loss at beta0 is not finite"
