@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import _check_tie_tol, _residual_vector, _residuals_at, _sorted_loss, _tie_cut
+from .loss import _check_tie_tol, _loss_sum, _residual_vector, _residuals_at, _sorted_loss, _tie_cut
 from .model import RegressionData, _check_count, sorted_scores
 from .woa import _ray_step
 
@@ -106,8 +106,9 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
     No optimality claim is made for the result; the trace records the strictly
     decreasing losses of the accepted steps and why the loop stopped.  A ray
     with a breakpoint that overflows raises ValueError, and so do a gradient
-    and a loss that overflow, at the start or at a step: no loss returned
-    is infinite.
+    that overflows, a start whose loss overflows and a step whose loss
+    overflows to -inf, which would be accepted; a step whose loss overflows
+    to +inf or NaN is rejected.  No loss returned is infinite.
     """
     cfg = config or GgdConfig()
     a = sorted_scores(alpha, data.n)
@@ -161,8 +162,10 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
         candidate = start + d * direction
         cand_e = _residual_vector(y, columns, candidate)
         cand_es = np.sort(cand_e)
-        f_cand = _sorted_loss(cand_es, w, "a step")  # eval_loss at the candidate
+        f_cand = _loss_sum(cand_es, w)  # eval_loss at the candidate; +inf and NaN are rejected
         if f_cand < f_best:
+            if f_cand == -math.inf:
+                raise ValueError("the loss at a step is not finite")
             improvement = f_best - f_cand
             beta, e, f_best, last_dir = candidate, cand_e, f_cand, direction
             tt, cut = _tie_cut(cand_es, cfg.tie_tol)

@@ -11,7 +11,9 @@ verifier's, the orderings, ``breakpoints`` and gradient descent all read it.
 Every layer that takes a point reads it through one helper,
 ``_residuals_at``, so each refuses a bad point in the same two forms,
 naming it as its signature does.  A loss is summed by one helper too,
-``_sorted_loss``, which refuses a sum that overflows, naming its point.
+``_loss_sum``; ``_sorted_loss`` refuses a sum that overflows, naming its
+point, and gradient descent refuses a step's loss only where it would
+accept it.
 """
 
 from __future__ import annotations
@@ -190,13 +192,18 @@ def eval_loss(data: RegressionData, alpha, beta) -> float:
     return _sorted_loss(np.sort(residuals(data, beta).e), a.alpha, "beta")
 
 
-def _sorted_loss(es: np.ndarray, alpha: np.ndarray, name: str) -> float:
+def _loss_sum(es: np.ndarray, alpha: np.ndarray) -> float:
     """The loss of residuals sorted ascending as ``es`` under sorted weights
     ``alpha``, summed without NumPy's warnings.  Finite residuals can still
-    sum past the largest float, and such a loss is refused with ValueError
-    "the loss at <name> is not finite"."""
+    sum past the largest float, to an infinite or NaN loss."""
     with np.errstate(over="ignore", invalid="ignore"):
-        f = float(es @ alpha)
+        return float(es @ alpha)
+
+
+def _sorted_loss(es: np.ndarray, alpha: np.ndarray, name: str) -> float:
+    """``_loss_sum``, refused with ValueError "the loss at <name> is not
+    finite" when it is not finite."""
+    f = _loss_sum(es, alpha)
     if not math.isfinite(f):
         raise ValueError(f"the loss at {name} is not finite")
     return f

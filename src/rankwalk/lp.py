@@ -14,9 +14,10 @@ every tie block in index order, for one) starts with that column basic.
 The primal point is the p x p solve of the basic rows; an infeasible dual
 is an unbounded primal, whose ray is the Farkas vector of phase 1.  A
 caller may name rows to try first as the dual's basis (``woa.cell_lp``
-names the rows tied where the walk's step landed): their multipliers and
-vertex are solved directly, and the simplex runs only when those fail the
-same checks as its own answer.  Each
+names the rows tied up to rounding at its point, after a step those where
+the walk's ray landed): their multipliers and vertex are solved directly,
+and the simplex runs only when those fail the same checks as its own
+answer.  Each
 column is row j of A scaled to unit max-norm and priced to a tolerance
 that keeps every row within what the final check allows.  The driver
 certifies what it returns: an optimal point and its multipliers are

@@ -23,11 +23,11 @@ that pair and keeps the other weighted pairs tied, which the walk follows
 when the master's descent test passes it (on the benchmark's ``walk`` fits,
 at every step).  The master LP runs only where y is neither.
 
-After a step each region LP first tries as its dual basis the rows tied
-where the ray landed, cut with the tie tolerance of the minimum it left.
-Most regions a step enters have their minimum there, solved from those
-rows and checked as the simplex checks its own answer; the others start
-the simplex cold.
+Each region LP first tries as its dual basis the rows tied up to rounding
+at the point it is posed at: after a step, the pairs tied where the ray
+landed.  Most regions a step enters have their minimum there, solved from
+those rows and checked as the simplex checks its own answer; the others
+start the simplex cold.
 
 Where the loss stops falling along a ray has one site, ``_ray_step``, which
 gradient descent shares.
@@ -53,6 +53,8 @@ from .lp import LP_TOL, LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUn
 from .model import RegressionData, _check_count, sorted_scores
 
 log = logging.getLogger(__name__)
+
+_ROUNDING = 2.0 ** -40  # residuals this close, relative to 1 + max|e|, differ by rounding only
 
 
 class WalkError(Exception):
@@ -161,7 +163,7 @@ def region_bound(n: int, p: int) -> int:
     return sum(math.comb(big_n, i) for i in range(0, p + 1))
 
 
-def cell_lp(data: RegressionData, alpha, pi, at=None, *, _tie_tol: float | None = None) -> LpOutcome:
+def cell_lp(data: RegressionData, alpha, pi, at=None) -> LpOutcome:
     """Minimize the loss restricted to the region of ordering ``pi``.
 
     The program is posed in the offset delta from the point ``at`` (read as
@@ -183,12 +185,13 @@ def cell_lp(data: RegressionData, alpha, pi, at=None, *, _tie_tol: float | None 
     minimized over A^T y = 0.  Every outcome is checked against the n - 1
     rows of the region.
 
-    ``minimize`` passes ``_tie_tol`` after a step, the tolerance of the tie
-    blocks at the region minimum it stepped from.  The posed rows whose gap
-    b_r at ``at`` is within it, the pairs tied where the ray landed, are
-    then tried first as the dual's basis: when the y solved on them is
-    nonnegative and it and the vertex solved from them pass the simplex's
-    checks, that is the optimum and no pivot is made (``lp._from_rows``).
+    The posed rows tied at ``at`` up to rounding, |b_r| <= ``_ROUNDING``
+    (1 + max|e|), are tried first as the dual's basis: when the y solved on
+    them is nonnegative and it and the vertex solved from them pass the
+    simplex's checks, that is the optimum and no pivot is made
+    (``lp._from_rows``).  After a step of ``minimize`` they are the pairs
+    tied where the ray landed; at a point with no ties there are none to
+    try.
     """
     a = sorted_scores(alpha, data.n)
     pi = np.asarray(pi if isinstance(pi, np.ndarray) else list(pi))
@@ -200,7 +203,8 @@ def cell_lp(data: RegressionData, alpha, pi, at=None, *, _tie_tol: float | None 
     grad = a.alpha @ xp
     const = float(a.alpha @ data.y[pi]) - float(grad @ res.beta)
     b = ep[1:] - ep[:-1]
-    out = _solve_by_dual(-grad, xp[1:] - xp[:-1], b, None if _tie_tol is None else np.flatnonzero(b <= _tie_tol))
+    tied = np.flatnonzero(np.abs(b) <= _ROUNDING * (1.0 + float(np.abs(ep).max())))
+    out = _solve_by_dual(-grad, xp[1:] - xp[:-1], b, tied)
     if isinstance(out, LpOptimal):
         return LpOptimal(res.beta + out.point, const + out.value, out.dual)
     if isinstance(out, LpUnbounded):
@@ -368,7 +372,6 @@ def minimize(data: RegressionData, alpha, beta0=None,
     iterations: list[WalkIteration] = []
     visited: set[tuple[int, ...]] = set()
     R = np.linalg.qr(data.x, mode="r")  # the descent search's box, once per fit
-    tie_tol = None  # after a step: the tie tolerance at the region minimum it left
 
     for it in range(cap):
         order = np.argsort(res.e, kind="stable")
@@ -378,7 +381,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
             raise WalkInvariantError(f"ordering {pi} revisited at iteration {it}", "walk", trace_now)
         visited.add(pi)
         try:
-            out = cell_lp(data, a, order, at=res, _tie_tol=tie_tol)
+            out = cell_lp(data, a, order, at=res)
         except LpNumericError as exc:
             raise WalkNumericError(f"cell_lp failed at iteration {it}: {exc}", "cell_lp", trace_now) from exc
         if isinstance(out, LpInfeasible):
@@ -426,7 +429,6 @@ def minimize(data: RegressionData, alpha, beta0=None,
             res = residuals(data, beta_star + d_star * ell)
         except ValueError as exc:
             raise WalkError("the residuals at the step overflow", "ray", trace_now) from exc
-        tie_tol = ap.tie_tol
         iterations.append(WalkIteration(pi, beta_star, f_star, ell, d_star))
         log.debug("iteration %d: ordering %s, region minimum %.12g, step %.6g", it, pi, f_star, d_star)
 

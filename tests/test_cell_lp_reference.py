@@ -72,10 +72,8 @@ def in_region(data, pi, beta):
     return bool(np.all(np.diff(e) >= -1e-7 * (1.0 + np.abs(e).max())))
 
 
-def assert_same_cell(data, alpha, pi, at, **walk):
-    """``walk`` holds what ``minimize`` passes ``cell_lp`` after a step, so
-    the basis it starts from is checked too."""
-    got = cell_lp(data, alpha, pi, at=at, **walk)
+def assert_same_cell(data, alpha, pi, at):
+    got = cell_lp(data, alpha, pi, at=at)
     want = ref_cell_lp(data, alpha, pi, at=at)
     assert type(got) is type(want)
     if isinstance(got, LpOptimal):
@@ -93,14 +91,13 @@ def assert_same_cell(data, alpha, pi, at, **walk):
 
 
 def walk_cells(fits):
-    """Every (data, alpha, pi, at, walk) that ``minimize`` poses on the fits,
-    ``walk`` the keywords it passes after a step."""
+    """Every (data, alpha, pi, at) that ``minimize`` poses on the fits."""
     cells = []
     original = rankwalk.woa.cell_lp
 
-    def recording(data, alpha, pi, at=None, **walk):
-        cells.append((data, alpha, tuple(pi), at, walk))
-        return original(data, alpha, pi, at=at, **walk)
+    def recording(data, alpha, pi, at=None):
+        cells.append((data, alpha, tuple(pi), at))
+        return original(data, alpha, pi, at=at)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rankwalk.woa, "cell_lp", recording)
@@ -116,8 +113,8 @@ def test_walk_cells_match_the_free_variable_program(workload, rounds, count):
             for c in cases.build_round(cases.WORKLOADS[workload], seed, r)]
     cells = walk_cells(fits)
     assert len(cells) >= count
-    for data, alpha, pi, at, walk in cells:
-        assert isinstance(assert_same_cell(data, alpha, pi, at, **walk), LpOptimal)
+    for data, alpha, pi, at in cells:
+        assert isinstance(assert_same_cell(data, alpha, pi, at), LpOptimal)
 
 
 def test_reference_family_cells_match_the_free_variable_program():
@@ -125,8 +122,8 @@ def test_reference_family_cells_match_the_free_variable_program():
             for family in FAMILIES for seed in (0, 1) for kind in ("sign", "wilcoxon")]
     cells = walk_cells(fits)
     assert len(cells) >= 20
-    for data, alpha, pi, at, walk in cells:
-        assert_same_cell(data, alpha, pi, at, **walk)
+    for data, alpha, pi, at in cells:
+        assert_same_cell(data, alpha, pi, at)
 
 
 def test_arbitrary_orderings_at_the_origin():
@@ -221,9 +218,9 @@ def test_walk_poses_every_region_at_a_point_inside_it(monkeypatch):
     gaps = []
     original = rankwalk.woa.cell_lp
 
-    def recording(data, alpha, pi, at=None, **walk):
+    def recording(data, alpha, pi, at=None):
         gaps.append(float(np.diff(_residuals_at(data, at, "at").e[list(pi)]).min()))
-        return original(data, alpha, pi, at=at, **walk)
+        return original(data, alpha, pi, at=at)
 
     monkeypatch.setattr(rankwalk.woa, "cell_lp", recording)
     rng = np.random.default_rng(23)

@@ -17,6 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import rankwalk.ggd
 from rankwalk import (
     GgdConfig,
     GgdResult,
@@ -93,7 +94,10 @@ def ref_ggd_minimize(data, alpha, beta0=None, config=None):
         try:
             f_cand = eval_loss(data, a, candidate)
         except ValueError:  # residuals that overflow sum past the largest float too
-            raise ValueError("the loss at a step is not finite") from None
+            with np.errstate(over="ignore", invalid="ignore"):
+                f_cand = float(np.sort(residuals(data, candidate).e) @ a.alpha)
+            if f_cand == -np.inf:  # +inf and NaN are rejected below, -inf would be accepted
+                raise ValueError("the loss at a step is not finite") from None
         if f_cand < f_best:
             improvement = f_best - f_cand
             beta = candidate
@@ -232,3 +236,29 @@ def test_an_overflowing_loss_raises_as_the_reference_does():
     data = RegressionData(np.array([[1.0], [2.0]]), np.array([1e308, 1.5e308]))
     got = assert_same_fit(data, ScoreVector(np.ones(2)))
     assert got == "ValueError: the loss at beta0 is not finite"
+
+
+@pytest.mark.parametrize("overflow", [np.inf, np.nan, -np.inf])
+def test_a_step_whose_loss_overflows_is_refused_only_where_it_would_be_accepted(monkeypatch, overflow):
+    """A step's loss summed past the largest float to +inf or NaN is
+    rejected, as a step that does not descend is, and the descent goes on
+    to the same answer one iteration later; -inf would be accepted and
+    returned, and is refused."""
+    cases = bench_cases()
+    case = cases.build_round(cases.WORKLOADS["ggd-line"], 0, 0)[0]
+    want = ggd_minimize(case.data, case.alpha)
+    assert len(want.trace.f_values) > 1
+    loss_sum, calls = rankwalk.ggd._loss_sum, []
+
+    def first_overflows(es, alpha):
+        calls.append(1)
+        return overflow if len(calls) == 1 else loss_sum(es, alpha)
+
+    monkeypatch.setattr(rankwalk.ggd, "_loss_sum", first_overflows)
+    if overflow == -np.inf:
+        with pytest.raises(ValueError, match="^the loss at a step is not finite$"):
+            ggd_minimize(case.data, case.alpha)
+        return
+    got = ggd_minimize(case.data, case.alpha)
+    assert got.f == want.f and got.trace.f_values == want.trace.f_values
+    assert got.trace.n_iterations == want.trace.n_iterations + 1
