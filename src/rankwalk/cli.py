@@ -9,6 +9,7 @@ the loss is unbounded below, 1 for any error.  Set RANKWALK_LOG=info or
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -155,9 +156,16 @@ def _walk_config(args) -> WoaConfig:
 def cmd_fit(args) -> int:
     data = read_csv(args.data)
     alpha = build_scores(args.scores, data.n)
-    outcome = minimize(data, alpha, initial_point(args.init, data, "--init"), _walk_config(args))
-    if args.trace:
-        with open(args.trace, "w") as fh:
+    beta0, config = initial_point(args.init, data, "--init"), _walk_config(args)
+    # The trace file is opened before the fit, so that a path it cannot
+    # write is refused before the fit's time is spent.
+    try:
+        trace = open(args.trace, "w") if args.trace else contextlib.nullcontext()
+    except OSError as exc:
+        raise CliError(f"{args.trace}: {exc.strerror}") from None
+    with trace as fh:
+        outcome = minimize(data, alpha, beta0, config)
+        if fh is not None:
             json.dump(trace_payload(outcome), fh, indent=2)
             fh.write("\n")
     if isinstance(outcome, Minimizer):

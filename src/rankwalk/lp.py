@@ -162,7 +162,7 @@ def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, r: int, j: int) ->
     basis[r] = j
 
 
-def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, lp_tol: float, bland: bool):
+def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, price_tol: float, bland: bool):
     """Pivot until optimal or unbounded.  Returns None or the entering column
     index whose ray is unbounded."""
     m, ncols1 = T.shape
@@ -173,13 +173,13 @@ def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, lp_tol: float, bland
         return None
     for _ in range(5000 + 60 * m + 10 * ncols1):
         if bland:
-            neg = rc < -lp_tol
+            neg = rc < -price_tol
             j = int(neg.argmax())
             if not neg[j]:
                 return None
         else:
             j = int(rc.argmin())
-            if not rc[j] < -lp_tol:
+            if not rc[j] < -price_tol:
                 return None
         # The ratio test over Python floats: the tableaus here have few rows.
         col = T[:, j].tolist()
@@ -206,77 +206,64 @@ def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, lp_tol: float, bland
 
 class _Std(NamedTuple):
     """Where the standard-form core stops.  A feasible program gives its
-    final tableau ``T`` over the real columns (right-hand side last), the
-    basic column of each of its rows, the original rows those are (phase 1
-    drops dependent ones), and the entering column of an unbounded ray, if
+    final tableau ``T`` over the real columns (right-hand side last), with
+    one row per row phase 1 kept (it drops dependent ones), the basic column
+    of each of those rows, and the entering column of an unbounded ray, if
     any.  An infeasible one gives only ``farkas``: phase 1's multipliers u,
-    one per row, with u.M_j <= lp_tol for every column j and u.rhs > 0."""
+    one per row, with u.M_j <= price_tol for every column j and u.rhs > 0."""
 
     T: np.ndarray | None = None
     basis: np.ndarray | None = None
-    kept: np.ndarray | None = None
     entering: int | None = None
     farkas: np.ndarray | None = None
 
 
-def _standard(c, M, rhs, lp_tol: float, bland: bool, slack=None) -> _Std:
-    """Minimize c.y subject to My = rhs and y >= 0, where rhs >= 0.
-
-    Every row starts on an artificial unless ``slack[r]`` names a column of
-    M equal to the r-th unit vector, basic in row r at the start (-1: none).
-    Only the tests' free-variable reference simplex passes ``slack``."""
+def _standard(c, M, rhs, price_tol: float, bland: bool) -> _Std:
+    """Minimize c.y subject to My = rhs and y >= 0, where M has at least one
+    row and rhs >= 0, pricing to ``price_tol``.  Every row starts on its own
+    artificial, which phase 1 drives out."""
     m, N = M.shape
-    slack = np.full(m, -1, dtype=np.intp) if slack is None else slack
-    art_rows = np.flatnonzero(slack < 0)
-    nart = art_rows.size
-    art = N + np.arange(nart)
-    T = np.zeros((m, N + nart + 1))
+    art = N + np.arange(m)
+    T = np.zeros((m, N + m + 1))
     T[:, :N] = M
-    T[art_rows, art] = 1.0
+    T[np.arange(m), art] = 1.0
     T[:, -1] = rhs
-    basis = np.array(slack, dtype=np.intp)
-    basis[art_rows] = art
-    kept = np.arange(m)
+    basis = art.copy()
 
-    if nart:
-        start = basis.copy()
-        c1 = np.zeros(N + nart)
-        c1[N:] = 1.0
-        obj1 = _reduced_row(T, basis, c1)
-        if _run(T, obj1, basis, lp_tol, bland) is not None:
-            raise LpNumericError("phase 1 reported unbounded")
-        feas_tol = 10.0 * lp_tol * (1.0 + (abs(rhs).max() if m else 0.0))
-        if -obj1[-1] > feas_tol:
-            return _Std(farkas=c1[start] - obj1[start])
-        # Drive leftover artificials out of the basis; rows that cannot be
-        # pivoted on are dependent and get dropped.
-        drop = []
-        for r in np.flatnonzero(basis >= N).tolist():
-            row = np.abs(T[r, :N])
-            if row.size and row.max() > 1e-9:
-                _pivot(T, obj1, basis, r, int(row.argmax()))
-            else:
-                drop.append(r)
-        if drop:
-            keep_mask = np.ones(m, dtype=bool)
-            keep_mask[drop] = False
-            T = T[keep_mask]
-            basis = basis[keep_mask]
-            kept = kept[keep_mask]
-        if (T[:, -1] < -feas_tol).any():
-            raise LpNumericError("negative basic value after phase 1 cleanup")
-        T = np.concatenate([T[:, :N], np.maximum(T[:, -1:], 0.0)], axis=1)  # drop the artificials
+    c1 = np.zeros(N + m)
+    c1[N:] = 1.0
+    obj1 = _reduced_row(T, basis, c1)
+    if _run(T, obj1, basis, price_tol, bland) is not None:
+        raise LpNumericError("phase 1 reported unbounded")
+    feas_tol = 10.0 * price_tol * (1.0 + abs(rhs).max())
+    if -obj1[-1] > feas_tol:
+        return _Std(farkas=c1[art] - obj1[art])
+    # Drive leftover artificials out of the basis; rows that cannot be
+    # pivoted on are dependent and get dropped.
+    drop = []
+    for r in np.flatnonzero(basis >= N).tolist():
+        row = np.abs(T[r, :N])
+        if row.size and row.max() > 1e-9:
+            _pivot(T, obj1, basis, r, int(row.argmax()))
+        else:
+            drop.append(r)
+    if drop:
+        T = np.delete(T, drop, axis=0)
+        basis = np.delete(basis, drop)
+    if (T[:, -1] < -feas_tol).any():
+        raise LpNumericError("negative basic value after phase 1 cleanup")
+    T = np.concatenate([T[:, :N], np.maximum(T[:, -1:], 0.0)], axis=1)  # drop the artificials
 
     obj2 = _reduced_row(T, basis, c)
-    return _Std(T, basis, kept, _run(T, obj2, basis, lp_tol, bland))
+    return _Std(T, basis, _run(T, obj2, basis, price_tol, bland))
 
 
-def _check_rows(A, rel, b, v, lp_tol, absA=None) -> bool:
+def _check_rows(A, rel, b, v, absA=None) -> bool:
     """Whether A v (rel) b holds row by row within the LP tolerance, b an
     array or a scalar; never where that tolerance overflows.  ``rel`` is
     "<=" or "==" for every row; ``absA`` is |A|, computed here when not given."""
     lhs = A @ v
-    tol = 10.0 * lp_tol * (1.0 + np.abs(b) + (np.abs(A) if absA is None else absA) @ np.abs(v))
+    tol = 10.0 * LP_TOL * (1.0 + np.abs(b) + (np.abs(A) if absA is None else absA) @ np.abs(v))
     bad = lhs > b + tol if rel == "<=" else np.abs(lhs - b) > tol
     return not bad.any() and bool(np.isfinite(tol).all())
 
@@ -321,12 +308,12 @@ def _solve_by_dual(c, A, b, start=None) -> LpOutcome:
         if out is not None:
             return out
     try:
-        return _dual_once(c, A, b, LP_TOL, bland=False)
+        return _dual_once(c, A, b, bland=False)
     except LpNumericError:
-        return _dual_once(c, A, b, LP_TOL, bland=True)
+        return _dual_once(c, A, b, bland=True)
 
 
-def _dual_once(c, A, b, lp_tol, bland) -> LpOutcome:
+def _dual_once(c, A, b, bland) -> LpOutcome:
     nv = A.shape[1]
     # Column j of the dual is row j of A scaled to unit max-norm; y_j comes
     # back divided by the same factor.
@@ -337,47 +324,47 @@ def _dual_once(c, A, b, lp_tol, bland) -> LpOutcome:
     cost = b / scale
     # Column j's reduced cost is row j's slack divided by scale[j], so pricing
     # to ``price_tol`` leaves row j broken by at most price_tol * scale[j]:
-    # within the 10 * lp_tol that ``_check_rows`` allows every row.
-    price_tol = min(lp_tol, 10.0 * lp_tol / scale.max(initial=1.0))
+    # within the 10 * LP_TOL that ``_check_rows`` allows every row.
+    price_tol = min(LP_TOL, 10.0 * LP_TOL / scale.max(initial=1.0))
     std = _standard(cost, M, np.abs(c), price_tol, bland)
 
     if std.farkas is not None:  # no y: the primal is unbounded along the Farkas vector
         ray = _unit_ray(c, sign * std.farkas)
-        if not _check_rows(A, "<=", 0.0, ray, lp_tol, absA):
+        if not _check_rows(A, "<=", 0.0, ray, absA):
             raise LpNumericError("unbounded certificate failed verification")
         point = np.zeros(nv)
-        if not _check_rows(A, "<=", b, point, lp_tol, absA):
+        if not _check_rows(A, "<=", b, point, absA):
             # The multipliers of min b.y subject to A^T y = 0, y >= 0 are a
             # feasible point when it is bounded; when it is not, nothing is.
             std = _standard(cost, M, np.zeros(nv), price_tol, bland)
             if std.entering is not None:
-                return _infeasible(A, b, scale, std, lp_tol)
+                return _infeasible(A, b, scale, std)
             point = _basic_rows_point(A, b, std.basis)
-            if not _check_rows(A, "<=", b, point, lp_tol, absA):
+            if not _check_rows(A, "<=", b, point, absA):
                 raise LpNumericError("unbounded certificate failed verification")
         return LpUnbounded(point, ray)
 
     if std.entering is not None:  # b.y unbounded below: no v satisfies the rows
-        return _infeasible(A, b, scale, std, lp_tol)
-    out = _checked_optimum(c, A, b, std.basis, std.T[:, -1] / scale[std.basis], lp_tol, absA)
+        return _infeasible(A, b, scale, std)
+    out = _checked_optimum(c, A, b, std.basis, std.T[:, -1] / scale[std.basis], absA)
     if out is None:
         raise LpNumericError("optimal point failed verification")
     return out
 
 
-def _checked_optimum(c, A, b, rows, y_rows, lp_tol, absA=None) -> LpOptimal | None:
+def _checked_optimum(c, A, b, rows, y_rows, absA=None) -> LpOptimal | None:
     """The optimum whose dual basis is ``rows`` with multipliers ``y_rows``
     >= 0 on them, or None.  Three checks, each within the LP tolerance and
     each made only when the one before holds: A^T y = -c over the rows,
     the only ones y weighs, in O(p |rows|); then the vertex, solved from
     the rows by ``_basic_rows_point``, against every row of A; then a zero
     duality gap.  ``absA`` is |A|, computed when needed if not given."""
-    if not _check_rows(A[rows].T, "==", -c, y_rows, lp_tol):
+    if not _check_rows(A[rows].T, "==", -c, y_rows):
         return None
     point = _basic_rows_point(A, b, rows)
     value = float(c @ point)
-    gap_tol = 10.0 * lp_tol * (1.0 + np.abs(c) @ np.abs(point) + np.abs(b[rows]) @ y_rows)
-    if not (_check_rows(A, "<=", b, point, lp_tol, absA) and abs(value + float(b[rows] @ y_rows)) <= gap_tol):
+    gap_tol = 10.0 * LP_TOL * (1.0 + np.abs(c) @ np.abs(point) + np.abs(b[rows]) @ y_rows)
+    if not (_check_rows(A, "<=", b, point, absA) and abs(value + float(b[rows] @ y_rows)) <= gap_tol):
         return None
     y = np.zeros(A.shape[0])
     y[rows] = y_rows
@@ -396,7 +383,7 @@ def _from_rows(c, A, b, rows) -> LpOptimal | None:
     y_rows = _basic_rows_point(A[rows].T, -c, slice(None))
     if not (y_rows >= 0.0).all():
         return None
-    return _checked_optimum(c, A, b, rows, y_rows, LP_TOL)
+    return _checked_optimum(c, A, b, rows, y_rows)
 
 
 def _basic_rows_point(A, b, basis) -> np.ndarray:
@@ -413,14 +400,14 @@ def _basic_rows_point(A, b, basis) -> np.ndarray:
     return np.linalg.lstsq(rows, b[basis], rcond=None)[0]
 
 
-def _infeasible(A, b, scale, std: _Std, lp_tol) -> LpInfeasible:
+def _infeasible(A, b, scale, std: _Std) -> LpInfeasible:
     """Check the dual's unbounded ray r (r >= 0, A^T r = 0, b.r < 0), which
     proves that no v satisfies Av <= b."""
     r = np.zeros(A.shape[0])
     r[std.entering] = 1.0
     r[std.basis] = -std.T[:, std.entering]
     r = np.maximum(r, 0.0) / scale
-    if not (float(b @ r) < 0.0 and _check_rows(A.T, "==", 0.0, r, lp_tol)):
+    if not (float(b @ r) < 0.0 and _check_rows(A.T, "==", 0.0, r)):
         raise LpNumericError("infeasibility certificate failed verification")
     return LpInfeasible()
 

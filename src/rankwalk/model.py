@@ -106,8 +106,7 @@ def make_scores(kind: str, n: int) -> ScoreVector:
     named generators in SCORE_KINDS, each evaluating a nondecreasing
     function at i/(n+1) for i = 1..n.  A table of weights is a
     ``ScoreVector`` itself."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_count("n", n, 1)
     if not (isinstance(kind, str) and kind in SCORE_KINDS):
         raise ValueError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS} (a table is a ScoreVector)")
     return ScoreVector(np.array([_phi(kind, i / (n + 1)) for i in range(1, n + 1)]))

@@ -108,6 +108,28 @@ def test_fit_trace_round_trips_exactly(worked_csv, capsys, tmp_path):
         it.f_star for it in direct.trace.iterations]
 
 
+def test_fit_refuses_a_trace_path_it_cannot_write_before_fitting(worked_csv, capsys, tmp_path, monkeypatch):
+    """The trace file is opened before the fit: a path that cannot be
+    written costs no fit, and its error reads like every other file error.
+    A fit that raises leaves the file it opened empty."""
+    data, scores = worked_csv
+    fits = []
+    monkeypatch.setattr(rankwalk.cli, "minimize", lambda *args: fits.append(args))
+    path = tmp_path / "missing" / "trace.json"
+    code, out, err = run(capsys, "fit", data, "--scores", f"file={scores}", "--trace", str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: No such file or directory\n")
+    assert fits == []
+
+    def failing(*args, **kwargs):
+        raise LpNumericError("pivot budget exhausted")
+
+    monkeypatch.setattr(rankwalk.woa, "cell_lp", failing)
+    monkeypatch.setattr(rankwalk.cli, "minimize", rankwalk.minimize)
+    path = tmp_path / "trace.json"
+    code, out, _ = run(capsys, "fit", data, "--scores", f"file={scores}", "--trace", str(path))
+    assert code == 1 and out == "" and path.read_text() == ""
+
+
 def test_fit_deterministic(worked_csv, capsys):
     data, scores = worked_csv
     _, first, _ = run(capsys, "fit", data, "--scores", f"file={scores}", "--init", "ls")

@@ -318,6 +318,6 @@ def test_dual_core_prices_to_what_its_row_check_accepts():
     c = np.array([-7.0, 14.0, 2.0, 1.0])
     out = _solve_by_dual(c, A, b)
     assert isinstance(out, LpOptimal)
-    assert _check_rows(A, "<=", b, out.point, LP_TOL)
+    assert _check_rows(A, "<=", b, out.point)
     np.testing.assert_allclose(A.T @ out.dual, -c, atol=1e-9)
     assert out.dual[:5].sum() == pytest.approx(1.0)  # the cuts of the one block

@@ -1,119 +1,30 @@
-"""The simplex kernel against the loops it was tuned from.
+"""The simplex kernel against the tests' own copy of its loops.
 
-``ref_standard`` and its helpers are the standard-form core as it stood
-before the pivot loop lost its per-iteration gathers: every candidate
-column and eligible row gathered into index arrays, the ratio test taken
-over the gathered rows and the objective row built with ``np.append``.
-The kernel must reach the same ``_Std`` byte for byte (tableau, basis,
-kept rows, entering column, Farkas multipliers) on every program the walk
-poses and on seeded programs that reach each of the core's exits: phase 1
-dropping dependent rows, the switch to Bland's rule after a stall, an
-infeasible program, an unbounded one, and programs with no columns.
+``ref_standard`` and ``ref_run`` (in ``reference_simplex.py``) are the
+standard-form core as it stood before the pivot loop lost its
+per-iteration gathers.  The kernel must reach the same ``_Std`` byte for
+byte (tableau, basis, entering column, Farkas multipliers) on every program
+the walk poses and on seeded programs that reach each of the core's exits:
+phase 1 dropping dependent rows, an infeasible program, an unbounded one,
+and programs with no columns.  The package starts every row on an
+artificial; the reference also starts rows on a slack basis, and the seeded
+programs reach each exit that way too.  Beale's program, started on its
+slacks, pins the pivot loop's switch to Bland's rule after a stall.
 """
 
 import numpy as np
+import pytest
 
 import rankwalk
-from rankwalk.lp import _DEGEN_TOL, _PIVOT_TOL, LpNumericError, _standard, _Std
+from rankwalk import lp
+from rankwalk.lp import LpNumericError, _standard, _Std
 
+from reference_simplex import ref_run, ref_standard
 from test_cell_lp_reference import bench_cases
 
 
-def ref_reduced_row(T, basis, cvec):
-    cb = cvec[basis]
-    live = cb != 0.0
-    return np.append(cvec, 0.0) - cb[live] @ T[live]
-
-
-def ref_pivot(T, obj, basis, r, j):
-    T[r] /= T[r, j]
-    col = T[:, j].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
-    obj -= obj[j] * T[r]
-    T[:, j] = 0.0
-    T[r, j] = 1.0
-    obj[j] = 0.0
-    basis[r] = j
-
-
-def ref_run(T, obj, basis, lp_tol, bland, switched):
-    """The pivot loop; appends to ``switched`` when a stall hands over to
-    Bland's rule."""
-    m, ncols1 = T.shape
-    stall = 0
-    stall_limit = 50 * max(1, m)
-    for _ in range(5000 + 60 * m + 10 * ncols1):
-        rc = obj[:-1]
-        cand = np.flatnonzero(rc < -lp_tol)
-        if cand.size == 0:
-            return None
-        j = cand[0] if bland else cand[np.argmin(rc[cand])]
-        col = T[:, j]
-        elig = np.flatnonzero(col > _PIVOT_TOL)
-        if elig.size == 0:
-            return int(j)
-        ratios = T[elig, -1] / col[elig]
-        best = ratios.min()
-        ties = elig[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        r = int(ties[np.argmin(basis[ties])])
-        if best < _DEGEN_TOL:
-            stall += 1
-            if stall > stall_limit and not bland:
-                bland = True
-                switched.append(1)
-        else:
-            stall = 0
-        ref_pivot(T, obj, basis, r, int(j))
-    raise LpNumericError("pivot budget exhausted")
-
-
-def ref_standard(c, M, rhs, lp_tol, bland, slack=None, switched=None):
-    switched = [] if switched is None else switched
-    m, N = M.shape
-    slack = np.full(m, -1, dtype=np.intp) if slack is None else slack
-    art_rows = np.flatnonzero(slack < 0)
-    nart = art_rows.size
-    T = np.zeros((m, N + nart + 1))
-    T[:, :N] = M
-    T[art_rows, N + np.arange(nart)] = 1.0
-    T[:, -1] = rhs
-    basis = np.array(slack, dtype=np.intp)
-    basis[art_rows] = N + np.arange(nart)
-    kept = np.arange(m)
-    if nart:
-        start = basis.copy()
-        c1 = np.zeros(N + nart)
-        c1[N:] = 1.0
-        obj1 = ref_reduced_row(T, basis, c1)
-        if ref_run(T, obj1, basis, lp_tol, bland, switched) is not None:
-            raise LpNumericError("phase 1 reported unbounded")
-        feas_tol = 10.0 * lp_tol * (1.0 + (abs(rhs).max() if m else 0.0))
-        if -obj1[-1] > feas_tol:
-            return _Std(farkas=c1[start] - obj1[start])
-        drop = []
-        for r in np.flatnonzero(basis >= N).tolist():
-            row = np.abs(T[r, :N])
-            if row.size and row.max() > 1e-9:
-                ref_pivot(T, obj1, basis, r, int(row.argmax()))
-            else:
-                drop.append(r)
-        if drop:
-            keep_mask = np.ones(m, dtype=bool)
-            keep_mask[drop] = False
-            T = T[keep_mask]
-            basis = basis[keep_mask]
-            kept = kept[keep_mask]
-        if np.any(T[:, -1] < -feas_tol):
-            raise LpNumericError("negative basic value after phase 1 cleanup")
-        T[:, -1] = np.maximum(T[:, -1], 0.0)
-        T = np.hstack([T[:, :N], T[:, -1:]])
-    obj2 = ref_reduced_row(T, basis, c)
-    return _Std(T, basis, kept, ref_run(T, obj2, basis, lp_tol, bland, switched))
-
-
 def outcome(fn, args):
-    """The _Std of ``fn`` on copies of ``args``, or the error it raised."""
+    """The result of ``fn`` on copies of ``args``, or the error it raised."""
     try:
         return fn(*(a.copy() if isinstance(a, np.ndarray) else a for a in args))
     except LpNumericError as exc:
@@ -125,7 +36,7 @@ def assert_same(got, want):
         assert got == want
         return
     assert isinstance(got, _Std)
-    for name in _Std._fields:
+    for name in _Std._fields:  # the reference's ``kept`` has no counterpart
         g, w = getattr(got, name), getattr(want, name)
         if w is None:
             assert g is None, name
@@ -145,7 +56,7 @@ def test_every_program_of_the_walk_pivots_as_before(monkeypatch):
         programs.append(tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args))
         return _standard(*args)
 
-    monkeypatch.setattr(rankwalk.lp, "_standard", recording)
+    monkeypatch.setattr(lp, "_standard", recording)
     cases = bench_cases()
     for workload, rounds in (("walk", 10), ("walk-hard", 2)):
         for seed in (0, 1):
@@ -159,9 +70,10 @@ def test_every_program_of_the_walk_pivots_as_before(monkeypatch):
 
 
 def seeded_programs():
-    """Small standard-form programs, min c.y subject to My = rhs, y >= 0:
-    dense integer rows, with duplicated rows (dependent, dropped by phase 1),
-    unit slack columns on some rows, and columns that make it unbounded."""
+    """Small standard-form programs, min c.y subject to My = rhs, y >= 0,
+    each with a slack basis for the reference: dense integer rows, with
+    duplicated rows (dependent, dropped by phase 1), unit slack columns on
+    some rows, and columns that make it unbounded."""
     rng = np.random.default_rng(17)
     for t in range(600):
         m, n = int(rng.integers(1, 6)), int(rng.integers(0, 8))
@@ -180,32 +92,62 @@ def seeded_programs():
         c = rng.integers(-3, 4, M.shape[1]).astype(float)
         if t % 5 == 0:
             c = c + 0.25 * rng.standard_normal(c.size)
-        yield c, M, rhs, 1e-9, bool(t % 7 == 0), slack
+        yield (c, M, rhs, 1e-9, bool(t % 7 == 0)), slack
 
 
 def beale():
-    """Beale's cycling program with slacks: Dantzig's rule stalls at the
-    degenerate origin until the stall limit hands over to Bland's rule."""
+    """Beale's cycling program with slacks: started on them, Dantzig's rule
+    stalls at the degenerate origin until the stall limit hands over to
+    Bland's rule."""
     M = np.array([[0.25, -8.0, -1.0, 9.0, 1.0, 0.0, 0.0],
                   [0.5, -12.0, -0.5, 3.0, 0.0, 1.0, 0.0],
                   [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
     c = np.array([-0.75, 20.0, -0.5, 6.0, 0.0, 0.0, 0.0])
-    return c, M, np.array([0.0, 0.0, 1.0]), 1e-9, False, np.array([4, 5, 6], dtype=np.intp)
+    return (c, M, np.array([0.0, 0.0, 1.0]), 1e-9, False), np.array([4, 5, 6], dtype=np.intp)
+
+
+def exit_kind(got, rows: int) -> list[str]:
+    """The exits of the core that ``got`` took, for a program of ``rows`` rows."""
+    if isinstance(got, str):
+        return ["error"]
+    if got.farkas is not None:
+        return ["farkas"]
+    return ["entering" if got.entering is not None else "optimal"] + ["dropped"] * (got.T.shape[0] < rows)
 
 
 def test_seeded_programs_reach_every_exit_as_before():
-    kinds = {"farkas": 0, "entering": 0, "optimal": 0, "dropped": 0, "no_columns": 0, "error": 0}
-    switched = []
-    for args in [*seeded_programs(), beale()]:
-        want = outcome(lambda *a: ref_standard(*a, switched=switched), args)
+    """Without a slack basis the kernel and the reference agree byte for
+    byte; with one, the reference reaches every exit as well."""
+    kinds = {start: dict.fromkeys(("farkas", "entering", "optimal", "dropped", "no_columns", "error"), 0)
+             for start in ("artificial", "slack")}
+    for args, slack in [*seeded_programs(), beale()]:
+        m, n = args[1].shape
+        want = outcome(ref_standard, args)
         assert_same(outcome(_standard, args), want)
-        kinds["no_columns"] += args[1].shape[1] == 0
-        if isinstance(want, str):
-            kinds["error"] += 1
-        elif want.farkas is not None:
-            kinds["farkas"] += 1
-        else:
-            kinds["entering" if want.entering is not None else "optimal"] += 1
-            kinds["dropped"] += want.kept.size < args[1].shape[0]
-    assert min(kinds[k] for k in ("farkas", "entering", "optimal", "dropped", "no_columns")) >= 10, kinds
-    assert switched, "no program stalled into Bland's rule"
+        for start, got in (("artificial", want), ("slack", outcome(ref_standard, (*args, slack)))):
+            for kind in exit_kind(got, m) + ["no_columns"] * (n == 0):
+                kinds[start][kind] += 1
+    for counts in kinds.values():
+        assert min(counts[k] for k in ("farkas", "entering", "optimal", "dropped", "no_columns")) >= 10, kinds
+
+
+def test_a_stall_hands_over_to_blands_rule(monkeypatch):
+    """Beale's tableau with its slack columns basic: ``lp._run`` and
+    ``ref_run`` both stall at the origin, switch to Bland's rule and reach
+    the same optimal tableau.  Counted as never stalling, ``lp._run`` cycles
+    under Dantzig's rule until its pivot budget runs out."""
+    (c, M, rhs, tol, bland), slack = beale()
+    T, obj = np.column_stack([M, rhs]), np.append(c, 0.0)  # the slacks cost nothing
+
+    def copies():
+        return T.copy(), obj.copy(), slack.copy()
+
+    got, want, switched = copies(), copies(), []
+    entering = lp._run(*got, tol, bland)
+    assert entering == ref_run(*want, tol, bland, switched) and entering is None
+    assert switched == [1]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    monkeypatch.setattr(lp, "_DEGEN_TOL", -np.inf)
+    with pytest.raises(LpNumericError, match="pivot budget exhausted"):
+        lp._run(*copies(), tol, bland)

@@ -62,8 +62,9 @@ def test_make_scores_custom_table():
 
 
 def test_make_scores_rejects_bad_input():
-    with pytest.raises(ValueError):
-        make_scores("sign", 0)
+    for n in (0, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+            make_scores("sign", n)
     with pytest.raises(ValueError, match="unknown score kind"):
         make_scores("huber", 3)
 
