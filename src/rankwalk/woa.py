@@ -29,6 +29,19 @@ landed.  Most regions a step enters have their minimum there, solved from
 those rows and checked as the simplex checks its own answer; the others
 start the simplex cold.
 
+The walk starts with one exact line search.  At a start without ties the
+loss is linear near it, with gradient -g, g = alpha . x[pi] in the start's
+ordering pi; the walk steps along g, sized to the descent search's box, to
+where the loss along that line stops falling (``_ray_step``) and poses its
+first region where the step lands.  With an intercept and scores summing to
+zero, F at p = 2 depends on the slope alone, so the line minimum is the
+minimizer: the first region is posed at its own minimum, the rows tied
+there solve it, and its dual is the certificate.  The step is an
+optimization only, so the first region is posed at the start itself
+wherever it cannot be taken: at a start with ties or whose loss overflows,
+and where the line meets no breakpoint or the step overflows.  Sizing g to
+the box keeps its breakpoints on the scale of the walk's own rays.
+
 Where the loss stops falling along a ray has one site, ``_ray_step``, which
 gradient descent shares.
 
@@ -47,8 +60,8 @@ from functools import lru_cache
 import numpy as np
 
 from .certificate import OptimalityCertificate, _conditions, _descent_search
-from .loss import (ActivePairs, _are_orderings, _check_tie_tol, _residuals_at, _tie_cut, active_pairs, eval_loss,
-                   residuals)
+from .loss import (ActivePairs, _are_orderings, _check_tie_tol, _loss_sum, _residuals_at, _tie_cut,
+                   active_pairs, eval_loss, residuals)
 from .lp import LP_TOL, LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, _solve_by_dual
 from .model import RegressionData, _check_count, sorted_scores
 
@@ -358,6 +371,15 @@ def minimize(data: RegressionData, alpha, beta0=None,
     """Walk the arrangement from ``beta0`` (origin by default) to a verified
     minimizer, or detect that the loss is unbounded below.
 
+    The first region is posed where the start step lands: at a ``beta0``
+    without ties whose loss is finite, the minimum of the loss on the line
+    from ``beta0`` down the gradient of its region (see the module
+    docstring).  The step is skipped, and the first region posed at
+    ``beta0``, where residuals tie there, where the loss there overflows,
+    where that line meets no breakpoint, or where a breakpoint or the
+    step's point overflows.  The step is no iteration: neither ``max_iter``
+    nor the trace counts it, so each ``beta_star`` is a region minimum.
+
     Weights are sorted on entry; their input order never matters.  A
     ``beta0`` that ``loss._residuals_at`` refuses raises ValueError; past
     that every failure is a WalkError that names its layer and carries the
@@ -372,6 +394,17 @@ def minimize(data: RegressionData, alpha, beta0=None,
     iterations: list[WalkIteration] = []
     visited: set[tuple[int, ...]] = set()
     R = np.linalg.qr(data.x, mode="r")  # the descent search's box, once per fit
+    start = active_pairs(res, cfg.tie_tol)  # the start step: see the module docstring
+    if start.label[-1] == data.n - 1 and math.isfinite(_loss_sum(res.e[start.order], a.alpha)):
+        g = a.alpha @ data.x[start.order]  # -grad F on the start's region
+        top = float(np.abs(R @ g).max())
+        if 0.0 < top < math.inf:
+            g = np.ldexp(g, -math.frexp(top)[1])  # |R g|_inf in [1/2, 1), scaled exactly
+            try:
+                d = _ray_step(a.alpha, res.e, data.x @ g, start.tie_tol)
+                res = res if d is None else residuals(data, res.beta + d * g)
+            except ValueError:  # a breakpoint or the point where the step lands overflows
+                pass
 
     for it in range(cap):
         order = np.argsort(res.e, kind="stable")

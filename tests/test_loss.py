@@ -93,10 +93,11 @@ def test_default_tie_tol(worked):
 
 
 def test_every_layer_takes_its_default_tie_tolerance_from_loss(monkeypatch, worked, tmp_path, capsys):
-    """Given no tolerance, the walk, the verifier, the orderings, the tie
-    blocks, the ray's breakpoints, ``rankwalk eval`` and gradient descent
-    (its ``cell_gradient`` and each tie test of ``ggd_minimize``) all read
-    the tie formula ``loss._tie_tol_at`` at their own point, so the tie rule
+    """Given no tolerance, the walk (at its start and at each region
+    minimum), the verifier, the orderings, the tie blocks, the ray's
+    breakpoints, ``rankwalk eval`` and gradient descent (its
+    ``cell_gradient`` and each tie test of ``ggd_minimize``) all read the
+    tie formula ``loss._tie_tol_at`` at their own point, so the tie rule
     has one site to change; a given tolerance is used as it is."""
     data, alpha = worked
     seen = []
@@ -116,9 +117,9 @@ def test_every_layer_takes_its_default_tie_tolerance_from_loss(monkeypatch, work
     def top(res):
         return float(np.abs(res.e).max())
 
-    out = minimize(data, alpha, beta0=[-2.0])
+    out = minimize(data, alpha, beta0=[-1.0])  # tied, so the walk takes no start step
     assert isinstance(out, Minimizer) and len(out.trace.iterations) == 2
-    assert reads(lambda: minimize(data, alpha, beta0=[-2.0])) == [
+    assert reads(lambda: minimize(data, alpha, beta0=[-1.0])) == [top(residuals(data, [-1.0]))] + [
         top(residuals(data, it.beta_star)) for it in out.trace.iterations]
     at_opt = residuals(data, out.beta_opt)
     assert reads(lambda: verify_certificate(data, alpha, out.beta_opt, out.certificate)) == [top(at_opt)]

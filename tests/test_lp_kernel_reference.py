@@ -49,7 +49,7 @@ def assert_same(got, want):
 
 def test_every_program_of_the_walk_pivots_as_before(monkeypatch):
     """Cell LPs and descent masters of ``walk`` rounds 0-9 and ``walk-hard``
-    rounds 0-1 at seeds 0 and 1, recorded as the kernel receives them."""
+    rounds 0-2 at seeds 0 and 1, recorded as the kernel receives them."""
     programs = []
 
     def recording(*args):
@@ -58,7 +58,7 @@ def test_every_program_of_the_walk_pivots_as_before(monkeypatch):
 
     monkeypatch.setattr(lp, "_standard", recording)
     cases = bench_cases()
-    for workload, rounds in (("walk", 10), ("walk-hard", 2)):
+    for workload, rounds in (("walk", 10), ("walk-hard", 3)):
         for seed in (0, 1):
             for rnd in range(rounds):
                 for case in cases.build_round(cases.WORKLOADS[workload], seed, rnd):

@@ -84,14 +84,18 @@ def in_region(data, pi, beta):
     return bool(np.all(np.diff(e) >= -1e-7 * (1.0 + np.abs(e).max())))
 
 
-def test_cell_lp_at_a_point_agrees_with_the_origin():
+def test_cell_lp_at_a_point_agrees_with_the_origin(monkeypatch):
     """The cell LP posed in the offset from a point inside the region, from
-    the walk's point just past a tie (a few rows slightly violated), or from
-    a point outside the region (phase 1 on many rows) has the outcome and
-    the value of the program posed at the origin."""
+    the walk's point just past a tie where its start step or a step landed
+    (a few rows slightly violated), or from a point outside the region
+    (phase 1 on many rows) has the outcome and the value of the program
+    posed at the origin.  The walk starts at the point inside and, with no
+    start step, at the region's minimum, where p pairs tie."""
     rng = np.random.default_rng(17)
     kinds = ("sign", "wilcoxon", "van_der_waerden")
     seen = {"inside": 0, "post-step": 0, "outside": 0, "unbounded": 0, "crossed": 0}
+    posed, walk_cell_lp = [], rankwalk.woa.cell_lp
+    monkeypatch.setattr(rankwalk.woa, "cell_lp", lambda *args, at: posed.append(at.beta) or walk_cell_lp(*args, at=at))
     for t in range(32):
         n, p = int(rng.integers(6, 30)), int(rng.integers(1, 4))
         x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
@@ -106,12 +110,14 @@ def test_cell_lp_at_a_point_agrees_with_the_origin():
         pi = consistent_permutation(res, default_tie_tol(res))
         probes.append(("inside", pi, beta))
         probes.append(("outside", pi, beta + 5.0 * rng.standard_normal(p)))
-        fit = minimize(data, alpha, beta0=beta)
-        for it in fit.trace.iterations:
-            if it.d_star is not None:
-                after = it.beta_star + it.d_star * it.direction
-                res = residuals(data, after)
-                probes.append(("post-step", consistent_permutation(res, default_tie_tol(res)), after))
+        del posed[:]
+        fits = [minimize(data, alpha, beta0=beta)]
+        landed = [posed[0]] if (posed[0] != beta).any() else []  # where the start step landed
+        fits.append(minimize(data, alpha, beta0=cell_lp(data, alpha, pi, at=beta).point))
+        for after in landed + [it.beta_star + it.d_star * it.direction
+                               for fit in fits for it in fit.trace.iterations if it.d_star is not None]:
+            res = residuals(data, after)
+            probes.append(("post-step", consistent_permutation(res, default_tie_tol(res)), after))
         for name, pi, at in probes:
             if name == "post-step" and np.diff(residuals(data, at).e[list(pi)]).min() < 0.0:
                 seen["crossed"] += 1  # a tie crossed within tie_tol: some rows start infeasible
@@ -358,7 +364,7 @@ def test_minimize_tie_break_independence(worked):
 def test_minimize_iteration_budget(worked):
     data, alpha = worked
     with pytest.raises(IterationBudgetError) as info:
-        minimize(data, alpha, beta0=[-2.0], config=WoaConfig(max_iter=1))
+        minimize(data, alpha, beta0=[-1.0], config=WoaConfig(max_iter=1))  # tied: no start step
     assert len(info.value.trace.iterations) == 1
 
 
@@ -389,13 +395,22 @@ def call_site() -> tuple[int, str]:
     return frame.f_locals["it"], line.split("=", 1)[0].strip()
 
 
+def raise_fit():
+    """A fit of two iterations from a tied start, so the walk takes no start
+    step: ``beta0`` is the slope at which observations 0 and 1 tie."""
+    rng = np.random.default_rng(4)
+    x = np.column_stack([np.ones(40), rng.standard_normal(40)])
+    data = RegressionData(x, x @ rng.standard_normal(2) + rng.standard_t(2, 40))
+    return data, make_scores("wilcoxon", 40), np.array([0.0, (data.y[0] - data.y[1]) / (x[0, 1] - x[1, 1])])
+
+
 # Layer, error, its message's start, the call replaced and its replacement.
 # A call is (name in rankwalk.woa, minimize's iteration, the name minimize
 # assigns when it is made): ("cell_lp", 1, "out") is iteration 1's cell LP.
 RAISE_SITES = [
     # iteration 1 starts where iteration 0 did
     pytest.param("walk", WalkInvariantError, "ordering (", ("residuals", 0, "res"),
-                 returns(lambda f, earlier, args, kwargs: f(args[0], np.zeros(2))), id="revisited"),
+                 returns(lambda f, earlier, args, kwargs: f(args[0], raise_fit()[2])), id="revisited"),
     # iteration 1's region minimum is iteration 0's
     pytest.param("walk", WalkInvariantError, "region minimum", ("cell_lp", 1, "out"),
                  returns(lambda f, earlier, args, kwargs: earlier[0]), id="not-improved"),
@@ -432,11 +447,8 @@ def test_every_walk_error_names_its_layer_and_keeps_the_trace(monkeypatch, layer
     region it was claimed in.  A refused simplex is chained as the cause.
     The call replaced is named by where ``minimize`` makes it, and is
     replaced exactly once."""
-    rng = np.random.default_rng(4)
-    x = np.column_stack([np.ones(40), rng.standard_normal(40)])
-    data = RegressionData(x, x @ rng.standard_normal(2) + rng.standard_t(2, 40))
-    alpha = make_scores("wilcoxon", 40)
-    full = minimize(data, alpha)
+    data, alpha, beta0 = raise_fit()
+    full = minimize(data, alpha, beta0)
     assert isinstance(full, Minimizer) and len(full.trace.iterations) == 2
     name, at = (site[0], site[1:]) if site is not None else (None, None)
     replaced = []
@@ -455,7 +467,7 @@ def test_every_walk_error_names_its_layer_and_keeps_the_trace(monkeypatch, layer
 
         monkeypatch.setattr(rankwalk.woa, name, wrapped)
     with pytest.raises(error) as info:
-        minimize(data, alpha, config=WoaConfig(max_iter=1) if name is None else None)
+        minimize(data, alpha, beta0, config=WoaConfig(max_iter=1) if name is None else None)
     assert replaced == ([] if name is None else [at])
     err = info.value
     assert type(err) is error and isinstance(err, WalkError) and err.layer == layer
