@@ -16,7 +16,6 @@ from .loss import (
     Residuals,
     active_pairs,
     consistent_permutation,
-    default_tie_tol,
     eval_loss,
     eval_loss_bruteforce,
     residuals,
@@ -69,7 +68,7 @@ __all__ = [
     "RegressionData", "Residuals", "ScoreVector", "Unbounded",
     "WalkError", "WalkInvariantError", "WalkIteration", "WalkNumericError", "WalkTrace", "WoaConfig",
     "active_pairs", "birkhoff_decompose", "breakpoints", "cell_gradient",
-    "cell_lp", "consistent_permutation", "default_tie_tol",
+    "cell_lp", "consistent_permutation",
     "enumerate_nonempty_cells", "eval_loss", "eval_loss_bruteforce",
     "find_feasible", "ggd_minimize", "improving_direction", "inverse_normal_cdf",
     "line_search", "make_scores", "minimize",

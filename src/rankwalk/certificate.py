@@ -439,8 +439,7 @@ def _conditions(data: RegressionData, a: ScoreVector, res: Residuals, ap: Active
     return conditions, certified
 
 
-def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertificate,
-                       tie_tol: float | None = None) -> CertificateReport:
+def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertificate) -> CertificateReport:
     """Check every certificate condition at ``beta``; never raises on a bad
     certificate, reporting each condition separately instead.  Weights are
     sorted on entry, as ``minimize`` sorts them; ``beta`` is checked as
@@ -449,6 +448,6 @@ def verify_certificate(data: RegressionData, alpha, beta, cert: OptimalityCertif
     The certificate is checked from its T weighted orderings, in
     O(T n (log n + p)) time and O(T n) memory."""
     res = _residuals_at(data, beta, "beta")
-    ap = active_pairs(res, tie_tol)
+    ap = active_pairs(res)
     conditions, certified = _conditions(data, sorted_scores(alpha, data.n), res, ap, cert)
     return CertificateReport(all(good for _, good, _ in conditions), conditions, certified)

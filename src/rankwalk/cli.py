@@ -150,7 +150,7 @@ def trace_payload(outcome) -> dict:
 
 
 def _walk_config(args) -> WoaConfig:
-    return WoaConfig(tie_tol=args.tie_tol, max_iter=args.max_iter)
+    return WoaConfig(max_iter=args.max_iter)
 
 
 def cmd_fit(args) -> int:
@@ -181,7 +181,7 @@ def cmd_eval(args) -> int:
     alpha = build_scores(args.scores, data.n)
     res = _residuals_at(data, initial_point(args.beta, data, "--beta"), "--beta", origin=True)
     f = _sorted_loss(np.sort(res.e), alpha.alpha, "--beta")  # eval_loss at --beta, from the residuals at hand
-    pi = consistent_permutation(res, args.tie_tol)
+    pi = consistent_permutation(res)
     print(json.dumps({"F": f, "pi": _one_based(pi)}))
     return 0
 
@@ -203,8 +203,7 @@ def cmd_check(args) -> int:
     }
     if found and not reference.unbounded:
         agree = abs(outcome.f_opt - reference.value) <= 1e-7 * (1.0 + abs(reference.value))
-        check = verify_certificate(data, alpha, outcome.beta_opt, outcome.certificate,
-                                   tie_tol=args.tie_tol)
+        check = verify_certificate(data, alpha, outcome.beta_opt, outcome.certificate)
         report["certificate"] = {"ok": check.ok,
                                  "conditions": {name: good for name, good, _ in check.conditions}}
         agree = agree and check.ok
@@ -225,8 +224,7 @@ def cmd_compare(args) -> int:
         return 2
     baseline = ggd_minimize(data, alpha, beta0,
                             GgdConfig(perturbation=args.perturbation, seed=args.seed,
-                                      max_iter=args.max_iter or 1000,
-                                      tie_tol=args.tie_tol))
+                                      max_iter=args.max_iter or 1000))
     print(json.dumps({
         "outcome": "minimizer",
         "walk": {"iterations": len(outcome.trace.iterations), "F_opt": float(outcome.f_opt)},
@@ -247,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("data", help="CSV file with header y,x1,...,xp")
     common.add_argument("--scores", default="wilcoxon",
                         help="sign | wilcoxon | vdw | file=PATH (raw weights, sorted on load)")
-    common.add_argument("--tie-tol", type=float, default=None,
-                        help="residual tie tolerance (default: scaled 1e-9)")
     common.add_argument("--max-iter", type=int, default=None, help="iteration budget")
 
     start = _Parser(add_help=False)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import _check_tie_tol, _loss_sum, _residual_vector, _residuals_at, _sorted_loss, _tie_cut
+from .loss import _loss_sum, _residual_vector, _residuals_at, _sorted_loss, _tie_cut
 from .model import RegressionData, _check_count, sorted_scores
 from .woa import _ray_step
 
@@ -39,13 +39,10 @@ class GgdConfig:
     perturbation: str = "random"
     seed: int = 0
     max_iter: int = 1000
-    tie_tol: float | None = None
 
     def __post_init__(self):
         if self.perturbation not in PERTURBATIONS:
             raise ValueError(f"unknown perturbation {self.perturbation!r}")
-        if self.tie_tol is not None:
-            _check_tie_tol(self.tie_tol)
         _check_count("seed", self.seed, 0)
         _check_count("max_iter", self.max_iter, 1)
 
@@ -66,7 +63,7 @@ class GgdResult:
     trace: GgdTrace
 
 
-def cell_gradient(data: RegressionData, alpha, beta, tie_tol: float | None = None) -> np.ndarray | None:
+def cell_gradient(data: RegressionData, alpha, beta) -> np.ndarray | None:
     """Gradient of the loss where it is smooth, None on a tie point: where
     two sorted residuals lie within the tie tolerance.  ``beta`` may also be
     given as its Residuals; it is checked as ``loss._residuals_at`` checks a
@@ -74,7 +71,7 @@ def cell_gradient(data: RegressionData, alpha, beta, tie_tol: float | None = Non
     a = sorted_scores(alpha, data.n)
     res = _residuals_at(data, beta, "beta")
     order = np.argsort(res.e, kind="stable")
-    if not _tie_cut(res.e[order], tie_tol)[1].all():
+    if not _tie_cut(res.e[order])[1].all():
         return None
     return -(a.alpha @ data.x[order])
 
@@ -120,7 +117,7 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
 
     es = np.sort(e)
     f_best = _sorted_loss(es, w, "beta0")
-    tt, cut = _tie_cut(es, cfg.tie_tol)
+    tt, cut = _tie_cut(es)
     order = np.argsort(e, kind="stable") if cut.all() else None  # None at a tie point
     points = [beta.copy()]
     f_values = [f_best]
@@ -142,7 +139,7 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
             start_e = _residual_vector(y, columns, start)
             scale *= 1.7
             start_order = np.argsort(start_e, kind="stable")
-            start_tt, cut = _tie_cut(start_e[start_order], cfg.tie_tol)
+            start_tt, cut = _tie_cut(start_e[start_order])
             if not cut.all():
                 start_order = None
         if start_order is None:
@@ -168,7 +165,7 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
                 raise ValueError("the loss at a step is not finite")
             improvement = f_best - f_cand
             beta, e, f_best, last_dir = candidate, cand_e, f_cand, direction
-            tt, cut = _tie_cut(cand_es, cfg.tie_tol)
+            tt, cut = _tie_cut(cand_es)
             order = np.argsort(e, kind="stable") if cut.all() else None
             points.append(candidate.copy())
             f_values.append(f_cand)

@@ -133,35 +133,26 @@ def _residuals_at(data: RegressionData, point, name: str, origin: bool = False) 
 
 
 def _tie_tol_at(top: float) -> float:
-    """The default tie tolerance of residuals whose largest |e| is ``top``."""
+    """The tie tolerance of residuals whose largest |e| is ``top``."""
     return 1e-9 * (1.0 + top)
 
 
-def default_tie_tol(res: Residuals) -> float:
-    return _tie_tol_at(float(np.abs(res.e).max()))
-
-
-def _check_tie_tol(tie_tol: float):
-    if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
-        raise ValueError(f"tie tolerance must be finite and nonnegative, got {tie_tol}")
-
-
-def _tie_cut(es: np.ndarray, tie_tol: float | None) -> tuple[float, np.ndarray]:
-    """At residuals sorted ascending as ``es``: ``tie_tol``, or when None the
-    default read from the sorted ends (``default_tie_tol``'s, NaN if some
-    residual is), checked; and where the gap to the next residual exceeds it."""
-    if tie_tol is None:
-        tie_tol = _tie_tol_at(float(max(es[-1], -es[0])))
-    _check_tie_tol(tie_tol)
+def _tie_cut(es: np.ndarray) -> tuple[float, np.ndarray]:
+    """At residuals sorted ascending as ``es``: the tie tolerance read from
+    their two ends, and where the gap to the next residual exceeds it.
+    Residuals holding NaN or inf are refused."""
+    tie_tol = _tie_tol_at(float(max(es[-1], -es[0])))
+    if not math.isfinite(tie_tol):
+        raise ValueError("the residuals must be finite to be cut into tie blocks")
     return tie_tol, es[1:] - es[:-1] > tie_tol
 
 
-def _tie_order(e: np.ndarray, tie_tol: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+def _tie_order(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Observations in (value, index) order, the tie block of each position
     (the transitive closure of |e_a - e_b| <= tie_tol over that order,
     blocks numbered from 0 upward) and the tolerance of ``_tie_cut``."""
     order = np.argsort(e, kind="stable")
-    tie_tol, cut = _tie_cut(e[order], tie_tol)
+    tie_tol, cut = _tie_cut(e[order])
     return order, np.concatenate(([0], np.cumsum(cut))), tie_tol
 
 
@@ -171,18 +162,18 @@ def _are_orderings(orders: np.ndarray, shape: tuple[int, ...]) -> bool:
             and bool((np.sort(orders, axis=-1) == np.arange(shape[-1])).all()))
 
 
-def consistent_permutation(res: Residuals, tie_tol: float | None = None) -> tuple[int, ...]:
+def consistent_permutation(res: Residuals) -> tuple[int, ...]:
     """An ordering putting residuals in nondecreasing order, deterministic
     under ties: within a tie block observations are listed by index
     (any block order is valid)."""
-    order, label, _ = _tie_order(res.e, tie_tol)
+    order, label, _ = _tie_order(res.e)
     return tuple(order[np.lexsort((order, label))].tolist())
 
 
-def active_pairs(res: Residuals, tie_tol: float | None = None) -> ActivePairs:
+def active_pairs(res: Residuals) -> ActivePairs:
     """The tie blocks of the residuals at this point: observation j can hold
     rank i in some consistent ordering exactly when both share a block."""
-    return ActivePairs(*_tie_order(res.e, tie_tol))
+    return ActivePairs(*_tie_order(res.e))
 
 
 def eval_loss(data: RegressionData, alpha, beta) -> float:

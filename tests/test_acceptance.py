@@ -20,7 +20,6 @@ from rankwalk import (
     Unbounded,
     active_pairs,
     breakpoints,
-    default_tie_tol,
     eval_loss,
     eval_loss_bruteforce,
     ggd_minimize,
@@ -181,7 +180,7 @@ def test_06_certificate_soundness(sweep, report):
                 and eval_loss(data, alpha, beta) <= reference.value + 1e-6):
             continue
         points += 1
-        ap = active_pairs(residuals(data, beta), default_tie_tol(residuals(data, beta)))
+        ap = active_pairs(residuals(data, beta))
         has_direction = improving_direction(data, alpha, ap) is not None
         has_witness = solve_certificate(data, alpha, ap) is not None
         if has_direction == has_witness:
@@ -274,8 +273,7 @@ def test_10_breakpoint_geometry(sweep, report):
         for rec in outcome.trace.iterations:
             if rec.direction is None:
                 continue
-            res = residuals(data, rec.beta_star)
-            bps = breakpoints(data, rec.beta_star, rec.direction, default_tie_tol(res))
+            bps = breakpoints(data, rec.beta_star, rec.direction)
             for (i, j), d in bps.entries:
                 checked += 1
                 e = residuals(data, rec.beta_star + d * rec.direction).e

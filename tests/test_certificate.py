@@ -19,8 +19,6 @@ from rankwalk import (
     verify_certificate,
 )
 
-TIE = 1e-9
-
 HAND_G = np.array([
     [0.5, 0.0, 0.5],
     [0.5, 0.0, 0.5],
@@ -29,7 +27,7 @@ HAND_G = np.array([
 
 
 def pairs_at(data, beta):
-    return active_pairs(residuals(data, beta), TIE)
+    return active_pairs(residuals(data, beta))
 
 
 def test_solve_certificate_worked(worked):

@@ -380,29 +380,26 @@ def test_usage_errors_exit_one_not_two(capsys):
     assert run(capsys, "fit", "x.csv", "--direction", "first")[0] == 1  # the option is gone
 
 
-@pytest.mark.parametrize("flag", ["--tie-tol"])
-def test_nonfinite_tolerances_are_errors(worked_csv, capsys, flag):
-    data, scores = worked_csv
-    for value in ("nan", "inf"):
-        code, out, err = run(capsys, "fit", data, "--scores", f"file={scores}", flag, value)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "finite" in err
-
-
 def test_no_caller_sets_the_lp_tolerance(worked_csv, capsys):
-    """The simplex tolerance is ``lp.LP_TOL``: no public callable takes an
-    ``lp_tol``, each config keeps only the fields a caller sets, and the
-    command line has no ``--lp-tol``."""
-    takers = [name for name in rankwalk.__all__ if callable(obj := getattr(rankwalk, name))
+    """Neither tolerance can be set: the simplex's is ``lp.LP_TOL`` and the
+    tie rule is ``loss._tie_cut``'s at each point.  No public callable takes
+    an ``lp_tol`` or a ``tie_tol`` (``ActivePairs`` records the tolerance
+    its blocks were cut with), each config keeps only the fields a caller
+    sets, and the command line has no ``--lp-tol`` or ``--tie-tol``."""
+    takers = [(name, arg) for name in rankwalk.__all__ if callable(obj := getattr(rankwalk, name))
               and not (isinstance(obj, type) and issubclass(obj, BaseException))  # no signature to read
-              and "lp_tol" in inspect.signature(obj).parameters]
-    assert takers == []
-    assert {f.name for f in dataclasses.fields(rankwalk.WoaConfig)} == {"tie_tol", "max_iter"}
-    assert {f.name for f in dataclasses.fields(rankwalk.GgdConfig)} == {"perturbation", "seed", "max_iter", "tie_tol"}
+              for arg in ("lp_tol", "tie_tol") if arg in inspect.signature(obj).parameters]
+    assert takers == [("ActivePairs", "tie_tol")]  # the record of the value its blocks were cut with
+    assert {f.name for f in dataclasses.fields(rankwalk.WoaConfig)} == {"max_iter"}
+    assert {f.name for f in dataclasses.fields(rankwalk.GgdConfig)} == {"perturbation", "seed", "max_iter"}
+    assert "default_tie_tol" not in rankwalk.__all__ and not hasattr(rankwalk, "default_tie_tol")
     data, scores = worked_csv
     assert run(capsys, "fit", data, "--scores", f"file={scores}")[0] == 0
-    code, out, err = run(capsys, "fit", data, "--scores", f"file={scores}", "--lp-tol", "1e-9")
-    assert code == 1 and out == "" and "--lp-tol" in err
+    for flag, value in (("--lp-tol", "1e-9"), ("--tie-tol", "0")):
+        for command in ("fit", "check", "compare", "eval"):
+            extra = ["--beta", "0"] if command == "eval" else []
+            code, out, err = run(capsys, command, data, "--scores", f"file={scores}", *extra, flag, value)
+            assert code == 1 and out == "" and flag in err, (command, flag)
 
 
 def test_log_env_handling(worked_csv, capsys, monkeypatch):

@@ -19,7 +19,7 @@ import pytest
 
 import rankwalk
 import rankwalk.certificate as certificate
-from rankwalk import Minimizer, active_pairs, default_tie_tol, make_scores, minimize, residuals, verify_certificate
+from rankwalk import Minimizer, active_pairs, make_scores, minimize, residuals, verify_certificate
 from rankwalk.certificate import OptimalityCertificate, _descent_search
 from rankwalk.model import sorted_scores
 
@@ -116,8 +116,7 @@ def tied_point():
         out = minimize(data, a)
         if not isinstance(out, Minimizer):
             continue
-        res = residuals(data, out.beta_opt)
-        ap = active_pairs(res, default_tie_tol(res))
+        ap = active_pairs(residuals(data, out.beta_opt))
         sizes = np.bincount(ap.label)
         if sizes.max() >= 3 and sizes.size >= 2:
             return data, a, ap

@@ -6,8 +6,8 @@ from rankwalk import (
     Minimizer,
     RegressionData,
     ScoreVector,
+    active_pairs,
     cell_gradient,
-    default_tie_tol,
     ggd_minimize,
     minimize,
     oracle_minimize,
@@ -136,22 +136,12 @@ def test_ggd_config_accepts_numpy_integers(worked):
     assert ggd_minimize(data, alpha, config=cfg).trace.n_iterations <= 5
 
 
-@pytest.mark.parametrize("field", ["tie_tol"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
-def test_ggd_config_rejects_bad_tolerances(field, value, worked):
-    with pytest.raises(ValueError):
-        GgdConfig(**{field: value})
-    # unchecked, a NaN tie tolerance makes every point a tie
-    data, alpha = worked
-    with pytest.raises(ValueError, match="tie tolerance"):
-        cell_gradient(data, alpha, [-2.0], tie_tol=value)
-
-
 @pytest.mark.parametrize("sign", ["positive", "negative", "mixed", "signed_zeros"])
 def test_ggd_tie_tolerance_is_the_default(sign):
-    """GGD reads the default tie tolerance from residuals it has sorted, with
-    the walk's ``loss._tie_cut``; it must equal ``default_tie_tol`` of the
-    same residuals."""
+    """GGD cuts residuals it has sorted with ``np.sort`` by the walk's
+    ``loss._tie_cut``; the tolerance and the cut must be those of the tie
+    blocks of the same residuals, which sort them by ``np.argsort``, signed
+    zeros included."""
     rng = np.random.default_rng(11)
     for n in (1, 2, 5, 40):
         e = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
@@ -165,4 +155,6 @@ def test_ggd_tie_tolerance_is_the_default(sign):
                 e[rng.integers(n)] = rng.choice([3.0, -3.0])
         data = RegressionData(np.zeros((n, 1)), e)
         res = residuals(data, [0.0])
-        assert _tie_cut(np.sort(res.e), None)[0] == default_tie_tol(res)
+        ap = active_pairs(res)
+        tie_tol, cut = _tie_cut(np.sort(res.e))
+        assert tie_tol == ap.tie_tol and (cut == (np.diff(ap.label) == 1)).all()

@@ -7,9 +7,9 @@ residuals of every point it starts from.  ``ggd_minimize`` must return the
 same ``GgdResult`` byte for byte (beta, f, every point and loss of the
 trace, the stop reason and both counts), or raise the same error, on the
 benchmark's ``ggd-line`` fits and on shapes that workload leaves out (exact
-ties, and continuous data at p = 4 and 6), on both perturbations and an explicit tie
-tolerance, at each stop reason, on a ray whose residuals overflow, and on a
-gradient and a loss that overflow.
+ties, and continuous data at p = 4 and 6), on both perturbations, at each
+stop reason, on a ray whose residuals overflow, and on a gradient and a
+loss that overflow.
 """
 
 import dataclasses
@@ -26,7 +26,6 @@ from rankwalk import (
     ScoreVector,
     breakpoints,
     cell_gradient,
-    default_tie_tol,
     eval_loss,
     ggd_minimize,
     line_search,
@@ -64,14 +63,14 @@ def ref_ggd_minimize(data, alpha, beta0=None, config=None):
         n_iter += 1
         start = beta
         res = residuals(data, start)
-        grad = cell_gradient(data, a, res, cfg.tie_tol)
+        grad = cell_gradient(data, a, res)
         if grad is None:
             scale = 1.0
             for _attempt in range(16):
                 n_perturb += 1
                 start = _nudge(beta, last_dir, scale, rng, cfg)
                 res = residuals(data, start)
-                grad = cell_gradient(data, a, res, cfg.tie_tol)
+                grad = cell_gradient(data, a, res)
                 if grad is not None:
                     break
                 scale *= 1.7
@@ -84,8 +83,7 @@ def ref_ggd_minimize(data, alpha, beta0=None, config=None):
         if not np.isfinite(grad).all():
             raise ValueError("the gradient at the descent's current point is not finite")
         direction = -grad
-        tt = default_tie_tol(res) if cfg.tie_tol is None else cfg.tie_tol
-        bps = breakpoints(data, res, direction, tt)
+        bps = breakpoints(data, res, direction)
         if bps.steps.size == 0:
             stop_reason = "unbounded_direction"
             break
@@ -173,9 +171,8 @@ def test_ggd_line_fits_match_the_reference():
     assert reasons >= {"stalled", "max_iter"}
 
 
-@pytest.mark.parametrize("config", [GgdConfig(max_iter=150), GgdConfig(perturbation="prolong", seed=5, max_iter=150),
-                                    GgdConfig(tie_tol=1e-3, max_iter=150), GgdConfig(tie_tol=0.0, seed=2)],
-                         ids=["random", "prolong", "tie_tol", "tie_tol_zero"])
+@pytest.mark.parametrize("config", [GgdConfig(max_iter=150), GgdConfig(perturbation="prolong", seed=5, max_iter=150)],
+                         ids=["random", "prolong"])
 def test_seeded_instances_match_the_reference(config):
     rng = np.random.default_rng(41)
     reasons = set()

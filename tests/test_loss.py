@@ -5,7 +5,6 @@ import pytest
 
 import rankwalk
 from rankwalk import (
-    GgdConfig,
     Minimizer,
     RegressionData,
     ScoreVector,
@@ -13,7 +12,6 @@ from rankwalk import (
     breakpoints,
     cell_gradient,
     consistent_permutation,
-    default_tie_tol,
     eval_loss,
     eval_loss_bruteforce,
     ggd_minimize,
@@ -23,8 +21,6 @@ from rankwalk import (
 )
 from rankwalk.cli import main
 from rankwalk.loss import Residuals, _tie_cut
-
-TIE = 1e-9
 
 
 def test_residuals_worked(worked):
@@ -88,17 +84,17 @@ def test_residuals_bit_identical_to_scalar_loop():
 
 
 def test_default_tie_tol(worked):
+    """The tie tolerance at a point is 1e-9 (1 + max|e|), read from its tie blocks."""
     data, _ = worked
-    assert default_tie_tol(residuals(data, [-1.0])) == 1e-9 * 3.0
+    assert active_pairs(residuals(data, [-1.0])).tie_tol == 1e-9 * 3.0
 
 
 def test_every_layer_takes_its_default_tie_tolerance_from_loss(monkeypatch, worked, tmp_path, capsys):
-    """Given no tolerance, the walk (at its start and at each region
-    minimum), the verifier, the orderings, the tie blocks, the ray's
-    breakpoints, ``rankwalk eval`` and gradient descent (its
-    ``cell_gradient`` and each tie test of ``ggd_minimize``) all read the
-    tie formula ``loss._tie_tol_at`` at their own point, so the tie rule
-    has one site to change; a given tolerance is used as it is."""
+    """The walk (at its start and at each region minimum), the verifier,
+    the orderings, the tie blocks, the ray's breakpoints, ``rankwalk eval``
+    and gradient descent (its ``cell_gradient`` and each tie test of
+    ``ggd_minimize``) all read the tie formula ``loss._tie_tol_at`` at
+    their own point, so the tie rule has one site to change."""
     data, alpha = worked
     seen = []
     formula = rankwalk.loss._tie_tol_at
@@ -131,52 +127,38 @@ def test_every_layer_takes_its_default_tie_tolerance_from_loss(monkeypatch, work
     fitted = reads(lambda: ggd_minimize(data, alpha, beta0=[0.5]))
     assert fitted[0] == top(res) and len(fitted) >= 2
     ap = active_pairs(res)
-    assert ap.tie_tol == formula(top(res)) and active_pairs(res, 0.25).tie_tol == 0.25
+    assert ap.tie_tol == formula(top(res))
     csv = tmp_path / "worked.csv"
     csv.write_text("y,x1\n0,0\n1,1\n0,2\n")
     assert reads(lambda: main(["eval", str(csv), "--beta", "0.5"])) == [top(res)]
-    assert reads(lambda: main(["eval", str(csv), "--beta", "0.5", "--tie-tol", "0"])) == []
-    assert reads(lambda: consistent_permutation(res, 0.0)) == []
-    assert reads(lambda: active_pairs(res, 0.0)) == []
-    assert reads(lambda: breakpoints(data, res, [1.0], 0.0)) == []
-    assert reads(lambda: cell_gradient(data, alpha, res, 0.0)) == []
-    assert reads(lambda: ggd_minimize(data, alpha, beta0=[0.5], config=GgdConfig(tie_tol=0.0))) == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_the_tie_cut_refuses_residuals_whose_default_is_not_finite(bad):
-    """``default_tie_tol`` reads max|e|, which a NaN makes NaN; the tie cut
-    reads the sorted ends, where a NaN sorts last, and so agrees with it on
-    non-finite residuals too, then refuses that tolerance."""
+    """The tie cut reads its tolerance from the sorted ends, where a NaN
+    sorts last, so residuals holding NaN or an infinity give one that is
+    not finite; the cut and the tie blocks refuse them, naming the residuals."""
     e = np.array([1.0, bad, -2.0, 0.5])
-    assert not math.isfinite(default_tie_tol(Residuals(e, [0.0])))
-    with pytest.raises(ValueError, match="^tie tolerance must be finite and nonnegative"):
-        _tie_cut(np.sort(e), None)
-    assert _tie_cut(np.sort(e), 0.5)[0] == 0.5
+    message = "^the residuals must be finite to be cut into tie blocks$"
+    with pytest.raises(ValueError, match=message):
+        _tie_cut(np.sort(e))
+    with pytest.raises(ValueError, match=message):
+        active_pairs(Residuals(e, [0.0]))
 
 
 def test_consistent_permutation_worked():
     res = Residuals(np.array([0.0, 1.0, 0.0]), np.zeros(1))
-    assert consistent_permutation(res, TIE) == (0, 2, 1)
+    assert consistent_permutation(res) == (0, 2, 1)
     res = Residuals(np.array([5.0, 4.0, 3.0]), np.zeros(1))
-    assert consistent_permutation(res, TIE) == (2, 1, 0)
+    assert consistent_permutation(res) == (2, 1, 0)
     res = Residuals(np.array([7.0, 7.0, 7.0]), np.zeros(1))
-    assert consistent_permutation(res, TIE) == (0, 1, 2)
+    assert consistent_permutation(res) == (0, 1, 2)
 
 
 def test_consistent_permutation_rejects():
-    res = Residuals(np.array([1.0, 2.0]), np.zeros(1))
-    with pytest.raises(ValueError):
-        consistent_permutation(res, -1.0)
-
-
-@pytest.mark.parametrize("tie_tol", [float("nan"), float("inf"), -1e-12])
-def test_tie_blocks_reject_bad_tolerances(tie_tol):
-    res = Residuals(np.array([1.0, 2.0, 1.0]), np.zeros(1))
-    with pytest.raises(ValueError, match="tie tolerance"):
-        consistent_permutation(res, tie_tol)
-    with pytest.raises(ValueError, match="tie tolerance"):
-        active_pairs(res, tie_tol)
+    res = Residuals(np.array([1.0, math.nan, 2.0]), np.zeros(1))
+    with pytest.raises(ValueError, match="^the residuals must be finite to be cut into tie blocks$"):
+        consistent_permutation(res)
 
 
 def test_consistent_permutation_chain_property():
@@ -185,8 +167,9 @@ def test_consistent_permutation_chain_property():
     for _ in range(200):
         n = int(rng.integers(1, 9))
         e = rng.integers(-2, 3, size=n).astype(float)  # duplicates on purpose
-        tie_tol = float(rng.choice([0.0, 1e-9, 0.5]))
-        pi = consistent_permutation(Residuals(e, np.zeros(1)), tie_tol)
+        res = Residuals(e, np.zeros(1))
+        tie_tol = active_pairs(res).tie_tol
+        pi = consistent_permutation(res)
         assert sorted(pi) == list(range(n))
         assert all(e[pi[k + 1]] - e[pi[k]] >= -tie_tol for k in range(n - 1))
 
@@ -250,7 +233,7 @@ def test_eval_loss_convexity():
 
 def test_active_pairs_worked():
     res = Residuals(np.array([0.0, 1.0, 0.0]), np.zeros(1))
-    ap = active_pairs(res, TIE)
+    ap = active_pairs(res)
     assert ap.pairs == frozenset({(0, 0), (0, 2), (1, 0), (1, 2), (2, 1)})
     assert ap.order.tolist() == [0, 2, 1] and ap.label.tolist() == [0, 0, 1]
     assert ap.block_of.tolist() == [0, 1, 0] and ap.block_of.dtype == np.intp
@@ -259,9 +242,9 @@ def test_active_pairs_worked():
 
 def test_active_pairs_edge_cases():
     res = Residuals(np.array([1.0, 2.0, 3.0]), np.zeros(1))
-    assert active_pairs(res, TIE).pairs == frozenset({(0, 0), (1, 1), (2, 2)})
+    assert active_pairs(res).pairs == frozenset({(0, 0), (1, 1), (2, 2)})
     res = Residuals(np.array([4.0, 4.0, 4.0]), np.zeros(1))
-    assert len(active_pairs(res, TIE).pairs) == 9
+    assert len(active_pairs(res).pairs) == 9
 
 
 def test_active_pairs_block_structure():
@@ -273,12 +256,11 @@ def test_active_pairs_block_structure():
         n = int(rng.integers(1, 9))
         e = rng.integers(-2, 3, size=n).astype(float)
         res = Residuals(e, np.zeros(1))
-        tie_tol = float(rng.choice([0.0, 1e-9, 0.7]))
-        ap = active_pairs(res, tie_tol)
+        ap = active_pairs(res)
         steps = np.diff(ap.label)
         assert ap.label[0] == 0 and ((steps == 0) | (steps == 1)).all()
         assert sorted(ap.order.tolist()) == list(range(n))
         assert (ap.block_of[ap.order] == ap.label).all()
         assert int((np.bincount(ap.label) ** 2).sum()) == len(ap.pairs)
-        pi = consistent_permutation(res, tie_tol)
+        pi = consistent_permutation(res)
         assert all((i, j) in ap.pairs for i, j in enumerate(pi))

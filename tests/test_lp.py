@@ -132,7 +132,7 @@ def test_validation_errors():
 LP_TOL_TAKERS = {  # each layer that once took lp_tol, called at the worked instance's origin
     "WoaConfig": lambda data, alpha, ap, **kw: WoaConfig(**kw),
     "GgdConfig": lambda data, alpha, ap, **kw: GgdConfig(**kw),
-    "breakpoints": lambda data, alpha, ap, **kw: breakpoints(data, [0.0], [1.0], 1e-9, **kw),
+    "breakpoints": lambda data, alpha, ap, **kw: breakpoints(data, [0.0], [1.0], **kw),
     "cell_lp": lambda data, alpha, ap, **kw: cell_lp(data, alpha, [0, 2, 1], **kw),
     "improving_direction": lambda data, alpha, ap, **kw: improving_direction(data, alpha, ap, **kw),
     "solve_certificate": lambda data, alpha, ap, **kw: solve_certificate(data, alpha, ap, **kw),
@@ -147,7 +147,7 @@ def test_every_layer_checks_lp_tol_alike(worked, layer, lp_tol):
     """The LP tolerance is ``lp.LP_TOL``: every layer that once took one
     refuses an ``lp_tol`` alike, whatever its value, and runs without it."""
     data, alpha = worked
-    ap = active_pairs(residuals(data, [0.0]), 1e-9)
+    ap = active_pairs(residuals(data, [0.0]))
     with pytest.raises(TypeError, match="unexpected keyword argument 'lp_tol'$"):
         LP_TOL_TAKERS[layer](data, alpha, ap, lp_tol=lp_tol)
     LP_TOL_TAKERS[layer](data, alpha, ap)

@@ -21,7 +21,6 @@ from rankwalk import (
     breakpoints,
     cell_gradient,
     consistent_permutation,
-    default_tie_tol,
     eval_loss,
     line_search,
     make_scores,
@@ -31,8 +30,14 @@ from rankwalk import (
 KINDS = ("sign", "wilcoxon", "van_der_waerden")
 
 
-def ref_breakpoints(data, beta, ell, tie_tol, lp_tol=1e-9):
+def ref_tie_tol(e):
+    """The tie tolerance at residuals e: 1e-9 (1 + max|e|)."""
+    return 1e-9 * (1.0 + max(abs(v) for v in e.tolist()))
+
+
+def ref_breakpoints(data, beta, ell, lp_tol=1e-9):
     e = residuals(data, beta).e
+    tie_tol = ref_tie_tol(e)
     sigma = data.x @ np.asarray(ell, dtype=float)
     entries = []
     for i in range(data.n):
@@ -99,19 +104,18 @@ def ref_tie_blocks(e, tie_tol):
     return blocks
 
 
-def ref_consistent_permutation(res, tie_tol):
+def ref_consistent_permutation(res):
     pi = []
-    for block in ref_tie_blocks(res.e, tie_tol):
+    for block in ref_tie_blocks(res.e, ref_tie_tol(res.e)):
         pi.extend(sorted(block))
     return tuple(pi)
 
 
-def ref_cell_gradient(data, alpha, beta, tie_tol=None):
+def ref_cell_gradient(data, alpha, beta):
     res = residuals(data, beta)
-    tt = default_tie_tol(res) if tie_tol is None else tie_tol
-    if any(len(b) > 1 for b in ref_tie_blocks(res.e, tt)):
+    if any(len(b) > 1 for b in ref_tie_blocks(res.e, ref_tie_tol(res.e))):
         return None
-    pi = ref_consistent_permutation(res, tt)
+    pi = ref_consistent_permutation(res)
     return -(alpha.alpha @ data.x[list(pi)])
 
 
@@ -145,14 +149,12 @@ def instances(seed, count):
 def test_breakpoints_match_the_double_loop():
     total = 0
     for data, beta, ell, _ in instances(0, 240):
-        res = residuals(data, beta)
-        for tt in (default_tie_tol(res), 0.0, 0.5):
-            got = breakpoints(data, beta, ell, tt)
-            want = ref_breakpoints(data, beta, ell, tt)
-            assert got.entries == want
-            assert all(type(i) is int and type(j) is int and type(d) is float for (i, j), d in got.entries)
-            assert breakpoints(data, res, ell, tt).entries == want  # given as residuals
-            total += len(want)
+        got = breakpoints(data, beta, ell)
+        want = ref_breakpoints(data, beta, ell)
+        assert got.entries == want
+        assert all(type(i) is int and type(j) is int and type(d) is float for (i, j), d in got.entries)
+        assert breakpoints(data, residuals(data, beta), ell).entries == want  # given as residuals
+        total += len(want)
     assert total > 10_000
 
 
@@ -169,7 +171,7 @@ def test_line_search_takes_the_first_nonnegative_slope():
     for data, beta, ell, alpha in instances(1, 240):
         res = residuals(data, beta)
         negative_zeros += int(np.any((res.e == 0.0) & np.signbit(res.e)))
-        bps = breakpoints(data, beta, ell, default_tie_tol(res))
+        bps = breakpoints(data, beta, ell)
         if bps.steps.size == 0:
             continue
         got = line_search(data, alpha, beta, ell, bps)
@@ -210,7 +212,7 @@ def test_line_search_finds_answers_at_either_end(end):
         ell = np.concatenate([[1.0 + np.abs(data.x @ ell).max()], ell])
         shifted = RegressionData(x, data.y)
         beta = np.concatenate([[0.0], beta])
-        bps = breakpoints(shifted, beta, ell, default_tie_tol(residuals(shifted, beta)))
+        bps = breakpoints(shifted, beta, ell)
         if bps.steps.size == 0:
             continue
         want = float(bps.steps.max() if end == "last" else bps.steps.min())
@@ -276,23 +278,21 @@ def test_line_search_orders_overflowed_residuals_by_their_limit():
 def test_consistent_permutation_matches_the_block_sort():
     for data, beta, _, _ in instances(2, 240):
         res = residuals(data, beta)
-        for tt in (default_tie_tol(res), 0.0, 0.3, 1.5):
-            assert consistent_permutation(res, tt) == ref_consistent_permutation(res, tt)
+        assert consistent_permutation(res) == ref_consistent_permutation(res)
 
 
 def test_cell_gradient_matches_the_reference():
     grads = nones = 0
     for data, beta, _, alpha in instances(3, 240):
-        for tt in (None, 0.0, 0.1):
-            want = ref_cell_gradient(data, alpha, beta, tt)
-            got = cell_gradient(data, alpha, beta, tt)
-            if want is None:
-                assert got is None
-                nones += 1
-            else:
-                assert got.tobytes() == want.tobytes()
-                assert cell_gradient(data, alpha, residuals(data, beta), tt).tobytes() == want.tobytes()
-                grads += 1
+        want = ref_cell_gradient(data, alpha, beta)
+        got = cell_gradient(data, alpha, beta)
+        if want is None:
+            assert got is None
+            nones += 1
+        else:
+            assert got.tobytes() == want.tobytes()
+            assert cell_gradient(data, alpha, residuals(data, beta)).tobytes() == want.tobytes()
+            grads += 1
     assert grads > 100 and nones > 100
 
 
@@ -300,7 +300,7 @@ def test_breakpoints_reject_residuals_of_another_shape():
     data, _ = _v_shape()
     other = RegressionData(np.ones((3, 1)), np.zeros(3))
     with pytest.raises(ValueError):
-        breakpoints(data, residuals(other, [0.0]), [1.0], 0.0)
+        breakpoints(data, residuals(other, [0.0]), [1.0])
 
 
 def test_breakpoints_arrays_are_read_only():

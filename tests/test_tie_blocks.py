@@ -18,7 +18,6 @@ from rankwalk import (
     active_pairs,
     cell_lp,
     consistent_permutation,
-    default_tie_tol,
     eval_loss,
     improving_direction,
     make_scores,
@@ -61,13 +60,12 @@ def region_minimum(data, alpha, beta):
     """The minimum of the region holding ``beta``: a vertex, so it carries
     the ties that make both systems nontrivial."""
     res = residuals(data, beta)
-    out = cell_lp(data, alpha, consistent_permutation(res, default_tie_tol(res)))
+    out = cell_lp(data, alpha, consistent_permutation(res))
     return out.point if isinstance(out, LpOptimal) else None
 
 
 def pairs_at(data, beta):
-    res = residuals(data, beta)
-    return active_pairs(res, default_tie_tol(res))
+    return active_pairs(residuals(data, beta))
 
 
 def slope(data, alpha, ap, ell):

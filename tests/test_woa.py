@@ -27,7 +27,6 @@ from rankwalk import (
     breakpoints,
     cell_lp,
     consistent_permutation,
-    default_tie_tol,
     eval_loss,
     improving_direction,
     line_search,
@@ -38,8 +37,6 @@ from rankwalk import (
     residuals,
 )
 from rankwalk.woa import _require_descending_ray
-
-TIE = 1e-9
 
 
 def test_region_bound():
@@ -107,7 +104,7 @@ def test_cell_lp_at_a_point_agrees_with_the_origin(monkeypatch):
         probes = []
         beta = 3.0 * rng.standard_normal(p)
         res = residuals(data, beta)
-        pi = consistent_permutation(res, default_tie_tol(res))
+        pi = consistent_permutation(res)
         probes.append(("inside", pi, beta))
         probes.append(("outside", pi, beta + 5.0 * rng.standard_normal(p)))
         del posed[:]
@@ -117,7 +114,7 @@ def test_cell_lp_at_a_point_agrees_with_the_origin(monkeypatch):
         for after in landed + [it.beta_star + it.d_star * it.direction
                                for fit in fits for it in fit.trace.iterations if it.d_star is not None]:
             res = residuals(data, after)
-            probes.append(("post-step", consistent_permutation(res, default_tie_tol(res)), after))
+            probes.append(("post-step", consistent_permutation(res), after))
         for name, pi, at in probes:
             if name == "post-step" and np.diff(residuals(data, at).e[list(pi)]).min() < 0.0:
                 seen["crossed"] += 1  # a tie crossed within tie_tol: some rows start infeasible
@@ -147,20 +144,20 @@ def test_cell_lp_rejects_non_permutation(worked):
 def test_improving_direction_worked(worked):
     data, alpha = worked
     res = residuals(data, [-1.0])
-    found = improving_direction(data, alpha, active_pairs(res, TIE))
+    found = improving_direction(data, alpha, active_pairs(res))
     assert found is not None
     step = 1e-4 * found / np.abs(found).max()
     assert eval_loss(data, alpha, np.array([-1.0]) + step) < eval_loss(data, alpha, [-1.0])
 
     res = residuals(data, [0.0])
-    assert improving_direction(data, alpha, active_pairs(res, TIE)) is None
+    assert improving_direction(data, alpha, active_pairs(res)) is None
 
 
 def test_improving_direction_single_observation():
     data = RegressionData(np.array([[1.0]]), np.array([0.0]))
     alpha = ScoreVector([1.0])
     res = residuals(data, [0.0])
-    found = improving_direction(data, alpha, active_pairs(res, TIE))
+    found = improving_direction(data, alpha, active_pairs(res))
     assert found is not None and found.shape == (1,)
 
 
@@ -169,7 +166,7 @@ def test_improving_direction_is_steepest_in_the_qr_norm(worked):
     # 2|ell| otherwise; over |R ell| <= 1, R = sqrt(5), the steepest is 1/sqrt(5).
     data, alpha = worked
     res = residuals(data, [-1.0])
-    found = improving_direction(data, alpha, active_pairs(res, TIE))
+    found = improving_direction(data, alpha, active_pairs(res))
     R = np.linalg.qr(data.x, mode="r")
     assert np.abs(R @ found).max() <= 1.0 + 1e-9
     np.testing.assert_allclose(found, [1.0 / np.sqrt(5.0)], rtol=1e-9)
@@ -177,26 +174,26 @@ def test_improving_direction_is_steepest_in_the_qr_norm(worked):
 
 def test_breakpoints_worked(worked):
     data, _ = worked
-    bps = breakpoints(data, [-1.0], [1.0], TIE)
+    bps = breakpoints(data, [-1.0], [1.0])
     assert dict(bps.entries) == {(0, 1): 2.0, (0, 2): 1.0}  # the tied pair at d=0 is dropped
 
 
 def test_breakpoints_parallel_direction_empty():
     data = RegressionData(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0.0, 1.0]))
-    assert breakpoints(data, [0.0, 0.0], [0.0, 1.0], TIE).entries == ()
+    assert breakpoints(data, [0.0, 0.0], [0.0, 1.0]).entries == ()
 
 
 def test_breakpoints_negative_steps_excluded():
     data = RegressionData(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
-    assert breakpoints(data, [0.0], [-1.0], TIE).entries == ()
+    assert breakpoints(data, [0.0], [-1.0]).entries == ()
 
 
 def test_breakpoints_rejects_bad_direction(worked):
     data, _ = worked
     with pytest.raises(ValueError):
-        breakpoints(data, [0.0], [0.0], TIE)
+        breakpoints(data, [0.0], [0.0])
     with pytest.raises(ValueError):
-        breakpoints(data, [0.0], [1.0, 2.0], TIE)
+        breakpoints(data, [0.0], [1.0, 2.0])
 
 
 @pytest.mark.parametrize("direction, message", [
@@ -207,7 +204,7 @@ def test_line_search_rejects_bad_direction(direction, message):
     rng = np.random.default_rng(3)
     data = RegressionData(np.column_stack([np.ones(10), rng.standard_normal(10)]), rng.standard_normal(10))
     alpha = make_scores("wilcoxon", 10)
-    bps = breakpoints(data, [0.0, 0.0], [1.0, 1.0], TIE)
+    bps = breakpoints(data, [0.0, 0.0], [1.0, 1.0])
     assert bps.steps.size
     with pytest.raises(ValueError, match=f"direction must be (a )?{message}"):
         line_search(data, alpha, [0.0, 0.0], direction, bps)
@@ -215,7 +212,7 @@ def test_line_search_rejects_bad_direction(direction, message):
 
 def test_breakpoints_returns_the_arrays_it_built_frozen(worked):
     data, alpha = worked
-    bps = breakpoints(data, [-1.0], [1.0], TIE)
+    bps = breakpoints(data, [-1.0], [1.0])
     assert bps.pairs.dtype == np.intp and bps.steps.dtype == float
     for arr in (bps.pairs, bps.steps):
         assert not arr.flags.writeable
@@ -237,7 +234,7 @@ def test_breakpoints_land_on_tie_hyperplanes():
         ell = rng.integers(-2, 3, size=p).astype(float)
         if not ell.any():
             ell[0] = 1.0
-        for (i, j), d in breakpoints(data, beta, ell, TIE).entries:
+        for (i, j), d in breakpoints(data, beta, ell).entries:
             e = residuals(data, beta + d * ell).e
             assert abs(e[i] - e[j]) <= 1e-7 * (1.0 + max(abs(e[i]), abs(e[j])))
             landed += 1
@@ -246,7 +243,7 @@ def test_breakpoints_land_on_tie_hyperplanes():
 
 def test_line_search_worked(worked):
     data, alpha = worked
-    bps = breakpoints(data, [-1.0], [1.0], TIE)
+    bps = breakpoints(data, [-1.0], [1.0])
     assert line_search(data, alpha, [-1.0], [1.0], bps) == 1.0
     single = Breakpoints([(0, 1)], [2.5])
     assert line_search(data, alpha, [-1.0], [1.0], single) == 2.5
@@ -255,7 +252,7 @@ def test_line_search_worked(worked):
 def test_line_search_ties_take_smallest_step(worked):
     data, _ = worked
     flat = ScoreVector([0.0, 0.0, 0.0])  # loss identically zero along the ray
-    bps = breakpoints(data, [-2.0], [1.0], TIE)
+    bps = breakpoints(data, [-2.0], [1.0])
     assert len(bps.entries) == 3
     assert line_search(data, flat, [-2.0], [1.0], bps) == min(d for _, d in bps.entries)
 
@@ -498,22 +495,7 @@ def test_config_accepts_a_numpy_iteration_cap(worked):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        WoaConfig(tie_tol=-1.0)
-    with pytest.raises(ValueError):
         WoaConfig(max_iter=0)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("tie_tol", float("nan")), ("tie_tol", float("inf")), ("tie_tol", -1e-12),
-])
-def test_config_rejects_bad_tolerances(field, value):
-    with pytest.raises(ValueError, match="finite"):
-        WoaConfig(**{field: value})
-    # breakpoints takes the same tolerance.  Here its steps are 5 and 2;
-    # unchecked, a NaN tie_tol drops both and a negative one adds the step -1.
-    data = RegressionData(np.array([[2.0], [1.0], [3.0]]), np.array([0.0, 1.0, 5.0]))
-    with pytest.raises(ValueError, match="finite"):
-        breakpoints(data, [0.0], [1.0], **{field: value})
 
 
 def test_descending_ray_guard(worked):
@@ -551,7 +533,7 @@ def test_walk_steps_match_the_public_ray_search():
         assert isinstance(out, Minimizer)
         for it in out.trace.iterations[:-1]:
             res = residuals(data, it.beta_star)
-            bps = breakpoints(data, res, it.direction, default_tie_tol(res))
+            bps = breakpoints(data, res, it.direction)
             assert line_search(data, alpha, res, it.direction, bps) == it.d_star
             searched += 1
     assert searched >= 10
@@ -559,9 +541,9 @@ def test_walk_steps_match_the_public_ray_search():
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_walk_rejects_a_bad_default_tie_tolerance(monkeypatch, worked, bad):
-    """A non-finite default tie tolerance at a region minimum raises the
-    ValueError of ``active_pairs`` and ``breakpoints``."""
+    """A tie tolerance that is not finite, which only residuals holding NaN
+    or an infinity give, raises the ValueError of ``active_pairs``."""
     monkeypatch.setattr(rankwalk.loss, "_tie_tol_at", lambda top: bad)
     data, alpha = worked
-    with pytest.raises(ValueError, match="tie tolerance must be finite"):
+    with pytest.raises(ValueError, match="^the residuals must be finite to be cut into tie blocks$"):
         minimize(data, alpha)
