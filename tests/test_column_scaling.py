@@ -4,16 +4,18 @@ The walk reads the raw size of x in its tolerances, so scaling a column by
 2^20 or 1e6 still breaks some fits (ROADMAP item 1).  This sweep of 288
 fits, column 1 scaled by 1e4, 2^20, 1e6 and 2^-20 on the benchmark's
 ``continuous(s, 40, 3)``, ``integer_grid(s, 18, 3)`` and
-``continuous(s, 60, 4)`` at seeds 0-7 with the three score kinds, failed 18
-fits before the descent master started on its block cuts; a change to the
-LP core may not fail more.
+``continuous(s, 60, 4)`` at seeds 0-7 with the three score kinds, fails 20
+fits; a change to the LP core may not fail more.  A fit fails unless it
+ends in a ``Minimizer`` whose certificate checks: none of these losses is
+unbounded below, since each base fit certifies, so an ``Unbounded`` is a
+wrong verdict (ROADMAP item 12) and counts with the refusals.
 """
 
 from rankwalk import Minimizer, RegressionData, WalkError, make_scores, minimize, verify_certificate
 
 from test_cell_lp_reference import bench_cases
 
-MOST_FAILURES = 18
+MOST_FAILURES = 20
 
 
 def test_column_scaled_sweep_fails_no_more_fits():
@@ -34,7 +36,7 @@ def test_column_scaled_sweep_fails_no_more_fits():
                     except WalkError:
                         failed += 1
                         continue
-                    failed += isinstance(out, Minimizer) and not verify_certificate(
-                        data, alpha, out.beta_opt, out.certificate).ok
+                    failed += not (isinstance(out, Minimizer)
+                                   and verify_certificate(data, alpha, out.beta_opt, out.certificate).ok)
     assert fits == 288
     assert failed <= MOST_FAILURES, failed

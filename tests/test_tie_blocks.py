@@ -2,10 +2,6 @@
 improving direction or the certificate, checked well past the sizes the
 exhaustive oracle reaches."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -27,6 +23,7 @@ from rankwalk import (
     verify_certificate,
 )
 
+from test_cell_lp_reference import bench_cases
 from tie_data import grid
 
 KINDS = ("sign", "wilcoxon", "van_der_waerden")
@@ -200,12 +197,8 @@ def test_van_der_waerden_integer_grid_n18_p3_reaches_a_verified_minimizer():
     assert verify_certificate(data, alpha, out.beta_opt, out.certificate).ok
 
 
-def test_integer_grid_is_the_benchmark_generator(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
-    spec = importlib.util.spec_from_file_location("perfbench_cases", path)
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look their module up
-    spec.loader.exec_module(bench)
+def test_integer_grid_is_the_benchmark_generator():
+    bench = bench_cases()
     for seed, n, p in ((0, 40, 2), (0, 24, 3), (5, 120, 3)):
         ours, theirs = integer_grid(np.random.default_rng(seed), n, p), bench.integer_grid(seed, n, p)
         np.testing.assert_array_equal(ours.x, theirs.x)

@@ -35,8 +35,12 @@ from rankwalk import (
     random_instance,
     region_bound,
     residuals,
+    verify_certificate,
 )
 from rankwalk.woa import _require_descending_ray
+
+from reference_slope import mirrored_scores
+from test_cell_lp_reference import bench_cases
 
 
 def test_region_bound():
@@ -505,16 +509,42 @@ def test_descending_ray_guard(worked):
     assert info.value.layer == "ray" and info.value.trace == WalkTrace(())
 
 
-def test_descending_ray_guard_refuses_a_ray_whose_loss_overflows(worked):
+def test_descending_ray_guard_reads_the_slope_at_infinity(worked):
     """With only the top weight the loss is the largest residual, which falls
-    along beta = d * 1e307 until the residual 0 - 2 * beta overflows at
-    d = 10: a WalkError of the ray, not the loss's refusal of a beta no
-    caller gave."""
+    along beta = t * 1e307 only while residual 1 leads; far out residual 0,
+    which does not move, is the largest, so the slope at infinity is 0 and
+    the ray is refused, with no loss evaluated along it.  Along 1e308,
+    x . ray itself overflows: a WalkError of the ray."""
     data, _ = worked
-    with pytest.raises(WalkError) as info:
+    with pytest.raises(WalkInvariantError) as info:
         _require_descending_ray(data, [0.0, 0.0, 1.0], np.array([0.0]), np.array([1e307]), WalkTrace(()))
+    assert info.value.layer == "ray" and info.value.trace == WalkTrace(())
+    assert str(info.value) == "claimed ray fails: the loss's slope along it at infinity is 0.0"
+    with pytest.raises(WalkError) as info:
+        _require_descending_ray(data, [0.0, 0.0, 1.0], np.array([0.0]), np.array([1e308]), WalkTrace(()))
     assert type(info.value) is WalkError and info.value.layer == "ray" and info.value.trace == WalkTrace(())
-    assert str(info.value) == "the loss along the claimed ray overflows"
+    assert str(info.value) == "x . ray of the claimed ray is not finite"
+
+
+# Column 1 x 2^20 on data whose base fit certifies: the first cell LP
+# reports a ray along which F falls at t = 1, 10 and 100 and far beyond,
+# yet F's slope along it at infinity is +1.4e-8 and +4.1e-8.  The walk
+# refuses the ray (until its LP reads x at scale, ROADMAP item 2, and
+# certifies a minimizer); it never returns it.
+@pytest.mark.parametrize("seed, n, p, kind", [(3, 120, 4, "wilcoxon"), (0, 200, 6, "van_der_waerden")])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_a_ray_along_which_the_loss_is_bounded_is_never_unbounded(seed, n, p, kind, mirrored):
+    base = bench_cases().continuous(seed, n, p)
+    x = base.x.copy()
+    x[:, 1] *= 2.0 ** 20
+    data, alpha = RegressionData(x, base.y), mirrored_scores(kind, n) if mirrored else make_scores(kind, n)
+    try:
+        out = minimize(data, alpha)
+    except WalkInvariantError as exc:
+        assert exc.layer == "ray" and str(exc).startswith("claimed ray fails")
+    else:
+        assert isinstance(out, Minimizer)
+        assert verify_certificate(data, alpha, out.beta_opt, out.certificate).ok
 
 
 def test_walk_steps_match_the_public_ray_search():

@@ -7,29 +7,18 @@ shared tie rule 1e-9 (1 + max |e|) lets the outlier's residual set the
 tolerance of every pair, so the walk stops early on spurious tie blocks and
 the verifier, cutting the same blocks, accepts the wrong point."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from rankwalk import Minimizer, RegressionData, eval_loss, make_scores, minimize, verify_certificate
 
-
-def bench_cases(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
-    spec = importlib.util.spec_from_file_location("perfbench_cases", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+from test_cell_lp_reference import bench_cases
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 @pytest.mark.parametrize("kind", ["wilcoxon", "van_der_waerden"])
-def test_a_y_outlier_is_fitted_or_its_certificate_refused(monkeypatch, kind):
-    base = bench_cases(monkeypatch).continuous(9, 40, 3)
+def test_a_y_outlier_is_fitted_or_its_certificate_refused(kind):
+    base = bench_cases().continuous(9, 40, 3)
 
     def with_last(y_last):
         y = base.y.copy()
