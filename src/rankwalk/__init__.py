@@ -10,7 +10,7 @@ from .certificate import (
     solve_certificate,
     verify_certificate,
 )
-from .ggd import GgdConfig, GgdResult, GgdTrace, cell_gradient, ggd_minimize
+from .ggd import GgdResult, GgdTrace, cell_gradient, ggd_minimize
 from .loss import (
     ActivePairs,
     Residuals,
@@ -48,8 +48,6 @@ from .woa import (
     WalkInvariantError,
     WalkIteration,
     WalkNumericError,
-    WalkTrace,
-    WoaConfig,
     breakpoints,
     cell_lp,
     improving_direction,
@@ -61,12 +59,12 @@ from .woa import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivePairs", "Breakpoints", "CertificateReport", "GgdConfig", "GgdResult",
+    "ActivePairs", "Breakpoints", "CertificateReport", "GgdResult",
     "GgdTrace", "IterationBudgetError", "LinearProgram",
     "LpError", "LpInfeasible", "LpNumericError", "LpOptimal", "LpOutcome",
     "LpUnbounded", "Minimizer", "OptimalityCertificate", "OracleResult",
     "RegressionData", "Residuals", "ScoreVector", "Unbounded",
-    "WalkError", "WalkInvariantError", "WalkIteration", "WalkNumericError", "WalkTrace", "WoaConfig",
+    "WalkError", "WalkInvariantError", "WalkIteration", "WalkNumericError",
     "active_pairs", "birkhoff_decompose", "breakpoints", "cell_gradient",
     "cell_lp", "consistent_permutation",
     "enumerate_nonempty_cells", "eval_loss", "eval_loss_bruteforce",

@@ -20,11 +20,11 @@ import sys
 import numpy as np
 
 from .certificate import verify_certificate
-from .ggd import GgdConfig, ggd_minimize
+from .ggd import ggd_minimize
 from .loss import _residuals_at, _sorted_loss, consistent_permutation
-from .model import RegressionData, ScoreVector, make_scores
+from .model import RegressionData, ScoreVector, _check_count, make_scores
 from .oracle import ORACLE_LIMIT, oracle_minimize
-from .woa import Minimizer, WalkError, WoaConfig, minimize
+from .woa import Minimizer, WalkError, minimize
 
 log = logging.getLogger(__name__)
 
@@ -133,7 +133,7 @@ def trace_payload(outcome) -> dict:
             "direction": _floats(rec.direction) if rec.direction is not None else None,
             "d_star": float(rec.d_star) if rec.d_star is not None else None,
         }
-        for rec in outcome.trace.iterations
+        for rec in outcome.trace
     ]
     if isinstance(outcome, Minimizer):
         certificate = {
@@ -149,14 +149,12 @@ def trace_payload(outcome) -> dict:
             "ray": _ray(outcome)}
 
 
-def _walk_config(args) -> WoaConfig:
-    return WoaConfig(max_iter=args.max_iter)
-
-
 def cmd_fit(args) -> int:
     data = read_csv(args.data)
     alpha = build_scores(args.scores, data.n)
-    beta0, config = initial_point(args.init, data, "--init"), _walk_config(args)
+    beta0 = initial_point(args.init, data, "--init")
+    if args.max_iter is not None:  # refused as minimize refuses it, but before the trace file is truncated
+        _check_count("max_iter", args.max_iter, 1)
     # The trace file is opened before the fit, so that a path it cannot
     # write is refused before the fit's time is spent.
     try:
@@ -164,7 +162,7 @@ def cmd_fit(args) -> int:
     except OSError as exc:
         raise CliError(f"{args.trace}: {exc.strerror}") from None
     with trace as fh:
-        outcome = minimize(data, alpha, beta0, config)
+        outcome = minimize(data, alpha, beta0, max_iter=args.max_iter)
         if fh is not None:
             json.dump(trace_payload(outcome), fh, indent=2)
             fh.write("\n")
@@ -191,13 +189,13 @@ def cmd_check(args) -> int:
     if data.n > ORACLE_LIMIT:
         raise CliError(f"check is exhaustive and refuses n > {ORACLE_LIMIT} (got {data.n})")
     alpha = build_scores(args.scores, data.n)
-    outcome = minimize(data, alpha, initial_point(args.init, data, "--init"), _walk_config(args))
+    outcome = minimize(data, alpha, initial_point(args.init, data, "--init"), max_iter=args.max_iter)
     reference = oracle_minimize(data, alpha)
     found = isinstance(outcome, Minimizer)
     report: dict = {
         "walk": {"outcome": "minimizer" if found else "unbounded",
                  "beta_opt": _floats(outcome.beta_opt) if found else None,
-                 "F_opt": float(outcome.f_opt) if found else None, "iterations": len(outcome.trace.iterations)},
+                 "F_opt": float(outcome.f_opt) if found else None, "iterations": len(outcome.trace)},
         "oracle": {"outcome": "unbounded" if reference.unbounded else "minimizer",
                    "value": None if reference.unbounded else float(reference.value)},
     }
@@ -218,16 +216,15 @@ def cmd_compare(args) -> int:
     data = read_csv(args.data)
     alpha = build_scores(args.scores, data.n)
     beta0 = initial_point(args.init, data, "--init")
-    outcome = minimize(data, alpha, beta0, _walk_config(args))
+    outcome = minimize(data, alpha, beta0, max_iter=args.max_iter)
     if not isinstance(outcome, Minimizer):
         print(json.dumps({"outcome": "unbounded", "ray": _ray(outcome)}))
         return 2
-    baseline = ggd_minimize(data, alpha, beta0,
-                            GgdConfig(perturbation=args.perturbation, seed=args.seed,
-                                      max_iter=args.max_iter or 1000))
+    baseline = ggd_minimize(data, alpha, beta0, perturbation=args.perturbation, seed=args.seed,
+                            max_iter=args.max_iter or 1000)
     print(json.dumps({
         "outcome": "minimizer",
-        "walk": {"iterations": len(outcome.trace.iterations), "F_opt": float(outcome.f_opt)},
+        "walk": {"iterations": len(outcome.trace), "F_opt": float(outcome.f_opt)},
         "ggd": {"iterations": baseline.trace.n_iterations, "F": float(baseline.f),
                 "stop_reason": baseline.trace.stop_reason, "perturbations": baseline.trace.n_perturbations},
         "gap": float(baseline.f - outcome.f_opt),

@@ -6,7 +6,8 @@ loss is not differentiable.  Each exact line search ends on a breakpoint,
 which is a tie, so almost every iteration starts with a nudge.  Candidate
 steps that fail to improve the best loss are rejected, so the recorded loss
 values only ever decrease.  The method carries no optimality test: it stops
-on stall, budget, flatness, or an unbounded ray, and reports which.
+on stall, budget, flatness, or an unbounded ray, and reports which.  Its
+three options are keyword arguments of ``ggd_minimize``.
 
 The loop runs on arrays built once per fit (the columns of x and the sorted
 weights) and computes each point once: an accepted candidate's residuals,
@@ -32,19 +33,6 @@ PERTURBATIONS = ("random", "prolong")
 MAGNITUDE = 1e-4  # the first nudge's length, relative to 1 + |beta|
 STOP_TOL = 1e-9  # a step that improves the loss by less than this stalls
 STALL_WINDOW = 8  # consecutive stalled steps that stop the loop
-
-
-@dataclass(frozen=True)
-class GgdConfig:
-    perturbation: str = "random"
-    seed: int = 0
-    max_iter: int = 1000
-
-    def __post_init__(self):
-        if self.perturbation not in PERTURBATIONS:
-            raise ValueError(f"unknown perturbation {self.perturbation!r}")
-        _check_count("seed", self.seed, 0)
-        _check_count("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -83,9 +71,9 @@ def _norm(u: np.ndarray) -> float:
     return math.hypot(*entries) if max(map(abs, entries)) > 1e150 else math.sqrt(u.dot(u))
 
 
-def _nudge(beta, last_dir, scale, rng, cfg) -> np.ndarray:
+def _nudge(beta, last_dir, scale, rng, perturbation: str) -> np.ndarray:
     size = MAGNITUDE * (1.0 + _norm(beta)) * scale
-    if cfg.perturbation == "prolong":
+    if perturbation == "prolong":
         d = last_dir if last_dir is not None else np.ones_like(beta)
         return beta + size * d / _norm(d)
     u = rng.standard_normal(beta.shape[0])
@@ -96,9 +84,14 @@ def _nudge(beta, last_dir, scale, rng, cfg) -> np.ndarray:
     return beta + size * u / norm
 
 
-def ggd_minimize(data: RegressionData, alpha, beta0=None,
-                 config: GgdConfig | None = None) -> GgdResult:
+def ggd_minimize(data: RegressionData, alpha, beta0=None, *, perturbation: str = "random", seed: int = 0,
+                 max_iter: int = 1000) -> GgdResult:
     """Best point found by perturbed exact-line-search gradient descent.
+
+    The options, checked on entry: ``perturbation`` nudges off a tie along
+    a random direction drawn from ``seed`` ("random") or along the last
+    accepted one ("prolong"); ``max_iter`` caps the iterations.  ``seed``
+    is an integer of at least 0 and ``max_iter`` of at least 1, NumPy's too.
 
     No optimality claim is made for the result; the trace records the strictly
     decreasing losses of the accepted steps and why the loop stopped.  A ray
@@ -107,11 +100,14 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
     overflows to -inf, which would be accepted; a step whose loss overflows
     to +inf or NaN is rejected.  No loss returned is infinite.
     """
-    cfg = config or GgdConfig()
+    if perturbation not in PERTURBATIONS:
+        raise ValueError(f"unknown perturbation {perturbation!r}")
+    _check_count("seed", seed, 0)
+    _check_count("max_iter", max_iter, 1)
     a = sorted_scores(alpha, data.n)
     res = _residuals_at(data, beta0, "beta0", origin=True)
     beta, e = res.beta.copy(), res.e
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     x, y, w = data.x, data.y, a.alpha
     columns = np.ascontiguousarray(x.T)
 
@@ -127,7 +123,7 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
     n_iter = 0
     stop_reason = "max_iter"
 
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         n_iter += 1
         # beta's residuals and tie test, kept from the step that reached it
         start, start_e, start_tt, start_order, scale = beta, e, tt, order, 1.0
@@ -135,7 +131,7 @@ def ggd_minimize(data: RegressionData, alpha, beta0=None,
             if start_order is not None:
                 break
             n_perturb += 1
-            start = _nudge(beta, last_dir, scale, rng, cfg)
+            start = _nudge(beta, last_dir, scale, rng, perturbation)
             start_e = _residual_vector(y, columns, start)
             scale *= 1.7
             start_order = np.argsort(start_e, kind="stable")

@@ -46,6 +46,9 @@ the box keeps its breakpoints on the scale of the walk's own rays.
 Where the loss stops falling along a ray has one site, ``_ray_step``, which
 gradient descent shares.
 
+``minimize``'s one option, the iteration cap, is a keyword argument, and
+its trace is the tuple of its WalkIterations.
+
 The walk strictly decreases the region minima and never revisits an ordering;
 both facts are asserted at runtime and a violation (only possible through
 inconsistent tolerances) raises WalkInvariantError rather than looping.
@@ -74,9 +77,9 @@ _ROUNDING = 2.0 ** -40  # residuals this close, relative to 1 + max|e|, differ b
 class WalkError(Exception):
     """The walk stopped without a verdict.  ``layer`` names where: "cell_lp",
     "descent_search", "certificate", "ray" or "walk" (the walk's own loop),
-    and ``trace`` holds the iterations completed before the failure."""
+    and ``trace`` holds the WalkIterations completed before the failure."""
 
-    def __init__(self, message: str, layer: str, trace: "WalkTrace"):
+    def __init__(self, message: str, layer: str, trace: tuple[WalkIteration, ...]):
         super().__init__(message)
         self.layer = layer
         self.trace = trace
@@ -94,18 +97,6 @@ class IterationBudgetError(WalkError):
 class WalkNumericError(WalkError):
     """A layer's simplex refused to report a verdict on the program the walk
     posed (an LpNumericError, chained as the cause)."""
-
-
-@dataclass(frozen=True)
-class WoaConfig:
-    """The iteration cap.  The tie tolerance is ``loss._tie_cut``'s at each
-    point and the LP's is ``lp.LP_TOL``."""
-
-    max_iter: int | None = None  # None: min(1e6, region-count bound)
-
-    def __post_init__(self):
-        if self.max_iter is not None:
-            _check_count("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -146,26 +137,25 @@ class WalkIteration:
 
 
 @dataclass(frozen=True)
-class WalkTrace:
-    iterations: tuple[WalkIteration, ...]
-
-
-@dataclass(frozen=True)
 class Minimizer:
+    """A verified minimizer; ``trace`` holds the walk's WalkIterations, the
+    last at ``beta_opt``."""
+
     beta_opt: np.ndarray
     f_opt: float
     certificate: OptimalityCertificate
-    trace: WalkTrace
+    trace: tuple[WalkIteration, ...]
 
 
 @dataclass(frozen=True)
 class Unbounded:
-    """The loss falls without bound from ``point`` along ``ray``; the trace
-    ends with the region's iteration, at ``point`` along a multiple of ``ray``."""
+    """The loss falls without bound from ``point`` along ``ray``; ``trace``
+    holds the walk's WalkIterations and ends with the region's, at ``point``
+    along a multiple of ``ray``."""
 
     point: np.ndarray
     ray: np.ndarray
-    trace: WalkTrace
+    trace: tuple[WalkIteration, ...]
 
 
 def region_bound(n: int, p: int) -> int:
@@ -369,8 +359,7 @@ def _require_descending_ray(data, alpha, point, ray, trace):
                                  "ray", trace)
 
 
-def minimize(data: RegressionData, alpha, beta0=None,
-             config: WoaConfig | None = None) -> Minimizer | Unbounded:
+def minimize(data: RegressionData, alpha, beta0=None, *, max_iter: int | None = None) -> Minimizer | Unbounded:
     """Walk the arrangement from ``beta0`` (origin by default) to a verified
     minimizer, or detect that the loss is unbounded below.
 
@@ -383,17 +372,21 @@ def minimize(data: RegressionData, alpha, beta0=None,
     step's point overflows.  The step is no iteration: neither ``max_iter``
     nor the trace counts it, so each ``beta_star`` is a region minimum.
 
-    Weights are sorted on entry; their input order never matters.  A
-    ``beta0`` that ``loss._residuals_at`` refuses raises ValueError; past
-    that every failure is a WalkError that names its layer and carries the
-    iterations before it: IterationBudgetError at the cap, WalkInvariantError
-    where a descent assertion fails, WalkNumericError where a simplex
-    degrades, and WalkError itself where a number the walk makes overflows.
+    ``max_iter``, an integer of at least 1 (NumPy's too), caps the
+    iterations; by default at min(10^6, ``region_bound``).  Weights are
+    sorted on entry; their input order never matters.  A bad ``max_iter``,
+    checked first, and a ``beta0`` that ``loss._residuals_at`` refuses
+    raise ValueError; past that every failure is a WalkError that names
+    its layer and carries the iterations before it: IterationBudgetError
+    at the cap, WalkInvariantError where a descent assertion fails,
+    WalkNumericError where a simplex degrades, and WalkError itself where
+    a number the walk makes overflows.
     """
-    cfg = config or WoaConfig()
+    if max_iter is not None:
+        _check_count("max_iter", max_iter, 1)
     a = sorted_scores(alpha, data.n)
     res = _residuals_at(data, beta0, "beta0", origin=True)
-    cap = cfg.max_iter if cfg.max_iter is not None else min(10 ** 6, region_bound(data.n, data.p))
+    cap = max_iter if max_iter is not None else min(10 ** 6, region_bound(data.n, data.p))
     iterations: list[WalkIteration] = []
     visited: set[tuple[int, ...]] = set()
     R = np.linalg.qr(data.x, mode="r")  # the descent search's box, once per fit
@@ -412,7 +405,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
     for it in range(cap):
         order = np.argsort(res.e, kind="stable")
         pi = tuple(order.tolist())
-        trace_now = WalkTrace(tuple(iterations))
+        trace_now = tuple(iterations)
         if pi in visited:
             raise WalkInvariantError(f"ordering {pi} revisited at iteration {it}", "walk", trace_now)
         visited.add(pi)
@@ -424,7 +417,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
             raise WalkInvariantError(f"region of the current ordering {pi} came back empty", "cell_lp", trace_now)
         if isinstance(out, LpUnbounded):  # its point is res.beta, posed in value order, so its loss is finite
             iterations.append(WalkIteration(pi, out.point, eval_loss(data, a, out.point), out.ray, None))
-            trace_now = WalkTrace(tuple(iterations))
+            trace_now = tuple(iterations)
             _require_descending_ray(data, a, out.point, out.ray, trace_now)
             log.info("unbounded within region %s at iteration %d", pi, it)
             return Unbounded(out.point, out.ray, trace_now)
@@ -448,7 +441,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
                 raise WalkInvariantError(f"certificate failed verification: {failures}", "certificate", trace_now)
             iterations.append(WalkIteration(pi, beta_star, f_star, None, None))
             log.info("minimizer found after %d iterations, loss %.12g", len(iterations), f_star)
-            return Minimizer(beta_star, f_star, found, WalkTrace(tuple(iterations)))
+            return Minimizer(beta_star, f_star, found, tuple(iterations))
         ell = found
         try:
             d_star = _ray_step(a.alpha, res_star.e, data.x @ ell, ap.tie_tol)
@@ -457,7 +450,7 @@ def minimize(data: RegressionData, alpha, beta0=None,
         if d_star is None:
             iterations.append(WalkIteration(pi, beta_star, f_star, ell, None))
             ray = ell / float(np.abs(ell).max())
-            trace_now = WalkTrace(tuple(iterations))
+            trace_now = tuple(iterations)
             _require_descending_ray(data, a, beta_star, ray, trace_now)
             log.info("descent ray never changes the ordering; unbounded at iteration %d", it)
             return Unbounded(beta_star, ray, trace_now)
@@ -468,4 +461,4 @@ def minimize(data: RegressionData, alpha, beta0=None,
         iterations.append(WalkIteration(pi, beta_star, f_star, ell, d_star))
         log.debug("iteration %d: ordering %s, region minimum %.12g, step %.6g", it, pi, f_star, d_star)
 
-    raise IterationBudgetError(f"no terminal state within {cap} iterations", "walk", WalkTrace(tuple(iterations)))
+    raise IterationBudgetError(f"no terminal state within {cap} iterations", "walk", tuple(iterations))

@@ -120,7 +120,7 @@ def large_fit() -> list[str]:
         return [f"expected a Minimizer, got {type(out).__name__}"]
     report, verify_seconds = timed(check, data, alpha, out)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(f"f_opt {out.f_opt!r} in {len(out.trace.iterations)} iterations, {counts['masters']} descent master "
+    print(f"f_opt {out.f_opt!r} in {len(out.trace)} iterations, {counts['masters']} descent master "
           f"solves, {counts['edges']} edges read, {counts['warm']} cell LPs started warm, "
           f"failures {report.failures}")
     print(f"fit {seconds:.2f} s, peak RSS {fit_peak_mb:.0f} MB before verification")
@@ -150,7 +150,8 @@ def tie_grids() -> list[str]:
         out, seconds = timed(rankwalk.minimize, data, alpha)
         ok = certified(data, alpha, out)
         print(f"grid(0, {n}, 4, 5) {kind}: {seconds:.2f} s, {type(out).__name__}, verified {ok}, "
-              f"{counts['masters']} descent master solves, largest K {max(counts['blocks'])}")
+              f"{len(out.trace)} iterations, {counts['masters']} descent master solves, "
+              f"largest K {max(counts['blocks'])}")
         if not ok:
             problems.append(f"grid(0, {n}, 4, 5) {kind} did not certify and verify")
         if seconds > GRID_SECONDS:
@@ -231,7 +232,7 @@ def oracle() -> list[str]:
                         counts["walk_errors"] += 1
                         print(f"{label} {kind}: {exc!r}")
                         continue
-                    counts["iterations"] += len(walk.trace.iterations)
+                    counts["iterations"] += len(walk.trace)
                     report = check(data, alpha, walk)
                     if report is not None:
                         counts["minimizers"] += 1

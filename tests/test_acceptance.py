@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from rankwalk import (
-    GgdConfig,
     Minimizer,
     OptimalityCertificate,
     RegressionData,
@@ -132,7 +131,7 @@ def test_04_descent_and_no_revisit(sweep, report):
     traces = violations = 0
     for data, _, outcome, _ in runs:
         traces += 1
-        records = outcome.trace.iterations
+        records = outcome.trace
         f_seq = [rec.f_star for rec in records]
         if any(b >= a for a, b in zip(f_seq, f_seq[1:])):
             violations += 1
@@ -148,7 +147,7 @@ def test_05_improving_direction_soundness(sweep, report):
     runs, _ = sweep
     probes = failures = 0
     for data, alpha, outcome, _ in runs:
-        for rec in outcome.trace.iterations:
+        for rec in outcome.trace:
             if rec.direction is None:
                 continue
             probes += 1
@@ -200,13 +199,13 @@ def test_07_worked_instance(report):
     ok = (isinstance(out, Minimizer)
           and abs(out.beta_opt[0]) <= 1e-9
           and abs(out.f_opt - 1.0) <= 1e-9
-          and len(out.trace.iterations) <= 3
+          and len(out.trace) <= 3
           and np.abs(out.certificate.G - hand_g).max() <= BISTOCHASTIC_TOL
           and not reference.unbounded
           and abs(reference.value - out.f_opt) <= VALUE_TOL)
     report(7, "worked three-point instance", ok,
            f"beta {out.beta_opt[0]:.2e}, value {out.f_opt:.12g}, "
-           f"{len(out.trace.iterations)} iterations")
+           f"{len(out.trace)} iterations")
 
 
 def test_08_unboundedness_witnesses(report):
@@ -255,13 +254,12 @@ def test_09_ggd_comparison(report):
     detail = []
     if ok:
         for perturbation in ("prolong", "random"):
-            baseline = ggd_minimize(data, alpha, beta0=start,
-                                    config=GgdConfig(perturbation=perturbation))
-            ok = ok and baseline.trace.n_iterations > len(walk.trace.iterations)
+            baseline = ggd_minimize(data, alpha, beta0=start, perturbation=perturbation)
+            ok = ok and baseline.trace.n_iterations > len(walk.trace)
             ok = ok and baseline.f >= walk.f_opt - 1e-12
             detail.append(f"{perturbation} {baseline.trace.n_iterations} iterations, "
                           f"final {baseline.f:.3g}")
-        detail.append(f"walk {len(walk.trace.iterations)} iterations, "
+        detail.append(f"walk {len(walk.trace)} iterations, "
                       f"certified {walk.f_opt:.3g}")
     report(9, "descent baseline needs strictly more iterations", ok, "; ".join(detail))
 
@@ -270,7 +268,7 @@ def test_10_breakpoint_geometry(sweep, report):
     runs, _ = sweep
     checked = misses = 0
     for data, _, outcome, _ in runs:
-        for rec in outcome.trace.iterations:
+        for rec in outcome.trace:
             if rec.direction is None:
                 continue
             bps = breakpoints(data, rec.beta_star, rec.direction)

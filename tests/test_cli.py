@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import inspect
 import json
@@ -55,7 +54,7 @@ def test_fit_trace_builds_no_G(worked_csv, capsys, tmp_path, monkeypatch):
     the certificate as its weighted orderings."""
     data, scores = worked_csv
     fits = []
-    monkeypatch.setattr(rankwalk.cli, "minimize", lambda *args: fits.append(rankwalk.minimize(*args)) or fits[-1])
+    monkeypatch.setattr(rankwalk.cli, "minimize", lambda *args, **kwargs: fits.append(rankwalk.minimize(*args, **kwargs)) or fits[-1])
     code, out, _ = run(capsys, "fit", data, "--scores", f"file={scores}", "--init", "-2")
     assert code == 0 and json.loads(out)["outcome"] == "minimizer"
     assert "G" not in vars(fits[-1].certificate)
@@ -105,7 +104,7 @@ def test_fit_trace_round_trips_exactly(worked_csv, capsys, tmp_path):
     direct = minimize(read_csv(data_path), ScoreVector([-1.0, 0.0, 1.0]),
                       beta0=np.array([-2.0]))
     assert [rec["F_star"] for rec in reread["iterations"]] == [
-        it.f_star for it in direct.trace.iterations]
+        it.f_star for it in direct.trace]
 
 
 def test_fit_refuses_a_trace_path_it_cannot_write_before_fitting(worked_csv, capsys, tmp_path, monkeypatch):
@@ -114,7 +113,7 @@ def test_fit_refuses_a_trace_path_it_cannot_write_before_fitting(worked_csv, cap
     A fit that raises leaves the file it opened empty."""
     data, scores = worked_csv
     fits = []
-    monkeypatch.setattr(rankwalk.cli, "minimize", lambda *args: fits.append(args))
+    monkeypatch.setattr(rankwalk.cli, "minimize", lambda *args, **kwargs: fits.append(args))
     path = tmp_path / "missing" / "trace.json"
     code, out, err = run(capsys, "fit", data, "--scores", f"file={scores}", "--trace", str(path))
     assert (code, out, err) == (1, "", f"error: {path}: No such file or directory\n")
@@ -128,6 +127,19 @@ def test_fit_refuses_a_trace_path_it_cannot_write_before_fitting(worked_csv, cap
     path = tmp_path / "trace.json"
     code, out, _ = run(capsys, "fit", data, "--scores", f"file={scores}", "--trace", str(path))
     assert code == 1 and out == "" and path.read_text() == ""
+
+
+def test_fit_refuses_a_bad_iteration_cap_before_opening_the_trace(worked_csv, capsys, tmp_path):
+    """A bad ``--max-iter`` is a usage error: refused with ``minimize``'s
+    message, and the trace file is left as it was."""
+    data, scores = worked_csv
+    path = tmp_path / "trace.json"
+    path.write_text("kept")
+    for command in ("fit", "check", "compare"):
+        extra = ["--trace", str(path)] if command == "fit" else []
+        code, out, err = run(capsys, command, data, "--scores", f"file={scores}", "--max-iter", "0", *extra)
+        assert (code, out, err) == (1, "", "error: max_iter must be an integer of at least 1, got 0\n"), command
+    assert path.read_text() == "kept"
 
 
 def test_fit_deterministic(worked_csv, capsys):
@@ -356,8 +368,7 @@ def test_compare_worked(worked_csv, capsys):
     assert report["gap"] >= -1e-9
     assert set(report["ggd"]) == {"iterations", "F", "stop_reason", "perturbations"}
     baseline = rankwalk.ggd_minimize(rankwalk.RegressionData([[0.0], [1.0], [2.0]], [0.0, 1.0, 0.0]),
-                                     [-1.0, 0.0, 1.0], [-2.0],
-                                     rankwalk.GgdConfig(perturbation="prolong", seed=7))
+                                     [-1.0, 0.0, 1.0], [-2.0], perturbation="prolong", seed=7)
     assert report["ggd"]["stop_reason"] == baseline.trace.stop_reason
     assert report["ggd"]["iterations"] == baseline.trace.n_iterations
     assert report["ggd"]["perturbations"] == baseline.trace.n_perturbations > 0
@@ -384,14 +395,17 @@ def test_no_caller_sets_the_lp_tolerance(worked_csv, capsys):
     """Neither tolerance can be set: the simplex's is ``lp.LP_TOL`` and the
     tie rule is ``loss._tie_cut``'s at each point.  No public callable takes
     an ``lp_tol`` or a ``tie_tol`` (``ActivePairs`` records the tolerance
-    its blocks were cut with), each config keeps only the fields a caller
-    sets, and the command line has no ``--lp-tol`` or ``--tie-tol``."""
+    its blocks were cut with), each solver's keyword-only options are only
+    the values a caller sets, and the command line has no ``--lp-tol`` or
+    ``--tie-tol``."""
     takers = [(name, arg) for name in rankwalk.__all__ if callable(obj := getattr(rankwalk, name))
               and not (isinstance(obj, type) and issubclass(obj, BaseException))  # no signature to read
               for arg in ("lp_tol", "tie_tol") if arg in inspect.signature(obj).parameters]
     assert takers == [("ActivePairs", "tie_tol")]  # the record of the value its blocks were cut with
-    assert {f.name for f in dataclasses.fields(rankwalk.WoaConfig)} == {"max_iter"}
-    assert {f.name for f in dataclasses.fields(rankwalk.GgdConfig)} == {"perturbation", "seed", "max_iter"}
+    for solver, options in ((rankwalk.minimize, ["max_iter"]),
+                            (rankwalk.ggd_minimize, ["perturbation", "seed", "max_iter"])):
+        assert [name for name, param in inspect.signature(solver).parameters.items()
+                if param.kind is inspect.Parameter.KEYWORD_ONLY] == options, solver.__name__
     assert "default_tie_tol" not in rankwalk.__all__ and not hasattr(rankwalk, "default_tie_tol")
     data, scores = worked_csv
     assert run(capsys, "fit", data, "--scores", f"file={scores}")[0] == 0

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rankwalk import (
-    GgdConfig,
     Minimizer,
     RegressionData,
     ScoreVector,
@@ -46,8 +45,7 @@ def test_ggd_trace_monotone_and_consistent():
     for _ in range(40):
         data, alpha = random_instance(rng)
         for perturbation in ("random", "prolong"):
-            out = ggd_minimize(data, alpha, config=GgdConfig(perturbation=perturbation,
-                                                             max_iter=200))
+            out = ggd_minimize(data, alpha, perturbation=perturbation, max_iter=200)
             fv = out.trace.f_values
             assert all(b < a for a, b in zip(fv, fv[1:]))
             assert out.f == fv[-1]
@@ -63,7 +61,7 @@ def test_ggd_never_beats_the_oracle():
         reference = oracle_minimize(data, alpha)
         if reference.unbounded:
             continue
-        out = ggd_minimize(data, alpha, config=GgdConfig(max_iter=300))
+        out = ggd_minimize(data, alpha, max_iter=300)
         gaps.append(out.f - reference.value)
     assert gaps
     assert all(gap >= -1e-9 for gap in gaps)
@@ -72,9 +70,8 @@ def test_ggd_never_beats_the_oracle():
 def test_ggd_deterministic_under_seed():
     rng = np.random.default_rng(37)
     data, alpha = random_instance(rng)
-    cfg = GgdConfig(seed=123)
-    a = ggd_minimize(data, alpha, config=cfg)
-    b = ggd_minimize(data, alpha, config=cfg)
+    a = ggd_minimize(data, alpha, seed=123)
+    b = ggd_minimize(data, alpha, seed=123)
     assert a.trace.f_values == b.trace.f_values
     assert a.beta.tobytes() == b.beta.tobytes()
     assert a.trace.stop_reason == b.trace.stop_reason
@@ -107,33 +104,41 @@ def test_ggd_zigzags_where_the_walk_exits():
     assert abs(walk.f_opt) < 1e-12
     for perturbation in ("prolong", "random"):
         out = ggd_minimize(VALLEY, VALLEY_ALPHA, beta0=VALLEY_START,
-                           config=GgdConfig(perturbation=perturbation))
-        assert out.trace.n_iterations > len(walk.trace.iterations)
+                           perturbation=perturbation)
+        assert out.trace.n_iterations > len(walk.trace)
         assert out.f >= walk.f_opt - 1e-12
 
 
-def test_ggd_config_validation():
-    with pytest.raises(ValueError):
-        GgdConfig(perturbation="teleport")
-    with pytest.raises(ValueError):
-        GgdConfig(max_iter=0)
+def test_ggd_config_validation(worked):
+    """The options are keyword arguments only, checked on entry in the
+    order perturbation, seed, max_iter, and before the weights and the
+    start."""
+    data, alpha = worked
+    with pytest.raises(ValueError, match="^unknown perturbation 'teleport'$"):
+        ggd_minimize(data, [1.0], [1.0, 2.0], perturbation="teleport", seed=-1, max_iter=0)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        ggd_minimize(data, [1.0], [1.0, 2.0], seed=-1, max_iter=0)
+    with pytest.raises(ValueError, match="^max_iter must be an integer"):
+        ggd_minimize(data, [1.0], [1.0, 2.0], max_iter=0)
+    with pytest.raises(TypeError):
+        ggd_minimize(data, alpha, None, "random")
 
 
 @pytest.mark.parametrize("field, value", [
     ("max_iter", 0), ("max_iter", 2.5), ("max_iter", float("nan")), ("max_iter", True),
     ("seed", -1), ("seed", 0.5),
 ])
-def test_ggd_config_rejects_bad_counts(field, value):
+def test_ggd_config_rejects_bad_counts(worked, field, value):
     """The iteration cap and the seed must be integers in range, or the fit
     would fail in ``range`` or in NumPy's generator."""
+    data, alpha = worked
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-        GgdConfig(**{field: value})
+        ggd_minimize(data, alpha, **{field: value})
 
 
 def test_ggd_config_accepts_numpy_integers(worked):
-    cfg = GgdConfig(seed=np.int64(3), max_iter=np.int32(5))
     data, alpha = worked
-    assert ggd_minimize(data, alpha, config=cfg).trace.n_iterations <= 5
+    assert ggd_minimize(data, alpha, seed=np.int64(3), max_iter=np.int32(5)).trace.n_iterations <= 5
 
 
 @pytest.mark.parametrize("sign", ["positive", "negative", "mixed", "signed_zeros"])

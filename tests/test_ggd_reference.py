@@ -19,7 +19,6 @@ import pytest
 
 import rankwalk.ggd
 from rankwalk import (
-    GgdConfig,
     GgdResult,
     GgdTrace,
     RegressionData,
@@ -39,13 +38,12 @@ from rankwalk.model import sorted_scores
 from test_cell_lp_reference import bench_cases
 
 
-def ref_ggd_minimize(data, alpha, beta0=None, config=None):
-    cfg = config or GgdConfig()
+def ref_ggd_minimize(data, alpha, beta0=None, *, perturbation="random", seed=0, max_iter=1000):
     a = sorted_scores(alpha, data.n)
     beta = np.zeros(data.p) if beta0 is None else np.array(beta0, dtype=float).ravel()
     if beta.shape[0] != data.p or not np.isfinite(beta).all():
         raise ValueError("beta0 must be a finite vector of width p")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     try:
         f_best = eval_loss(data, a, beta)
@@ -59,7 +57,7 @@ def ref_ggd_minimize(data, alpha, beta0=None, config=None):
     n_iter = 0
     stop_reason = "max_iter"
 
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         n_iter += 1
         start = beta
         res = residuals(data, start)
@@ -68,7 +66,7 @@ def ref_ggd_minimize(data, alpha, beta0=None, config=None):
             scale = 1.0
             for _attempt in range(16):
                 n_perturb += 1
-                start = _nudge(beta, last_dir, scale, rng, cfg)
+                start = _nudge(beta, last_dir, scale, rng, perturbation)
                 res = residuals(data, start)
                 grad = cell_gradient(data, a, res)
                 if grad is not None:
@@ -140,10 +138,10 @@ def outcome(fn, *args, **kwargs):
         return f"ValueError: {exc}"
 
 
-def assert_same_fit(data, alpha, beta0=None, config=None):
+def assert_same_fit(data, alpha, beta0=None, **options):
     with np.errstate(over="ignore"):
-        want = outcome(ref_ggd_minimize, data, alpha, beta0, config)
-        got = outcome(ggd_minimize, data, alpha, beta0, config)
+        want = outcome(ref_ggd_minimize, data, alpha, beta0, **options)
+        got = outcome(ggd_minimize, data, alpha, beta0, **options)
     assert same(got, want), (got, want)
     return got
 
@@ -171,15 +169,15 @@ def test_ggd_line_fits_match_the_reference():
     assert reasons >= {"stalled", "max_iter"}
 
 
-@pytest.mark.parametrize("config", [GgdConfig(max_iter=150), GgdConfig(perturbation="prolong", seed=5, max_iter=150)],
+@pytest.mark.parametrize("options", [dict(max_iter=150), dict(perturbation="prolong", seed=5, max_iter=150)],
                          ids=["random", "prolong"])
-def test_seeded_instances_match_the_reference(config):
+def test_seeded_instances_match_the_reference(options):
     rng = np.random.default_rng(41)
     reasons = set()
     for t in range(60):
         data, alpha = random_instance(rng, n_range=(2, 9), p_range=(1, 3))
         beta0 = None if t % 2 else rng.integers(-2, 3, data.p).astype(float)
-        got = assert_same_fit(data, alpha, beta0, config)
+        got = assert_same_fit(data, alpha, beta0, **options)
         if isinstance(got, GgdResult):
             reasons.add(got.trace.stop_reason)
     assert reasons == {"stalled", "max_iter", "zero_gradient", "unbounded_direction", "stuck_on_ties"}
@@ -187,13 +185,13 @@ def test_seeded_instances_match_the_reference(config):
 
 STOPS = {
     "stalled": (RegressionData(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 0.0])),
-                ScoreVector(np.array([-1.0, 0.0, 1.0])), [-2.0], GgdConfig()),
+                ScoreVector(np.array([-1.0, 0.0, 1.0])), [-2.0], {}),
     "zero_gradient": (RegressionData(np.array([[0.0], [1.0]]), np.array([0.0, 1.0])),
-                      ScoreVector(np.zeros(2)), None, GgdConfig()),
+                      ScoreVector(np.zeros(2)), None, {}),
     "unbounded_direction": (RegressionData(np.array([[1.0]]), np.array([0.0])),
-                            ScoreVector(np.array([1.0])), None, GgdConfig()),
+                            ScoreVector(np.array([1.0])), None, {}),
     "stuck_on_ties": (RegressionData(np.array([[1.0], [1.0]]), np.zeros(2)),
-                      ScoreVector(np.array([-1.0, 1.0])), None, GgdConfig(perturbation="prolong")),
+                      ScoreVector(np.array([-1.0, 1.0])), None, dict(perturbation="prolong")),
 }
 
 
@@ -202,10 +200,10 @@ def test_each_stop_reason_matches_the_reference(reason):
     if reason == "max_iter":
         cases = bench_cases()
         case = cases.build_round(cases.WORKLOADS["ggd-line"], 0, 0)[2]
-        data, alpha, beta0, config = case.data, case.alpha, None, GgdConfig(max_iter=7)
+        data, alpha, beta0, options = case.data, case.alpha, None, dict(max_iter=7)
     else:
-        data, alpha, beta0, config = STOPS[reason]
-    assert assert_same_fit(data, alpha, beta0, config).trace.stop_reason == reason
+        data, alpha, beta0, options = STOPS[reason]
+    assert assert_same_fit(data, alpha, beta0, **options).trace.stop_reason == reason
 
 
 def test_overflowing_residuals_along_the_ray_match_the_reference(monkeypatch):

@@ -83,6 +83,19 @@ def test_residuals_bit_identical_to_scalar_loop():
         assert got.tobytes() == _scalar_residuals(data, beta).tobytes(), (n, p, t)
 
 
+def test_residuals_add_the_columns_in_order_past_seven():
+    """At p >= 8 too, and at n = 1, each residual adds its columns left to
+    right from zero.  A NumPy reduction over the columns would not: along a
+    contiguous axis it sums eight or more terms pairwise."""
+    rng = np.random.default_rng(31)
+    for t in range(200):
+        n, p = (1 if t % 4 == 0 else int(rng.integers(2, 40))), int(rng.integers(8, 14))
+        x = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-8, 8, p)
+        beta = rng.standard_normal(p) * 10.0 ** rng.uniform(-8, 8, p)
+        data = RegressionData(x, rng.standard_t(2, n))
+        assert residuals(data, beta).e.tobytes() == _scalar_residuals(data, beta).tobytes(), (n, p, t)
+
+
 def test_default_tie_tol(worked):
     """The tie tolerance at a point is 1e-9 (1 + max|e|), read from its tie blocks."""
     data, _ = worked
@@ -114,9 +127,9 @@ def test_every_layer_takes_its_default_tie_tolerance_from_loss(monkeypatch, work
         return float(np.abs(res.e).max())
 
     out = minimize(data, alpha, beta0=[-1.0])  # tied, so the walk takes no start step
-    assert isinstance(out, Minimizer) and len(out.trace.iterations) == 2
+    assert isinstance(out, Minimizer) and len(out.trace) == 2
     assert reads(lambda: minimize(data, alpha, beta0=[-1.0])) == [top(residuals(data, [-1.0]))] + [
-        top(residuals(data, it.beta_star)) for it in out.trace.iterations]
+        top(residuals(data, it.beta_star)) for it in out.trace]
     at_opt = residuals(data, out.beta_opt)
     assert reads(lambda: verify_certificate(data, alpha, out.beta_opt, out.certificate)) == [top(at_opt)]
     res = residuals(data, [0.5])

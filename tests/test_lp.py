@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from rankwalk import (
-    GgdConfig,
     LinearProgram,
     LpError,
     LpInfeasible,
     LpOptimal,
     LpUnbounded,
-    WoaConfig,
     active_pairs,
     breakpoints,
     cell_lp,
     find_feasible,
+    ggd_minimize,
     improving_direction,
+    minimize,
     oracle_minimize,
     residuals,
     solve_certificate,
@@ -129,9 +129,9 @@ def test_validation_errors():
         solve_lp(LinearProgram([1.0], [([np.inf], "<=", 0.0)]))
 
 
-LP_TOL_TAKERS = {  # each layer that once took lp_tol, called at the worked instance's origin
-    "WoaConfig": lambda data, alpha, ap, **kw: WoaConfig(**kw),
-    "GgdConfig": lambda data, alpha, ap, **kw: GgdConfig(**kw),
+LP_TOL_TAKERS = {  # each layer that once took lp_tol (the solvers through their options), at the worked origin
+    "minimize": lambda data, alpha, ap, **kw: minimize(data, alpha, **kw),
+    "ggd_minimize": lambda data, alpha, ap, **kw: ggd_minimize(data, alpha, **kw),
     "breakpoints": lambda data, alpha, ap, **kw: breakpoints(data, [0.0], [1.0], **kw),
     "cell_lp": lambda data, alpha, ap, **kw: cell_lp(data, alpha, [0, 2, 1], **kw),
     "improving_direction": lambda data, alpha, ap, **kw: improving_direction(data, alpha, ap, **kw),

@@ -140,7 +140,7 @@ def test_walk_visits_only_nonempty_cells():
         data, alpha = random_instance(rng)
         cells = set(enumerate_nonempty_cells(data))
         walk = minimize(data, alpha)
-        for it in walk.trace.iterations:
+        for it in walk.trace:
             assert it.pi in cells
 
 

@@ -94,7 +94,7 @@ def test_the_walk_reads_edges_and_starts_cell_lps_where_the_ray_lands(monkeypatc
         assert isinstance(out, Minimizer), case.label
         assert verify_certificate(case.data, case.alpha, out.beta_opt, out.certificate).ok, case.label
         fits += 1
-        iterations += len(out.trace.iterations)
+        iterations += len(out.trace)
         before += want["iterations"]
         worst = max(worst, abs(out.f_opt - want["f_opt"]) / abs(want["f_opt"]))
     assert fits == 96
@@ -123,9 +123,9 @@ def test_a_start_without_ties_steps_to_its_line_minimum_and_certifies_at_once(mo
         assert abs(out.f_opt - want["f_opt"]) <= 1e-12 * abs(want["f_opt"]), case.label
         if continuous:
             simplex, masters = (counts[k] - before[k] for k in ("cold_cells", "master_searches"))
-            assert (len(out.trace.iterations), simplex, masters) == (1, 0, 0), case.label
+            assert (len(out.trace), simplex, masters) == (1, 0, 0), case.label
         else:
-            assert len(out.trace.iterations) == want["iterations"], case.label
+            assert len(out.trace) == want["iterations"], case.label
         kinds["continuous" if continuous else "integer_grid"] += 1
     assert kinds == dict(continuous=72, integer_grid=24)
 
@@ -179,9 +179,9 @@ def test_walk_hard_fits_keep_their_answers_within_an_iteration():
         assert isinstance(out, Minimizer), case.label
         assert verify_certificate(case.data, case.alpha, out.beta_opt, out.certificate).ok, case.label
         assert abs(out.f_opt - want["f_opt"]) <= 1e-12 * abs(want["f_opt"]), case.label
-        extra = len(out.trace.iterations) - want["iterations"]
+        extra = len(out.trace) - want["iterations"]
         assert extra <= 1, (case.label, extra)
-        iterations += len(out.trace.iterations)
+        iterations += len(out.trace)
     assert len(before) == 60
     assert sum(want["iterations"] for want in before) == 287
     assert iterations <= 233

@@ -21,8 +21,6 @@ from rankwalk import (
     WalkError,
     WalkInvariantError,
     WalkNumericError,
-    WalkTrace,
-    WoaConfig,
     active_pairs,
     breakpoints,
     cell_lp,
@@ -116,7 +114,7 @@ def test_cell_lp_at_a_point_agrees_with_the_origin(monkeypatch):
         landed = [posed[0]] if (posed[0] != beta).any() else []  # where the start step landed
         fits.append(minimize(data, alpha, beta0=cell_lp(data, alpha, pi, at=beta).point))
         for after in landed + [it.beta_star + it.d_star * it.direction
-                               for fit in fits for it in fit.trace.iterations if it.d_star is not None]:
+                               for fit in fits for it in fit.trace if it.d_star is not None]:
             res = residuals(data, after)
             probes.append(("post-step", consistent_permutation(res), after))
         for name, pi, at in probes:
@@ -273,13 +271,13 @@ def test_minimize_worked(worked):
     assert isinstance(out, Minimizer)
     assert abs(out.beta_opt[0]) < 1e-9
     assert abs(out.f_opt - 1.0) < 1e-9
-    assert len(out.trace.iterations) <= 3
-    final = out.trace.iterations[-1]
+    assert len(out.trace) <= 3
+    final = out.trace[-1]
     assert final.direction is None and final.d_star is None
     np.testing.assert_array_equal(final.beta_star, out.beta_opt)
-    f_seq = [it.f_star for it in out.trace.iterations]
+    f_seq = [it.f_star for it in out.trace]
     assert all(b < a for a, b in zip(f_seq, f_seq[1:]))
-    assert len({it.pi for it in out.trace.iterations}) == len(out.trace.iterations)
+    assert len({it.pi for it in out.trace}) == len(out.trace)
 
 
 def test_minimize_accepts_raw_weights(worked):
@@ -295,7 +293,7 @@ def test_minimize_single_observation_unbounded():
     data = RegressionData(np.array([[1.0]]), np.array([0.0]))
     out = minimize(data, [1.0])
     assert isinstance(out, Unbounded)
-    [region] = out.trace.iterations  # the region the cell LP found unbounded
+    [region] = out.trace  # the region the cell LP found unbounded
     assert region.beta_star is out.point and region.direction is out.ray and region.d_star is None
     f = eval_loss(data, [1.0], out.point)
     for t in (1.0, 10.0, 100.0):
@@ -324,7 +322,7 @@ def test_every_unbounded_trace_ends_at_its_ray(monkeypatch):
         if not isinstance(out, Unbounded):
             continue
         paths[found_by_cell[-1]] += 1
-        last = out.trace.iterations[-1]
+        last = out.trace[-1]
         assert last.beta_star is out.point and last.d_star is None
         scale = float(np.abs(out.ray).max()) / float(np.abs(last.direction).max())
         np.testing.assert_allclose(scale * last.direction, out.ray, rtol=1e-15, atol=0.0)
@@ -365,8 +363,8 @@ def test_minimize_tie_break_independence(worked):
 def test_minimize_iteration_budget(worked):
     data, alpha = worked
     with pytest.raises(IterationBudgetError) as info:
-        minimize(data, alpha, beta0=[-1.0], config=WoaConfig(max_iter=1))  # tied: no start step
-    assert len(info.value.trace.iterations) == 1
+        minimize(data, alpha, beta0=[-1.0], max_iter=1)  # tied: no start step
+    assert len(info.value.trace) == 1
 
 
 def raise_numeric(original, earlier, *args, **kwargs):
@@ -450,7 +448,7 @@ def test_every_walk_error_names_its_layer_and_keeps_the_trace(monkeypatch, layer
     replaced exactly once."""
     data, alpha, beta0 = raise_fit()
     full = minimize(data, alpha, beta0)
-    assert isinstance(full, Minimizer) and len(full.trace.iterations) == 2
+    assert isinstance(full, Minimizer) and len(full.trace) == 2
     name, at = (site[0], site[1:]) if site is not None else (None, None)
     replaced = []
     if name is not None:
@@ -468,45 +466,53 @@ def test_every_walk_error_names_its_layer_and_keeps_the_trace(monkeypatch, layer
 
         monkeypatch.setattr(rankwalk.woa, name, wrapped)
     with pytest.raises(error) as info:
-        minimize(data, alpha, beta0, config=WoaConfig(max_iter=1) if name is None else None)
+        minimize(data, alpha, beta0, max_iter=1 if name is None else None)
     assert replaced == ([] if name is None else [at])
     err = info.value
     assert type(err) is error and isinstance(err, WalkError) and err.layer == layer
     assert str(err).startswith(message)
     assert isinstance(err.__cause__, LpNumericError) == (error is WalkNumericError)
-    assert isinstance(err.trace, WalkTrace)
-    kept = err.trace.iterations
-    assert [(it.pi, it.f_star) for it in kept[:1]] == [(it.pi, it.f_star) for it in full.trace.iterations[:1]]
+    assert type(err.trace) is tuple
+    kept = err.trace
+    assert [(it.pi, it.f_star) for it in kept[:1]] == [(it.pi, it.f_star) for it in full.trace[:1]]
     if name != "_steps":  # the first iteration is whole, its step included
-        assert kept[0].d_star == full.trace.iterations[0].d_star
+        assert kept[0].d_star == full.trace[0].d_star
     if name == "cell_lp" and layer == "ray":  # iteration 1's region, claimed along the zero ray
-        assert len(kept) == 2 and kept[1].pi == full.trace.iterations[1].pi and not kept[1].direction.any()
+        assert len(kept) == 2 and kept[1].pi == full.trace[1].pi and not kept[1].direction.any()
     else:
         assert len(kept) == 1
 
 
 @pytest.mark.parametrize("value", [0, 2.5, float("nan"), True, "3"])
-def test_config_rejects_a_bad_iteration_cap(value):
+def test_config_rejects_a_bad_iteration_cap(worked, value):
+    """``minimize``'s one option, ``max_iter``, is refused unless it is an
+    integer of at least 1."""
+    data, alpha = worked
     with pytest.raises(ValueError, match="^max_iter must be an integer"):
-        WoaConfig(max_iter=value)
+        minimize(data, alpha, max_iter=value)
 
 
 def test_config_accepts_a_numpy_iteration_cap(worked):
     data, alpha = worked
-    out = minimize(data, alpha, beta0=[-2.0], config=WoaConfig(max_iter=np.int64(5)))
+    out = minimize(data, alpha, beta0=[-2.0], max_iter=np.int64(5))
     assert isinstance(out, Minimizer)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        WoaConfig(max_iter=0)
+def test_config_validation(worked):
+    """The cap is a keyword argument only, and is checked on entry: before
+    the weights and the start."""
+    data, alpha = worked
+    with pytest.raises(ValueError, match="^max_iter must be an integer of at least 1, got 0$"):
+        minimize(data, [1.0], beta0=[1.0, 2.0], max_iter=0)
+    with pytest.raises(TypeError):
+        minimize(data, alpha, None, 5)
 
 
 def test_descending_ray_guard(worked):
     data, alpha = worked
     with pytest.raises(WalkInvariantError) as info:
-        _require_descending_ray(data, alpha, np.array([0.0]), np.array([1.0]), WalkTrace(()))
-    assert info.value.layer == "ray" and info.value.trace == WalkTrace(())
+        _require_descending_ray(data, alpha, np.array([0.0]), np.array([1.0]), ())
+    assert info.value.layer == "ray" and info.value.trace == ()
 
 
 def test_descending_ray_guard_reads_the_slope_at_infinity(worked):
@@ -517,12 +523,12 @@ def test_descending_ray_guard_reads_the_slope_at_infinity(worked):
     x . ray itself overflows: a WalkError of the ray."""
     data, _ = worked
     with pytest.raises(WalkInvariantError) as info:
-        _require_descending_ray(data, [0.0, 0.0, 1.0], np.array([0.0]), np.array([1e307]), WalkTrace(()))
-    assert info.value.layer == "ray" and info.value.trace == WalkTrace(())
+        _require_descending_ray(data, [0.0, 0.0, 1.0], np.array([0.0]), np.array([1e307]), ())
+    assert info.value.layer == "ray" and info.value.trace == ()
     assert str(info.value) == "claimed ray fails: the loss's slope along it at infinity is 0.0"
     with pytest.raises(WalkError) as info:
-        _require_descending_ray(data, [0.0, 0.0, 1.0], np.array([0.0]), np.array([1e308]), WalkTrace(()))
-    assert type(info.value) is WalkError and info.value.layer == "ray" and info.value.trace == WalkTrace(())
+        _require_descending_ray(data, [0.0, 0.0, 1.0], np.array([0.0]), np.array([1e308]), ())
+    assert type(info.value) is WalkError and info.value.layer == "ray" and info.value.trace == ()
     assert str(info.value) == "x . ray of the claimed ray is not finite"
 
 
@@ -561,7 +567,7 @@ def test_walk_steps_match_the_public_ray_search():
         alpha = make_scores(("sign", "wilcoxon", "van_der_waerden")[t % 3], n)
         out = minimize(data, alpha)
         assert isinstance(out, Minimizer)
-        for it in out.trace.iterations[:-1]:
+        for it in out.trace[:-1]:
             res = residuals(data, it.beta_star)
             bps = breakpoints(data, res, it.direction)
             assert line_search(data, alpha, res, it.direction, bps) == it.d_star
