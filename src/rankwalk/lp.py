@@ -13,7 +13,7 @@ first as the dual's basis (``woa.cell_lp`` names the rows tied up to
 rounding at its point, after a step those where the walk's ray landed):
 their multipliers and vertex are solved directly, and the simplex runs
 only when those fail the same checks as its own answer.  Each
-column is row j of A scaled to unit max-norm and priced to a tolerance
+column is row j of A over max(1, max|A_j|), priced to a tolerance
 that keeps every row within what the final check allows.  The driver
 certifies what it returns: an optimal point and its multipliers are
 re-checked against the original rows and for a zero duality gap, an
@@ -45,8 +45,8 @@ steps stall; among rows tied in the ratio test, the one whose basic column
 has the lowest index leaves.  The tableaus have few rows (p for the cell
 LP, p + 1 for the envelope program and for the master), so each pivot
 costs a handful of array operations and the ratio test runs over
-Python floats.  Anything the tableau cannot answer cleanly raises
-LpNumericError rather than returning a wrong verdict.
+Python floats.  Phase 1 answers only feasible or infeasible; a verdict
+leaves ``_solve_by_dual`` only once its check passes, else LpNumericError.
 """
 
 from __future__ import annotations
@@ -209,8 +209,7 @@ class _Std(NamedTuple):
     final tableau ``T`` over the real columns (right-hand side last), with
     one row per row phase 1 kept (it drops dependent ones), the basic column
     of each of those rows, and the entering column of an unbounded ray, if
-    any.  An infeasible one gives only ``farkas``: phase 1's multipliers u,
-    one per row, with u.M_j <= price_tol for every column j and u.rhs > 0."""
+    any.  An infeasible one gives only ``farkas``, phase 1's multipliers."""
 
     T: np.ndarray | None = None
     basis: np.ndarray | None = None
@@ -220,8 +219,9 @@ class _Std(NamedTuple):
 
 def _standard(c, M, rhs, price_tol: float, bland: bool) -> _Std:
     """Minimize c.y subject to My = rhs and y >= 0, where M has at least one
-    row and rhs >= 0, pricing to ``price_tol``.  Every row starts on its own
-    artificial, which phase 1 drives out."""
+    row and rhs >= 0, pricing to ``price_tol``.  Phase 1 minimizes the sum
+    of one artificial per row, which is bounded below by 0, so it only
+    decides feasibility; the caller checks every verdict."""
     m, N = M.shape
     art = N + np.arange(m)
     T = np.zeros((m, N + m + 1))
@@ -233,8 +233,7 @@ def _standard(c, M, rhs, price_tol: float, bland: bool) -> _Std:
     c1 = np.zeros(N + m)
     c1[N:] = 1.0
     obj1 = _reduced_row(T, basis, c1)
-    if _run(T, obj1, basis, price_tol, bland) is not None:
-        raise LpNumericError("phase 1 reported unbounded")
+    _run(T, obj1, basis, price_tol, bland)
     feas_tol = 10.0 * price_tol * (1.0 + abs(rhs).max())
     if -obj1[-1] > feas_tol:
         return _Std(farkas=c1[art] - obj1[art])
@@ -250,8 +249,6 @@ def _standard(c, M, rhs, price_tol: float, bland: bool) -> _Std:
     if drop:
         T = np.delete(T, drop, axis=0)
         basis = np.delete(basis, drop)
-    if (T[:, -1] < -feas_tol).any():
-        raise LpNumericError("negative basic value after phase 1 cleanup")
     T = np.concatenate([T[:, :N], np.maximum(T[:, -1:], 0.0)], axis=1)  # drop the artificials
 
     obj2 = _reduced_row(T, basis, c)
@@ -315,7 +312,7 @@ def _solve_by_dual(c, A, b, start=None) -> LpOutcome:
 
 def _dual_once(c, A, b, bland) -> LpOutcome:
     nv = A.shape[1]
-    # Column j of the dual is row j of A scaled to unit max-norm; y_j comes
+    # Column j of the dual is row j of A over max(1, max|A_j|); y_j comes
     # back divided by the same factor.
     absA = np.abs(A)
     scale = np.maximum(1.0, absA.max(axis=1))
