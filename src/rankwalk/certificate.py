@@ -20,10 +20,8 @@ terms when it is built, which records how far they are from recomposing G.
 on a tie block of two ranks the Birkhoff polytope is the segment between
 the pair's two orders, so when the dual weighs only such pairs, none
 adjacent and none beyond its score gap, the dual already is the certificate
-and no master LP is posed.  When exactly one weighted pair is beyond its
-gap, the dual names an edge along which that pair parts and the others stay
-tied; it is returned when it passes the master's own descent test, and no
-master is posed either.  The master runs only where the dual is neither.
+and no master LP is posed.  Every other dual goes to the master, the one
+place a direction of descent comes from.
 ``birkhoff_decompose`` splits any bistochastic matrix given from outside;
 the walk does not need it.
 """
@@ -36,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .loss import ActivePairs, Residuals, _are_orderings, _loss_sum, _residuals_at, active_pairs
-from .lp import LP_TOL, LpNumericError, LpOptimal, _basic_rows_point, _solve_by_dual
+from .lp import LP_TOL, LpNumericError, LpOptimal, _solve_by_dual
 from .model import RegressionData, ScoreVector, sorted_scores
 
 SUPPORT_TOL = 1e-9  # entries of G at or below this are outside its support
@@ -177,17 +175,14 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, R: np
     of two ranks the Birkhoff polytope is the segment between the pair's two
     orders, so when y weighs only pairs of tied ranks, none adjacent and
     each within its score gap, y is the certificate and no master is posed.
-    When exactly one pair is beyond its gap, y names an edge, returned when
-    D(edge) < -threshold with the excess computed as in the master's rounds
-    from the same block arrays.  Any other dual, and an edge that fails that
-    test, falls through to the master.
+    Any other dual falls through to the master.
     """
+    read = None if dual is None else _dual_read(a, ap, *dual)
+    if read is not None:
+        return read
     x, p, order = data.x, data.p, ap.order
     if R is None:
         R = np.linalg.qr(x, mode="r")
-    read = None if dual is None else _dual_read(x, R, a, ap, *dual)
-    if isinstance(read, OptimalityCertificate):
-        return read
     tied = np.bincount(ap.label)[ap.label] > 1
     pos = np.flatnonzero(tied)  # the ranks of the blocks, block by block
     block = ap.label[pos]
@@ -207,8 +202,6 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, R: np
         new = obs[np.lexsort((-(xo @ ell), block))]
         return new, float((g0 - al @ x[new]) @ ell)
 
-    if read is not None and float(slope0 @ read) + steepest(read)[1] < -thr:
-        return read
     r = R.shape[0]
     box = np.zeros((2 * r, p + 1))
     box[:r, :p] = R
@@ -251,10 +244,9 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, R: np
     return OptimalityCertificate._of_terms(weight[on] / weight[on].sum(), np.array(orders)[on])
 
 
-def _dual_read(x: np.ndarray, R: np.ndarray, a: ScoreVector, ap: ActivePairs, posed: np.ndarray,
-               y: np.ndarray) -> OptimalityCertificate | np.ndarray | None:
-    """What the cell LP's dual ``y`` at the ordering ``posed`` already is:
-    the certificate, an edge to descend along, or None when it is neither.
+def _dual_read(a: ScoreVector, ap: ActivePairs, posed: np.ndarray, y: np.ndarray) -> OptimalityCertificate | None:
+    """The certificate that the cell LP's dual ``y`` at the ordering
+    ``posed`` already is, or None when it is not one.
 
     The dual reads A^T y = g(posed), row r of A being
     x[posed[r + 1]] - x[posed[r]].  Swapping ranks r and r + 1 changes g by
@@ -267,26 +259,14 @@ def _dual_read(x: np.ndarray, R: np.ndarray, a: ScoreVector, ap: ActivePairs, po
     and the posed ordering is realizable at the point.  All four are tested
     exactly.
 
-    When the last three hold and exactly one weighted row r has w_r > 1, y
-    names an edge instead, as the simplex method reads one from its reduced
-    costs: ell with A_r ell = 1 and A_w ell = 0 on the other weighted rows
-    keeps their pairs tied and pulls pair r apart, and F falls along it at
-    rate y_r - (alpha[r + 1] - alpha[r]) in either order of the pair.  It
-    is returned scaled to the master's box, |R ell|_inf = 1, for the caller
-    to test as the master tests its own ell, since pairs y does not weigh
-    may still turn along it.
-
     The swaps draw on common breakpoints of [0, 1]: pair r keeps the posed
     order on the weights up to 1 - w_r and is swapped above it, so there is
     one term per distinct 1 - w_r."""
     on = np.flatnonzero(y > 0.0)
     gap = a.alpha[on + 1] - a.alpha[on]
     if not ((ap.label[on] == ap.label[on + 1]).all() and (on[1:] - on[:-1] > 1).all()
-            and (ap.block_of[posed] == ap.label).all()):
+            and (ap.block_of[posed] == ap.label).all() and (y[on] <= gap).all()):
         return None
-    over = y[on] > gap
-    if over.any():
-        return _edge(x, R, posed, on, over) if np.count_nonzero(over) == 1 else None
     flip = 1.0 - y[on] / gap
     ends = np.sort(np.append(flip, 1.0))
     ends = ends[ends > 0.0]
@@ -298,16 +278,6 @@ def _dual_read(x: np.ndarray, R: np.ndarray, a: ScoreVector, ap: ActivePairs, po
     pis[:, on] = np.where(swapped, posed[on + 1], posed[on])
     pis[:, on + 1] = np.where(swapped, posed[on], posed[on + 1])
     return OptimalityCertificate._of_terms(ends - starts, pis)
-
-
-def _edge(x: np.ndarray, R: np.ndarray, posed: np.ndarray, on: np.ndarray, over: np.ndarray) -> np.ndarray | None:
-    """The ell of ``_dual_read``'s edge, solved over the weighted rows ``on``
-    (least squares where they are fewer than p or singular), its one row
-    ``over`` set to 1, then scaled to |R ell|_inf = 1; None where that norm
-    is not positive and finite, as on a zero row of A (two equal rows of x)."""
-    ell = _basic_rows_point(x[posed[on + 1]] - x[posed[on]], over.astype(float), slice(None))
-    size = float(np.abs(R @ ell).max())
-    return ell / size if 0.0 < size < np.inf else None
 
 
 def solve_certificate(data: RegressionData, alpha, ap: ActivePairs) -> OptimalityCertificate | None:

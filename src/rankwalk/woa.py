@@ -18,11 +18,8 @@ between the pair's two orders, so when every row y weighs joins two ranks
 of one tie block, no two such rows are adjacent and each y_r is at most its
 score gap, the region's ordering with those pairs swapped is the
 certificate, and the search poses no master LP.  That is how most walks
-end.  When exactly one y_r exceeds its gap, y names the edge that parts
-that pair and keeps the other weighted pairs tied, which the walk follows
-when the master's descent test passes it.  An edge that fails that test,
-and any other y, goes to the master LP: on the benchmark's ``walk`` fits,
-rounds 0-3 at seeds 0 and 1, y names 23 edges and the walk takes 11.
+end.  Any other y goes to the master LP, the walk's one source of
+directions.
 
 Each region LP first tries as its dual basis the rows tied up to rounding
 at the point it is posed at: after a step, the pairs tied where the ray
@@ -30,18 +27,22 @@ landed.  Most regions a step enters have their minimum there, solved from
 those rows and checked as the simplex checks its own answer; the others
 start the simplex cold.
 
-The walk starts with one exact line search.  At a start without ties the
-loss is linear near it, with gradient -g, g = alpha . x[pi] in the start's
-ordering pi; the walk steps along g, sized to the descent search's box, to
-where the loss along that line stops falling (``_ray_step``) and poses its
-first region where the step lands.  With an intercept and scores summing to
-zero, F at p = 2 depends on the slope alone, so the line minimum is the
-minimizer: the first region is posed at its own minimum, the rows tied
-there solve it, and its dual is the certificate.  The step is an
-optimization only, so the first region is posed at the start itself
-wherever it cannot be taken: at a start with ties or whose loss overflows,
-and where the line meets no breakpoint or the step overflows.  Sizing g to
-the box keeps its breakpoints on the scale of the walk's own rays.
+The walk starts with one exact line search.  With g = alpha . x[pi] in
+the start's ordering pi, -g is the gradient of the loss on the region of
+pi; the walk steps along g, sized to the descent search's box, to where the
+loss along that line stops falling (``_ray_step``) and poses its first
+region where the step lands, if F is lower there than at the start, the
+rule ``ggd_minimize`` applies to its candidates.  At a start without ties
+the loss is linear near it, so F falls along g; at a start with ties g is
+one region's gradient and may point uphill, which the rule turns away.
+With an intercept and scores summing to zero, F at p = 2 depends on the
+slope alone, so the line minimum is the minimizer: the first region is
+posed at its own minimum, the rows tied there solve it, and its dual is the
+certificate.  The step is an optimization only, so the first region is
+posed at the start itself wherever it is not taken: where the loss at the
+start overflows, where the line meets no breakpoint or the step overflows,
+and where F does not fall.  Sizing g to the box keeps its breakpoints on
+the scale of the walk's own rays.
 
 Where the loss stops falling along a ray has one site, ``_ray_step``, which
 gradient descent shares.
@@ -363,14 +364,14 @@ def minimize(data: RegressionData, alpha, beta0=None, *, max_iter: int | None = 
     """Walk the arrangement from ``beta0`` (origin by default) to a verified
     minimizer, or detect that the loss is unbounded below.
 
-    The first region is posed where the start step lands: at a ``beta0``
-    without ties whose loss is finite, the minimum of the loss on the line
-    from ``beta0`` down the gradient of its region (see the module
+    The first region is posed where the start step lands: the minimum of
+    the loss on the line from ``beta0`` down the gradient of its ordering's
+    region, kept where F there is below F at ``beta0`` (see the module
     docstring).  The step is skipped, and the first region posed at
-    ``beta0``, where residuals tie there, where the loss there overflows,
-    where that line meets no breakpoint, or where a breakpoint or the
-    step's point overflows.  The step is no iteration: neither ``max_iter``
-    nor the trace counts it, so each ``beta_star`` is a region minimum.
+    ``beta0``, where the loss there overflows, where that line meets no
+    breakpoint, where a breakpoint or the step's point overflows, or where
+    F does not fall.  The step is no iteration: neither ``max_iter`` nor
+    the trace counts it, so each ``beta_star`` is a region minimum.
 
     ``max_iter``, an integer of at least 1 (NumPy's too), caps the
     iterations; by default at min(10^6, ``region_bound``).  Weights are
@@ -391,14 +392,17 @@ def minimize(data: RegressionData, alpha, beta0=None, *, max_iter: int | None = 
     visited: set[tuple[int, ...]] = set()
     R = np.linalg.qr(data.x, mode="r")  # the descent search's box, once per fit
     start = active_pairs(res)  # the start step: see the module docstring
-    if start.label[-1] == data.n - 1 and math.isfinite(_loss_sum(res.e[start.order], a.alpha)):
+    f_start = _loss_sum(res.e[start.order], a.alpha)
+    if math.isfinite(f_start):
         g = a.alpha @ data.x[start.order]  # -grad F on the start's region
         top = float(np.abs(R @ g).max())
         if 0.0 < top < math.inf:
             g = np.ldexp(g, -math.frexp(top)[1])  # |R g|_inf in [1/2, 1), scaled exactly
             try:
                 d = _ray_step(a.alpha, res.e, data.x @ g, start.tie_tol)
-                res = res if d is None else residuals(data, res.beta + d * g)
+                if d is not None:
+                    step = residuals(data, res.beta + d * g)
+                    res = step if _loss_sum(np.sort(step.e), a.alpha) < f_start else res
             except ValueError:  # a breakpoint or the point where the step lands overflows
                 pass
 

@@ -4,8 +4,8 @@ The LP reads the raw size of x in its tolerances, so scaling a column by
 2^20 or 1e6 still breaks some fits (ROADMAP item 2).  This sweep of 288
 fits, column 1 scaled by 1e4, 2^20, 1e6 and 2^-20 on the benchmark's
 ``continuous(s, 40, 3)``, ``integer_grid(s, 18, 3)`` and
-``continuous(s, 60, 4)`` at seeds 0-7 with the three score kinds, fails 12
-fits; a change to the LP core may not fail more.  A fit fails unless it
+``continuous(s, 60, 4)`` at seeds 0-7 with the three score kinds, fails 11
+fits; a change to the walk or the LP core may not fail more.  A fit fails unless it
 ends in a ``Minimizer`` whose certificate checks: none of these losses is
 unbounded below, since each base fit certifies, so an ``Unbounded`` is a
 wrong verdict (ROADMAP item 12) and counts with the refusals.
@@ -32,7 +32,7 @@ from rankwalk import (
 from test_cell_lp_reference import bench_cases
 from test_reference import certified_fit, l1_minimum
 
-MOST_FAILURES = 12
+MOST_FAILURES = 11
 MOST_LEVERAGE_FAILURES = {1e4: 0, 1e6: 3, 1e8: 37}
 
 

@@ -3,15 +3,13 @@
 ``minimize`` hands ``_descent_search`` the ordering its cell LP posed and
 that LP's dual y, with A^T y = g(posed).  When the posed ordering is
 realizable at the point, every row that y weighs joins two ranks of one
-tie block and no two weighted rows are adjacent, y answers without a
-master LP in two ways.  With every y_r <= alpha[r + 1] - alpha[r], the
-posed ordering with each weighted pair swapped with weight
-y_r / (alpha[r + 1] - alpha[r]) balances, and is the certificate.  With
-exactly one row above its gap, y names an edge, which is taken when the
-master's own test finds the loss falling along it.  The read must never
-certify a point the master descends from nor descend from one the master
-certifies, the walk must take the certificate on most ``walk`` fits, and
-a dual that breaks any condition must reach the master's answer.
+tie block, no two weighted rows are adjacent and every
+y_r <= alpha[r + 1] - alpha[r], the posed ordering with each weighted pair
+swapped with weight y_r / (alpha[r + 1] - alpha[r]) balances, and is the
+certificate, found without a master LP.  The read must never certify a
+point the master descends from, the walk must take the certificate on most
+``walk`` fits, and a dual that breaks any condition must reach the
+master's answer.
 """
 
 import numpy as np
@@ -87,12 +85,11 @@ def walked():
 
 
 def test_the_read_certifies_only_where_the_master_does(walked):
-    """Both answers of the read: a certificate meets a master that
-    certifies, and an edge meets a master that descends from that point."""
+    """The read's one answer, a certificate, meets a master that certifies."""
     per_fit, answers = walked
     assert len(per_fit) == 96 + 60 + 600
     kinds = [kind for kind, _ in answers]
-    assert kinds.count(OptimalityCertificate) and kinds.count(np.ndarray)
+    assert kinds and set(kinds) == {OptimalityCertificate}
     assert all(agreed for _, agreed in answers)
     assert kinds.count(OptimalityCertificate) == sum(read for _, read, _ in per_fit)  # one per fit: its last
     assert all(ok for _, read, ok in per_fit if read)
@@ -133,7 +130,7 @@ def forged(a, ap, kind):
         r = np.flatnonzero(label[1:] != label[:-1])[0]
         posed[r:r + 2] = posed[r:r + 2][::-1]
         return posed, y
-    if kind == "above the score gap":  # an edge, which the master's test refuses at this minimizer
+    if kind == "above the score gap":
         r = inner[0]
         y[r] = np.nextafter(gap[r], np.inf)
     elif kind == "two adjacent rows":

@@ -126,12 +126,16 @@ def test_every_layer_takes_its_default_tie_tolerance_from_loss(monkeypatch, work
     def top(res):
         return float(np.abs(res.e).max())
 
-    out = minimize(data, alpha, beta0=[-1.0])  # tied, so the walk takes no start step
+    # A fit of two iterations, from a start where observations 0 and 1 tie
+    two = RegressionData(np.array([[3.0, -2.0], [0.0, -2.0], [-3.0, 2.0], [-3.0, -2.0]]),
+                         np.array([0.0, 0.0, -3.0, 3.0]))
+    range_scores = ScoreVector(np.array([-1.0, 0.0, 0.0, 1.0]))
+    out = minimize(two, range_scores)
     assert isinstance(out, Minimizer) and len(out.trace) == 2
-    assert reads(lambda: minimize(data, alpha, beta0=[-1.0])) == [top(residuals(data, [-1.0]))] + [
-        top(residuals(data, it.beta_star)) for it in out.trace]
-    at_opt = residuals(data, out.beta_opt)
-    assert reads(lambda: verify_certificate(data, alpha, out.beta_opt, out.certificate)) == [top(at_opt)]
+    assert reads(lambda: minimize(two, range_scores)) == [top(residuals(two, [0.0, 0.0]))] + [
+        top(residuals(two, it.beta_star)) for it in out.trace]
+    at_opt = residuals(two, out.beta_opt)
+    assert reads(lambda: verify_certificate(two, range_scores, out.beta_opt, out.certificate)) == [top(at_opt)]
     res = residuals(data, [0.5])
     assert reads(lambda: consistent_permutation(res)) == [top(res)]
     assert reads(lambda: active_pairs(res)) == [top(res)]

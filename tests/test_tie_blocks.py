@@ -125,7 +125,9 @@ def test_lp_columns_follow_the_tie_blocks(monkeypatch):
     """Every master LP of the search has p + 1 columns, one t for all the
     nontrivial tie blocks whatever their number K, where the unreduced
     systems had p + 2n and |pairs| and a master with one t per block had
-    p + K.  The grid fits reach vertices with K >= 100 blocks."""
+    p + K.  The grid fits reach vertices with K >= 100 blocks: at n = 1000
+    the Wilcoxon and van der Waerden walks, which the start step shortens,
+    meet at most 85, so the grid has n = 1500."""
     shapes = []
     original = rankwalk.certificate._solve_by_dual
 
@@ -159,7 +161,7 @@ def test_lp_columns_follow_the_tie_blocks(monkeypatch):
         return descent_search(data, a, ap, *args)
 
     monkeypatch.setattr(rankwalk.woa, "_descent_search", counting)
-    data = grid(0, 1000, 4, 5)
+    data = grid(0, 1500, 4, 5)
     for kind in KINDS:
         alpha = make_scores(kind, data.n)
         shapes.clear()

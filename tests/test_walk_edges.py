@@ -1,18 +1,15 @@
-"""Edges read from the cell LP's dual, and cell LPs started where a step lands.
+"""Cell LPs started where a step lands, and the walk's start step.
 
-At a simple vertex the cell LP's dual names the improving edge when exactly
-one weighted row exceeds its score gap, and the region a step enters has
-its minimum, most often, at the rows tied where the ray landed.  The walk
-takes both: the descent master runs only where the dual answers neither
-way, and a cell LP pivots only where the tied rows are not its optimal
-basis.  The answers must stay those of the walk that posed the master and
-started every cell LP cold (``data/walk_before_edges.json`` and
-``data/walk_hard_before_edges.json``), and the vertex must be solved from
-its rows: a start that took the step point itself certified some
-``walk-hard`` fits above the optimum.  The walk's start step, one line
-search down the gradient of a start without ties, poses the first region
-where it lands, which on the ``continuous`` fits of ``walk`` is that
-region's minimum.
+The region a step enters has its minimum, most often, at the rows tied
+where the ray landed, so a cell LP pivots only where the tied rows are not
+its optimal basis.  The answers must stay those of the walk that posed the
+master at every point and started every cell LP cold
+(``data/walk_before_edges.json`` and ``data/walk_hard_before_edges.json``),
+and the vertex must be solved from its rows: a start that took the step
+point itself certified some ``walk-hard`` fits above the optimum.  The
+walk's start step, one line search down the gradient of the start's
+region, poses the first region where it lands wherever F falls there,
+which on the ``continuous`` fits of ``walk`` is that region's minimum.
 """
 
 import json
@@ -82,11 +79,11 @@ def walk_fits():
         yield case, want, grid[case.index % len(grid)][0] is cases.continuous
 
 
-def test_the_walk_reads_edges_and_starts_cell_lps_where_the_ray_lands(monkeypatch):
+def test_the_walk_starts_cell_lps_where_the_ray_lands(monkeypatch):
     """``walk`` rounds 0-3 at seeds 0 and 1: 96 fits, which posed 95 master
-    searches and 178 cold cell LPs before, in 178 iterations.  With edges
-    read, warm cell LPs and the start step they take 107 iterations, 14
-    master searches and 25 cold cell LPs, all on ``integer_grid`` fits."""
+    searches and 178 cold cell LPs before, in 178 iterations.  With warm
+    cell LPs and the start step they take 96 iterations, at most 14 master
+    searches and 25 cold cell LPs, all on ``integer_grid`` fits."""
     counts = counting(monkeypatch)
     fits, iterations, before, worst = 0, 0, 0, 0.0
     for case, want, _ in walk_fits():
@@ -99,9 +96,9 @@ def test_the_walk_reads_edges_and_starts_cell_lps_where_the_ray_lands(monkeypatc
         worst = max(worst, abs(out.f_opt - want["f_opt"]) / abs(want["f_opt"]))
     assert fits == 96
     assert before == 178
-    assert iterations == 107
+    assert iterations == 96
     assert worst <= 1e-12
-    assert counts["cells"] == 107
+    assert counts["cells"] == 96
     assert counts["master_searches"] <= 14
     assert counts["cold_cells"] <= 25
 
@@ -112,8 +109,8 @@ def test_a_start_without_ties_steps_to_its_line_minimum_and_certifies_at_once(mo
     on the line down its gradient: the fit certifies in one iteration, its
     cell LP solved from the rows tied where the step landed and its dual the
     certificate, so no simplex and no master runs.  Each ``integer_grid``
-    start has ties, takes no step and walks as before.  Every ``f_opt`` is
-    the one the walk found before it read edges."""
+    start has ties; it steps where F falls along its line and takes at most
+    the iterations it took before.  Every ``f_opt`` is the one recorded."""
     counts = counting(monkeypatch)
     kinds = dict(continuous=0, integer_grid=0)
     for case, want, continuous in walk_fits():
@@ -125,22 +122,24 @@ def test_a_start_without_ties_steps_to_its_line_minimum_and_certifies_at_once(mo
             simplex, masters = (counts[k] - before[k] for k in ("cold_cells", "master_searches"))
             assert (len(out.trace), simplex, masters) == (1, 0, 0), case.label
         else:
-            assert len(out.trace) == want["iterations"], case.label
+            assert len(out.trace) <= want["iterations"], case.label
         kinds["continuous" if continuous else "integer_grid"] += 1
     assert kinds == dict(continuous=72, integer_grid=24)
 
 
 @pytest.mark.parametrize("generator, n, scale, steps", [
     ("continuous", 30, 1.0, True),
-    ("integer_grid", 12, 1.0, False),  # tied at the origin
+    ("integer_grid", 12, 1.0, False),  # tied at the origin, and F does not fall along its line
+    ("integer_grid", 30, 1.0, True),  # tied at the origin, and F falls
     ("continuous", 30, 1e307, False),  # the loss at the origin overflows
     ("continuous", 30, 1e305, False),  # a breakpoint of the start's line overflows
-], ids=["tie-free", "tied", "overflowing-loss", "overflowing-step"])
+], ids=["tie-free", "tied", "tied-falling", "overflowing-loss", "overflowing-step"])
 def test_the_first_region_is_posed_where_the_start_step_lands(monkeypatch, generator, n, scale, steps):
     """The first cell LP is posed at the start step's landing point, or,
-    where the start has ties, its loss overflows or the step would, at the
-    origin in the ordering there.  A step that overflows is not taken, so
-    the fit at 1e305 certifies as the walk without the step did."""
+    where F does not fall there, the loss at the start overflows or the step
+    would, at the origin in the ordering there.  A step that overflows is
+    not taken, so the fit at 1e305 certifies as the walk without the step
+    did."""
     base = getattr(bench_cases(), generator)(3, n, 2)
     data, alpha = RegressionData(base.x, base.y * scale), make_scores("sign", n)
     posed, cell_lp = [], rankwalk.woa.cell_lp
@@ -167,7 +166,7 @@ def test_walk_hard_fits_keep_their_answers_within_an_iteration():
     """``walk-hard`` rounds 0-1 at seeds 0 and 1: 60 fits, which took 287
     iterations before (``data/walk_hard_before_edges.json``).  Each fit
     still certifies the same ``f_opt`` and takes at most one iteration more
-    than the walk before; with the start step they take 233 in all."""
+    than the walk before; with the start step they take 217 in all."""
     before = json.loads((DATA / "walk_hard_before_edges.json").read_text())["fits"]
     cases = bench_cases()
     iterations = 0
@@ -184,7 +183,7 @@ def test_walk_hard_fits_keep_their_answers_within_an_iteration():
         iterations += len(out.trace)
     assert len(before) == 60
     assert sum(want["iterations"] for want in before) == 287
-    assert iterations <= 233
+    assert iterations <= 217
 
 
 @pytest.mark.parametrize("label, f_before", [("sign/n=30/p=6/#17", 37.183587481217366),
@@ -199,16 +198,6 @@ def test_a_warm_cell_lp_solves_its_vertex_from_the_tied_rows(label, f_before):
     assert isinstance(out, Minimizer)
     assert verify_certificate(case.data, case.alpha, out.beta_opt, out.certificate).ok
     assert abs(out.f_opt - f_before) <= 1e-12 * abs(f_before)
-
-
-def test_an_edge_along_a_zero_row_is_not_read():
-    """Two equal rows of x give a zero row of A: no edge pulls that pair
-    apart, and its box norm is zero, which must not be divided by."""
-    x = np.column_stack([np.ones(4), [0.0, 1.0, 1.0, 3.0]])
-    R = np.linalg.qr(x, mode="r")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert certificate._edge(x, R, np.array([0, 1, 2, 3]), np.array([1]), np.array([True])) is None
 
 
 def test_fits_on_repeated_rows_raise_no_numpy_warning():

@@ -360,10 +360,10 @@ def test_minimize_tie_break_independence(worked):
             assert abs(asc.f_opt - desc.f_opt) < 1e-9
 
 
-def test_minimize_iteration_budget(worked):
-    data, alpha = worked
+def test_minimize_iteration_budget():
+    data, alpha, beta0 = raise_fit()  # a fit of two iterations
     with pytest.raises(IterationBudgetError) as info:
-        minimize(data, alpha, beta0=[-1.0], max_iter=1)  # tied: no start step
+        minimize(data, alpha, beta0, max_iter=1)
     assert len(info.value.trace) == 1
 
 
@@ -384,32 +384,35 @@ def short_of_one(original, earlier, *args):
 MINIMIZE = rankwalk.woa.minimize.__code__
 
 
-def call_site() -> tuple[int, str]:
-    """Where ``minimize`` stands during the current call: its iteration, and
-    the name that the statement it is executing assigns."""
+def call_site() -> tuple[int | None, str]:
+    """Where ``minimize`` stands during the current call: its iteration (None
+    in the start step), and the name that the statement it is executing
+    assigns."""
     frame = sys._getframe(1)
     while frame.f_code is not MINIMIZE:
         frame = frame.f_back
     line = linecache.getline(frame.f_code.co_filename, frame.f_lineno)
-    return frame.f_locals["it"], line.split("=", 1)[0].strip()
+    return frame.f_locals.get("it"), line.split("=", 1)[0].strip()
 
 
 def raise_fit():
-    """A fit of two iterations from a tied start, so the walk takes no start
-    step: ``beta0`` is the slope at which observations 0 and 1 tie."""
-    rng = np.random.default_rng(4)
-    x = np.column_stack([np.ones(40), rng.standard_normal(40)])
-    data = RegressionData(x, x @ rng.standard_normal(2) + rng.standard_t(2, 40))
-    return data, make_scores("wilcoxon", 40), np.array([0.0, (data.y[0] - data.y[1]) / (x[0, 1] - x[1, 1])])
+    """A fit of two iterations from the origin at p = 3: the start step lands
+    in a region whose minimum is not the minimizer.  At p = 2 with an
+    intercept the walk certifies in one iteration from every start, tied or
+    not."""
+    rng = np.random.default_rng(0)
+    x = np.column_stack([np.ones(40), rng.standard_normal((40, 2))])
+    data = RegressionData(x, x @ rng.standard_normal(3) + rng.standard_t(2, 40))
+    return data, make_scores("wilcoxon", 40), None
 
 
 # Layer, error, its message's start, the call replaced and its replacement.
 # A call is (name in rankwalk.woa, minimize's iteration, the name minimize
 # assigns when it is made): ("cell_lp", 1, "out") is iteration 1's cell LP.
 RAISE_SITES = [
-    # iteration 1 starts where iteration 0 did
+    # iteration 1 starts where iteration 0 did: where the start step landed
     pytest.param("walk", WalkInvariantError, "ordering (", ("residuals", 0, "res"),
-                 returns(lambda f, earlier, args, kwargs: f(args[0], raise_fit()[2])), id="revisited"),
+                 returns(lambda f, earlier, args, kwargs: earlier[0]), id="revisited"),
     # iteration 1's region minimum is iteration 0's
     pytest.param("walk", WalkInvariantError, "region minimum", ("cell_lp", 1, "out"),
                  returns(lambda f, earlier, args, kwargs: earlier[0]), id="not-improved"),
@@ -421,11 +424,11 @@ RAISE_SITES = [
                  returns(lambda f, earlier, args, kwargs: LpInfeasible()), id="cell-empty"),
     # iteration 1's region minimum, where the residuals overflow
     pytest.param("cell_lp", WalkError, "the residuals at the region minimum overflow", ("cell_lp", 1, "out"),
-                 returns(lambda f, earlier, args, kwargs: LpOptimal(np.full(2, 1e308), -1e300, earlier[0].dual)),
+                 returns(lambda f, earlier, args, kwargs: LpOptimal(np.full(3, 1e308), -1e300, earlier[0].dual)),
                  id="cell-overflow"),
     # iteration 1's region is unbounded along a zero ray
     pytest.param("ray", WalkInvariantError, "claimed ray fails", ("cell_lp", 1, "out"),
-                 returns(lambda f, earlier, args, kwargs: LpUnbounded(f(*args, **kwargs).point, np.zeros(2))),
+                 returns(lambda f, earlier, args, kwargs: LpUnbounded(f(*args, **kwargs).point, np.zeros(3))),
                  id="cell-ray"),
     # iteration 0's descent ray has no breakpoints
     pytest.param("ray", WalkInvariantError, "claimed ray fails", ("_steps", 0, "d_star"),
