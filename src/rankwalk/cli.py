@@ -2,8 +2,9 @@
 
 Data files are CSV with the exact header ``y,x1,...,xp`` followed by numeric
 rows.  Exit codes: 0 for a certified minimizer (or a completed report), 2 when
-the loss is unbounded below, 1 for any error.  Set RANKWALK_LOG=info or
-=debug to watch the walk on stderr.
+the loss is unbounded below, 1 for any error.  ``fit --trace PATH`` writes
+the walk's iterations as JSON; when the walk fails with a WalkError, the file
+holds the iterations before the failure, the failing layer and the message.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
-import logging
 import math
-import os
 import sys
 
 import numpy as np
@@ -25,8 +24,6 @@ from .loss import _residuals_at, _sorted_loss, consistent_permutation
 from .model import RegressionData, ScoreVector, _check_count, make_scores
 from .oracle import ORACLE_LIMIT, oracle_minimize
 from .woa import Minimizer, WalkError, minimize
-
-log = logging.getLogger(__name__)
 
 
 class CliError(Exception):
@@ -103,9 +100,7 @@ def initial_point(spec: str, data: RegressionData, flag: str) -> np.ndarray | No
     if spec == "zero":
         return None
     if spec == "ls":
-        coef, _, rank, _ = np.linalg.lstsq(data.x, data.y, rcond=None)
-        log.info("least-squares start (design rank %d of %d)", rank, data.p)
-        return coef
+        return np.linalg.lstsq(data.x, data.y, rcond=None)[0]
     try:
         return np.array([float(tok) for tok in spec.split(",")])
     except ValueError:
@@ -125,6 +120,8 @@ def _ray(outcome) -> dict:
 
 
 def trace_payload(outcome) -> dict:
+    """The JSON of a walk's ``fit --trace`` file: its iterations, then its
+    verdict, or for a WalkError its layer and message."""
     iterations = [
         {
             "pi": _one_based(rec.pi),
@@ -135,6 +132,8 @@ def trace_payload(outcome) -> dict:
         }
         for rec in outcome.trace
     ]
+    if isinstance(outcome, WalkError):
+        return {"iterations": iterations, "outcome": "error", "layer": outcome.layer, "message": str(outcome)}
     if isinstance(outcome, Minimizer):
         certificate = {
             "decomposition": [
@@ -162,10 +161,15 @@ def cmd_fit(args) -> int:
     except OSError as exc:
         raise CliError(f"{args.trace}: {exc.strerror}") from None
     with trace as fh:
-        outcome = minimize(data, alpha, beta0, max_iter=args.max_iter)
+        try:
+            outcome = minimize(data, alpha, beta0, max_iter=args.max_iter)
+        except WalkError as exc:  # its iterations go to the trace file, then main reports it
+            outcome = exc
         if fh is not None:
             json.dump(trace_payload(outcome), fh, indent=2)
             fh.write("\n")
+    if isinstance(outcome, WalkError):
+        raise outcome
     if isinstance(outcome, Minimizer):
         print(json.dumps({"outcome": "minimizer", "beta_opt": _floats(outcome.beta_opt),
                           "F_opt": float(outcome.f_opt)}))
@@ -242,24 +246,24 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("data", help="CSV file with header y,x1,...,xp")
     common.add_argument("--scores", default="wilcoxon",
                         help="sign | wilcoxon | vdw | file=PATH (raw weights, sorted on load)")
-    common.add_argument("--max-iter", type=int, default=None, help="iteration budget")
 
-    start = _Parser(add_help=False)
-    start.add_argument("--init", default="zero", help="zero | ls | comma-separated vector")
+    solve = _Parser(add_help=False)
+    solve.add_argument("--init", default="zero", help="zero | ls | comma-separated vector")
+    solve.add_argument("--max-iter", type=int, default=None, help="iteration budget")
 
     parser = _Parser(prog="rankwalk", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", parents=[common, start], help="minimize and certify")
+    fit = sub.add_parser("fit", parents=[common, solve], help="minimize and certify")
     fit.add_argument("--trace", metavar="PATH", help="write the full walk trace as JSON")
     fit.set_defaults(func=cmd_fit)
 
-    check = sub.add_parser("check", parents=[common, start],
+    check = sub.add_parser("check", parents=[common, solve],
                            help=f"cross-check the walk against the exhaustive oracle (n <= {ORACLE_LIMIT})")
     check.set_defaults(func=cmd_check)
 
-    compare = sub.add_parser("compare", parents=[common, start],
+    compare = sub.add_parser("compare", parents=[common, solve],
                              help="race the walk against gradient descent from the same start")
     compare.add_argument("--seed", type=int, default=0, help="gradient-descent perturbation seed")
     compare.add_argument("--perturbation", choices=("random", "prolong"), default="random")
@@ -271,21 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging() -> None:
-    level = os.environ.get("RANKWALK_LOG", "off").strip().lower()
-    if level in ("", "off"):
-        return
-    levels = {"info": logging.INFO, "debug": logging.DEBUG}
-    if level not in levels:
-        print(f"warning: unknown RANKWALK_LOG value {level!r}, expected off, info, or debug",
-              file=sys.stderr)
-        return
-    logging.basicConfig(level=levels[level], stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -57,7 +57,6 @@ inconsistent tolerances) raises WalkInvariantError rather than looping.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,8 +68,6 @@ from .loss import (ActivePairs, _are_orderings, _loss_sum, _residuals_at, _tie_c
                    residuals)
 from .lp import LP_TOL, LpInfeasible, LpNumericError, LpOptimal, LpOutcome, LpUnbounded, _solve_by_dual
 from .model import RegressionData, _check_count, sorted_scores
-
-log = logging.getLogger(__name__)
 
 _ROUNDING = 2.0 ** -40  # residuals this close, relative to 1 + max|e|, differ by rounding only
 
@@ -423,7 +420,6 @@ def minimize(data: RegressionData, alpha, beta0=None, *, max_iter: int | None = 
             iterations.append(WalkIteration(pi, out.point, eval_loss(data, a, out.point), out.ray, None))
             trace_now = tuple(iterations)
             _require_descending_ray(data, a, out.point, out.ray, trace_now)
-            log.info("unbounded within region %s at iteration %d", pi, it)
             return Unbounded(out.point, out.ray, trace_now)
         beta_star, f_star = out.point, out.value
         if iterations and not (f_star < iterations[-1].f_star):
@@ -444,7 +440,6 @@ def minimize(data: RegressionData, alpha, beta0=None, *, max_iter: int | None = 
             if failures:
                 raise WalkInvariantError(f"certificate failed verification: {failures}", "certificate", trace_now)
             iterations.append(WalkIteration(pi, beta_star, f_star, None, None))
-            log.info("minimizer found after %d iterations, loss %.12g", len(iterations), f_star)
             return Minimizer(beta_star, f_star, found, tuple(iterations))
         ell = found
         try:
@@ -456,13 +451,11 @@ def minimize(data: RegressionData, alpha, beta0=None, *, max_iter: int | None = 
             ray = ell / float(np.abs(ell).max())
             trace_now = tuple(iterations)
             _require_descending_ray(data, a, beta_star, ray, trace_now)
-            log.info("descent ray never changes the ordering; unbounded at iteration %d", it)
             return Unbounded(beta_star, ray, trace_now)
         try:
             res = residuals(data, beta_star + d_star * ell)
         except ValueError as exc:
             raise WalkError("the residuals at the step overflow", "ray", trace_now) from exc
         iterations.append(WalkIteration(pi, beta_star, f_star, ell, d_star))
-        log.debug("iteration %d: ordering %s, region minimum %.12g, step %.6g", it, pi, f_star, d_star)
 
     raise IterationBudgetError(f"no terminal state within {cap} iterations", "walk", tuple(iterations))

@@ -10,6 +10,7 @@ import rankwalk
 from rankwalk import LpNumericError
 from rankwalk.cli import main
 from rankwalk.oracle import ORACLE_LIMIT
+from test_woa import raise_fit
 
 WORKED_CSV = "y,x1\n0,0\n1,1\n0,2\n"
 
@@ -110,7 +111,7 @@ def test_fit_trace_round_trips_exactly(worked_csv, capsys, tmp_path):
 def test_fit_refuses_a_trace_path_it_cannot_write_before_fitting(worked_csv, capsys, tmp_path, monkeypatch):
     """The trace file is opened before the fit: a path that cannot be
     written costs no fit, and its error reads like every other file error.
-    A fit that raises leaves the file it opened empty."""
+    A walk that raises leaves its layer and message in the file it opened."""
     data, scores = worked_csv
     fits = []
     monkeypatch.setattr(rankwalk.cli, "minimize", lambda *args, **kwargs: fits.append(args))
@@ -125,8 +126,47 @@ def test_fit_refuses_a_trace_path_it_cannot_write_before_fitting(worked_csv, cap
     monkeypatch.setattr(rankwalk.woa, "cell_lp", failing)
     monkeypatch.setattr(rankwalk.cli, "minimize", rankwalk.minimize)
     path = tmp_path / "trace.json"
-    code, out, _ = run(capsys, "fit", data, "--scores", f"file={scores}", "--trace", str(path))
-    assert code == 1 and out == "" and path.read_text() == ""
+    code, out, err = run(capsys, "fit", data, "--scores", f"file={scores}", "--trace", str(path))
+    message = "cell_lp failed at iteration 0: pivot budget exhausted"
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert json.loads(path.read_text()) == {"iterations": [], "outcome": "error", "layer": "cell_lp",
+                                            "message": message}
+
+
+def test_a_failed_fit_leaves_its_iterations_in_the_trace(tmp_path, capsys, monkeypatch):
+    """A walk that fails at iteration 1 writes iteration 0, as a fit that
+    succeeds writes it, with the failing layer and the message; the exit
+    code, stdout and error line are those of the same failure untraced.
+    Any other refusal leaves the file empty."""
+    fit_data, _, _ = raise_fit()  # two iterations from the origin
+    data = tmp_path / "two.csv"
+    np.savetxt(data, np.column_stack([fit_data.y, fit_data.x]), fmt="%.17g", delimiter=",",
+               header="y,x1,x2,x3", comments="")
+    path = tmp_path / "trace.json"
+    code, _, _ = run(capsys, "fit", str(data), "--trace", str(path))
+    full = json.loads(path.read_text())
+    assert code == 0 and len(full["iterations"]) == 2
+
+    original = rankwalk.woa.cell_lp
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise LpNumericError("pivot budget exhausted")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rankwalk.woa, "cell_lp", second_fails)
+    untraced = run(capsys, "fit", str(data))
+    calls.clear()
+    message = "cell_lp failed at iteration 1: pivot budget exhausted"
+    assert untraced == run(capsys, "fit", str(data), "--trace", str(path)) == (1, "", f"error: {message}\n")
+    assert json.loads(path.read_text()) == {"iterations": full["iterations"][:1], "outcome": "error",
+                                            "layer": "cell_lp", "message": message}
+
+    code, _, err = run(capsys, "fit", str(data), "--init", "1,2", "--trace", str(path))
+    assert (code, err) == (1, "error: beta0 must be a finite vector of width p\n")
+    assert path.read_text() == ""
 
 
 def test_fit_refuses_a_bad_iteration_cap_before_opening_the_trace(worked_csv, capsys, tmp_path):
@@ -316,6 +356,13 @@ def test_eval_worked(worked_csv, capsys):
     assert payload["pi"] == [1, 2, 3]
 
 
+def test_eval_takes_no_iteration_cap(worked_csv, capsys):
+    """``eval`` solves nothing, so it has no ``--max-iter`` to ignore."""
+    data, scores = worked_csv
+    code, out, err = run(capsys, "eval", data, "--scores", f"file={scores}", "--beta", "0", "--max-iter", "5")
+    assert (code, out) == (1, "") and "unrecognized arguments: --max-iter 5" in err
+
+
 def test_eval_beta_zero_is_the_origin(worked_csv, capsys):
     """``--beta zero`` is read as ``--init`` reads it: the origin."""
     data, scores = worked_csv
@@ -332,6 +379,20 @@ def test_check_worked(worked_csv, capsys):
     assert report["agree"] is True
     assert report["walk"]["F_opt"] == pytest.approx(report["oracle"]["value"], abs=1e-7)
     assert report["certificate"]["ok"] is True
+
+
+def test_check_agrees_where_the_loss_is_unbounded(tmp_path, capsys):
+    """Increasing weights on an intercept-only design: F falls without
+    bound, the walk and the oracle both say so, and there is no
+    certificate to check."""
+    data = tmp_path / "unbounded.csv"
+    data.write_text("y,x1\n1,1\n2,1\n0,1\n3,1\n")
+    scores = tmp_path / "w.txt"
+    scores.write_text("1 2 3 4\n")
+    code, out, _ = run(capsys, "check", str(data), "--scores", f"file={scores}")
+    report = json.loads(out)
+    assert code == 0 and report["agree"] is True and "certificate" not in report
+    assert report["walk"]["outcome"] == report["oracle"]["outcome"] == "unbounded"
 
 
 def test_check_reaches_the_oracle_limit(tmp_path, capsys):
@@ -414,18 +475,6 @@ def test_no_caller_sets_the_lp_tolerance(worked_csv, capsys):
             extra = ["--beta", "0"] if command == "eval" else []
             code, out, err = run(capsys, command, data, "--scores", f"file={scores}", *extra, flag, value)
             assert code == 1 and out == "" and flag in err, (command, flag)
-
-
-def test_log_env_handling(worked_csv, capsys, monkeypatch):
-    data, scores = worked_csv
-    monkeypatch.setenv("RANKWALK_LOG", "chatty")
-    code, _, err = run(capsys, "eval", data, "--scores", f"file={scores}", "--beta", "0")
-    assert code == 0
-    assert "unknown RANKWALK_LOG" in err
-    monkeypatch.setenv("RANKWALK_LOG", "off")
-    code, _, err = run(capsys, "eval", data, "--scores", f"file={scores}", "--beta", "0")
-    assert code == 0
-    assert "unknown" not in err
 
 
 @pytest.mark.parametrize("layer,name", [("cell_lp", "cell_lp"), ("_descent_search", "descent_search")])

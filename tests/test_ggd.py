@@ -13,6 +13,7 @@ from rankwalk import (
     random_instance,
     residuals,
 )
+from rankwalk.ggd import _nudge
 from rankwalk.loss import _tie_cut
 
 # Narrow valley along the first axis: the two regions either side of it have
@@ -96,6 +97,19 @@ def test_ggd_stuck_on_permanent_ties():
     out = ggd_minimize(data, [-1.0, 1.0])
     assert out.trace.stop_reason == "stuck_on_ties"
     assert out.trace.n_perturbations == 16
+
+
+def test_a_random_nudge_drawn_as_zeros_takes_the_ones_direction():
+    """A draw of all zeros has no direction to normalize; the nudge then
+    goes along the ones vector, as "prolong" does with no last direction."""
+    class Zeros:
+        def standard_normal(self, size):
+            return np.zeros(size)
+
+    beta = np.array([1.0, -2.0, 3.0])
+    nudged = _nudge(beta, None, 0.5, Zeros(), "random")
+    np.testing.assert_array_equal(nudged, _nudge(beta, None, 0.5, None, "prolong"))
+    assert (nudged > beta).all()
 
 
 def test_ggd_zigzags_where_the_walk_exits():

@@ -179,6 +179,10 @@ def test_validation_names_the_offending_row():
         with pytest.raises(LpError) as err:
             solve_lp(LinearProgram(objective, [ok]))
         assert str(err.value) == "objective must be numeric"
+    for objective in ([np.nan], [-np.inf]):
+        with pytest.raises(LpError) as err:
+            solve_lp(LinearProgram(objective, [ok]))
+        assert str(err.value) == "objective must be finite"
 
 
 def test_determinism():
