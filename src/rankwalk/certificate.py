@@ -16,12 +16,9 @@ read.  ``minimize`` and ``verify_certificate`` check the terms with
 one function, ``_conditions``, in O(T n (log n + p)) for T of them and
 without G.  A certificate given as G and a decomposition is turned into its
 terms when it is built, which records how far they are from recomposing G.
-``minimize`` also hands the search its cell LP's dual, which it reads first:
-on a tie block of two ranks the Birkhoff polytope is the segment between
-the pair's two orders, so when the dual weighs only such pairs, none
-adjacent and none beyond its score gap, the dual already is the certificate
-and no master LP is posed.  Every other dual goes to the master, the one
-place a direction of descent comes from.
+``minimize`` also hands the search its cell LP's dual, which
+``_dual_read`` reads first as the certificate; every other dual goes to
+the master, the one place a direction of descent comes from.
 ``birkhoff_decompose`` splits any bistochastic matrix given from outside;
 the walk does not need it.
 """
@@ -171,11 +168,8 @@ def _descent_search(data: RegressionData, a: ScoreVector, ap: ActivePairs, R: np
     otherwise.
 
     ``dual`` is the ordering a cell LP posed and that LP's dual y, which
-    ``minimize`` passes; it is read first (``_dual_read``).  On a tie block
-    of two ranks the Birkhoff polytope is the segment between the pair's two
-    orders, so when y weighs only pairs of tied ranks, none adjacent and
-    each within its score gap, y is the certificate and no master is posed.
-    Any other dual falls through to the master.
+    ``minimize`` passes; ``_dual_read`` reads it first, and only a dual that
+    is no certificate goes on to the master.
     """
     read = None if dual is None else _dual_read(a, ap, *dual)
     if read is not None:

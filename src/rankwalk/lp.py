@@ -9,12 +9,9 @@ its dual: min b.y subject to A^T y = -c and y >= 0, p rows and m columns,
 so the tableau is p x m and p artificials enter.  The primal point is the
 p x p solve of the basic rows; an infeasible dual is an unbounded primal,
 whose ray is the Farkas vector of phase 1.  A caller may name rows to try
-first as the dual's basis (``woa.cell_lp`` names the rows tied up to
-rounding at its point, after a step those where the walk's ray landed):
-their multipliers and vertex are solved directly, and the simplex runs
-only when those fail the same checks as its own answer.  Each
-column is row j of A over max(1, max|A_j|), priced to a tolerance
-that keeps every row within what the final check allows.  The driver
+first as the dual's basis (``_from_rows``; ``woa.cell_lp`` says which rows
+it names).  Each column is row j of A over max(1, max|A_j|), priced to a
+tolerance that keeps every row within what the final check allows.  The driver
 certifies what it returns: an optimal point and its multipliers are
 re-checked against the original rows and for a zero duality gap, an
 unbounded verdict carries a feasible point and a ray re-checked to stay
@@ -416,8 +413,4 @@ def find_feasible(constraints: Sequence[tuple], nvars: int | None = None) -> np.
             raise LpError("cannot infer the variable count from zero constraints")
         nvars = _row(0, constraints[0])[0].shape[0]
     out = solve_lp(LinearProgram(np.zeros(nvars), tuple(constraints)))
-    if isinstance(out, LpInfeasible):
-        return None
-    if isinstance(out, LpUnbounded):  # cannot happen with a zero objective
-        raise LpNumericError("feasibility probe reported unbounded")
-    return out.point
+    return None if isinstance(out, LpInfeasible) else out.point  # an LpUnbounded's point is checked feasible too

@@ -13,19 +13,12 @@ the nontrivial tie blocks at the region minimum (see ``certificate``).  A
 rank alone in its block can hold nothing but its own observation, so its
 pairing is fixed and folds into a constant; the search grows with the ties
 at the current point, not with n.  The search first reads the region LP's
-dual y: on a tie block of two ranks the Birkhoff polytope is the segment
-between the pair's two orders, so when every row y weighs joins two ranks
-of one tie block, no two such rows are adjacent and each y_r is at most its
-score gap, the region's ordering with those pairs swapped is the
-certificate, and the search poses no master LP.  That is how most walks
-end.  Any other y goes to the master LP, the walk's one source of
+dual as the certificate (``certificate._dual_read``), which is how most
+walks end; any other dual goes to the master LP, the walk's one source of
 directions.
 
-Each region LP first tries as its dual basis the rows tied up to rounding
-at the point it is posed at: after a step, the pairs tied where the ray
-landed.  Most regions a step enters have their minimum there, solved from
-those rows and checked as the simplex checks its own answer; the others
-start the simplex cold.
+Each region LP first tries the rows tied at its point as its dual basis
+(see ``cell_lp``).
 
 The walk starts with one exact line search.  With g = alpha . x[pi] in
 the start's ordering pi, -g is the gradient of the loss on the region of
@@ -57,6 +50,7 @@ inconsistent tolerances) raises WalkInvariantError rather than looping.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -261,10 +255,13 @@ def _steps(e: np.ndarray, sigma: np.ndarray, tie_tol: float) -> tuple[np.ndarray
 def _line_search(alpha: np.ndarray, e: np.ndarray, neg: np.ndarray, steps: np.ndarray) -> float:
     """The line search of ``line_search`` on arrays: sorted weights
     ``alpha``, residuals ``e`` at the start of the ray, ``neg`` = -sigma and
-    the ray's steps sorted ascending, at least one, finite and positive."""
-    repeated = steps[1:] == steps[:-1]
-    if repeated.any():
-        steps = steps[np.concatenate(([True], ~repeated))]
+    the ray's steps sorted ascending, at least one, finite and positive.
+
+    Repeated steps need no pass of their own.  Two equal steps bound an
+    interval of length 0 whose midpoint is the step itself, and any order of
+    the residuals tied there reads a slope between the slopes on either side
+    of it (rearrangement inequality), so the slopes still rise along the
+    steps and the first nonnegative one is read at the same step."""
     with np.errstate(over="ignore"):
         # Residuals that overflow to one infinity keep their limit order, by
         # -sigma; none do when none overflows at the largest step.
@@ -281,12 +278,7 @@ def _line_search(alpha: np.ndarray, e: np.ndarray, neg: np.ndarray, steps: np.nd
                 hi = k
                 break
             lo, k = k + 1, 2 * k + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if rises(mid):
-                hi = mid
-            else:
-                lo = mid + 1
+        lo = bisect.bisect_left(range(hi), True, lo, hi, key=rises)
     return float(steps[lo])
 
 
@@ -342,7 +334,7 @@ def line_search(data: RegressionData, alpha, beta_star, direction, bps: Breakpoi
     return _line_search(a.alpha, e, neg, np.sort(bps.steps))
 
 
-def _require_descending_ray(data, alpha, point, ray, trace):
+def _require_descending_ray(data, alpha, ray, trace):
     """F is convex along the ray, so it falls without bound exactly when its
     slope as t -> inf is negative.  Far out the residuals e - t sigma,
     sigma = x . ray, are ordered by -sigma; the order within a run of equal
@@ -419,7 +411,7 @@ def minimize(data: RegressionData, alpha, beta0=None, *, max_iter: int | None = 
         if isinstance(out, LpUnbounded):  # its point is res.beta, posed in value order, so its loss is finite
             iterations.append(WalkIteration(pi, out.point, eval_loss(data, a, out.point), out.ray, None))
             trace_now = tuple(iterations)
-            _require_descending_ray(data, a, out.point, out.ray, trace_now)
+            _require_descending_ray(data, a, out.ray, trace_now)
             return Unbounded(out.point, out.ray, trace_now)
         beta_star, f_star = out.point, out.value
         if iterations and not (f_star < iterations[-1].f_star):
@@ -450,7 +442,7 @@ def minimize(data: RegressionData, alpha, beta0=None, *, max_iter: int | None = 
             iterations.append(WalkIteration(pi, beta_star, f_star, ell, None))
             ray = ell / float(np.abs(ell).max())
             trace_now = tuple(iterations)
-            _require_descending_ray(data, a, beta_star, ray, trace_now)
+            _require_descending_ray(data, a, ray, trace_now)
             return Unbounded(beta_star, ray, trace_now)
         try:
             res = residuals(data, beta_star + d_star * ell)

@@ -37,3 +37,19 @@ def test_importing_the_gates_installs_no_spy():
 def test_a_missing_or_unknown_gate_name_exits_nonzero_and_lists_the_names(capsys, argv):
     assert gates.main(argv) == 2
     assert ", ".join(gates.GATES) in capsys.readouterr().err
+
+
+def test_code_lines_count_neither_docstrings_nor_comments_nor_blank_lines():
+    text = '''"""A module
+docstring."""
+
+import math  # a comment
+
+
+def f(x):
+    """One line."""
+    # a comment alone
+    return math.sqrt(
+        x)
+'''
+    assert gates.code_lines(text) == 4

@@ -197,6 +197,25 @@ def test_line_search_takes_the_first_nonnegative_slope():
     assert negative_zeros > 50
 
 
+def test_line_search_reads_repeated_steps_as_the_distinct_ones():
+    """``line_search`` searches the sorted steps with their repeats, the
+    reference only the distinct ones; on every ray the two return the same
+    step exactly, on an exact plateau too, and hundreds of the rays repeat
+    the step that is their answer."""
+    searched = repeated = 0
+    for seed in range(5):
+        for data, beta, ell, alpha in instances(seed, 240):
+            bps = breakpoints(data, beta, ell)
+            if bps.steps.size == 0:
+                continue
+            got = line_search(data, alpha, beta, ell, bps)
+            assert got == ref_bisection(data, alpha, beta, ell, bps)
+            repeated += int(np.count_nonzero(bps.steps == got) > 1)
+            searched += 1
+    assert searched > 1_000
+    assert repeated >= 300
+
+
 @pytest.mark.parametrize("end", ["first", "last"])
 def test_line_search_finds_answers_at_either_end(end):
     """Rays with sigma = x @ ell > 0 for every observation: under positive

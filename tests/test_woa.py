@@ -514,7 +514,7 @@ def test_config_validation(worked):
 def test_descending_ray_guard(worked):
     data, alpha = worked
     with pytest.raises(WalkInvariantError) as info:
-        _require_descending_ray(data, alpha, np.array([0.0]), np.array([1.0]), ())
+        _require_descending_ray(data, alpha, np.array([1.0]), ())
     assert info.value.layer == "ray" and info.value.trace == ()
 
 
@@ -526,11 +526,11 @@ def test_descending_ray_guard_reads_the_slope_at_infinity(worked):
     x . ray itself overflows: a WalkError of the ray."""
     data, _ = worked
     with pytest.raises(WalkInvariantError) as info:
-        _require_descending_ray(data, [0.0, 0.0, 1.0], np.array([0.0]), np.array([1e307]), ())
+        _require_descending_ray(data, [0.0, 0.0, 1.0], np.array([1e307]), ())
     assert info.value.layer == "ray" and info.value.trace == ()
     assert str(info.value) == "claimed ray fails: the loss's slope along it at infinity is 0.0"
     with pytest.raises(WalkError) as info:
-        _require_descending_ray(data, [0.0, 0.0, 1.0], np.array([0.0]), np.array([1e308]), ())
+        _require_descending_ray(data, [0.0, 0.0, 1.0], np.array([1e308]), ())
     assert type(info.value) is WalkError and info.value.layer == "ray" and info.value.trace == ()
     assert str(info.value) == "x . ray of the claimed ray is not finite"
 
