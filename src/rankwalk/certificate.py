@@ -105,9 +105,7 @@ def _recompose(weights: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """G = sum_t w_t P_t, read-only, added in term order."""
     n = orders.shape[1]
     G = np.zeros((n, n))
-    ranks = np.arange(n)
-    for w, pi in zip(weights, orders):
-        G[ranks, pi] += w
+    np.add.at(G, (np.arange(n), orders), weights[:, None])  # unbuffered: each entry's terms in term order
     G.setflags(write=False)
     return G
 

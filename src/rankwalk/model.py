@@ -89,18 +89,6 @@ def inverse_normal_cdf(u: float) -> float:
     return NormalDist().inv_cdf(u)
 
 
-def _phi(kind: str, xi: float) -> float:
-    if kind == "sign":
-        if xi > 0.5:
-            return 1.0
-        if xi < 0.5:
-            return -1.0
-        return 0.0
-    if kind == "wilcoxon":
-        return math.sqrt(12.0) * (xi - 0.5)
-    return inverse_normal_cdf(xi)  # van_der_waerden
-
-
 def make_scores(kind: str, n: int) -> ScoreVector:
     """The weights of score kind ``kind`` for n observations: one of the
     named generators in SCORE_KINDS, each evaluating a nondecreasing
@@ -109,7 +97,12 @@ def make_scores(kind: str, n: int) -> ScoreVector:
     _check_count("n", n, 1)
     if not (isinstance(kind, str) and kind in SCORE_KINDS):
         raise ValueError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS} (a table is a ScoreVector)")
-    return ScoreVector(np.array([_phi(kind, i / (n + 1)) for i in range(1, n + 1)]))
+    xi = np.arange(1, n + 1) / (n + 1)
+    if kind == "sign":
+        return ScoreVector(np.sign(xi - 0.5))
+    if kind == "wilcoxon":
+        return ScoreVector(math.sqrt(12.0) * (xi - 0.5))
+    return ScoreVector([inverse_normal_cdf(u) for u in xi.tolist()])  # van_der_waerden
 
 
 def sorted_scores(alpha, n: int) -> ScoreVector:

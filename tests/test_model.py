@@ -53,6 +53,20 @@ def test_named_kinds_monotone_and_antisymmetric():
             np.testing.assert_allclose(a, -a[::-1], atol=1e-12)
 
 
+def test_named_kinds_match_the_generator_at_each_point_bit_for_bit():
+    """Each weight is the kind's generator evaluated at i/(n+1), one point at
+    a time, to the last bit."""
+    generators = {
+        "sign": lambda u: 1.0 if u > 0.5 else -1.0 if u < 0.5 else 0.0,
+        "wilcoxon": lambda u: math.sqrt(12.0) * (u - 0.5),
+        "van_der_waerden": inverse_normal_cdf,
+    }
+    for kind, phi in generators.items():
+        for n in range(1, 301):
+            expected = np.array([phi(i / (n + 1)) for i in range(1, n + 1)])
+            assert make_scores(kind, n).alpha.tobytes() == expected.tobytes(), (kind, n)
+
+
 def test_make_scores_custom_table():
     """A table of weights is a ScoreVector; make_scores takes only a kind."""
     np.testing.assert_array_equal(ScoreVector([-2.0, 0.0, 5.0]).alpha, [-2.0, 0.0, 5.0])
